@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -70,22 +69,6 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _resolve_threads(args) -> int | None:
-    """Thread cap from --threads or MCPLAB_THREADS; exported to the BLAS
-    environment knobs (best effort: fully effective when set before the
-    numerical libraries spin up their pools)."""
-    value = getattr(args, "threads", None)
-    if value is None:
-        env = os.environ.get("MCPLAB_THREADS")
-        value = int(env) if env else None
-    if value is not None:
-        if value < 1:
-            raise argparse.ArgumentTypeError("--threads must be >= 1")
-        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[key] = str(value)
-    return value
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -96,14 +79,17 @@ def _emit(args, payload, csv_writer=None) -> None:
     path = getattr(args, "output", None)
     if path is None:
         return
-    if str(path).endswith(".json"):
-        _write_json(path, payload)
-    elif str(path).endswith(".csv"):
-        if csv_writer is None:
-            raise McplabError("this subcommand has no CSV form; use .json")
-        csv_writer(path)
-    else:
-        raise McplabError("output extension must be .csv or .json")
+    try:
+        if str(path).endswith(".json"):
+            _write_json(path, payload)
+        elif str(path).endswith(".csv"):
+            if csv_writer is None:
+                raise McplabError("this subcommand has no CSV form; use .json")
+            csv_writer(path)
+        else:
+            raise McplabError("output extension must be .csv or .json")
+    except OSError as exc:
+        raise McplabError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _config(args, fields) -> dict:
@@ -118,7 +104,12 @@ def _cmd_curvature(args) -> int:
     if args.model and args.heisenberg:
         raise McplabError("--model and --heisenberg are mutually exclusive")
     if args.model:
-        alg, cs = model_from_json(args.model)
+        try:
+            alg, cs = model_from_json(args.model)
+        except OSError as exc:
+            raise McplabError(f"cannot read {args.model}: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise McplabError(f"{args.model} is not JSON: {exc}") from None
     else:
         alg, cs = build_heisenberg_algebra(args.n, args.eps)
     lc = levi_civita(alg)
@@ -134,7 +125,7 @@ def _cmd_curvature(args) -> int:
     payload = {
         "command": "curvature",
         "config": _config(
-            args, ["model", "n", "eps", "tol", "samples", "seed", "threads"]
+            args, ["model", "n", "eps", "tol", "samples", "seed"]
         ),
         "identities": report.to_dict(),
         "hypotheses": hyp.to_dict(),
@@ -193,7 +184,7 @@ def _cmd_riccati(args) -> int:
         )
     payload = {
         "command": "riccati",
-        "config": _config(args, ["b", "c", "n", "t", "tol", "threads"]),
+        "config": _config(args, ["b", "c", "n", "t", "tol"]),
         "points": rows,
         "max_rel_error": worst,
     }
@@ -223,7 +214,7 @@ def _cmd_conjugate(args) -> int:
     t_star = conjugate_time(params, t_max=args.t_max)
     payload = {
         "command": "conjugate",
-        "config": _config(args, ["b", "c", "n", "t-max", "threads"]),
+        "config": _config(args, ["b", "c", "n", "t-max"]),
         "c": args.c,
         "vertical_momentum": 2.0 * args.c,
         "t_star": None if t_star is None else float(t_star),
@@ -253,7 +244,7 @@ def _cmd_mcp_scan(args) -> int:
     )
     payload = {
         "command": "mcp-scan",
-        "config": _config(args, ["n", "b", "c", "t", "tol", "threads"]),
+        "config": _config(args, ["n", "b", "c", "t", "tol"]),
         "report": report.to_dict(),
     }
     _emit(args, payload)
@@ -270,7 +261,7 @@ def _cmd_sharpness(args) -> int:
     value = float(sharpness_scan(args.n, args.t, b_max=args.b_max))
     payload = {
         "command": "sharpness",
-        "config": _config(args, ["n", "t", "b-max", "tol", "threads"]),
+        "config": _config(args, ["n", "t", "b-max", "tol"]),
         "infimum_estimate": value,
         "exponent": 2 * args.n + 3,
     }
@@ -294,7 +285,6 @@ def _cmd_contract(args) -> int:
         t=args.t,
         samples=args.samples,
         seed=args.seed,
-        steps=args.steps,
     )
     quad = float(quadrature_contraction(model, spec, t=args.t))
     consistent = abs(result.ratio - quad) <= 3.0 * result.std_error
@@ -302,8 +292,7 @@ def _cmd_contract(args) -> int:
         "command": "contract",
         "config": _config(
             args,
-            ["n", "eps", "radius", "momentum", "t", "samples", "seed",
-             "steps", "threads"],
+            ["n", "eps", "radius", "momentum", "t", "samples", "seed"],
         ),
         "monte_carlo": result.to_dict(),
         "quadrature": quad,
@@ -328,7 +317,7 @@ def _cmd_density_profile(args) -> int:
     ok = bool(np.all(prof.ratio >= 1.0 - args.tol))
     payload = {
         "command": "density-profile",
-        "config": _config(args, ["b", "c", "n", "t", "tol", "threads"]),
+        "config": _config(args, ["b", "c", "n", "t", "tol"]),
         "t": [float(v) for v in prof.t_grid],
         "density": [float(v) for v in prof.density],
         "bound": [float(v) for v in prof.bound],
@@ -359,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", help="write a report (.json or .csv)")
-        p.add_argument("--threads", type=int, help="cap worker threads")
 
     p = sub.add_parser("curvature", help="verify structure identities and hypotheses")
     p.add_argument("--heisenberg", action="store_true", help="use the model group")
@@ -414,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=320)
     common(p)
     p.set_defaults(func=_cmd_contract)
 
@@ -462,7 +449,6 @@ def main(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return 0 if code == 0 else 2
     try:
-        _resolve_threads(args)
         return args.func(args)
     except McplabError as exc:
         print(f"error: {exc}", file=sys.stderr)

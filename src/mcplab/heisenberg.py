@@ -21,8 +21,10 @@ vectors.  Its drift is the constant W block of the riccati module with
 
 and the distortion matrix in this frame solves the row-vector system
 A'' + 2 A' W + A (W^2 + R) = 0 with A(0) = 0, A'(0) = I.  Its determinant
-is integrated here directly and serves as the independent oracle for the
-closed-form determinant and trace profiles in the riccati module.
+comes from the matrix-exponential propagator riccati.jacobi_flow, which
+never evaluates a sinc or cot closed form, so it serves as the
+independent oracle for the closed-form determinant and trace profiles in
+the riccati module.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DegenerateDirectionError, DomainError, IntegrationError
 from .frame_algebra import build_heisenberg_algebra, levi_civita
-from .riccati import RiccatiParams, build_blocks
+from .riccati import RiccatiParams, build_blocks, jacobi_flow
 
 # Horizontal speeds below this fraction of the total speed count as
 # vertical: the adapted frame needs a direction for v1.
@@ -225,9 +227,7 @@ def geodesic_flow(
     )
     if not sol.success or not np.all(np.isfinite(sol.y)):
         last = float(sol.t[-1]) if len(sol.t) else 0.0
-        raise IntegrationError(
-            f"geodesic integration stopped: {sol.message}", last_good_time=last
-        )
+        raise IntegrationError(last, f"geodesic integration stopped: {sol.message}")
     return Trajectory(
         model=model, t=sol.t.copy(), pos=sol.y[:d].T.copy(), vel=sol.y[d:].T.copy(),
         _sol=sol.sol,
@@ -377,59 +377,35 @@ def _validate_times(ts):
     return ts
 
 
-def jacobi_matrices_from_params(b, c, ts, n: int = 1, tol: float = 1e-10):
-    """Integrate A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0, A'(0) = I and
-    return the stack of A(t) over the (strictly increasing, positive)
-    times ts.  W, R are the constant blocks built from (b, c, n) with zero
-    ambient curvature."""
+def jacobi_matrices_from_params(b, c, ts, n: int = 1):
+    """A(t) over the (strictly increasing, positive) times ts for
+    A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0, A'(0) = I, where W, R are
+    the constant blocks built from (b, c, n) with zero ambient curvature.
+    Propagated by riccati.jacobi_flow, which never evaluates the closed
+    forms."""
     params = RiccatiParams(b=b, c=c, n=n)
     ts = _validate_times(ts)
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     blocks = build_blocks(params)
-    W = blocks.full_W()
-    WWR = W @ W + blocks.full_R()
-    d = blocks.dim
-    d2 = d * d
-
-    def rhs(_t, y):
-        A = y[:d2].reshape(d, d)
-        B = y[d2:].reshape(d, d)
-        return np.concatenate((B.ravel(), (-2.0 * B @ W - A @ WWR).ravel()))
-
-    y0 = np.concatenate((np.zeros(d2), np.eye(d).ravel()))
-    sol = solve_ivp(
-        rhs, (0.0, float(ts[-1])), y0, t_eval=ts, method="DOP853", rtol=tol, atol=tol
-    )
-    if not sol.success:
-        last = float(sol.t[-1]) if len(sol.t) else 0.0
-        raise IntegrationError(
-            f"distortion integration failed: {sol.message}", last_good_time=last
-        )
-    return sol.y[:d2].T.reshape(len(ts), d, d)
+    A, _ = jacobi_flow(blocks.full_W(), blocks.full_R(), ts)
+    return A
 
 
-def jacobi_determinants_from_params(b, c, ts, n: int = 1, tol: float = 1e-10):
-    """det A(t) over the times ts; the ODE-level oracle for the
+def jacobi_determinants_from_params(b, c, ts, n: int = 1):
+    """det A(t) over the times ts; the flow-level oracle for the
     closed-form determinant profile."""
-    mats = jacobi_matrices_from_params(b, c, ts, n=n, tol=tol)
-    return np.linalg.det(mats)
+    return np.linalg.det(jacobi_matrices_from_params(b, c, ts, n=n))
 
 
-def jacobi_matrix_from_params(
-    b, c, t: float, n: int = 1, tol: float = 1e-10
-) -> JacobiMatrix:
-    mats = jacobi_matrices_from_params(b, c, [t], n=n, tol=tol)
+def jacobi_matrix_from_params(b, c, t: float, n: int = 1) -> JacobiMatrix:
+    mats = jacobi_matrices_from_params(b, c, [t], n=n)
     return JacobiMatrix(t=float(t), A=mats[0])
 
 
 def jacobi_determinant(
-    model: HeisenbergModel, start: GeodesicState, t: float, tol: float = 1e-10
+    model: HeisenbergModel, start: GeodesicState, t: float
 ) -> float:
     """det A(t) along the geodesic through start (scalars b, c read off the
     initial velocity).  Negative or zero values mean t is at or beyond the
     first conjugate time; the caller interprets the sign."""
     params = adapted_params(model, start)
-    return float(
-        jacobi_determinants_from_params(params.b, params.c, [t], n=model.n, tol=tol)[0]
-    )
+    return float(jacobi_determinants_from_params(params.b, params.c, [t], n=model.n)[0])

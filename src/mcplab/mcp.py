@@ -18,9 +18,10 @@ with equality approached as b -> infinity, c -> 0 (the exponent is the
 vertical 5 plus 2n - 2 parallel directions, not the dimension 2n + 1).
 
 Three independent evaluations are provided: the closed form (density and
-the grid scans), per-sample ODE integration driven by Monte Carlo sampling
-of a velocity set, and deterministic quadrature of the closed form over
-the same set.  Sums use numpy's pairwise reduction, so results are
+the grid scans), the Jacobi flow of each sample (riccati.jacobi_flow, which
+never evaluates the closed form) driven by Monte Carlo sampling of a
+velocity set, and deterministic quadrature of the closed form over the
+same set.  Sums use numpy's pairwise reduction, so results are
 deterministic for a fixed seed and sample count.
 """
 
@@ -34,9 +35,13 @@ import numpy as np
 
 from .errors import DomainError, OutOfRegimeError, VelocitySpecError
 from .heisenberg import HeisenbergModel
-from .riccati import RiccatiParams, _sinc, _sxc
+from .riccati import RiccatiParams, _sinc, _sxc, jacobi_flow
 
 _MAX_REJECT_FRACTION = 0.01
+# Samples per jacobi_flow call in monte_carlo_contraction.  The flow's
+# time goes to one small matrix exponential per sample and interval
+# either way; chunks keep its (samples, 2d, 2d) stacks out of peak memory.
+_CHUNK = 1024
 
 
 def _det_blocks(b, c, n, s):
@@ -297,17 +302,10 @@ class VelocitySet:
         return 0.5 * self.vertical_momentum
 
 
-def _batched_jacobi_dets(b, c, n, s_values, steps: int = 320):
-    """det A(s) at each s in s_values for per-sample scalars b, c.
-
-    Integrates the second-order distortion system for all samples at once
-    with classical fixed-step RK4 (the per-sample blocks W, R are constant,
-    so the stage count is the only cost driver).  Returns an array of
-    shape (len(s_values), len(b))."""
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    N = len(b)
-    d = 2 * n + 1
+def _sample_blocks(b, c, n):
+    """Stacks of the constant drift W and curvature R (zero ambient
+    curvature) for per-sample scalars b, c; shape (len(b), 2n+1, 2n+1)."""
+    N, d = len(b), 2 * n + 1
     W = np.zeros((N, d, d))
     W[:, 0, 2] = b
     W[:, 1, 2] = c
@@ -320,36 +318,18 @@ def _batched_jacobi_dets(b, c, n, s_values, steps: int = 320):
     R[:, 2, 2] = c * c - 3.0 * b * b
     for k in range(3, d):
         R[:, k, k] = c * c
-    M = np.matmul(W, W) + R
+    return W, R
 
-    def rhs(A, B):
-        return B, -2.0 * np.matmul(B, W) - np.matmul(A, M)
 
-    s_values = np.asarray(s_values, dtype=float)
-    order = np.argsort(s_values)
-    targets = s_values[order]
-    A = np.zeros((N, d, d))
-    B = np.broadcast_to(np.eye(d), (N, d, d)).copy()
-    out = np.empty((len(targets), N))
-    s_now = 0.0
-    total = float(targets[-1])
-    for ti, s_target in enumerate(targets):
-        seg = s_target - s_now
-        if seg > 0.0:
-            nsteps = max(int(np.ceil(steps * seg / total)), 1)
-            h = seg / nsteps
-            for _ in range(nsteps):
-                k1a, k1b = rhs(A, B)
-                k2a, k2b = rhs(A + 0.5 * h * k1a, B + 0.5 * h * k1b)
-                k3a, k3b = rhs(A + 0.5 * h * k2a, B + 0.5 * h * k2b)
-                k4a, k4b = rhs(A + h * k3a, B + h * k3b)
-                A = A + (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-                B = B + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            s_now = float(s_target)
-        out[ti] = np.linalg.det(A)
-    undo = np.empty_like(out)
-    undo[order] = out  # restore caller's ordering of s_values
-    return undo
+def _flow_dets(b, c, n, s):
+    """det A at the increasing times s for per-sample scalars b, c, shape
+    (len(s), len(b)), from jacobi_flow on _CHUNK samples at a time."""
+    out = np.empty((len(s), len(b)))
+    for lo in range(0, len(b), _CHUNK):
+        W, R = _sample_blocks(b[lo : lo + _CHUNK], c[lo : lo + _CHUNK], n)
+        A, _ = jacobi_flow(W, R, s)
+        out[:, lo : lo + _CHUNK] = np.linalg.det(A)
+    return out
 
 
 @dataclass
@@ -393,12 +373,11 @@ def monte_carlo_contraction(
     t: float,
     samples: int = 100_000,
     seed: int = 0,
-    steps: int = 320,
     bootstrap: int = 200,
 ) -> MonteCarloResult:
     """Estimate mu(U_t) / mu(U_0) for U_0 the exponential image of the
-    velocity set at x0, by uniform sampling of the set and per-sample ODE
-    integration of the distortion determinant:
+    velocity set at x0, by uniform sampling of the set and the distortion
+    determinant of each sample from the Jacobi flow (riccati.jacobi_flow):
 
         ratio = sum_w det A_w(1 - t) / sum_w det A_w(1).
 
@@ -435,8 +414,7 @@ def monte_carlo_contraction(
         )
     b, c = b[keep], c[keep]
 
-    dets = _batched_jacobi_dets(b, c, n, [1.0 - t, 1.0], steps=steps)
-    det_t, det_1 = dets[0], dets[1]
+    det_t, det_1 = _flow_dets(b, c, n, [1.0 - t, 1.0])
     ratio = float(np.sum(det_t) / np.sum(det_1))
 
     N = len(b)

@@ -25,6 +25,7 @@ from mcplab.heisenberg import (
     adapted_params,
     geodesic_flow,
     jacobi_determinant,
+    jacobi_determinants_from_params,
 )
 from mcplab.mcp import (
     VelocitySet,
@@ -170,25 +171,53 @@ def test_04_parallel_block_trace_bound(capsys):
 
 def test_05_conjugate_time_classification(capsys):
     """Conjugate times exist below 1 exactly when the vertical scalar
-    leaves [-pi, pi]; inside, none occur for any horizontal size."""
+    leaves [-pi, pi]; inside, none occur for any horizontal size.
+
+    conjugate_time is the formula pi/|c|, so the independent route is the
+    Jacobi flow's det A: positive below t*, zero at t* (a touch point at
+    b = 0), and positive on (0, 1] over the grid where none is reported."""
     found = {}
-    for c in (np.pi + 0.01, 3.5, 6.0):
-        t_star = conjugate_time(RiccatiParams(b=0.0, c=float(c)))
-        found[c] = t_star
+    flow_ok = True
+    worst_at_star = 0.0
+    for b in (0.0, 2.0):
+        for c in (np.pi + 0.01, 3.5, 6.0):
+            t_star = conjugate_time(RiccatiParams(b=b, c=float(c)))
+            if b == 0.0:
+                found[c] = t_star
+            if t_star is None:
+                flow_ok = False
+                continue
+            below = np.linspace(0.02, 0.98, 49) * t_star
+            dets = jacobi_determinants_from_params(b, c, np.append(below, t_star))
+            scale = float(np.max(np.abs(dets)))
+            flow_ok &= bool(np.all(dets[:-1] > 0.0))
+            worst_at_star = max(worst_at_star, abs(float(dets[-1])) / scale)
     exist_ok = all(v is not None and v < 1.0 for v in found.values())
     spurious = 0
+    nonpositive = 0
+    times = np.linspace(0.02, 1.0, 50)
     for b in np.concatenate(([0.0], np.geomspace(1e-1, 1e3, 8))):
         for c in np.linspace(-(np.pi - 1e-3), np.pi - 1e-3, 9):
             if conjugate_time(RiccatiParams(b=float(b), c=float(c))) is not None:
                 spurious += 1
-    ok = exist_ok and spurious == 0
+            dets = jacobi_determinants_from_params(float(b), float(c), times)
+            nonpositive += int(np.count_nonzero(dets <= 0.0))
+    ok = (
+        exist_ok
+        and spurious == 0
+        and flow_ok
+        and worst_at_star <= 1e-6
+        and nonpositive == 0
+    )
     _report(
         capsys,
         "5 conjugate-point classification",
         ok,
         f"t* = {found[np.pi + 0.01]:.4f}/{found[3.5]:.4f}/{found[6.0]:.4f} "
-        f"< 1 for |c| > pi; {spurious} spurious conjugate points over "
-        f"9x9 (b, c) grid with |c| <= pi - 1e-3",
+        f"< 1 for |c| > pi; flow det A > 0 below t* ({flow_ok}), "
+        f"|det A(t*)| <= {worst_at_star:.2e} x scale (tol 1e-6, b = 0 and 2); "
+        f"{spurious} spurious conjugate points and {nonpositive} flow "
+        f"det A <= 0 on (0, 1] over 9x9 (b, c) grid with |c| <= pi - 1e-3",
     )
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mcplab.errors import DegenerateDirectionError, DomainError
+from mcplab import heisenberg
+from mcplab.errors import DegenerateDirectionError, DomainError, IntegrationError
 from mcplab.heisenberg import (
     GeodesicState,
     HeisenbergModel,
@@ -157,6 +158,25 @@ def test_adapted_frame_rows_stay_orthonormal():
     for Fm in af.frames[:: len(traj.t) // 10]:
         assert np.max(np.abs(Fm @ Fm.T - np.eye(5))) < 1e-9
     assert af.max_residual <= 1e-7
+
+
+def test_flow_failure_raises_integration_error(monkeypatch):
+    m = HeisenbergModel(n=1, eps=1.0)
+    start = _origin_state(m, [0.0, 1.0, 0.0])
+    real = heisenberg.solve_ivp
+
+    def stalls(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        keep = sol.t <= 0.4
+        sol.t, sol.y = sol.t[keep], sol.y[:, keep]
+        sol.success, sol.status, sol.message = False, -1, "step size too small"
+        return sol
+
+    monkeypatch.setattr(heisenberg, "solve_ivp", stalls)
+    with pytest.raises(IntegrationError) as exc:
+        geodesic_flow(m, start, T=1.0, samples=11)
+    assert exc.value.last_good_time == pytest.approx(0.4)
+    assert "step size too small" in str(exc.value)
 
 
 def test_jacobi_euclidean_powers():

@@ -179,12 +179,27 @@ def test_velocity_set_validation():
     assert VelocitySet(2.0, 5.0).c_max == 2.5
 
 
+def test_flow_determinants_match_closed_form():
+    # the Monte Carlo determinants, over several chunks and a partial one,
+    # against the closed form at the sizes of a radius-2, momentum-5 set
+    from mcplab.mcp import _CHUNK, _det_blocks, _flow_dets
+
+    rng = np.random.default_rng(0)
+    N = 2 * _CHUNK + 37
+    b = -2.0 * rng.random(N)
+    c = rng.uniform(-2.5, 2.5, N)
+    for n in (1, 2):
+        dets = _flow_dets(b, c, n, [0.6, 1.0])
+        for row, s in zip(dets, (0.6, 1.0)):
+            np.testing.assert_allclose(row, _det_blocks(b, c, n, s), rtol=1e-12, atol=0)
+
+
 def test_monte_carlo_tiny_ball_is_euclidean():
     for n in (1, 2):
         model = HeisenbergModel(n=n, eps=1.0)
         spec = VelocitySet(horizontal_radius=1e-3, vertical_momentum=1e-3)
         res = monte_carlo_contraction(
-            model, np.zeros(model.dim), spec, t=0.5, samples=2000, steps=96
+            model, np.zeros(model.dim), spec, t=0.5, samples=2000
         )
         expect = 0.5 ** (2 * n + 1)
         # deviation from the Euclidean value is quadratic in the ball size
@@ -197,7 +212,7 @@ def test_monte_carlo_satisfies_contraction_bound():
     model = HeisenbergModel(n=1, eps=1.0)
     spec = VelocitySet(horizontal_radius=2.0, vertical_momentum=5.0)
     res = monte_carlo_contraction(
-        model, np.zeros(3), spec, t=0.3, samples=4000, steps=128, seed=7
+        model, np.zeros(3), spec, t=0.3, samples=4000, seed=7
     )
     assert res.passes
     assert res.ratio >= 0.7**5 * (1.0 - 3.0 * res.std_error)
@@ -211,7 +226,7 @@ def test_monte_carlo_matches_quadrature():
     model = HeisenbergModel(n=1, eps=2.0)
     spec = VelocitySet(horizontal_radius=1.5, vertical_momentum=4.0)
     res = monte_carlo_contraction(
-        model, np.zeros(3), spec, t=0.4, samples=20_000, steps=128, seed=3
+        model, np.zeros(3), spec, t=0.4, samples=20_000, seed=3
     )
     ref = quadrature_contraction(model, spec, t=0.4)
     assert abs(res.ratio - ref) <= 3.0 * res.std_error
@@ -221,11 +236,11 @@ def test_monte_carlo_matches_quadrature():
 def test_monte_carlo_deterministic_and_seed_sensitive():
     model = HeisenbergModel(n=1, eps=1.0)
     spec = VelocitySet(horizontal_radius=1.0, vertical_momentum=2.0)
-    a = monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=2000, steps=64)
-    b = monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=2000, steps=64)
+    a = monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=2000)
+    b = monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=2000)
     assert (a.ratio, a.std_error) == (b.ratio, b.std_error)
     c = monte_carlo_contraction(
-        model, np.zeros(3), spec, 0.5, samples=2000, steps=64, seed=1
+        model, np.zeros(3), spec, 0.5, samples=2000, seed=1
     )
     assert c.ratio != a.ratio
 
@@ -235,7 +250,7 @@ def test_monte_carlo_rejection_paths():
     # vertical momentum far past the conjugate threshold 2 pi
     spec = VelocitySet(horizontal_radius=1.0, vertical_momentum=2 * np.pi + 1.0)
     with pytest.raises(VelocitySpecError):
-        monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=2000, steps=64)
+        monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=2000)
     with pytest.raises(DomainError):
         monte_carlo_contraction(
             model, np.zeros(3), VelocitySet(1.0, 1.0), 0.5, samples=10
@@ -255,7 +270,7 @@ def test_quadrature_pure_horizontal_set():
     spec = VelocitySet(horizontal_radius=2.0, vertical_momentum=0.0)
     ref = quadrature_contraction(model, spec, t=0.5)
     assert ref >= 0.5**5
-    res = monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=4000, steps=96)
+    res = monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=4000)
     assert abs(res.ratio - ref) <= 3.0 * res.std_error + 1e-9
     with pytest.raises(VelocitySpecError):
         quadrature_contraction(model, VelocitySet(1.0, 7.0), t=0.5)

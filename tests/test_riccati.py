@@ -2,11 +2,15 @@
 
 Oracles: exact Euclidean limits, the c = 0 rational trace formula derived
 independently of the scaled-cotangent path, finite differences of the raw
-determinant factor, and adaptive ODE integration of the same flow.
+determinant factor, the matrix-exponential Jacobi flow, and the determinant
+written out in 40-digit mpmath.
 """
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcplab import riccati as rc
 from mcplab.errors import DomainError, OutOfRegimeError, SingularityError
@@ -166,6 +170,91 @@ def test_closed_vs_ode_through_conjugate_point():
     for k, t in zip((1, 2, 3), (0.3, 0.46, 0.95)):
         F1c, _ = rc.closed_forms(p, float(t))
         assert np.max(np.abs(F1c - sol.F1[k])) < 1e-7
+
+
+def _det_envelope(b, n, s):
+    """Size of det A(s) at c = 0: s^{2n+1} (1 + b^2 s^2 / 3)."""
+    return s ** (2 * n + 1) * (1.0 + b * b * s * s / 3.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    b=st.floats(-50.0, 50.0),
+    c=st.floats(-2 * np.pi, 2 * np.pi, exclude_min=True, exclude_max=True),
+    n=st.integers(1, 3),
+    s=st.floats(1e-6, 1.0),
+)
+def test_jacobi_flow_matches_closed_forms(b, c, n, s):
+    p = rc.RiccatiParams(b, c, n)
+    bl = rc.build_blocks(p)
+    A, _ = rc.jacobi_flow(bl.full_W(), bl.full_R(), [s])
+    det_closed = float(rc.det_distortion(p, s))
+    envelope = _det_envelope(b, n, s)
+    assert abs(np.linalg.det(A[0]) - det_closed) <= 1e-10 * envelope
+    # F(1 - s) is compared where both routes are regular: away from its
+    # poles, where det A(s) vanishes and any route loses digits like
+    # 1 / distance
+    if s == 1.0 or abs(det_closed) < 1e-6 * envelope:
+        return
+    try:
+        F1c, f3c = rc.closed_forms(p, s)
+    except SingularityError:
+        return
+    sol = rc.integrate_inverse_riccati(p, bl, np.array([0.0, s]))
+    assert not sol.singular[1]
+    assert np.max(np.abs(sol.F1[1] - F1c)) <= 1e-8 * max(1.0, np.max(np.abs(F1c)))
+    if n > 1:
+        err3 = np.max(np.abs(sol.F3[1] - f3c * np.eye(2 * n - 2)))
+        assert err3 <= 1e-8 * max(1.0, abs(f3c))
+
+
+def _det_mpmath(b, c, n, s):
+    """det A(s) written out with mpmath sin/cos at the working precision."""
+    b, c, s = mpmath.mpf(b), mpmath.mpf(c), mpmath.mpf(s)
+    x = c * s
+    sinc = mpmath.sin(x) / x
+    sxc = (mpmath.sin(x) - x * mpmath.cos(x)) / x**3
+    return (s**3 * sinc**2 + b**2 * s**5 * sinc * sxc) * (s * sinc) ** (2 * n - 2)
+
+
+# Relative error budgets of the flow's det A by |b|.  The step count grows
+# like |b|, and near a zero of det A (c = 3, s = 1 lies 4% before the
+# conjugate time pi/3) the error relative to |det A| grows as det A
+# shrinks: 4.4e-8 there at |b| = 1e3, 2e-9 relative to the c = 0 size.
+_MPMATH_BUDGET = {0.0: 1e-12, 1.0: 1e-12, 10.0: 1e-12, 100.0: 1e-10, 1e3: 1e-7}
+
+
+@pytest.mark.parametrize("b", sorted(_MPMATH_BUDGET))
+def test_jacobi_flow_against_mpmath(b):
+    times = [0.25, 0.5, 1.0]
+    worst = 0.0
+    with mpmath.workdps(40):
+        for sign in (1.0, -1.0):
+            for c in (0.5, 3.0, 3.5):
+                for n in (1, 2):
+                    bl = rc.build_blocks(rc.RiccatiParams(sign * b, c, n))
+                    A, _ = rc.jacobi_flow(bl.full_W(), bl.full_R(), times)
+                    for s, det in zip(times, np.linalg.det(A)):
+                        exact = _det_mpmath(b, c, n, s)
+                        worst = max(worst, float(abs((det - exact) / exact)))
+    assert worst <= _MPMATH_BUDGET[b]
+
+
+def test_jacobi_flow_shapes_and_validation():
+    W = np.zeros((4, 3, 3))
+    R = np.broadcast_to(np.eye(3), (4, 3, 3))
+    A, Ap = rc.jacobi_flow(W, R, [0.0, 0.5])
+    assert A.shape == Ap.shape == (2, 4, 3, 3)
+    # R = I, W = 0: A(s) = sin(s) I, A'(s) = cos(s) I
+    np.testing.assert_array_equal(A[0], 0.0)
+    np.testing.assert_array_equal(Ap[0], np.broadcast_to(np.eye(3), (4, 3, 3)))
+    np.testing.assert_allclose(A[1], np.sin(0.5) * np.broadcast_to(np.eye(3), (4, 3, 3)),
+                               atol=1e-15)
+    np.testing.assert_allclose(Ap[1], np.cos(0.5) * np.broadcast_to(np.eye(3), (4, 3, 3)),
+                               atol=1e-15)
+    for bad in ([-0.1, 0.5], [0.5, 0.5], [0.5, 0.2], [0.1, np.nan]):
+        with pytest.raises(DomainError):
+            rc.jacobi_flow(W, R, bad)
 
 
 def test_inverse_riccati_euclidean():
