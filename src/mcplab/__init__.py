@@ -1,7 +1,7 @@
 """Numerical verification toolkit for measure-contraction machinery on
 scaled Heisenberg groups and left-invariant weakly Sasakian structures.
 
-Subpackages:
+Modules:
 
 - frame_algebra: frames, brackets, connections, curvature, identity checks
 - heisenberg:    the model group, geodesics, adapted frames, distortion

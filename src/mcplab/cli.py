@@ -14,6 +14,7 @@ malformed model files).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import re
 import sys
@@ -75,7 +76,17 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _emit(args, payload, csv_writer=None) -> None:
+def _write_csv(path, header, rows) -> None:
+    """One header line, then each row's floats via repr."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) for v in row] for row in rows)
+
+
+def _emit(args, payload, table=None) -> None:
+    """Write payload as JSON, or table = (header, rows) as CSV, by the
+    --output extension."""
     path = getattr(args, "output", None)
     if path is None:
         return
@@ -83,9 +94,9 @@ def _emit(args, payload, csv_writer=None) -> None:
         if str(path).endswith(".json"):
             _write_json(path, payload)
         elif str(path).endswith(".csv"):
-            if csv_writer is None:
+            if table is None:
                 raise McplabError("this subcommand has no CSV form; use .json")
-            csv_writer(path)
+            _write_csv(path, *table)
         else:
             raise McplabError("output extension must be .csv or .json")
     except OSError as exc:
@@ -188,18 +199,8 @@ def _cmd_riccati(args) -> int:
         "points": rows,
         "max_rel_error": worst,
     }
-
-    def to_csv(path):
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            w = _csv.writer(fh)
-            w.writerow(["t", "tr_F1_closed", "tr_F1_ode", "f3_closed", "rel_error"])
-            for r in rows:
-                w.writerow([repr(r[k]) for k in
-                            ("t", "tr_F1_closed", "tr_F1_ode", "f3_closed", "rel_error")])
-
-    _emit(args, payload, to_csv)
+    header = ["t", "tr_F1_closed", "tr_F1_ode", "f3_closed", "rel_error"]
+    _emit(args, payload, (header, [[r[k] for k in header] for r in rows]))
     print(
         f"closed forms vs ODE at {len(ts)} point(s): "
         f"max relative deviation {worst:.3e} (tol {args.tol:g})"
@@ -324,7 +325,9 @@ def _cmd_density_profile(args) -> int:
         "ratio": [float(v) for v in prof.ratio],
         "min_ratio": float(np.min(prof.ratio)),
     }
-    _emit(args, payload, prof.write_csv)
+    rows = ([args.b, args.c, *row]
+            for row in zip(prof.t_grid, prof.density, prof.bound, prof.ratio))
+    _emit(args, payload, (["b", "c", "t", "density", "bound", "ratio"], rows))
     print(
         f"density over {len(ts)} point(s): min ratio to (1-t)^{2 * args.n + 3} "
         f"= {float(np.min(prof.ratio)):.12f}"

@@ -321,9 +321,6 @@ class IdentityReport:
             "ricci_comparison": self.ricci_comparison,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
 
 def _norm(alg, v):
     return float(np.sqrt(max(v @ alg.metric @ v, 0.0)))
@@ -740,9 +737,6 @@ class HypothesisReport:
             "orthogonal_vacuous": self.orthogonal_vacuous,
             "holds": self.holds,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def check_main_hypotheses(

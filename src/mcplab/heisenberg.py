@@ -29,7 +29,6 @@ the riccati module.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,7 +37,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import DegenerateDirectionError, DomainError, IntegrationError
 from .frame_algebra import build_heisenberg_algebra, levi_civita
-from .riccati import RiccatiParams, build_blocks, jacobi_flow
+from .riccati import RiccatiParams, _model_blocks, build_blocks, jacobi_flow
 
 # Horizontal speeds below this fraction of the total speed count as
 # vertical: the adapted frame needs a direction for v1.
@@ -151,9 +150,6 @@ class Trajectory:
         d = self.model.dim
         return GeodesicState(pos=y[:d], vel=y[d:])
 
-    def states(self) -> list:
-        return [GeodesicState(pos=p, vel=v) for p, v in zip(self.pos, self.vel)]
-
     def conservation_drift(self) -> dict:
         """Maximum drift of the two first integrals over the sample grid."""
         speed = np.linalg.norm(self.vel, axis=1)
@@ -161,26 +157,6 @@ class Trajectory:
             "speed": float(np.max(np.abs(speed - speed[0]))),
             "vertical": float(np.max(np.abs(self.vel[:, 0] - self.vel[0, 0]))),
         }
-
-    def write_csv(self, path) -> None:
-        """Columns t, x_1..x_n, y_1..y_n, z, u_0..u_{2n}."""
-        n = self.model.n
-        header = (
-            ["t"]
-            + [f"x{i}" for i in range(1, n + 1)]
-            + [f"y{i}" for i in range(1, n + 1)]
-            + ["z"]
-            + [f"u{k}" for k in range(2 * n + 1)]
-        )
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for tk, pk, vk in zip(self.t, self.pos, self.vel):
-                w.writerow(
-                    [repr(float(tk))]
-                    + [repr(float(v)) for v in pk]
-                    + [repr(float(v)) for v in vk]
-                )
 
 
 def geodesic_flow(
@@ -289,7 +265,7 @@ def adapted_frame(
     equation Dv/dt = W v is verified by central finite differences of the
     frame plus the connection term, at check_points interior times."""
     d = model.dim
-    start = traj.at(float(traj.t[0]))
+    start = GeodesicState(pos=traj.pos[0], vel=traj.vel[0])
     params = adapted_params(model, start)
     c = params.c
     J = model.J
@@ -315,36 +291,32 @@ def adapted_frame(
         basis.extend([w, jw])
     comp = np.array(comp).reshape(2 * model.n - 2, d)
 
-    def frames_at(tval):
-        y = traj._sol(tval)
-        u = y[d:]
-        uh = np.concatenate(([0.0], u[1:]))
-        v1 = uh / np.linalg.norm(uh)
-        rows = np.empty((d, d))
-        rows[0] = np.eye(d)[0]
-        rows[1] = v1
-        rows[2] = J @ v1
-        if len(comp):
-            ct, st = np.cos(c * tval), np.sin(c * tval)
-            rows[3:] = ct * comp + st * (comp @ J.T)
-        return rows, u
-
-    frames = np.array([frames_at(tk)[0] for tk in traj.t])
-
-    blocks = build_blocks(params)
-    W = blocks.full_W()
-
+    # The samples, then the check points and their two neighbours, from one
+    # evaluation of the dense solution.
     lo, hi = float(np.min(traj.t)), float(np.max(traj.t))
     delta = fd_step * max(hi - lo, 1.0)
     ts = np.linspace(lo + delta, hi - delta, check_points)
-    residual = 0.0
-    for s in ts:
-        Fm, u = frames_at(s)
-        Fp, _ = frames_at(s + delta)
-        Fms, _ = frames_at(s - delta)
-        dF = (Fp - Fms) / (2.0 * delta)
-        covariant = dF + np.einsum("i,aj,ijk->ak", u, Fm, gamma)
-        residual = max(residual, float(np.max(np.abs(covariant - W @ Fm))))
+    times = np.concatenate((traj.t, ts, ts + delta, ts - delta))
+    u = traj._sol(times)[d:].T
+    uh = u.copy()
+    uh[:, 0] = 0.0
+    v1 = uh / np.linalg.norm(uh, axis=1, keepdims=True)
+    rows = np.empty((len(times), d, d))
+    rows[:, 0] = np.eye(d)[0]
+    rows[:, 1] = v1
+    rows[:, 2] = v1 @ J.T
+    if len(comp):
+        ct = np.cos(c * times)[:, None, None]
+        st = np.sin(c * times)[:, None, None]
+        rows[:, 3:] = ct * comp + st * (comp @ J.T)
+    parts = np.cumsum([len(traj.t), check_points, check_points])
+    frames, Fm, Fp, Fms = np.split(rows, parts)
+    um = np.split(u, parts)[1]
+
+    W = build_blocks(params).full_W()
+    dF = (Fp - Fms) / (2.0 * delta)
+    covariant = dF + np.einsum("si,saj,ijk->sak", um, Fm, gamma)
+    residual = float(np.max(np.abs(covariant - W @ Fm)))
     return AdaptedFrame(
         params=params, t=traj.t.copy(), frames=frames, W=W, max_residual=residual
     )
@@ -353,18 +325,6 @@ def adapted_frame(
 # ---------------------------------------------------------------------------
 # distortion (Jacobi) matrices
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JacobiMatrix:
-    """Distortion matrix A(t) in the adapted frame (A(0) = 0, A'(0) = I)."""
-
-    t: float
-    A: np.ndarray
-
-    @property
-    def det(self) -> float:
-        return float(np.linalg.det(self.A))
-
 
 def _validate_times(ts):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -385,8 +345,7 @@ def jacobi_matrices_from_params(b, c, ts, n: int = 1):
     forms."""
     params = RiccatiParams(b=b, c=c, n=n)
     ts = _validate_times(ts)
-    blocks = build_blocks(params)
-    A, _ = jacobi_flow(blocks.full_W(), blocks.full_R(), ts)
+    A, _ = jacobi_flow(*_model_blocks(params.b, params.c, params.n), ts)
     return A
 
 
@@ -394,11 +353,6 @@ def jacobi_determinants_from_params(b, c, ts, n: int = 1):
     """det A(t) over the times ts; the flow-level oracle for the
     closed-form determinant profile."""
     return np.linalg.det(jacobi_matrices_from_params(b, c, ts, n=n))
-
-
-def jacobi_matrix_from_params(b, c, t: float, n: int = 1) -> JacobiMatrix:
-    mats = jacobi_matrices_from_params(b, c, [t], n=n)
-    return JacobiMatrix(t=float(t), A=mats[0])
 
 
 def jacobi_determinant(

@@ -27,32 +27,19 @@ deterministic for a fixed seed and sample count.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, OutOfRegimeError, VelocitySpecError
 from .heisenberg import HeisenbergModel
-from .riccati import RiccatiParams, _sinc, _sxc, jacobi_flow
+from .riccati import RiccatiParams, _det_a, _model_blocks, jacobi_flow
 
 _MAX_REJECT_FRACTION = 0.01
 # Samples per jacobi_flow call in monte_carlo_contraction.  The flow's
 # time goes to one small matrix exponential per sample and interval
 # either way; chunks keep its (samples, 2d, 2d) stacks out of peak memory.
 _CHUNK = 1024
-
-
-def _det_blocks(b, c, n, s):
-    """Vectorized det A(s) = det_block1 * det_block3 for broadcastable
-    (b, c, s) arrays; block 3 contributes (s sinc(cs))^(2n-2)."""
-    x = c * s
-    sc = _sinc(x)
-    d1 = s**3 * sc * sc + b * b * s**5 * sc * _sxc(x)
-    if n == 1:
-        return d1
-    return d1 * (s * sc) ** (2 * n - 2)
 
 
 def density(params: RiccatiParams, t):
@@ -62,17 +49,17 @@ def density(params: RiccatiParams, t):
     normalization det A(1) is positive (OutOfRegimeError otherwise).
     D(0) = 1 exactly."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr >= 1.0):
+    if not np.all((t_arr >= 0.0) & (t_arr < 1.0)):
         raise DomainError("t must lie in [0, 1)")
     if abs(params.c) >= np.pi:
         raise OutOfRegimeError(
             f"density requires |c| < pi, got c = {params.c!r}"
         )
     b, c, n = params.b, params.c, params.n
-    denom = float(_det_blocks(b, c, n, 1.0))
+    denom = float(_det_a(b, c, n, 1.0))
     if denom <= 0.0:
         raise OutOfRegimeError("det A(1) is not positive for these scalars")
-    out = _det_blocks(b, c, n, 1.0 - t_arr) / denom
+    out = _det_a(b, c, n, 1.0 - t_arr) / denom
     return out if out.ndim else float(out)
 
 
@@ -90,23 +77,6 @@ class DensityProfile:
     density: np.ndarray
     bound: np.ndarray
     ratio: np.ndarray
-
-    def write_csv(self, path) -> None:
-        """Columns b, c, t, density, bound, ratio (b, c constant)."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["b", "c", "t", "density", "bound", "ratio"])
-            for tk, dk, bk, rk in zip(self.t_grid, self.density, self.bound, self.ratio):
-                w.writerow(
-                    [
-                        repr(self.params.b),
-                        repr(self.params.c),
-                        repr(float(tk)),
-                        repr(float(dk)),
-                        repr(float(bk)),
-                        repr(float(rk)),
-                    ]
-                )
 
 
 def density_profile(params: RiccatiParams, t_grid) -> DensityProfile:
@@ -136,7 +106,7 @@ def _density_readings(n: int) -> dict:
     discrepancy is documented rather than silently patched; the product
     is the one that matches the ODE oracle."""
     b, c, t = 1.0, 1.0, 0.5
-    d1 = float(_det_blocks(b, c, 1, 1.0 - t) / _det_blocks(b, c, 1, 1.0))
+    d1 = float(_det_a(b, c, 1, 1.0 - t) / _det_a(b, c, 1, 1.0))
     x1 = c * (1.0 - t)
     d3 = float((np.sin(x1) / np.sin(c)) ** (2 * n - 2))
     return {
@@ -190,9 +160,6 @@ class ScanReport:
             "density_readings": _density_readings(self.n),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
-
 
 def mcp_scan(
     n: int,
@@ -205,8 +172,8 @@ def mcp_scan(
     """Evaluate ratio = D(t) / (1-t)^(2n+3) on a full (b, c, t) grid.
 
     The c range must stay strictly inside (-pi, pi) and the t range inside
-    [0, 1).  Violations below 1 - tol are collected with their grid
-    coordinates; the expected outcome is an empty list."""
+    [0, 1).  Violations, ratios below 1 - tol or NaN, are collected with
+    their grid coordinates; the expected outcome is an empty list."""
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if resolution < 2:
@@ -228,7 +195,7 @@ def mcp_scan(
     c = c_values[None, :, None]
     t = t_values[None, None, :]
 
-    dens = _det_blocks(b, c, n, 1.0 - t) / _det_blocks(b, c, n, 1.0)
+    dens = _det_a(b, c, n, 1.0 - t) / _det_a(b, c, n, 1.0)
     ratio = dens / (1.0 - t) ** (2 * n + 3)
 
     i = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
@@ -239,9 +206,9 @@ def mcp_scan(
             "b": float(b_values[j[0]]),
             "c": float(c_values[j[1]]),
             "t": float(t_values[j[2]]),
-            "ratio": float(ratio[j]),
+            "ratio": float(ratio[tuple(j)]),
         }
-        for j in np.argwhere(ratio < 1.0 - tol)
+        for j in np.argwhere(~(ratio >= 1.0 - tol))
     ]
     return ScanReport(
         n=n,
@@ -268,11 +235,15 @@ def sharpness_scan(
     The minimum approaches 1 from above as b grows and c shrinks, which is
     the empirical sharpness of the exponent 2n + 3; on the b = 0 slice
     alone the ratio never drops below (1-t)^(-2)."""
+    if int(n) != n or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n!r}")
     if not (0.0 < t < 1.0):
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
+    if not (0.0 < b_max < np.inf):
+        raise DomainError(f"b_max must be positive and finite, got {b_max!r}")
     b = np.concatenate(([0.0], np.geomspace(1e-2, b_max, b_points)))[:, None]
     c = np.geomspace(1e-4, np.pi - 1e-9, c_points)[None, :]
-    dens = _det_blocks(b, c, n, 1.0 - t) / _det_blocks(b, c, n, 1.0)
+    dens = _det_a(b, c, n, 1.0 - t) / _det_a(b, c, n, 1.0)
     ratio = dens / (1.0 - t) ** (2 * n + 3)
     return float(np.min(ratio))
 
@@ -302,31 +273,12 @@ class VelocitySet:
         return 0.5 * self.vertical_momentum
 
 
-def _sample_blocks(b, c, n):
-    """Stacks of the constant drift W and curvature R (zero ambient
-    curvature) for per-sample scalars b, c; shape (len(b), 2n+1, 2n+1)."""
-    N, d = len(b), 2 * n + 1
-    W = np.zeros((N, d, d))
-    W[:, 0, 2] = b
-    W[:, 1, 2] = c
-    W[:, 2, 0] = -b
-    W[:, 2, 1] = -c
-    R = np.zeros((N, d, d))
-    R[:, 0, 0] = b * b
-    R[:, 0, 1] = R[:, 1, 0] = b * c
-    R[:, 1, 1] = c * c
-    R[:, 2, 2] = c * c - 3.0 * b * b
-    for k in range(3, d):
-        R[:, k, k] = c * c
-    return W, R
-
-
 def _flow_dets(b, c, n, s):
     """det A at the increasing times s for per-sample scalars b, c, shape
     (len(s), len(b)), from jacobi_flow on _CHUNK samples at a time."""
     out = np.empty((len(s), len(b)))
     for lo in range(0, len(b), _CHUNK):
-        W, R = _sample_blocks(b[lo : lo + _CHUNK], c[lo : lo + _CHUNK], n)
+        W, R = _model_blocks(b[lo : lo + _CHUNK], c[lo : lo + _CHUNK], n)
         A, _ = jacobi_flow(W, R, s)
         out[:, lo : lo + _CHUNK] = np.linalg.det(A)
     return out
@@ -463,6 +415,6 @@ def quadrature_contraction(
     b = -0.5 * model.eps * rho[:, None]
     c = 0.5 * p[None, :]
     weight = (rho ** (2 * n - 1))[:, None] * w_rho[:, None] * w_p[None, :]
-    num = float(np.sum(weight * _det_blocks(b, c, n, 1.0 - t)))
-    den = float(np.sum(weight * _det_blocks(b, c, n, 1.0)))
+    num = float(np.sum(weight * _det_a(b, c, n, 1.0 - t)))
+    den = float(np.sum(weight * _det_a(b, c, n, 1.0)))
     return num / den

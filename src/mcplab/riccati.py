@@ -40,26 +40,31 @@ case splits.  All scalar helpers accept arrays and broadcast.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError, OutOfRegimeError, SingularityError
 
-# Below this |x| the scaled-cotangent helpers switch to truncated series.
-# The direct expressions are accurate well below x = 1e-2; the series with
-# terms through x^6 is accurate well above it, so the crossover is safe on
-# both sides.
-_SERIES_CUT = 5e-2
+# Below this |x| the scaled-cotangent helpers switch to their Taylor
+# series through x^14, whose truncation error at the cut is below 1e-16
+# relative.  The direct expressions lose about 1e-16 / x^2 relative to
+# cancellation, so both sides stay under 1e-14 (7e-15 at worst against
+# 40-digit mpmath on (0, 3.1]; a cut of 0.05 left 2e-13 just above it).
+_SERIES_CUT = 0.3
+# Taylor coefficients in x^2, highest power first for np.polyval.
+_K2HAT_SERIES = (-3617 / 162820783125, -4 / 18243225, -1382 / 638512875,
+                 -2 / 93555, -1 / 4725, -2 / 945, -1 / 45, -1 / 3)
+_SXC_SERIES = (-1 / 22230464256000, 1 / 93405312000, -1 / 518918400,
+               1 / 3991680, -1 / 45360, 1 / 840, -1 / 30, 1 / 3)
 
 
 def _k2hat(x):
     """(x cot x - 1) / x**2, analytic at 0 with value -1/3."""
     x = np.asarray(x, dtype=float)
     x2 = x * x
-    series = -(1.0 / 3.0) - x2 / 45.0 - 2.0 * x2 * x2 / 945.0 - x2 * x2 * x2 / 4725.0
+    series = np.polyval(_K2HAT_SERIES, x2)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = (x * np.cos(x) / np.sin(x) - 1.0) / x2
     return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
@@ -80,7 +85,7 @@ def _sxc(x):
     """(sin x - x cos x) / x**3, analytic at 0 with value 1/3."""
     x = np.asarray(x, dtype=float)
     x2 = x * x
-    series = 1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0 - x2 * x2 * x2 / 45360.0
+    series = np.polyval(_SXC_SERIES, x2)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = (np.sin(x) - x * np.cos(x)) / (x2 * x)
     return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
@@ -174,24 +179,28 @@ def build_blocks(params: RiccatiParams, rbar1=None, rbar3=None) -> BlockMatrices
     if np.max(np.abs(rbar3 - rbar3.T), initial=0.0) > 1e-9:
         raise DomainError("rbar3 must be symmetric")
 
-    W1 = np.array([[0.0, 0.0, b], [0.0, 0.0, c], [-b, -c, 0.0]])
-    R1 = rbar1 + np.array(
-        [
-            [b * b, b * c, 0.0],
-            [b * c, c * c, 0.0],
-            [0.0, 0.0, c * c - 3.0 * b * b],
-        ]
-    )
-    R3 = rbar3 + c * c * np.eye(m)
-    return BlockMatrices(W1=W1, R1=R1, R3=R3)
+    W, R = _model_blocks(b, c, n)
+    return BlockMatrices(W1=W[:3, :3], R1=rbar1 + R[:3, :3], R3=rbar3 + R[3:, 3:])
 
 
-def riccati_rhs(F: np.ndarray, W: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Right-hand side -R - F^2 - FW - W^T F of the Riccati equation."""
-    F = np.asarray(F, dtype=float)
-    W = np.asarray(W, dtype=float)
-    R = np.asarray(R, dtype=float)
-    return -R - F @ F - F @ W - W.T @ F
+def _model_blocks(b, c, n: int):
+    """Full drift W and curvature R with zero ambient curvature for
+    broadcastable arrays b, c: stacks of shape b.shape + (2n+1, 2n+1)."""
+    b, c = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
+    d = 2 * n + 1
+    W = np.zeros(b.shape + (d, d))
+    W[..., 0, 2] = b
+    W[..., 1, 2] = c
+    W[..., 2, 0] = -b
+    W[..., 2, 1] = -c
+    R = np.zeros(b.shape + (d, d))
+    R[..., 0, 0] = b * b
+    R[..., 0, 1] = R[..., 1, 0] = b * c
+    R[..., 1, 1] = c * c
+    R[..., 2, 2] = c * c - 3.0 * b * b
+    for k in range(3, d):
+        R[..., k, k] = c * c
+    return W, R
 
 
 # ---------------------------------------------------------------------------
@@ -267,48 +276,6 @@ def f3_tilde(params: RiccatiParams, t: float) -> float:
         return 0.0
     _check_sin_regular(params.c * t)
     return float(_trace_f3(params.c, t, params.n))
-
-
-@dataclass(frozen=True)
-class TraceBounds:
-    """Traces of both blocks at one (b, c, t) with the sharp-bound flags."""
-
-    t: float
-    tr_F1: float
-    tr_F3: float
-    f1_ok: bool
-    f3_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.f1_ok and self.f3_ok
-
-
-def trace_bounds(params: RiccatiParams, t: float, tol: float = 1e-9) -> TraceBounds:
-    """Evaluate tr F1(1 - t) and tr F3(1 - t) and check the model bounds
-
-        t * tr F1(1 - t) >= -5,      t * tr F3(1 - t) >= -(2n - 2),
-
-    within tol.  Requires |c| < pi (OutOfRegimeError otherwise: past that
-    the blow-down branch hits a conjugate point before time 1) and
-    0 < t <= 1.
-    """
-    if not (0.0 < t <= 1.0):
-        raise DomainError(f"t must lie in (0, 1], got {t!r}")
-    if abs(params.c) >= np.pi:
-        raise OutOfRegimeError(
-            f"trace bounds require |c| < pi, got c = {params.c!r}"
-        )
-    tr1 = float(_trace_f1(params.b, params.c, t))
-    tr3 = float(_trace_f3(params.c, t, params.n))
-    m = 2 * params.n - 2
-    return TraceBounds(
-        t=float(t),
-        tr_F1=tr1,
-        tr_F3=tr3,
-        f1_ok=bool(t * tr1 >= -5.0 - tol),
-        f3_ok=bool(t * tr3 >= -float(m) - tol),
-    )
 
 
 @dataclass
@@ -420,28 +387,28 @@ def trace_scan(
 # determinant factors of the distortion matrix
 # ---------------------------------------------------------------------------
 
+def _det_a(b, c, n: int, s):
+    """Closed-form det A(s) for broadcastable (b, c, s) arrays: the 3x3
+    block's s^3 sinc(x)^2 + b^2 s^5 sinc(x) sxc(x), x = cs, times the
+    parallel block's (s sinc x)^(2n-2)."""
+    x = c * s
+    sc = _sinc(x)
+    d1 = s**3 * sc * sc + b * b * s**5 * sc * _sxc(x)
+    if n == 1:
+        return d1
+    return d1 * (s * sc) ** (2 * n - 2)
+
+
 def det_block1(params: RiccatiParams, t):
-    """Closed-form determinant of the 3x3 block of A(t):
-
-        t^3 sinc(ct)^2 + b^2 t^5 sinc(ct) sxc(ct),
-
-    which equals t^3 at c = 0 up to the factor (1 + b^2 t^2 / 3).  Accepts
-    array t and broadcasts."""
-    t = np.asarray(t, dtype=float)
-    x = params.c * t
-    s = _sinc(x)
-    return t ** 3 * s * s + params.b ** 2 * t ** 5 * s * _sxc(x)
-
-
-def det_block3(params: RiccatiParams, t):
-    """Closed-form determinant (t sinc(ct))^{2n-2} of the parallel block."""
-    t = np.asarray(t, dtype=float)
-    return (t * _sinc(params.c * t)) ** (2 * params.n - 2)
+    """Closed-form determinant of the 3x3 block of A(t), which equals
+    t^3 (1 + b^2 t^2 / 3) at c = 0.  Accepts array t and broadcasts."""
+    return _det_a(params.b, params.c, 1, np.asarray(t, dtype=float))
 
 
 def det_distortion(params: RiccatiParams, t):
-    """det A(t) = det_block1 * det_block3; equals t^{2n+1} at b = c = 0."""
-    return det_block1(params, t) * det_block3(params, t)
+    """det A(t) = det_block1 * (t sinc(ct))^(2n-2); equals t^{2n+1} at
+    b = c = 0."""
+    return _det_a(params.b, params.c, params.n, np.asarray(t, dtype=float))
 
 
 def distortion_factor_raw(params: RiccatiParams, t):
@@ -466,8 +433,7 @@ def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
     """First zero of det A in (0, t_max], or None: pi/|c| when that is at
     most t_max, and None at c = 0.
 
-    With x = ct, det A = det_block1 * det_block3 where det_block3 =
-    (t sinc x)^{2n-2} and
+    With x = ct, det A = det_block1 * (t sinc x)^{2n-2} and
 
         det_block1 = t^5 sinc(x) h(t) / x^2,
         h(t) = (b^2 + c^2) sin x - b^2 x cos x.
@@ -492,6 +458,12 @@ def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
 # the Jacobi flow and the inverse Riccati branch read off it
 # ---------------------------------------------------------------------------
 
+# The most steps jacobi_flow will take.  It takes about 1.7 |b| steps per
+# unit time, so 10^5 admits |b| up to about 5.8e4 on a unit span, some 50
+# times the largest |b| (1e3) that the tests and the benchmark use.
+_MAX_FLOW_STEPS = 100_000
+
+
 def jacobi_flow(W, R, s):
     """(A(s), A'(s)) for A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0,
     A'(0) = I, with constant coefficients.
@@ -506,7 +478,9 @@ def jacobi_flow(W, R, s):
     split into equal steps with h * max(1, max|W|, sqrt(max|R|)) <= 1:
     |K| grows like b^2, and one exponential over the whole span loses
     digits in its squaring phase as it does (det A off by 7e-8 relative
-    at |b| = 100 and 2e-2 at |b| = 1e3 against mpmath).
+    at |b| = 100 and 2e-2 at |b| = 1e3 against mpmath).  More than
+    _MAX_FLOW_STEPS steps up to the last time raise DomainError before
+    any is taken.
     """
     W = np.asarray(W, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -516,16 +490,21 @@ def jacobi_flow(W, R, s):
         raise DomainError("flow times must be finite reals >= 0")
     if np.any(np.diff(s) <= 0.0):
         raise DomainError("flow times must be strictly increasing")
-    d = W.shape[-1]
-    K = np.zeros(W.shape[:-2] + (2 * d, 2 * d))
-    K[..., :d, d:] = -(W @ W + R)
-    K[..., d:, :d] = np.eye(d)
-    K[..., d:, d:] = -2.0 * W
     rate = max(
         1.0,
         float(np.max(np.abs(W), initial=0.0)),
         float(np.sqrt(np.max(np.abs(R), initial=0.0))),
     )
+    if np.ceil(s[-1] * rate) > _MAX_FLOW_STEPS:
+        raise DomainError(
+            f"the flow to s = {s[-1]:g} needs about {s[-1] * rate:.3g} steps "
+            f"(limit {_MAX_FLOW_STEPS}); coefficients this large are out of range"
+        )
+    d = W.shape[-1]
+    K = np.zeros(W.shape[:-2] + (2 * d, 2 * d))
+    K[..., :d, d:] = -(W @ W + R)
+    K[..., d:, :d] = np.eye(d)
+    K[..., d:, d:] = -2.0 * W
     Y = np.zeros(W.shape[:-2] + (d, 2 * d))
     Y[..., d:] = np.eye(d)
     out = np.empty((len(s),) + Y.shape)
@@ -675,25 +654,3 @@ def psd_compare(F: np.ndarray, Ftilde: np.ndarray, tol: float = 1e-9) -> bool:
             raise DomainError(f"{name} is not symmetric within 1e-9")
     S = 0.5 * (F + F.T) - 0.5 * (Ftilde + Ftilde.T)
     return bool(np.linalg.eigvalsh(S).min() >= -tol)
-
-
-def write_trace_csv(path, params: RiccatiParams, t_values) -> None:
-    """Closed-form trace profile as CSV with columns
-    t, trF1, trF3, bound5, boundF3 (bounds are -5/t and -(2n-2)/t)."""
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if np.min(t_values) <= 0.0 or np.max(t_values) > 1.0:
-        raise DomainError("t values must lie in (0, 1]")
-    m = 2 * params.n - 2
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "trF1", "trF3", "bound5", "boundF3"])
-        for t in t_values:
-            w.writerow(
-                [
-                    repr(float(t)),
-                    repr(float(_trace_f1(params.b, params.c, t))),
-                    repr(float(_trace_f3(params.c, t, params.n))),
-                    repr(-5.0 / float(t)),
-                    repr(-float(m) / float(t)),
-                ]
-            )

@@ -9,9 +9,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcplab.cli import main
 from mcplab.frame_algebra import build_heisenberg_algebra, model_to_dict
@@ -268,6 +271,71 @@ def test_output_into_missing_directory(tmp_path, capsys):
         rc = main(argv + ["--output", str(out)])
         _one_line_usage_error(rc, capsys)
         assert not out.parent.exists()
+
+
+def test_riccati_huge_b_is_usage_error(capsys):
+    # the Jacobi flow refuses a step count of order 1e9 before stepping
+    start = time.perf_counter()
+    rc = main(["riccati", "--b", "1e9", "--c", "1"])
+    assert time.perf_counter() - start < 1.0
+    _one_line_usage_error(rc, capsys)
+
+
+# A valid command line of each cheap subcommand, whose flags the fuzzer
+# then overrides (argparse keeps the last value) with values of the flag's
+# kind: "x" a number, "n" an integer, "r" a number or lo:hi:count.  Range
+# counts stay at most 4 (mcp-scan evaluates count^3 points) and --n at
+# most 5 (riccati builds (2n-2)^2 blocks).
+_FUZZ_COMMANDS = {
+    "conjugate": (["--b", "1", "--c", "3.5"],
+                  {"--b": "x", "--c": "x", "--n": "n", "--t-max": "x"}),
+    "riccati": (["--b", "1", "--c", "1", "--t", "0.5"],
+                {"--b": "x", "--c": "x", "--n": "n", "--t": "r", "--tol": "x"}),
+    "mcp-scan": (["--b", "0:10:4", "--c", "-3:3:4", "--t", "0.05:0.95:4"],
+                 {"--b": "r", "--c": "r", "--t": "r", "--n": "n", "--tol": "x"}),
+    "sharpness": (["--t", "0.5"],
+                  {"--t": "x", "--n": "n", "--b-max": "x", "--tol": "x"}),
+    "density-profile": (["--b", "2", "--c", "1", "--t", "0:0.9:4"],
+                        {"--b": "x", "--c": "x", "--n": "n", "--t": "r", "--tol": "x"}),
+}
+_fuzz_number = st.one_of(
+    st.sampled_from(["0", "-0.0", "1", "-1", "0.5", "0.99", "3.5", "1e4", "1e300",
+                     "-1e300", "1e-300", "nan", "inf", "-inf"]),
+    st.floats(-5.0, 5.0).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_fuzz_kinds = {
+    "x": _fuzz_number,
+    "n": st.integers(-3, 5).map(str),
+    "r": st.one_of(_fuzz_number, st.builds(
+        lambda lo, hi, k: f"{lo}:{hi}:{k}", _fuzz_number, _fuzz_number,
+        st.sampled_from([-1, 0, 1, 2, 4]))),
+}
+_fuzz_junk = st.text(alphabet="0123456789.-+:eEnaif", max_size=6).filter(
+    lambda v: v.count(":") != 2)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    base, kinds = _FUZZ_COMMANDS[command]
+    argv = [command, *base]
+    for flag in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=3)):
+        junk = draw(st.integers(0, 9)) == 0
+        argv += [flag, draw(_fuzz_junk if junk else _fuzz_kinds[kinds[flag]])]
+    extra = draw(st.integers(0, 19))
+    if extra == 0:
+        argv += ["--bogus", "1"]
+    elif extra == 1:
+        argv.append(draw(_fuzz_junk))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_fuzz_argv())
+def test_fuzzed_argv_exits_0_1_or_2(argv):
+    with np.errstate(all="ignore"):
+        assert main(argv) in (0, 1, 2)
 
 
 def test_curvature_missing_model_file(tmp_path, capsys):

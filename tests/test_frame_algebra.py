@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcplab.errors import DomainError, ModelValidationError
 from mcplab.frame_algebra import (
@@ -245,7 +247,7 @@ def test_identity_report_ricci_comparison():
     assert cmp["difference"] == pytest.approx(-1.0)
     assert cmp["flagged"] is True
     # the report is serializable and carries both values
-    blob = json.loads(report.to_json())
+    blob = json.loads(json.dumps(report.to_dict()))
     assert blob["ricci_comparison"]["printed"] == pytest.approx(-3.0)
     assert blob["passed"] is True
 
@@ -288,7 +290,7 @@ def test_main_hypotheses_hold_for_model():
             assert report.min_orthogonal_sum == 0.0
         else:
             assert abs(report.min_orthogonal_sum) < 1e-12
-        blob = json.loads(report.to_json())
+        blob = json.loads(json.dumps(report.to_dict()))
         assert blob["holds"] is True
         assert blob["samples"] == 100
 
@@ -321,6 +323,18 @@ def test_main_hypotheses_sign_against_angle_grid():
     assert report.min_sectional <= best + 0.05 * abs(best) + 1e-9
     if best < -1e-9:
         assert not report.holds
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), eps=st.floats(1e-6, 1e6))
+def test_model_dict_roundtrip_property(n, eps):
+    alg, cs = build_heisenberg_algebra(n, eps)
+    alg2, cs2 = model_from_dict(json.loads(json.dumps(model_to_dict(alg, cs))))
+    np.testing.assert_array_equal(alg2.bracket, alg.bracket)
+    np.testing.assert_array_equal(alg2.metric, alg.metric)
+    for name in ("J", "eta", "reeb"):
+        np.testing.assert_array_equal(getattr(cs2, name), getattr(cs, name))
+    assert cs2.eps == cs.eps
 
 
 def test_model_json_roundtrip_and_validation():

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcplab.cli import main
 from mcplab.errors import DomainError, OutOfRegimeError, VelocitySpecError
 from mcplab.heisenberg import HeisenbergModel, jacobi_determinants_from_params
 from mcplab.mcp import (
@@ -18,7 +21,7 @@ from mcplab.mcp import (
     quadrature_contraction,
     sharpness_scan,
 )
-from mcplab.riccati import RiccatiParams
+from mcplab.riccati import RiccatiParams, _det_a
 
 
 def test_density_euclidean_limit():
@@ -82,6 +85,28 @@ def test_density_domain_errors():
         density(p, -0.1)
     with pytest.raises(OutOfRegimeError):
         density(RiccatiParams(b=0.0, c=np.pi, n=1), 0.5)
+    with pytest.raises(DomainError):
+        density(p, np.array([0.5, np.nan]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    b=st.one_of(st.floats(0.0, 1e4), st.floats(1e2, 1e4)),
+    c=st.one_of(
+        st.floats(-np.pi, np.pi, exclude_min=True, exclude_max=True),
+        st.floats(-1e-3, 1e-3),
+    ),
+    t=st.floats(0.0, 1.0, exclude_max=True),
+    n=st.integers(1, 4),
+)
+def test_density_properties(b, c, t, n):
+    # D(0) = 1, D is even in b and in c, and D(t) >= (1-t)^(2n+3); the
+    # large-b, small-|c| draws approach the bound
+    d = density(RiccatiParams(b=b, c=c, n=n), t)
+    assert density(RiccatiParams(b=b, c=c, n=n), 0.0) == 1.0
+    assert density(RiccatiParams(b=-b, c=c, n=n), t) == d
+    assert density(RiccatiParams(b=b, c=-c, n=n), t) == d
+    assert d >= contraction_bound(n, t) - 1e-9
 
 
 def test_density_profile_and_csv(tmp_path):
@@ -92,16 +117,18 @@ def test_density_profile_and_csv(tmp_path):
     assert prof.density[0] == 1.0
     assert np.all(prof.ratio >= 1.0 - 1e-9)
     assert np.allclose(prof.bound, contraction_bound(1, t))
+    # the CSV report carries the same numbers
     path = tmp_path / "profile.csv"
-    prof.write_csv(path)
+    argv = ["density-profile", "--b", "-2", "--c", "1", "--t", "0:0.9:10",
+            "--output", str(path)]
+    assert main(argv) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "b,c,t,density,bound,ratio"
     assert len(lines) == 11
-    row = lines[1].split(",")
-    assert float(row[0]) == -2.0 and float(row[3]) == 1.0
-    path2 = tmp_path / "profile2.csv"
-    density_profile(p, t).write_csv(path2)
-    assert path.read_bytes() == path2.read_bytes()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.all(rows[:, 0] == -2.0) and np.all(rows[:, 1] == 1.0)
+    for k, column in enumerate((prof.t_grid, prof.density, prof.bound, prof.ratio), 2):
+        np.testing.assert_array_equal(rows[:, k], column)
 
 
 def test_mcp_scan_holds_on_grid():
@@ -111,7 +138,7 @@ def test_mcp_scan_holds_on_grid():
     assert report.min_ratio >= 1.0 - 1e-9
     b, c, t = report.argmin
     assert 0.0 <= b <= 10.0 and abs(c) <= 3.0 and 0.05 <= t <= 0.95
-    blob = json.loads(report.to_json())
+    blob = json.loads(json.dumps(report.to_dict()))
     assert blob["ok"] is True
     assert blob["exponent"] == 5
     # both readings of the two-block display are recorded; the sum reading
@@ -126,7 +153,7 @@ def test_mcp_scan_higher_n():
     for n in (2, 3):
         report = mcp_scan(n, resolution=12)
         assert report.violations == []
-        assert json.loads(report.to_json())["exponent"] == 2 * n + 3
+        assert json.loads(json.dumps(report.to_dict()))["exponent"] == 2 * n + 3
 
 
 def test_mcp_scan_validation():
@@ -142,6 +169,26 @@ def test_mcp_scan_validation():
         mcp_scan(1, t_range=(0.9, 0.1))
 
 
+def test_mcp_scan_reports_violations():
+    # tol = -1 asks for ratios >= 2, which part of the grid misses
+    report = mcp_scan(1, resolution=3, tol=-1.0)
+    expected = []
+    for b in report.b_values:
+        for c in report.c_values:
+            for t in report.t_values:
+                ratio = density(RiccatiParams(b=b, c=c, n=1), t) / contraction_bound(1, t)
+                if ratio < 2.0:
+                    expected.append((b, c, t, ratio))
+    assert not report.ok and 0 < len(expected) < 27
+    got = [(v["b"], v["c"], v["t"], v["ratio"]) for v in report.violations]
+    np.testing.assert_allclose(got, expected, rtol=1e-13)
+    # a ratio that overflows to NaN is a violation, not a pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = mcp_scan(1, b_range=(0.0, 1e300), resolution=3)
+    assert not report.ok
+    assert all(np.isnan(v["ratio"]) for v in report.violations)
+
+
 def test_ratio_at_small_scalars():
     # b = 0, c -> 0: ratio = (1-t)^(-2) exactly in the limit
     p = RiccatiParams(b=0.0, c=1e-9, n=1)
@@ -154,10 +201,8 @@ def test_b_zero_slice_not_sharp():
     # on the b = 0 slice the ratio never drops below (1-t)^(-2) > 1
     t = 0.5
     c = np.linspace(1e-6, np.pi - 1e-6, 500)[None, :]
-    from mcplab.mcp import _det_blocks
-
     for n in (1, 2):
-        dens = _det_blocks(0.0, c, n, 1.0 - t) / _det_blocks(0.0, c, n, 1.0)
+        dens = _det_a(0.0, c, n, 1.0 - t) / _det_a(0.0, c, n, 1.0)
         ratio = dens / (1.0 - t) ** (2 * n + 3)
         assert np.min(ratio) >= (1.0 - t) ** -2 - 1e-9
         assert np.min(ratio) == pytest.approx((1.0 - t) ** -2, rel=1e-3)
@@ -169,6 +214,9 @@ def test_sharpness_scan():
         assert 1.0 - 1e-9 <= inf_est <= cap
     with pytest.raises(DomainError):
         sharpness_scan(1, 1.0)
+    for n, b_max in ((0, 1e4), (-3, 1e4), (1, 0.0), (1, -5.0), (1, np.nan), (1, np.inf)):
+        with pytest.raises(DomainError):
+            sharpness_scan(n, 0.5, b_max=b_max)
 
 
 def test_velocity_set_validation():
@@ -182,7 +230,7 @@ def test_velocity_set_validation():
 def test_flow_determinants_match_closed_form():
     # the Monte Carlo determinants, over several chunks and a partial one,
     # against the closed form at the sizes of a radius-2, momentum-5 set
-    from mcplab.mcp import _CHUNK, _det_blocks, _flow_dets
+    from mcplab.mcp import _CHUNK, _flow_dets
 
     rng = np.random.default_rng(0)
     N = 2 * _CHUNK + 37
@@ -191,7 +239,7 @@ def test_flow_determinants_match_closed_form():
     for n in (1, 2):
         dets = _flow_dets(b, c, n, [0.6, 1.0])
         for row, s in zip(dets, (0.6, 1.0)):
-            np.testing.assert_allclose(row, _det_blocks(b, c, n, s), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(row, _det_a(b, c, n, s), rtol=1e-12, atol=0)
 
 
 def test_monte_carlo_tiny_ball_is_euclidean():

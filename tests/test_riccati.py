@@ -72,24 +72,26 @@ def test_build_blocks_rejects_bad_ambient():
         rc.build_blocks(p, rbar3=np.zeros((3, 3)))
 
 
-def test_riccati_rhs():
-    W = np.zeros((3, 3))
-    R = np.diag([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(rc.riccati_rhs(np.zeros((3, 3)), W, R), -R, atol=0)
-    # Euclidean blow-down F(1-t) = -(1/t) I solves F' = -F^2 in forward time
-    t = 0.37
-    F = -np.eye(3) / t
-    np.testing.assert_allclose(
-        rc.riccati_rhs(F, W, R * 0.0), -np.eye(3) / t**2, rtol=1e-14
-    )
-    # symmetry is preserved for the actual drift (W1 is antisymmetric)
-    rng = np.random.default_rng(3)
-    bl = rc.build_blocks(rc.RiccatiParams(1.3, -0.8, 1))
-    for _ in range(20):
-        S = rng.normal(size=(3, 3))
-        S = S + S.T
-        out = rc.riccati_rhs(S, bl.W1, bl.R1)
-        np.testing.assert_allclose(out, out.T, atol=1e-13)
+def test_kernels_against_mpmath():
+    # both series branches and both sides of the cut, and the old cut at 0.05
+    xs = np.concatenate([
+        np.geomspace(1e-8, 3.1, 300),
+        np.linspace(0.04, 0.08, 41),
+        np.linspace(rc._SERIES_CUT - 0.02, rc._SERIES_CUT + 0.02, 81),
+    ])
+    worst_k2, worst_sxc = 0.0, 0.0
+    with mpmath.workdps(40):
+        for x, k2, sxc in zip(xs, rc._k2hat(xs), rc._sxc(xs)):
+            m = mpmath.mpf(float(x))
+            ref_k2 = (m * mpmath.cot(m) - 1) / m**2
+            ref_sxc = (mpmath.sin(m) - m * mpmath.cos(m)) / m**3
+            worst_k2 = max(worst_k2, float(abs(k2 / ref_k2 - 1)))
+            worst_sxc = max(worst_sxc, float(abs(sxc / ref_sxc - 1)))
+    assert worst_k2 <= 1e-14 and worst_sxc <= 1e-14
+    # both are even, and exact at 0
+    np.testing.assert_array_equal(rc._k2hat(-xs), rc._k2hat(xs))
+    np.testing.assert_array_equal(rc._sxc(-xs), rc._sxc(xs))
+    assert rc._k2hat(0.0) == -1.0 / 3.0 and rc._sxc(0.0) == 1.0 / 3.0
 
 
 def test_closed_forms_fixed_values():
@@ -240,6 +242,21 @@ def test_jacobi_flow_against_mpmath(b):
     assert worst <= _MPMATH_BUDGET[b]
 
 
+def test_jacobi_flow_step_cap(monkeypatch):
+    # the cap applies to ceil(s_max * rate) before any step is taken
+    W = np.zeros((3, 3))
+    R = 100.0 * np.eye(3)  # rate 10 per unit time
+    monkeypatch.setattr(rc, "_MAX_FLOW_STEPS", 10)
+    A, _ = rc.jacobi_flow(W, R, [0.5, 1.0])
+    np.testing.assert_allclose(A[1], np.sin(10.0) / 10.0 * np.eye(3), rtol=1e-12)
+    with pytest.raises(DomainError):
+        rc.jacobi_flow(W, R, [0.5, 1.01])
+    monkeypatch.undo()
+    bl = rc.build_blocks(rc.RiccatiParams(1e9, 1.0, 1))
+    with pytest.raises(DomainError):
+        rc.jacobi_flow(bl.full_W(), bl.full_R(), [0.1, 1.0])
+
+
 def test_jacobi_flow_shapes_and_validation():
     W = np.zeros((4, 3, 3))
     R = np.broadcast_to(np.eye(3), (4, 3, 3))
@@ -336,25 +353,6 @@ def test_det_distortion_limits():
     assert abs(float(rc.det_block1(p, 1.0))) < 1e-15
 
 
-def test_trace_bounds_values_and_flags():
-    p = rc.RiccatiParams(1e3, 0.0, 1)
-    tb = rc.trace_bounds(p, 1.0)
-    expected = -(9.0 + 5.0e6) / (3.0 + 1.0e6)
-    assert tb.tr_F1 == pytest.approx(expected, rel=1e-12)
-    assert -5.0 < tb.tr_F1 < -4.99 and tb.ok
-    # small c perturbation stays stable (raw K2/K1 forms lose digits here)
-    tb2 = rc.trace_bounds(rc.RiccatiParams(1e3, 1e-3, 1), 1.0)
-    assert tb2.tr_F1 == pytest.approx(expected, rel=1e-4)
-    assert tb2.f1_ok
-    # F3 bound for n = 2: t tr F3 = -(2n-2) x cot x >= -(2n-2) on |x| < pi
-    tb3 = rc.trace_bounds(rc.RiccatiParams(0.0, 2.8, 2), 1.0)
-    assert tb3.f3_ok and tb3.tr_F3 > 0.0  # past pi/2 the cotangent flips sign
-    with pytest.raises(OutOfRegimeError):
-        rc.trace_bounds(rc.RiccatiParams(0.0, np.pi, 1), 0.5)
-    with pytest.raises(DomainError):
-        rc.trace_bounds(p, 0.0)
-
-
 def test_trace_scan_report():
     b = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 21)])
     c = np.linspace(-np.pi + 1e-3, np.pi - 1e-3, 31)
@@ -368,8 +366,22 @@ def test_trace_scan_report():
     assert abs(rep.argmin_F1[1]) < 0.25
     d = rep.to_dict()
     assert d["bound_F1"] == -5.0 and d["ok"]
+    # one-point grids: at c = 0, t = 1 the trace is -(9 + 5 b^2) / (3 + b^2)
+    expected = -(9.0 + 5.0e6) / (3.0 + 1.0e6)
+    one = rc.trace_scan(1, 1e3, 0.0, 1.0)
+    assert one.min_t_tr_F1 == pytest.approx(expected, rel=1e-12)
+    assert -5.0 < one.min_t_tr_F1 < -4.99 and one.ok
+    # small c perturbation stays stable (raw K2/K1 forms lose digits here)
+    one = rc.trace_scan(1, 1e3, 1e-3, 1.0)
+    assert one.min_t_tr_F1 == pytest.approx(expected, rel=1e-4) and one.f1_ok
+    # F3 bound for n = 2: t tr F3 = -(2n-2) x cot x >= -(2n-2) on |x| < pi,
+    # and past pi/2 the cotangent flips sign
+    one = rc.trace_scan(2, 0.0, 2.8, 1.0)
+    assert one.f3_ok and one.min_t_tr_F3 > 0.0
     with pytest.raises(OutOfRegimeError):
         rc.trace_scan(1, b, np.array([3.2]), t)
+    with pytest.raises(OutOfRegimeError):
+        rc.trace_scan(1, 0.0, np.pi, 0.5)
     with pytest.raises(DomainError):
         rc.trace_scan(1, b, c, np.array([0.0, 0.5]))
 
@@ -464,18 +476,3 @@ def test_f3_tilde():
     df = (rc.f3_tilde(p, t + h) - rc.f3_tilde(p, t - h)) / (2 * h)
     f = rc.f3_tilde(p, t)
     assert df == pytest.approx(2.0 * p.c**2 + f * f / 2.0, rel=1e-7)
-
-
-def test_write_trace_csv(tmp_path):
-    p = rc.RiccatiParams(1.0, 0.5, 2)
-    ts = np.linspace(0.1, 1.0, 10)
-    path1 = tmp_path / "a.csv"
-    path2 = tmp_path / "b.csv"
-    rc.write_trace_csv(path1, p, ts)
-    rc.write_trace_csv(path2, p, ts)
-    text = path1.read_text()
-    assert text.splitlines()[0] == "t,trF1,trF3,bound5,boundF3"
-    assert len(text.splitlines()) == 11
-    assert path1.read_bytes() == path2.read_bytes()
-    with pytest.raises(DomainError):
-        rc.write_trace_csv(tmp_path / "c.csv", p, [0.0, 0.5])
