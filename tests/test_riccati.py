@@ -366,6 +366,13 @@ def test_trace_scan_report():
     assert abs(rep.argmin_F1[1]) < 0.25
     d = rep.to_dict()
     assert d["bound_F1"] == -5.0 and d["ok"]
+    with pytest.raises(OutOfRegimeError):
+        rc.trace_scan(1, b, np.array([3.2]), t)
+    with pytest.raises(DomainError):
+        rc.trace_scan(1, b, c, np.array([0.0, 0.5]))
+
+
+def test_trace_bounds_values_and_flags():
     # one-point grids: at c = 0, t = 1 the trace is -(9 + 5 b^2) / (3 + b^2)
     expected = -(9.0 + 5.0e6) / (3.0 + 1.0e6)
     one = rc.trace_scan(1, 1e3, 0.0, 1.0)
@@ -379,11 +386,9 @@ def test_trace_scan_report():
     one = rc.trace_scan(2, 0.0, 2.8, 1.0)
     assert one.f3_ok and one.min_t_tr_F3 > 0.0
     with pytest.raises(OutOfRegimeError):
-        rc.trace_scan(1, b, np.array([3.2]), t)
-    with pytest.raises(OutOfRegimeError):
         rc.trace_scan(1, 0.0, np.pi, 0.5)
     with pytest.raises(DomainError):
-        rc.trace_scan(1, b, c, np.array([0.0, 0.5]))
+        rc.trace_scan(1, 1e3, 0.0, 0.0)
 
 
 def test_conjugate_time_values():
