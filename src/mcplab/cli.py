@@ -70,6 +70,17 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of every --tol: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if 0.0 <= value < np.inf:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="load a model from a JSON file")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--eps", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", default="0.1:0.9:9", help="value or lo:hi:count")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     common(p)
     p.set_defaults(func=_cmd_riccati)
 
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="0:10:50", help="lo:hi:count")
     p.add_argument("--c", default="-3:3:50", help="lo:hi:count")
     p.add_argument("--t", default="0.05:0.95:50", help="lo:hi:count")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_mcp_scan)
 
@@ -393,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--b-max", type=float, default=1e4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_sharpness)
 
@@ -413,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", default="0:0.95:20", help="value or lo:hi:count")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     common(p)
     p.set_defaults(func=_cmd_density_profile)
 

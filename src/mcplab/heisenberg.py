@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DegenerateDirectionError, DomainError, IntegrationError
 from .frame_algebra import build_heisenberg_algebra, levi_civita
@@ -189,6 +188,10 @@ def geodesic_flow(
         pos_dot = u @ frame_matrix(model, pos)
         u_dot = -np.einsum("i,j,ijk->k", u, u, gamma)
         return np.concatenate((pos_dot, u_dot))
+
+    # Imported here, not at module level: scipy.integrate takes most of a
+    # second to load, and only this nonlinear flow needs it.
+    from scipy.integrate import solve_ivp
 
     y0 = np.concatenate((start.pos, start.vel))
     sol = solve_ivp(

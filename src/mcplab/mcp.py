@@ -40,6 +40,17 @@ _MAX_REJECT_FRACTION = 0.01
 # time goes to one small matrix exponential per sample and interval
 # either way; chunks keep its (samples, 2d, 2d) stacks out of peak memory.
 _CHUNK = 1024
+# The most (b, c, t) points mcp_scan evaluates.  It holds about 15 MB per
+# million points, so 10^7 caps it near 150 MB, 80 times the largest grid
+# (50^3) that the tests and the benchmark use.
+_MAX_SCAN_POINTS = 10_000_000
+
+
+def _require_finite(values, what: str) -> None:
+    """DomainError unless every value is finite: finite inputs that give
+    an infinite or NaN value lie outside float range, not in a verdict."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} is not finite in float64 for these inputs")
 
 
 def density(params: RiccatiParams, t):
@@ -47,7 +58,8 @@ def density(params: RiccatiParams, t):
 
     Accepts scalar or array t in [0, 1); requires |c| < pi so that the
     normalization det A(1) is positive (OutOfRegimeError otherwise).
-    D(0) = 1 exactly."""
+    Scalars so large that det A overflows raise DomainError.  D(0) = 1
+    exactly."""
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr >= 0.0) & (t_arr < 1.0)):
         raise DomainError("t must lie in [0, 1)")
@@ -56,10 +68,12 @@ def density(params: RiccatiParams, t):
             f"density requires |c| < pi, got c = {params.c!r}"
         )
     b, c, n = params.b, params.c, params.n
-    denom = float(_det_a(b, c, n, 1.0))
-    if denom <= 0.0:
-        raise OutOfRegimeError("det A(1) is not positive for these scalars")
-    out = _det_a(b, c, n, 1.0 - t_arr) / denom
+    with np.errstate(all="ignore"):
+        denom = float(_det_a(b, c, n, 1.0))
+        if denom <= 0.0:
+            raise OutOfRegimeError("det A(1) is not positive for these scalars")
+        out = _det_a(b, c, n, 1.0 - t_arr) / denom
+    _require_finite(out, "density")
     return out if out.ndim else float(out)
 
 
@@ -80,16 +94,20 @@ class DensityProfile:
 
 
 def density_profile(params: RiccatiParams, t_grid) -> DensityProfile:
-    """Evaluate density, bound, ratio over a t grid in [0, 1)."""
+    """Evaluate density, bound, ratio over a t grid in [0, 1); a ratio
+    that is not finite raises DomainError."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     dens = np.atleast_1d(density(params, t_grid))
-    bound = contraction_bound(params.n, t_grid)
+    with np.errstate(all="ignore"):
+        bound = contraction_bound(params.n, t_grid)
+        ratio = dens / bound
+    _require_finite(ratio, "density/bound ratio")
     return DensityProfile(
         params=params,
         t_grid=t_grid,
         density=dens,
         bound=bound,
-        ratio=dens / bound,
+        ratio=ratio,
     )
 
 
@@ -172,12 +190,17 @@ def mcp_scan(
     """Evaluate ratio = D(t) / (1-t)^(2n+3) on a full (b, c, t) grid.
 
     The c range must stay strictly inside (-pi, pi) and the t range inside
-    [0, 1).  Violations, ratios below 1 - tol or NaN, are collected with
-    their grid coordinates; the expected outcome is an empty list."""
+    [0, 1), and the grid within _MAX_SCAN_POINTS points.  Violations,
+    ratios below 1 - tol or NaN, are collected with their grid
+    coordinates; the expected outcome is an empty list."""
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if resolution < 2:
         raise DomainError("resolution must be >= 2")
+    if resolution**3 > _MAX_SCAN_POINTS:
+        raise DomainError(
+            f"a {resolution}^3 grid has more than {_MAX_SCAN_POINTS} points"
+        )
     b_lo, b_hi = map(float, b_range)
     c_lo, c_hi = map(float, c_range)
     t_lo, t_hi = map(float, t_range)
@@ -234,7 +257,8 @@ def sharpness_scan(
 
     The minimum approaches 1 from above as b grows and c shrinks, which is
     the empirical sharpness of the exponent 2n + 3; on the b = 0 slice
-    alone the ratio never drops below (1-t)^(-2)."""
+    alone the ratio never drops below (1-t)^(-2).  A ratio that is not
+    finite anywhere on the grid raises DomainError."""
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if not (0.0 < t < 1.0):
@@ -243,8 +267,10 @@ def sharpness_scan(
         raise DomainError(f"b_max must be positive and finite, got {b_max!r}")
     b = np.concatenate(([0.0], np.geomspace(1e-2, b_max, b_points)))[:, None]
     c = np.geomspace(1e-4, np.pi - 1e-9, c_points)[None, :]
-    dens = _det_a(b, c, n, 1.0 - t) / _det_a(b, c, n, 1.0)
-    ratio = dens / (1.0 - t) ** (2 * n + 3)
+    with np.errstate(all="ignore"):
+        dens = _det_a(b, c, n, 1.0 - t) / _det_a(b, c, n, 1.0)
+        ratio = dens / (1.0 - t) ** (2 * n + 3)
+    _require_finite(ratio, "density/bound ratio")
     return float(np.min(ratio))
 
 

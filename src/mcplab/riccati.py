@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError, OutOfRegimeError, SingularityError
 
@@ -500,6 +499,10 @@ def jacobi_flow(W, R, s):
             f"the flow to s = {s[-1]:g} needs about {s[-1] * rate:.3g} steps "
             f"(limit {_MAX_FLOW_STEPS}); coefficients this large are out of range"
         )
+    # Imported here, not at module level: scipy.linalg takes about half a
+    # second to load, and only this flow needs it.
+    from scipy.linalg import expm
+
     d = W.shape[-1]
     K = np.zeros(W.shape[:-2] + (2 * d, 2 * d))
     K[..., :d, d:] = -(W @ W + R)

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,79 @@ def test_riccati_huge_b_is_usage_error(capsys):
     rc = main(["riccati", "--b", "1e9", "--c", "1"])
     assert time.perf_counter() - start < 1.0
     _one_line_usage_error(rc, capsys)
+
+
+def test_tol_must_be_finite_and_nonnegative(capsys):
+    # NaN would fail every comparison, so it used to read as FAIL (exit 1)
+    for argv in (
+        ["curvature", "--heisenberg"],
+        ["riccati", "--b", "1", "--c", "1", "--t", "0.5"],
+        ["mcp-scan", "--b", "0:1:3", "--c", "-1:1:3", "--t", "0.1:0.5:3"],
+        ["sharpness", "--t", "0.5"],
+        ["density-profile", "--b", "2", "--c", "1", "--t", "0.5"],
+    ):
+        for value in ("nan", "inf", "-inf", "-1e-30", "tight"):
+            rc = main(argv + ["--tol", value])
+            err = capsys.readouterr().err
+            assert rc == 2
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and "--tol" in errors[0]
+            assert "Traceback" not in err
+
+
+def test_overflow_is_usage_error(capsys):
+    # finite flags whose ratio leaves float64 range: no NaN verdict and no
+    # RuntimeWarning (raised here as an exception) on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ["density-profile", "--b", "1e308", "--c", "1", "--t", "0.5"],
+            ["sharpness", "--t", "1e-300", "--b-max", "1e300"],
+        ):
+            _one_line_usage_error(main(argv), capsys)
+
+
+def test_mcp_scan_grid_cap_is_usage_error(capsys):
+    # 10^9 points are refused before any is allocated
+    start = time.perf_counter()
+    rc = main(["mcp-scan", "--b", "0:1:1000", "--c", "-1:1:1000",
+               "--t", "0.1:0.5:1000"])
+    assert time.perf_counter() - start < 1.0
+    _one_line_usage_error(rc, capsys)
+
+
+_IMPORT_CONTRACT = """
+import sys
+from mcplab.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+for argv, code in (
+    (["curvature", "--heisenberg"], 0),
+    (["conjugate", "--b", "0", "--c", "3.5"], 0),
+    (["mcp-scan", "--b", "0:10:5", "--c", "-3:3:5", "--t", "0.05:0.95:5"], 0),
+    (["sharpness", "--t", "0.5"], 0),
+    (["density-profile", "--b", "2", "--c", "1"], 0),
+    (["conjugate", "--b", "0", "--c", "3.5", "--t-max", "nan"], 2),
+):
+    assert main(argv) == code, argv
+assert not scipy_modules(), scipy_modules()
+assert main(["riccati", "--b", "1", "--c", "1", "--t", "0.5"]) == 0
+assert main(["contract", "--t", "0.3", "--samples", "1000"]) == 0
+assert "scipy.linalg" in sys.modules
+assert "scipy.integrate" not in sys.modules
+"""
+
+
+def test_only_the_flows_load_scipy():
+    # scipy takes most of a second to import; the closed-form subcommands
+    # and usage errors must not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CONTRACT], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # A valid command line of each cheap subcommand, whose flags the fuzzer

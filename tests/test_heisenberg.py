@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
-from mcplab import heisenberg
 from mcplab.errors import DegenerateDirectionError, DomainError, IntegrationError
 from mcplab.heisenberg import (
     GeodesicState,
@@ -163,7 +163,7 @@ def test_adapted_frame_rows_stay_orthonormal():
 def test_flow_failure_raises_integration_error(monkeypatch):
     m = HeisenbergModel(n=1, eps=1.0)
     start = _origin_state(m, [0.0, 1.0, 0.0])
-    real = heisenberg.solve_ivp
+    real = scipy.integrate.solve_ivp
 
     def stalls(*args, **kwargs):
         sol = real(*args, **kwargs)
@@ -172,7 +172,7 @@ def test_flow_failure_raises_integration_error(monkeypatch):
         sol.success, sol.status, sol.message = False, -1, "step size too small"
         return sol
 
-    monkeypatch.setattr(heisenberg, "solve_ivp", stalls)
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", stalls)
     with pytest.raises(IntegrationError) as exc:
         geodesic_flow(m, start, T=1.0, samples=11)
     assert exc.value.last_good_time == pytest.approx(0.4)

@@ -1,6 +1,7 @@
 """Tests for the contraction density, MCP scans, and set-level estimates."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,31 @@ def test_sharpness_scan():
     for n, b_max in ((0, 1e4), (-3, 1e4), (1, 0.0), (1, -5.0), (1, np.nan), (1, np.inf)):
         with pytest.raises(DomainError):
             sharpness_scan(n, 0.5, b_max=b_max)
+
+
+def test_out_of_float_range_raises_domain_error():
+    # finite inputs whose ratio overflows or underflows to inf or NaN;
+    # np.errstate keeps the warnings (raised here as exceptions) quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge_b = RiccatiParams(b=1e308, c=1.0, n=1)
+        with pytest.raises(DomainError):
+            density(huge_b, 0.5)
+        with pytest.raises(DomainError):
+            density_profile(huge_b, [0.0, 0.5])
+        # (0.01 sinc)^398 underflows to 0 in both density and bound
+        with pytest.raises(DomainError):
+            density_profile(RiccatiParams(b=1.0, c=0.5, n=200), [0.5, 0.99])
+        with pytest.raises(DomainError):
+            sharpness_scan(1, 1e-300, b_max=1e300)
+
+
+def test_mcp_scan_grid_cap():
+    # 216^3 > 10^7 points is refused before the grid is built
+    with pytest.raises(DomainError, match="points"):
+        mcp_scan(1, resolution=216)
+    with pytest.raises(DomainError):
+        mcp_scan(1, resolution=10**6)
 
 
 def test_velocity_set_validation():
