@@ -50,6 +50,18 @@ from .riccati import (
 )
 
 
+# The most points a lo:hi:count range may hold.  density-profile holds
+# about 160 bytes per point, so 10^6 points stay near 150 MB, like
+# mcp._MAX_SCAN_POINTS.
+_MAX_RANGE_COUNT = 1_000_000
+# The largest --n.  curvature holds (2n+1)^4-entry tensors: 2.8 million
+# entries (23 MB) each at n = 20.
+_MAX_N = 20
+# The most count * (2n+1)^2 block entries of one riccati run, at about 64
+# bytes each: about 130 MB.
+_MAX_RICCATI_ENTRIES = 2_000_000
+
+
 def _parse_range(text: str) -> np.ndarray:
     """Parse 'lo:hi:count' into a linspace, or a single float into a
     one-point array.  Locale-independent."""
@@ -67,6 +79,10 @@ def _parse_range(text: str) -> np.ndarray:
         ) from None
     if count < 2:
         raise argparse.ArgumentTypeError("range count must be >= 2")
+    if count > _MAX_RANGE_COUNT:
+        raise argparse.ArgumentTypeError(
+            f"range count must be at most {_MAX_RANGE_COUNT}, got {count}"
+        )
     return np.linspace(lo, hi, count)
 
 
@@ -175,6 +191,11 @@ def _cmd_curvature(args) -> int:
 def _cmd_riccati(args) -> int:
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
     ts = _parse_range(args.t)
+    if len(ts) * (2 * args.n + 1) ** 2 > _MAX_RICCATI_ENTRIES:
+        raise McplabError(
+            f"{len(ts)} points at n = {args.n} exceed {_MAX_RICCATI_ENTRIES} "
+            "block entries; use fewer points"
+        )
     if np.any(ts <= 0.0) or np.any(ts >= 1.0):
         raise McplabError("t values must lie in (0, 1)")
     grid = np.concatenate(([0.0], ts))
@@ -463,6 +484,8 @@ def main(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return 0 if code == 0 else 2
     try:
+        if args.n > _MAX_N:
+            raise McplabError(f"--n must be at most {_MAX_N}, got {args.n}")
         return args.func(args)
     except McplabError as exc:
         print(f"error: {exc}", file=sys.stderr)

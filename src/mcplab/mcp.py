@@ -36,10 +36,11 @@ from .heisenberg import HeisenbergModel
 from .riccati import RiccatiParams, _det_a, _model_blocks, jacobi_flow
 
 _MAX_REJECT_FRACTION = 0.01
-# Samples per jacobi_flow call in monte_carlo_contraction.  The flow's
-# time goes to one small matrix exponential per sample and interval
-# either way; chunks keep its (samples, 2d, 2d) stacks out of peak memory.
-_CHUNK = 1024
+# Samples per jacobi_flow call in monte_carlo_contraction.  One _expm
+# call takes the 6x6 step generators of a whole chunk at both times:
+# 512 samples keep that stack at 2^15 entries (256 KB per temporary),
+# where 1024 raised the traced peak of a contraction by about 3 MB.
+_CHUNK = 512
 # The most (b, c, t) points mcp_scan evaluates.  It holds about 15 MB per
 # million points, so 10^7 caps it near 150 MB, 80 times the largest grid
 # (50^3) that the tests and the benchmark use.
@@ -301,12 +302,19 @@ class VelocitySet:
 
 def _flow_dets(b, c, n, s):
     """det A at the increasing times s for per-sample scalars b, c, shape
-    (len(s), len(b)), from jacobi_flow on _CHUNK samples at a time."""
+    (len(s), len(b)), from jacobi_flow on _CHUNK samples at a time.
+
+    W and R are block diagonal, so det A = det A1 a^(2n-2), where A1 is
+    the flow of the 3x3 block and a that of one parallel direction
+    (W = 0, R = c^2)."""
     out = np.empty((len(s), len(b)))
     for lo in range(0, len(b), _CHUNK):
-        W, R = _model_blocks(b[lo : lo + _CHUNK], c[lo : lo + _CHUNK], n)
-        A, _ = jacobi_flow(W, R, s)
-        out[:, lo : lo + _CHUNK] = np.linalg.det(A)
+        W, R = _model_blocks(b[lo : lo + _CHUNK], c[lo : lo + _CHUNK], 2)
+        A1, _ = jacobi_flow(W[..., :3, :3], R[..., :3, :3], s)
+        out[:, lo : lo + _CHUNK] = np.linalg.det(A1)
+        if n > 1:
+            a, _ = jacobi_flow(W[..., 3:4, 3:4], R[..., 3:4, 3:4], s)
+            out[:, lo : lo + _CHUNK] *= a[..., 0, 0] ** (2 * n - 2)
     return out
 
 

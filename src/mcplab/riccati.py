@@ -461,29 +461,86 @@ def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
 # unit time, so 10^5 admits |b| up to about 5.8e4 on a unit span, some 50
 # times the largest |b| (1e3) that the tests and the benchmark use.
 _MAX_FLOW_STEPS = 100_000
+# The most matrix entries one _expm call of jacobi_flow holds (512 KB per
+# temporary): the step exponentials of consecutive intervals go to _expm
+# together up to this size, so a long time grid on a large block does not
+# hold all of them at once.
+_EXPM_ENTRIES = 2**16
+# [13/13] Pade coefficients b_0, ..., b_13 of exp, and the 1-norm theta_13
+# up to which that approximant meets double precision (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _norm_root(P, k):
+    """||P||_1^(1/k) for each matrix of a stack."""
+    return np.max(np.sum(np.abs(P), axis=-2), axis=-1) ** (1.0 / k)
+
+
+def _expm(M):
+    """exp(M) for each matrix of a (..., m, m) stack of finite matrices, by
+    [13/13] Pade scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31(3), 2009).
+
+    Each matrix is scaled by its own 2^-s, s = max(0, ceil(log2(eta /
+    theta_13))) with eta = min(max(d6, d8), max(d8, d10)) and
+    d_k = ||M^k||_1^(1/k).  The Jacobi generators are far from normal, so
+    d_k lies well below ||M||_1, and scaling by the plain norm would
+    square too often and lose digits.  A matrix stops squaring once its
+    own s is reached, so its result does not depend on the rest of the
+    stack."""
+    M = np.asarray(M, dtype=float)
+    M2 = M @ M
+    M4 = M2 @ M2
+    M6 = M4 @ M2
+    d8 = _norm_root(M4 @ M4, 8)
+    eta = np.minimum(np.maximum(_norm_root(M6, 6), d8),
+                     np.maximum(d8, _norm_root(M4 @ M6, 10)))
+    s = np.ceil(np.log2(np.maximum(eta, _THETA13) / _THETA13)).astype(int)
+    scale = np.ldexp(1.0, -s)[..., None, None]
+    M = M * scale
+    M2 = M2 * scale**2
+    M4 = M4 * scale**4
+    M6 = M6 * scale**6
+    b = _PADE13
+    eye = np.eye(M.shape[-1])
+    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
+             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
+    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
+         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    for j in range(int(np.max(s, initial=0))):
+        E = np.where((s > j)[..., None, None], E @ E, E)
+    return E
 
 
 def jacobi_flow(W, R, s):
     """(A(s), A'(s)) for A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0,
     A'(0) = I, with constant coefficients.
 
-    W and R are (..., d, d) stacks that broadcast against each other; s
-    is a 1-d array of increasing times >= 0.  Returns A and A', each of
-    shape (len(s), ..., d, d).
+    W and R are (..., d, d) stacks of finite matrices that broadcast
+    against each other; s is a 1-d array of increasing times >= 0.
+    Returns A and A', each of shape (len(s), ..., d, d).
 
     The row state Y = [A, A'] satisfies Y' = Y K with
-    K = [[0, -(W^2 + R)], [I, -2W]], so Y(s + h) = Y(s) expm(hK) exactly
-    (Al-Mohy & Higham 2009).  Each interval between consecutive times is
-    split into equal steps with h * max(1, max|W|, sqrt(max|R|)) <= 1:
-    |K| grows like b^2, and one exponential over the whole span loses
-    digits in its squaring phase as it does (det A off by 7e-8 relative
-    at |b| = 100 and 2e-2 at |b| = 1e3 against mpmath).  More than
-    _MAX_FLOW_STEPS steps up to the last time raise DomainError before
-    any is taken.
+    K = [[0, -(W^2 + R)], [I, -2W]], so Y(s + h) = Y(s) expm(hK) exactly.
+    Each interval between consecutive times is split into equal steps
+    with h * max(1, max|W|, sqrt(max|R|)) <= 1: |K| grows like b^2, and
+    one exponential over the whole span loses digits in its squaring
+    phase as it does (det A off by 7e-8 relative at |b| = 100 and 2e-2 at
+    |b| = 1e3 against mpmath).  The step exponentials of all intervals
+    come from stacked _expm calls of at most _EXPM_ENTRIES entries each.
+    More than _MAX_FLOW_STEPS steps up to the last time raise DomainError
+    before any is taken.
     """
     W = np.asarray(W, dtype=float)
     R = np.asarray(R, dtype=float)
     W, R = np.broadcast_arrays(W, R)
+    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(R))):
+        raise DomainError("W and R must be finite")
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.ndim != 1 or not np.all(np.isfinite(s)) or s[0] < 0.0:
         raise DomainError("flow times must be finite reals >= 0")
@@ -499,10 +556,6 @@ def jacobi_flow(W, R, s):
             f"the flow to s = {s[-1]:g} needs about {s[-1] * rate:.3g} steps "
             f"(limit {_MAX_FLOW_STEPS}); coefficients this large are out of range"
         )
-    # Imported here, not at module level: scipy.linalg takes about half a
-    # second to load, and only this flow needs it.
-    from scipy.linalg import expm
-
     d = W.shape[-1]
     K = np.zeros(W.shape[:-2] + (2 * d, 2 * d))
     K[..., :d, d:] = -(W @ W + R)
@@ -511,15 +564,16 @@ def jacobi_flow(W, R, s):
     Y = np.zeros(W.shape[:-2] + (d, 2 * d))
     Y[..., d:] = np.eye(d)
     out = np.empty((len(s),) + Y.shape)
-    s_now = 0.0
-    for k, s_next in enumerate(s):
-        if s_next > s_now:
-            steps = int(np.ceil((s_next - s_now) * rate))
-            E = expm(((s_next - s_now) / steps) * K)
-            for _ in range(steps):
-                Y = Y @ E
-            s_now = float(s_next)
-        out[k] = Y
+    span = np.diff(s, prepend=0.0)
+    steps = np.ceil(span * rate).astype(int)
+    h = (span / np.maximum(steps, 1)).reshape((-1,) + (1,) * K.ndim)
+    group = max(1, _EXPM_ENTRIES // max(K.size, 1))
+    for lo in range(0, len(s), group):
+        E = _expm(h[lo : lo + group] * K)
+        for k in range(lo, min(lo + group, len(s))):
+            for _ in range(steps[k]):
+                Y = Y @ E[k - lo]
+            out[k] = Y
     return out[..., :d], out[..., d:]
 
 

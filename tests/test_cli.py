@@ -321,6 +321,24 @@ def test_mcp_scan_grid_cap_is_usage_error(capsys):
     _one_line_usage_error(rc, capsys)
 
 
+def test_cli_sizes_are_usage_errors(capsys):
+    # range counts, --n and the size of a riccati run are refused before
+    # anything of that size is allocated
+    huge = "0:0.9:1000000000"
+    for argv in (
+        ["riccati", "--b", "1", "--c", "1", "--t", huge],
+        ["density-profile", "--b", "1", "--c", "1", "--t", huge],
+        ["mcp-scan", "--t", huge],
+        ["riccati", "--b", "1", "--c", "1", "--n", "1000000000", "--t", "0.5"],
+        ["curvature", "--heisenberg", "--n", "21"],
+        ["riccati", "--b", "1", "--c", "1", "--n", "20", "--t", "0.01:0.9:2000"],
+    ):
+        start = time.perf_counter()
+        rc = main(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        _one_line_usage_error(rc, capsys)
+
+
 _IMPORT_CONTRACT = """
 import sys
 from mcplab.cli import main
@@ -341,14 +359,16 @@ for argv, code in (
 assert not scipy_modules(), scipy_modules()
 assert main(["riccati", "--b", "1", "--c", "1", "--t", "0.5"]) == 0
 assert main(["contract", "--t", "0.3", "--samples", "1000"]) == 0
-assert "scipy.linalg" in sys.modules
-assert "scipy.integrate" not in sys.modules
+assert not scipy_modules(), scipy_modules()
+from mcplab.heisenberg import GeodesicState, HeisenbergModel, geodesic_flow
+geodesic_flow(HeisenbergModel(1, 1.0), GeodesicState([0.0] * 3, [1.0, 0.5, 0.0]), 1.0)
+assert "scipy.integrate" in sys.modules
 """
 
 
 def test_only_the_flows_load_scipy():
-    # scipy takes most of a second to import; the closed-form subcommands
-    # and usage errors must not pay for it
+    # scipy takes most of a second to import; every subcommand and usage
+    # error starts without it, and only the geodesic flow loads it
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_CONTRACT], capture_output=True, text=True
     )

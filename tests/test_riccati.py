@@ -222,7 +222,8 @@ def _det_mpmath(b, c, n, s):
 # Relative error budgets of the flow's det A by |b|.  The step count grows
 # like |b|, and near a zero of det A (c = 3, s = 1 lies 4% before the
 # conjugate time pi/3) the error relative to |det A| grows as det A
-# shrinks: 4.4e-8 there at |b| = 1e3, 2e-9 relative to the c = 0 size.
+# shrinks: 6.3e-8 there at |b| = 1e3 (n = 2), 2e-12 relative to the c = 0
+# size.
 _MPMATH_BUDGET = {0.0: 1e-12, 1.0: 1e-12, 10.0: 1e-12, 100.0: 1e-10, 1e3: 1e-7}
 
 
@@ -240,6 +241,85 @@ def test_jacobi_flow_against_mpmath(b):
                         exact = _det_mpmath(b, c, n, s)
                         worst = max(worst, float(abs((det - exact) / exact)))
     assert worst <= _MPMATH_BUDGET[b]
+
+
+def _jacobi_generator(b, c, n):
+    """K = [[0, -(W^2 + R)], [I, -2W]] of the full system, and its step rate."""
+    W, R = rc._model_blocks(b, c, n)
+    d = W.shape[-1]
+    K = np.block([[np.zeros((d, d)), -(W @ W + R)], [np.eye(d), -2.0 * W]])
+    rate = max(1.0, np.max(np.abs(W)), np.sqrt(np.max(np.abs(R))))
+    return K, rate
+
+
+def test_expm_against_scipy_on_jacobi_steps():
+    # the step exponentials jacobi_flow takes, a full step down to a short
+    # one, within a few units of round-off of the largest entry
+    from scipy.linalg import expm
+
+    for b in (0.0, 1.0, 10.0, 100.0, 1e3):
+        for c in (0.5, 3.0, 3.5):
+            for n in (1, 2, 3):
+                K, rate = _jacobi_generator(b, c, n)
+                M = np.stack([(hr / rate) * K for hr in (1.0, 0.37, 1e-3)])
+                E = rc._expm(M)
+                for Mk, Ek in zip(M, E):
+                    ref = expm(Mk)
+                    assert np.max(np.abs(Ek - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_expm_against_scipy_on_random_stacks():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 6, 10):
+        M = rng.standard_normal((40, m, m))
+        norms = np.geomspace(1e-3, 100.0, len(M))
+        M *= (norms / np.max(np.sum(np.abs(M), axis=-2), axis=-1))[:, None, None]
+        E = rc._expm(M)
+        # scipy itself is off by 5e-12 of the largest entry on the 2x2 of
+        # 1-norm 74 here (50-digit mpmath; _expm is within 2e-14 there)
+        for Mk, Ek in zip(M, E):
+            ref = expm(Mk)
+            assert np.max(np.abs(Ek - ref)) <= 1e-10 * np.max(np.abs(ref))
+        # each matrix takes its own squarings: the stack gives exactly
+        # the per-matrix results
+        assert all(np.array_equal(Ek, rc._expm(Mk)) for Mk, Ek in zip(M, E))
+
+
+def test_expm_of_zero_is_identity():
+    for m in (1, 2, 6):
+        np.testing.assert_allclose(rc._expm(np.zeros((3, m, m))),
+                                   np.broadcast_to(np.eye(m), (3, m, m)),
+                                   rtol=0, atol=np.finfo(float).eps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       norm=st.floats(1e-6, 20.0))
+def test_expm_inverse_property(m, seed, norm):
+    A = np.random.default_rng(seed).standard_normal((m, m))
+    A *= norm / np.max(np.sum(np.abs(A), axis=0))
+    E, Einv = rc._expm(A), rc._expm(-A)
+    scale = np.linalg.norm(E, 1) * np.linalg.norm(Einv, 1)
+    assert np.max(np.abs(E @ Einv - np.eye(m))) <= 1e-13 * scale
+
+
+def test_jacobi_flow_memory_is_bounded():
+    # the step exponentials of a long grid go to _expm in groups, so the
+    # peak stays a small multiple of the output (A, A' of a 38x38 block on
+    # 200 times: 4.6 MB)
+    import tracemalloc
+
+    bl = rc.build_blocks(rc.RiccatiParams(1.0, 1.0, 20))
+    s = np.linspace(0.005, 1.0, 200)
+    tracemalloc.start()
+    try:
+        A, Ap = rc.jacobi_flow(np.zeros_like(bl.R3), bl.R3, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (A.nbytes + Ap.nbytes)
 
 
 def test_jacobi_flow_step_cap(monkeypatch):
@@ -272,6 +352,8 @@ def test_jacobi_flow_shapes_and_validation():
     for bad in ([-0.1, 0.5], [0.5, 0.5], [0.5, 0.2], [0.1, np.nan]):
         with pytest.raises(DomainError):
             rc.jacobi_flow(W, R, bad)
+    with pytest.raises(DomainError):
+        rc.jacobi_flow(W, np.full((3, 3), np.nan), [0.5])
 
 
 def test_inverse_riccati_euclidean():
