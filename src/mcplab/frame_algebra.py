@@ -36,6 +36,11 @@ KIND_TANAKA_WEBSTER = "tanaka-webster"
 _VALIDATE_TOL = 1e-10
 
 
+def _contract(u, T):
+    """sum_i u_i T[i, ...]: one pass over T, as a matrix-vector product."""
+    return (u @ T.reshape(T.shape[0], -1)).reshape(T.shape[1:])
+
+
 @dataclass(frozen=True)
 class FrameAlgebra:
     """Structure constants and metric of a left-invariant frame.
@@ -53,7 +58,7 @@ class FrameAlgebra:
 
     def bracket_of(self, u, v) -> np.ndarray:
         """[u, v] for constant-coefficient vectors u, v."""
-        return np.einsum("i,j,ijk->k", u, v, self.bracket)
+        return v @ _contract(u, self.bracket)
 
     def inner(self, u, v) -> float:
         return float(u @ self.metric @ v)
@@ -111,7 +116,7 @@ class ContactStructure:
         if abs(float(eta @ V) - 1.0) > tol:
             out.append("eta(V) != 1")
         # d eta(V, e_j) = -eta([V, e_j])
-        dV = np.einsum("i,ijk,k->j", V, alg.bracket, eta)
+        dV = _contract(V, alg.bracket) @ eta
         if np.max(np.abs(dV), initial=0.0) > tol:
             out.append("d eta(V, .) != 0")
         if np.max(np.abs(J @ V), initial=0.0) > tol:
@@ -145,7 +150,7 @@ class ConnectionCoeffs:
 
     def apply(self, u, w) -> np.ndarray:
         """Derivative of the constant-coefficient field w along u."""
-        return np.einsum("i,j,ijk->k", u, w, self.gamma)
+        return w @ _contract(u, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -163,8 +168,9 @@ class CurvatureData:
     connection_kind: str
 
     def sectional_like(self, u, w, z, x) -> float:
-        """<R(u, w) z, x> for constant-coefficient vectors."""
-        return float(np.einsum("i,j,k,l,ijkl->", u, w, z, x, self.riem))
+        """<R(u, w) z, x> for constant-coefficient vectors, contracted
+        one vector at a time (one d^4 pass, then d^3 and d^2 work)."""
+        return float(z @ _contract(w, _contract(u, self.riem)) @ x)
 
 
 def build_heisenberg_algebra(n: int, eps: float):
@@ -577,7 +583,7 @@ def verify_structure_identities(
     Rt = curv_tw.operator
 
     def rop(R, u, w, z):
-        return np.einsum("i,j,k,ijkm->m", u, w, z, R)
+        return z @ _contract(w, _contract(u, R))
 
     add(
         "curvature_reeb_slot",

@@ -168,8 +168,9 @@ def geodesic_flow(
     """Integrate the geodesic through start for time T (either sign).
 
     The velocity subsystem is u'_k = -Gamma^k(u, u); the position moves by
-    u applied to the frame matrix.  Local error is controlled at tol by an
-    adaptive high-order Runge-Kutta scheme with dense output."""
+    u applied to the frame matrix, written out: (x, y)' = (u_X, u_Y) and
+    z' = u_0 / eps + (x . u_Y - y . u_X) / 2.  Local error is controlled at
+    tol by an adaptive high-order Runge-Kutta scheme with dense output."""
     d = model.dim
     if len(start.pos) != d:
         raise DomainError(
@@ -182,12 +183,12 @@ def geodesic_flow(
     if samples < 2:
         raise DomainError("samples must be >= 2")
     gamma = model.gamma
+    n, eps = model.n, model.eps
 
     def rhs(_t, y):
-        pos, u = y[:d], y[d:]
-        pos_dot = u @ frame_matrix(model, pos)
-        u_dot = -np.einsum("i,j,ijk->k", u, u, gamma)
-        return np.concatenate((pos_dot, u_dot))
+        u = y[d:]
+        z_dot = u[0] / eps + 0.5 * (y[:n] @ u[1 + n :] - y[n : 2 * n] @ u[1 : 1 + n])
+        return np.concatenate((u[1:], [z_dot], -(u @ (u @ gamma))))
 
     # Imported here, not at module level: scipy.integrate takes most of a
     # second to load, and only this nonlinear flow needs it.

@@ -36,11 +36,14 @@ from .heisenberg import HeisenbergModel
 from .riccati import RiccatiParams, _det_a, _model_blocks, jacobi_flow
 
 _MAX_REJECT_FRACTION = 0.01
-# Samples per jacobi_flow call in monte_carlo_contraction.  One _expm
-# call takes the 6x6 step generators of a whole chunk at both times:
-# 512 samples keep that stack at 2^15 entries (256 KB per temporary),
-# where 1024 raised the traced peak of a contraction by about 3 MB.
-_CHUNK = 512
+# Samples per jacobi_flow call in monte_carlo_contraction.  A flow holds
+# the powers K^0..K^6 of each sample's 6x6 generator (2 KB per sample)
+# and, for both times at once, temporaries of 576 B per sample.  At 128
+# samples each stays below 300 KB and the allocator reuses them from one
+# chunk to the next: one library-benchmark operation (both contractions)
+# took under 1k page faults, against 44k at 256 samples and 52k with the
+# Pade flow at 512, at about 0.8 us each.
+_CHUNK = 128
 # The most (b, c, t) points mcp_scan evaluates.  It holds about 15 MB per
 # million points, so 10^7 caps it near 150 MB, 80 times the largest grid
 # (50^3) that the tests and the benchmark use.

@@ -40,6 +40,7 @@ case splits.  All scalar helpers accept arrays and broadcast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,60 +462,77 @@ def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
 # unit time, so 10^5 admits |b| up to about 5.8e4 on a unit span, some 50
 # times the largest |b| (1e3) that the tests and the benchmark use.
 _MAX_FLOW_STEPS = 100_000
-# The most matrix entries one _expm call of jacobi_flow holds (512 KB per
-# temporary): the step exponentials of consecutive intervals go to _expm
-# together up to this size, so a long time grid on a large block does not
-# hold all of them at once.
+# The most matrix entries of the step exponentials that one call to
+# _taylor_expm forms in jacobi_flow (512 KB per temporary): consecutive
+# intervals go to it together up to this size, so a long time grid on a
+# large block does not hold all of them at once.
 _EXPM_ENTRIES = 2**16
-# [13/13] Pade coefficients b_0, ..., b_13 of exp, and the 1-norm theta_13
-# up to which that approximant meets double precision (Higham 2005).
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# The scaled size up to which the degree-24 Taylor polynomial T_24 of exp
+# meets double precision: the root of sum_{k>=25} |c_k| x^(k-1) = 2^-53,
+# where log(e^-x T_24(x)) = sum_k c_k x^k (Al-Mohy & Higham, SIAM J. Matrix
+# Anal. Appl. 31(3), 2009).
+_THETA24 = 2.219048869
+# 1/k! for k = 0..23 as the four Paterson-Stockmeyer blocks of six, and
+# 1/24!, the last coefficient of T_24.
+_TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(24)]).reshape(4, 6)
+_TAYLOR_LAST = 1.0 / math.factorial(24)
 
 
-def _norm_root(P, k):
-    """||P||_1^(1/k) for each matrix of a stack."""
-    return np.max(np.sum(np.abs(P), axis=-2), axis=-1) ** (1.0 / k)
+def _taylor_powers(K):
+    """What _taylor_expm needs of a (..., m, m) stack K: the powers
+    [I, K, ..., K^6] in one (..., 7, m, m) array, and
+    eta = min(max(d4, d5), max(d5, d6)) with d_k = ||K^k||_1^(1/k)."""
+    K = np.asarray(K, dtype=float)
+    P = np.empty(K.shape[:-2] + (7,) + K.shape[-2:])
+    P[..., 0, :, :] = np.eye(K.shape[-1])
+    P[..., 1, :, :] = K
+    for k, (i, j) in enumerate(((1, 1), (2, 1), (2, 2), (4, 1), (3, 3)), start=2):
+        np.matmul(P[..., i, :, :], P[..., j, :, :], out=P[..., k, :, :])
+    norms = np.max(np.sum(np.abs(P[..., 4:, :, :]), axis=-2), axis=-1)
+    d4, d5, d6 = np.moveaxis(norms ** (1.0 / np.arange(4.0, 7.0)), -1, 0)
+    return P, np.minimum(np.maximum(d4, d5), np.maximum(d5, d6))
 
 
-def _expm(M):
-    """exp(M) for each matrix of a (..., m, m) stack of finite matrices, by
-    [13/13] Pade scaling and squaring (Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 31(3), 2009).
+def _taylor_expm(powers, h):
+    """exp(h_i K) from powers = _taylor_powers(K), shape (len(h),) + K.shape.
 
-    Each matrix is scaled by its own 2^-s, s = max(0, ceil(log2(eta /
-    theta_13))) with eta = min(max(d6, d8), max(d8, d10)) and
-    d_k = ||M^k||_1^(1/k).  The Jacobi generators are far from normal, so
-    d_k lies well below ||M||_1, and scaling by the plain norm would
-    square too often and lose digits.  A matrix stops squaring once its
-    own s is reached, so its result does not depend on the rest of the
-    stack."""
-    M = np.asarray(M, dtype=float)
-    M2 = M @ M
-    M4 = M2 @ M2
-    M6 = M4 @ M2
-    d8 = _norm_root(M4 @ M4, 8)
-    eta = np.minimum(np.maximum(_norm_root(M6, 6), d8),
-                     np.maximum(d8, _norm_root(M4 @ M6, 10)))
-    s = np.ceil(np.log2(np.maximum(eta, _THETA13) / _THETA13)).astype(int)
-    scale = np.ldexp(1.0, -s)[..., None, None]
-    M = M * scale
-    M2 = M2 * scale**2
-    M4 = M4 * scale**4
-    M6 = M6 * scale**6
-    b = _PADE13
-    eye = np.eye(M.shape[-1])
-    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * eye)
-    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye)
-    E = np.linalg.solve(V - U, V + U)
+    X = a K with a = 2^-s h_i is evaluated by T_24 in Paterson-Stockmeyer
+    form, T_24(X) = B_0 + X^6 (B_1 + X^6 (B_2 + X^6 (B_3 + X^6 / 24!))) with
+    B_j = sum_{i<6} a^i K^i / (6j + i)!, and squared s times.  Each pair
+    (h_i, K) takes its own s = max(0, ceil(log2(|h_i| eta / theta_24))),
+    since d_k(hK) = |h| d_k(K), and stops squaring once its own s is
+    reached, so its result does not depend on the rest of the stack."""
+    P, eta = powers
+    h = np.asarray(h, dtype=float).reshape((-1,) + (1,) * eta.ndim)
+    s = np.ceil(np.log2(np.maximum(np.abs(h) * eta, _THETA24) / _THETA24)).astype(int)
+    ai = (h * np.ldexp(1.0, -s))[..., None] ** np.arange(7.0)
+    # the coefficients of B_j per pair, so that B_j is one product with
+    # the stacked powers and X^i is never formed
+    coef = ai[..., None, :6] * _TAYLOR_BLOCKS
+    m = P.shape[-1]
+    Pf = P.reshape(P.shape[:-2] + (m * m,))[..., :6, :]
+    X6 = ai[..., 6, None, None] * P[..., 6, :, :]
+    E = _TAYLOR_LAST * X6
+    for j in (3, 2, 1, 0):
+        E = (coef[..., j : j + 1, :] @ Pf).reshape(E.shape) + E
+        if j:
+            E = X6 @ E
     for j in range(int(np.max(s, initial=0))):
         E = np.where((s > j)[..., None, None], E @ E, E)
     return E
+
+
+def _expm(K, h):
+    """exp(h_i K) for each step length h_i and each matrix of a (..., m, m)
+    stack K of finite matrices, shape (len(h),) + K.shape: a degree-24
+    Taylor scaling and squaring with no linear solve (see _taylor_expm).
+
+    The scaling takes eta from the norms of K^4, K^5 and K^6, not from
+    ||hK||_1 (Al-Mohy & Higham 2009).  The Jacobi generators are far from
+    normal, so d_k lies well below ||K||_1, and scaling by the plain norm
+    would square too often and lose digits (det A off by 2e-9 relative at
+    |b| = 100 against mpmath, 4.8e-11 with eta)."""
+    return _taylor_expm(_taylor_powers(K), h)
 
 
 def jacobi_flow(W, R, s):
@@ -530,9 +548,10 @@ def jacobi_flow(W, R, s):
     Each interval between consecutive times is split into equal steps
     with h * max(1, max|W|, sqrt(max|R|)) <= 1: |K| grows like b^2, and
     one exponential over the whole span loses digits in its squaring
-    phase as it does (det A off by 7e-8 relative at |b| = 100 and 2e-2 at
-    |b| = 1e3 against mpmath).  The step exponentials of all intervals
-    come from stacked _expm calls of at most _EXPM_ENTRIES entries each.
+    phase as it does (with one step per interval, det A is off by 4e-8
+    relative at |b| = 100 and 6e-2 at |b| = 1e3 against mpmath).  The powers of K and their norms are taken
+    once per flow; the step exponentials of all intervals then come from
+    _taylor_expm calls of at most _EXPM_ENTRIES entries of output each.
     More than _MAX_FLOW_STEPS steps up to the last time raise DomainError
     before any is taken.
     """
@@ -566,10 +585,11 @@ def jacobi_flow(W, R, s):
     out = np.empty((len(s),) + Y.shape)
     span = np.diff(s, prepend=0.0)
     steps = np.ceil(span * rate).astype(int)
-    h = (span / np.maximum(steps, 1)).reshape((-1,) + (1,) * K.ndim)
+    h = span / np.maximum(steps, 1)
+    powers = _taylor_powers(K)
     group = max(1, _EXPM_ENTRIES // max(K.size, 1))
     for lo in range(0, len(s), group):
-        E = _expm(h[lo : lo + group] * K)
+        E = _taylor_expm(powers, h[lo : lo + group])
         for k in range(lo, min(lo + group, len(s))):
             for _ in range(steps[k]):
                 Y = Y @ E[k - lo]

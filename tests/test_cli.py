@@ -38,6 +38,15 @@ def test_curvature_model_group_passes(tmp_path, capsys):
     assert payload["hypotheses"]["holds"] is True
 
 
+def test_curvature_large_n_is_fast(capsys):
+    # the identity catalog contracts the (2n+1)^4-entry curvature tensors
+    # one vector at a time, so each of its calls makes one pass over them
+    start = time.perf_counter()
+    assert main(["curvature", "--heisenberg", "--n", "8", "--samples", "10"]) == 0
+    assert time.perf_counter() - start < 8.0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_curvature_rejects_model_plus_heisenberg(tmp_path, capsys):
     model = tmp_path / "m.json"
     alg, cs = build_heisenberg_algebra(1, 1.0)

@@ -106,6 +106,28 @@ def test_reversibility():
     assert np.max(np.abs(again.vel - start.vel)) <= 1e-8
 
 
+def test_flow_matches_the_frame_matrix_right_hand_side():
+    # the flow writes the position derivative out; integrate u applied to
+    # frame_matrix and u' = -Gamma(u, u) as einsum instead, to the same end
+    rng = np.random.default_rng(3)
+    for n, eps in ((1, 1.0), (2, 0.5), (3, 2.0)):
+        m = HeisenbergModel(n=n, eps=eps)
+        d = m.dim
+
+        def rhs(_t, y, m=m, d=d):
+            u = y[d:]
+            u_dot = -np.einsum("i,j,ijk->k", u, u, m.gamma)
+            return np.concatenate((u @ frame_matrix(m, y[:d]), u_dot))
+
+        start = GeodesicState(rng.normal(size=d), rng.normal(size=d))
+        traj = geodesic_flow(m, start, T=3.0, tol=1e-12)
+        y0 = np.concatenate((start.pos, start.vel))
+        ref = scipy.integrate.solve_ivp(rhs, (0.0, 3.0), y0, method="DOP853",
+                                        rtol=1e-12, atol=1e-12)
+        assert np.max(np.abs(traj.pos[-1] - ref.y[:d, -1])) <= 1e-9
+        assert np.max(np.abs(traj.vel[-1] - ref.y[d:, -1])) <= 1e-9
+
+
 def test_flow_argument_validation():
     m = HeisenbergModel(n=1, eps=1.0)
     s = _origin_state(m, [0.0, 1.0, 0.0])
