@@ -8,7 +8,8 @@ identical flags and seed produce byte-identical files.
 
 Exit codes: 0 when every check passes, 1 when a verification fails, and 2
 for usage errors (bad flags, values outside an operation's domain,
-malformed model files).
+malformed model files) and for output that cannot be written (an
+unwritable --output, a closed stdout).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 
@@ -54,8 +56,9 @@ from .riccati import (
 # about 160 bytes per point, so 10^6 points stay near 150 MB, like
 # mcp._MAX_SCAN_POINTS.
 _MAX_RANGE_COUNT = 1_000_000
-# The largest --n.  curvature holds (2n+1)^4-entry tensors: 2.8 million
-# entries (23 MB) each at n = 20.
+# The largest --n.  curvature holds four (2n+1)^4-entry tensors, 2.8
+# million entries (23 MB) each at n = 20, and the identity catalog traces
+# at most 61 MB more while it contracts them with its stacks of vectors.
 _MAX_N = 20
 # The most count * (2n+1)^2 block entries of one riccati run, at about 64
 # bytes each: about 130 MB.
@@ -486,11 +489,16 @@ def main(argv=None) -> int:
     try:
         if args.n > _MAX_N:
             raise McplabError(f"--n must be at most {_MAX_N}, got {args.n}")
-        return args.func(args)
-    except McplabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (as by `| head -1`); point it at devnull
+        # so that the interpreter's last flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: cannot write to standard output: broken pipe", file=sys.stderr)
         return 2
-    except argparse.ArgumentTypeError as exc:
+    except (McplabError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

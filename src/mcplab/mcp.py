@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, OutOfRegimeError, VelocitySpecError
 from .heisenberg import HeisenbergModel
-from .riccati import RiccatiParams, _det_a, _model_blocks, jacobi_flow
+from .riccati import RiccatiParams, _det_a, _model_blocks, _sinc, jacobi_flow
 
 _MAX_REJECT_FRACTION = 0.01
 # Samples per jacobi_flow call in monte_carlo_contraction.  A flow holds
@@ -86,6 +86,22 @@ def contraction_bound(n: int, t):
     return (1.0 - np.asarray(t, dtype=float)) ** (2 * n + 3)
 
 
+def _ratio(b, c, n: int, t):
+    """D(t) / (1-t)^(2n+3) for broadcastable (b, c, t) arrays, per block:
+    with s = 1 - t and d1 the 3x3 block's determinant,
+
+        [d1(s) / d1(1) / s^5] [sinc(cs) / sinc(c)]^(2n-2).
+
+    Neither factor holds a power of s above the fifth, so nothing
+    underflows as n grows, where det A(s) and (1-t)^(2n+3) both do.  At
+    n = 1 it rounds exactly as density(t) / contraction_bound(t)."""
+    s = 1.0 - t
+    ratio = _det_a(b, c, 1, s) / _det_a(b, c, 1, 1.0) / s**5
+    if n == 1:
+        return ratio
+    return ratio * (_sinc(c * s) / _sinc(c)) ** (2 * n - 2)
+
+
 @dataclass
 class DensityProfile:
     """Density, bound and their ratio on a t grid for one (b, c, n)."""
@@ -104,7 +120,7 @@ def density_profile(params: RiccatiParams, t_grid) -> DensityProfile:
     dens = np.atleast_1d(density(params, t_grid))
     with np.errstate(all="ignore"):
         bound = contraction_bound(params.n, t_grid)
-        ratio = dens / bound
+        ratio = _ratio(params.b, params.c, params.n, t_grid)
     _require_finite(ratio, "density/bound ratio")
     return DensityProfile(
         params=params,
@@ -222,8 +238,7 @@ def mcp_scan(
     c = c_values[None, :, None]
     t = t_values[None, None, :]
 
-    dens = _det_a(b, c, n, 1.0 - t) / _det_a(b, c, n, 1.0)
-    ratio = dens / (1.0 - t) ** (2 * n + 3)
+    ratio = _ratio(b, c, n, t)
 
     i = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
     min_ratio = float(ratio[i])
@@ -261,8 +276,9 @@ def sharpness_scan(
 
     The minimum approaches 1 from above as b grows and c shrinks, which is
     the empirical sharpness of the exponent 2n + 3; on the b = 0 slice
-    alone the ratio never drops below (1-t)^(-2).  A ratio that is not
-    finite anywhere on the grid raises DomainError."""
+    alone the ratio never drops below (1-t)^(-2).  A NaN ratio anywhere on
+    the grid raises DomainError; an infinite one (near c = pi for n >= 17)
+    lies above the infimum."""
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if not (0.0 < t < 1.0):
@@ -272,10 +288,9 @@ def sharpness_scan(
     b = np.concatenate(([0.0], np.geomspace(1e-2, b_max, b_points)))[:, None]
     c = np.geomspace(1e-4, np.pi - 1e-9, c_points)[None, :]
     with np.errstate(all="ignore"):
-        dens = _det_a(b, c, n, 1.0 - t) / _det_a(b, c, n, 1.0)
-        ratio = dens / (1.0 - t) ** (2 * n + 3)
-    _require_finite(ratio, "density/bound ratio")
-    return float(np.min(ratio))
+        infimum = np.min(_ratio(b, c, n, t))
+    _require_finite(infimum, "density/bound ratio")
+    return float(infimum)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +338,8 @@ def _flow_dets(b, c, n, s):
 
 @dataclass
 class MonteCarloResult:
-    """Sampled contraction ratio with its bootstrap uncertainty.
+    """Sampled contraction ratio with the delta-method standard error of
+    a ratio estimator.
 
     Iterable as (ratio, std_error) for tuple unpacking."""
 
@@ -362,7 +378,6 @@ def monte_carlo_contraction(
     t: float,
     samples: int = 100_000,
     seed: int = 0,
-    bootstrap: int = 200,
 ) -> MonteCarloResult:
     """Estimate mu(U_t) / mu(U_0) for U_0 the exponential image of the
     velocity set at x0, by uniform sampling of the set and the distortion
@@ -374,8 +389,10 @@ def monte_carlo_contraction(
     and recorded only).  Samples whose vertical scalar reaches |c| >= pi
     lie past their first conjugate time before the endpoint; they are
     rejected and counted, and more than 1% rejections aborts with
-    VelocitySpecError.  The standard error comes from a seeded bootstrap
-    over the sampled determinant pairs."""
+    VelocitySpecError.  With x = det A(1 - t) and y = det A(1) per sample
+    and R the ratio, the standard error is the delta method's
+    sqrt(var(x - R y) / N) / mean(y) (Cochran, Sampling Techniques,
+    1977, ch. 6)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dim,) or not np.all(np.isfinite(x0)):
         raise DomainError(f"x0 must be {model.dim} finite coordinates")
@@ -383,8 +400,6 @@ def monte_carlo_contraction(
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
     if samples < 1000:
         raise DomainError("samples must be >= 1000")
-    if bootstrap < 10:
-        raise DomainError("bootstrap must be >= 10")
     rng = np.random.default_rng(seed)
 
     n = model.n
@@ -405,13 +420,10 @@ def monte_carlo_contraction(
 
     det_t, det_1 = _flow_dets(b, c, n, [1.0 - t, 1.0])
     ratio = float(np.sum(det_t) / np.sum(det_1))
-
     N = len(b)
-    reps = np.empty(bootstrap)
-    for k in range(bootstrap):
-        idx = rng.integers(0, N, N)
-        reps[k] = np.sum(det_t[idx]) / np.sum(det_1[idx])
-    std_error = float(np.std(reps, ddof=1))
+    std_error = float(
+        np.sqrt(np.var(det_t - ratio * det_1, ddof=1) / N) / np.mean(det_1)
+    )
 
     return MonteCarloResult(
         ratio=ratio,

@@ -7,10 +7,12 @@ error.  File outputs are checked for byte-level reproducibility.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,11 +41,20 @@ def test_curvature_model_group_passes(tmp_path, capsys):
 
 
 def test_curvature_large_n_is_fast(capsys):
-    # the identity catalog contracts the (2n+1)^4-entry curvature tensors
-    # one vector at a time, so each of its calls makes one pass over them
+    # the identity catalog contracts each (2n+1)^4-entry curvature tensor
+    # with whole stacks of vectors, and the sectional values of a direction
+    # come from one matrix per direction
     start = time.perf_counter()
     assert main(["curvature", "--heisenberg", "--n", "8", "--samples", "10"]) == 0
     assert time.perf_counter() - start < 8.0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_curvature_at_the_n_cap_is_fast(capsys):
+    # --n 20 is the CLI's cap; one vector pair at a time this took minutes
+    start = time.perf_counter()
+    assert main(["curvature", "--heisenberg", "--n", "20", "--samples", "10"]) == 0
+    assert time.perf_counter() - start < 30.0
     assert "PASS" in capsys.readouterr().out
 
 
@@ -448,6 +459,54 @@ def test_curvature_missing_model_file(tmp_path, capsys):
     garbled.write_text("{not json")
     rc = main(["curvature", "--model", str(garbled)])
     _one_line_usage_error(rc, capsys)
+
+
+def test_mcp_scan_near_t_one_at_the_n_cap(capsys):
+    # at t = 1 - 1e-8, (1-t)^43 and det A underflow to 0; the per-block
+    # ratio does not, so nothing reads as a violation and nothing warns
+    argv = ["mcp-scan", "--n", "20", "--b", "0:1:3", "--c", "-1:1:3",
+            "--t", "0.1:0.99999999:3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "violations: 0" in out and "nan" not in out
+
+
+def test_closed_stdout_is_an_io_error():
+    # the reader of stdout has gone before the first line is printed: one
+    # line on stderr and exit 2, as for an unwritable --output
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mcplab.cli", "curvature", "--heisenberg", "--n", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _readme_command_lines():
+    """The mcplab command lines of README's usage block, continuations
+    joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command-line usage", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines()
+            if line.startswith("mcplab ")]
+
+
+def test_readme_usage_block_runs(tmp_path, monkeypatch, capsys):
+    lines = _readme_command_lines()
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, argv
+    assert (tmp_path / "contract.json").exists() and (tmp_path / "profile.csv").exists()
 
 
 def test_module_entry_point():

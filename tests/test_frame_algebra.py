@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from mcplab.errors import DomainError, ModelValidationError
 from mcplab.frame_algebra import (
+    ConnectionCoeffs,
+    CurvatureData,
+    _adapted_basis,
+    _jacobi_operator,
     build_heisenberg_algebra,
     check_main_hypotheses,
-    connection_in_scaled_frame,
     curvature,
     levi_civita,
     model_from_dict,
@@ -90,6 +93,13 @@ def test_levi_civita_heisenberg_values():
     lc2 = levi_civita(alg2)
     assert np.allclose(lc2.gamma[1, 2], np.array([1.0, 0.0, 0.0]))  # eps/2 v0
     assert np.allclose(lc2.gamma[1, 0], np.array([0.0, 0.0, -1.0]))  # -eps/2 Y1
+
+
+def connection_in_scaled_frame(conn, scales):
+    """Coefficients of the same connection in the rescaled frame
+    e_i' = scales[i] e_i."""
+    s = np.asarray(scales, dtype=float)
+    return np.einsum("i,j,ijk,k->ijk", s, s, conn.gamma, 1.0 / s)
 
 
 def _random_two_step_algebra(rng, n_h, n_z):
@@ -238,6 +248,129 @@ def test_identity_catalog_passes_for_model_structures():
             assert worst <= 1e-10
 
 
+_IDENTITY_NAMES = [
+    "eta_from_metric", "reeb_lie_J", "reeb_lie_metric", "reeb_gradient",
+    "reeb_gradient_skew", "reeb_autoparallel", "covJ_horizontal",
+    "covJ_horizontal_via_gradient", "covJ_vertical_slot",
+    "covJ_vertical_slot_via_gradient", "covJ_along_reeb",
+    "covJ_along_reeb_mixed", "covJ_reeb_reeb", "eta_derivative_pairing",
+    "horizontal_derivative_split", "derivative_along_reeb",
+    "horizontal_derivative_eps_independent",
+    "canonical_connection_eps_independent", "integrability",
+    "curvature_reeb_slot", "canonical_vs_metric_horizontal",
+    "canonical_curvature_reeb_slot", "canonical_vs_metric_mixed",
+    "canonical_mixed_horizontal_part", "sectional_mixed_row",
+    "sectional_vertical", "sectional_horizontal_block", "ricci_matches_trace",
+]
+# The identities that read each of lc, tw, curv_lc and curv_tw (positions
+# 2-5 of the catalog's arguments).  covJ_vertical_slot_via_gradient reads
+# lc but cannot fail: (grad_x J) V + J grad_x V = grad_x (J V), and J V = 0
+# is a precondition of the catalog, so it is not listed.
+_READERS = {
+    2: {"reeb_gradient", "reeb_gradient_skew", "reeb_autoparallel",
+        "covJ_horizontal", "covJ_horizontal_via_gradient", "covJ_vertical_slot",
+        "covJ_along_reeb", "covJ_along_reeb_mixed", "covJ_reeb_reeb",
+        "eta_derivative_pairing", "horizontal_derivative_split",
+        "derivative_along_reeb", "horizontal_derivative_eps_independent"},
+    3: {"canonical_connection_eps_independent"},
+    4: {"curvature_reeb_slot", "canonical_vs_metric_horizontal",
+        "canonical_vs_metric_mixed", "sectional_mixed_row", "sectional_vertical",
+        "sectional_horizontal_block", "ricci_matches_trace"},
+    5: {"canonical_vs_metric_horizontal", "canonical_curvature_reeb_slot",
+        "canonical_vs_metric_mixed", "canonical_mixed_horizontal_part",
+        "sectional_horizontal_block"},
+}
+
+
+def _perturbed(arg, rng):
+    """The same connection or curvature with 1e-3 noise on its tensors
+    (the stored Ricci form is kept)."""
+    def noisy(a):
+        return a + 1e-3 * rng.normal(size=a.shape)
+
+    if isinstance(arg, ConnectionCoeffs):
+        return ConnectionCoeffs(gamma=noisy(arg.gamma), torsion_free=arg.torsion_free)
+    return CurvatureData(riem=noisy(arg.riem), ricci=arg.ricci,
+                         operator=noisy(arg.operator),
+                         connection_kind=arg.connection_kind)
+
+
+def test_identity_catalog_detects_each_perturbed_argument():
+    # every identity that reads an argument fails when only that argument
+    # is perturbed, and every other identity still passes
+    rng = np.random.default_rng(5)
+    for n, eps in ((1, 0.5), (2, 2.0), (3, 1.0)):
+        stack = _full_stack(n, eps)
+        report = verify_structure_identities(*stack, tol=1e-10)
+        assert [r.name for r in report.identities] == _IDENTITY_NAMES
+        assert report.passed
+        for k, readers in _READERS.items():
+            args = list(stack)
+            args[k] = _perturbed(args[k], rng)
+            report = verify_structure_identities(*args, tol=1e-10)
+            large = {r.name for r in report.identities if r.residual > 1e-6}
+            assert large == readers, (n, eps, k)
+            assert {r.name for r in report.failed_identities()} == readers
+
+
+def test_catalog_matches_per_vector_loops():
+    # the stacked catalog against loops over the same vectors, on perturbed
+    # inputs whose residuals are far above round-off
+    rng = np.random.default_rng(9)
+    alg, cs, lc, tw, curv_lc, curv_tw = _full_stack(2, 1.5)
+    lc, curv_lc, curv_tw = (_perturbed(a, rng) for a in (lc, curv_lc, curv_tw))
+    report = verify_structure_identities(alg, cs, lc, tw, curv_lc, curv_tw)
+    got = {r.name: r.residual for r in report.identities}
+
+    d, g, J, V, eps = alg.dim, alg.metric, cs.J, cs.reeb, cs.eps
+    Rm, Rt = curv_lc.operator, curv_tw.operator
+    P = cs.horizontal_projector()
+    ys = list(np.eye(d)) + list(np.random.default_rng(0).normal(size=(3, d)))
+    xs = [P @ y for y in ys]
+
+    def norm(v):
+        return np.sqrt(v @ g @ v)
+
+    def rop(R, u, w, z):
+        return np.einsum("i,j,k,ijkm->m", u, w, z, R)
+
+    def cov_j(u, w):
+        return lc.apply(u, J @ w) - J @ lc.apply(u, w)
+
+    c4 = 0.25 * eps**2
+    want = {
+        "covJ_horizontal_via_gradient": max(
+            norm(cov_j(x1, x2) - (x2 @ g @ J @ lc.apply(x1, V)) / eps**2 * V)
+            for x1 in xs for x2 in xs),
+        "curvature_reeb_slot": max(
+            norm(rop(Rm, y1, y2, V) - c4 * (y2 @ g @ V) * (P @ y1)
+                 + c4 * (y1 @ g @ V) * (P @ y2))
+            for y1 in ys for y2 in ys),
+        "canonical_vs_metric_horizontal": max(
+            norm(rop(Rt, x2, x3, x1) - rop(Rm, x2, x3, x1)
+                 - c4 * (J @ x3 @ g @ x1) * (J @ x2)
+                 + c4 * (J @ x2 @ g @ x1) * (J @ x3)
+                 + 2 * c4 * (J @ x2 @ g @ x3) * (J @ x1))
+            for x2 in xs for x3 in xs for x1 in xs[: d + 1]),
+        "canonical_vs_metric_mixed": max(
+            norm(rop(Rt, x1, V, x2) - rop(Rm, x1, V, x2) - c4 * (x1 @ g @ x2) * V)
+            for x1 in xs for x2 in xs),
+    }
+    for name, value in want.items():
+        assert value > 1e-6
+        assert got[name] == pytest.approx(value, rel=1e-9), name
+
+
+def test_jacobi_operator_matches_sectional_like():
+    rng = np.random.default_rng(4)
+    alg, cs, lc, tw, curv_lc, curv_tw = _full_stack(3, 0.7)
+    curv = _perturbed(curv_lc, rng)
+    for _ in range(5):
+        y, u, w = rng.normal(size=(3, alg.dim))
+        M = _jacobi_operator(curv.riem, y)
+        assert u @ M @ w == pytest.approx(curv.sectional_like(u, y, y, w), rel=1e-12)
+
+
 def test_identity_report_ricci_comparison():
     report = verify_structure_identities(*_full_stack(1, 2.0), tol=1e-10)
     cmp = report.ricci_comparison
@@ -293,6 +426,27 @@ def test_main_hypotheses_hold_for_model():
         blob = json.loads(json.dumps(report.to_dict()))
         assert blob["holds"] is True
         assert blob["samples"] == 100
+
+
+def test_main_hypotheses_match_a_per_sample_loop():
+    # the sampler against sectional_like on the same random stream, on a
+    # curvature with no sign, so both minima are far from zero
+    rng = np.random.default_rng(2)
+    alg, cs, lc, tw, curv_lc, curv_tw = _full_stack(3, 1.0)
+    curv = _perturbed(curv_tw, rng)
+    report = check_main_hypotheses(curv, cs, samples=50, seed=8)
+    draw = np.random.default_rng(8)
+    P = cs.horizontal_projector()
+    first, rest = [], []
+    for _ in range(50):
+        v = P @ draw.normal(size=alg.dim)
+        v = v / np.sqrt(v @ v)
+        basis = _adapted_basis(alg.metric, cs, v, draw)
+        first.append(curv.sectional_like(basis[1], v, v, basis[1]))
+        rest.append(sum(curv.sectional_like(w, v, v, w) for w in basis[2:]))
+    assert report.min_sectional == pytest.approx(min(first), rel=1e-10)
+    assert report.min_orthogonal_sum == pytest.approx(min(rest), rel=1e-10)
+    assert not report.holds
 
 
 def test_main_hypotheses_sign_against_angle_grid():

@@ -3,9 +3,10 @@
 import json
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcplab.cli import main
@@ -14,6 +15,7 @@ from mcplab.heisenberg import HeisenbergModel, jacobi_determinants_from_params
 from mcplab.mcp import (
     DensityProfile,
     VelocitySet,
+    _ratio,
     contraction_bound,
     density,
     density_profile,
@@ -23,6 +25,23 @@ from mcplab.mcp import (
     sharpness_scan,
 )
 from mcplab.riccati import RiccatiParams, _det_a
+
+
+def _mp_ratio(b, c, n, ts):
+    """D(t) / (1-t)^(2n+3), written out in 50-digit mpmath from
+    det A(s) = (s^3 sinc^2 + b^2 s^5 sinc sxc)(s sinc)^(2n-2) at x = cs."""
+    with mpmath.workdps(50):
+        def det_a(s):
+            x = mpmath.mpf(c) * s
+            sinc = mpmath.sin(x) / x
+            sxc = (mpmath.sin(x) - x * mpmath.cos(x)) / x**3
+            d1 = s**3 * sinc**2 + mpmath.mpf(b) ** 2 * s**5 * sinc * sxc
+            return d1 * (s * sinc) ** (2 * n - 2)
+
+        return [
+            float(det_a(1 - mpmath.mpf(t)) / det_a(mpmath.mpf(1)) / (1 - mpmath.mpf(t)) ** (2 * n + 3))
+            for t in ts
+        ]
 
 
 def test_density_euclidean_limit():
@@ -190,6 +209,29 @@ def test_mcp_scan_reports_violations():
     assert all(np.isnan(v["ratio"]) for v in report.violations)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    b=st.one_of(st.floats(0.0, 1e4), st.floats(-10.0, 10.0)),
+    c=st.floats(-3.1, 3.1),
+    t=st.floats(0.0, 0.999),
+    n=st.integers(1, 200),
+)
+def test_per_block_ratio_matches_density_over_bound(b, c, t, n):
+    # the per-block ratio is density / bound wherever neither underflows
+    with np.errstate(all="ignore"):
+        normal = min(_det_a(b, c, n, 1.0), _det_a(b, c, n, 1.0 - t), (1.0 - t) ** (2 * n + 3))
+    assume(normal > 1e-290)
+    dens = density(RiccatiParams(b=b, c=c, n=n), t)
+    assert _ratio(b, c, n, t) == pytest.approx(dens / contraction_bound(n, t), rel=1e-12)
+
+
+def test_per_block_ratio_against_mpmath_at_large_n():
+    # where density and bound underflow, the ratio stays finite and exact
+    for b, c, n in ((0.0, 1e-3, 20), (3.0, -2.5, 20), (1.0, 0.5, 200), (50.0, 1.0, 1000)):
+        ts = [0.1, 0.5, 0.9, 0.99999999]
+        np.testing.assert_allclose(_ratio(b, c, n, np.array(ts)), _mp_ratio(b, c, n, ts), rtol=1e-12)
+
+
 def test_ratio_at_small_scalars():
     # b = 0, c -> 0: ratio = (1-t)^(-2) exactly in the limit
     p = RiccatiParams(b=0.0, c=1e-9, n=1)
@@ -213,6 +255,11 @@ def test_sharpness_scan():
     for t, cap in ((0.3, 1.02), (0.5, 1.02), (0.9, 1.05)):
         inf_est = sharpness_scan(1, t)
         assert 1.0 - 1e-9 <= inf_est <= cap
+    # from n = 17 the ratio overflows to inf near c = pi, above the infimum
+    for n in (16, 17, 20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 1.0 - 1e-9 <= sharpness_scan(n, 0.5) <= 1.02
     with pytest.raises(DomainError):
         sharpness_scan(1, 1.0)
     for n, b_max in ((0, 1e4), (-3, 1e4), (1, 0.0), (1, -5.0), (1, np.nan), (1, np.inf)):
@@ -230,11 +277,13 @@ def test_out_of_float_range_raises_domain_error():
             density(huge_b, 0.5)
         with pytest.raises(DomainError):
             density_profile(huge_b, [0.0, 0.5])
-        # (0.01 sinc)^398 underflows to 0 in both density and bound
-        with pytest.raises(DomainError):
-            density_profile(RiccatiParams(b=1.0, c=0.5, n=200), [0.5, 0.99])
         with pytest.raises(DomainError):
             sharpness_scan(1, 1e-300, b_max=1e300)
+        # (0.01 sinc)^398 underflows to 0 in both density and bound, but
+        # the per-block ratio does not
+        prof = density_profile(RiccatiParams(b=1.0, c=0.5, n=200), [0.5, 0.99])
+        assert prof.density[1] == 0.0 and prof.bound[1] == 0.0
+        np.testing.assert_allclose(prof.ratio, _mp_ratio(1.0, 0.5, 200, prof.t_grid), rtol=1e-12)
 
 
 def test_mcp_scan_grid_cap():
@@ -305,6 +354,18 @@ def test_monte_carlo_matches_quadrature():
     ref = quadrature_contraction(model, spec, t=0.4)
     assert abs(res.ratio - ref) <= 3.0 * res.std_error
     assert ref >= (1.0 - 0.4) ** 5 - 1e-12
+
+
+def test_monte_carlo_std_error_matches_the_spread_over_seeds():
+    # the delta-method standard error against the spread of the ratio over
+    # 80 seeds (about 1.12 of it here; a ratio estimator's tail is heavier
+    # than a normal's at 1000 samples)
+    model = HeisenbergModel(n=1, eps=2.0)
+    spec = VelocitySet(horizontal_radius=2.0, vertical_momentum=5.0)
+    runs = [monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=1000, seed=s)
+            for s in range(80)]
+    spread = np.std([r.ratio for r in runs], ddof=1)
+    assert spread / np.mean([r.std_error for r in runs]) == pytest.approx(1.0, abs=0.25)
 
 
 def test_monte_carlo_deterministic_and_seed_sensitive():
