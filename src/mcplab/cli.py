@@ -1,15 +1,22 @@
 """Command-line front end for the verification suites.
 
-Each subcommand runs one suite, prints a short human summary to stdout,
-and optionally writes a machine-readable report (format chosen by the
-output extension: .json or .csv).  JSON reports embed the fully resolved
-configuration, keys are sorted, and floats are serialized via repr, so
-identical flags and seed produce byte-identical files.
+Each subcommand runs one suite and returns (ok, payload, lines, table):
+its verdict (None for conjugate, which has none), the report's own
+fields, the human summary for stdout, and the (header, rows) of its CSV
+form or None.  main looks the subcommand up in _COMMANDS and does the
+rest once for all of them: it adds "command" and "config" to the
+payload, writes the report when --output is given (format chosen by the
+extension: .json or .csv), prints the summary, then PASS or FAIL unless
+ok is None, and maps the verdict to the exit code.  The config is
+derived from the parsed flags (every flag but --output and --heisenberg,
+under its flag name), so a report lists each flag of its subcommand.
+JSON keys are sorted and floats are serialized via repr, so identical
+flags and seed produce byte-identical files.
 
-Exit codes: 0 when every check passes, 1 when a verification fails, and 2
-for usage errors (bad flags, values outside an operation's domain,
-malformed model files) and for output that cannot be written (an
-unwritable --output, a closed stdout).
+Exit codes: 0 when every check passes (or there is no verdict), 1 when a
+verification fails, and 2 for usage errors (bad flags, values outside an
+operation's domain, malformed model files) and for output that cannot be
+written (an unwritable --output, a closed stdout).
 """
 
 from __future__ import annotations
@@ -114,10 +121,9 @@ def _write_csv(path, header, rows) -> None:
         w.writerows([repr(float(v)) for v in row] for row in rows)
 
 
-def _emit(args, payload, table=None) -> None:
-    """Write payload as JSON, or table = (header, rows) as CSV, by the
-    --output extension."""
-    path = getattr(args, "output", None)
+def _emit(path, payload, table=None) -> None:
+    """Write payload as JSON, or table = (header, rows) as CSV, to path by
+    its extension; nothing when path is None."""
     if path is None:
         return
     try:
@@ -133,15 +139,21 @@ def _emit(args, payload, table=None) -> None:
         raise McplabError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _config(args, fields) -> dict:
-    return {name: getattr(args, name.replace("-", "_")) for name in fields}
+def _config(args) -> dict:
+    """Every parsed flag but the subcommand, --output and --heisenberg,
+    under its flag name."""
+    return {
+        name.replace("_", "-"): value
+        for name, value in vars(args).items()
+        if name not in ("command", "output", "heisenberg")
+    }
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each returning (ok, payload, lines, table)
 # ---------------------------------------------------------------------------
 
-def _cmd_curvature(args) -> int:
+def _cmd_curvature(args):
     if args.model and args.heisenberg:
         raise McplabError("--model and --heisenberg are mutually exclusive")
     if args.model:
@@ -163,35 +175,28 @@ def _cmd_curvature(args) -> int:
     hyp = check_main_hypotheses(
         curv_tw, cs, samples=args.samples, seed=args.seed, metric=alg.metric
     )
+    tw_max = float(np.max(np.abs(curv_tw.riem)))
     payload = {
-        "command": "curvature",
-        "config": _config(
-            args, ["model", "n", "eps", "tol", "samples", "seed"]
-        ),
         "identities": report.to_dict(),
         "hypotheses": hyp.to_dict(),
-        "tw_curvature_max_abs": float(np.max(np.abs(curv_tw.riem))),
+        "tw_curvature_max_abs": tw_max,
     }
-    _emit(args, payload)
     n_fail = len(report.failed_identities())
-    print(
-        f"identities: {len(report.identities)} checked, {n_fail} failed "
-        f"(tol {args.tol:g})"
-    )
+    lines = [f"identities: {len(report.identities)} checked, {n_fail} failed "
+             f"(tol {args.tol:g})"]
     if report.precondition_failures:
-        print("preconditions violated: " + "; ".join(report.precondition_failures))
-    print(f"canonical-connection curvature max |entry|: {payload['tw_curvature_max_abs']:.3e}")
-    print(
+        lines.append("preconditions violated: "
+                     + "; ".join(report.precondition_failures))
+    lines.append(f"canonical-connection curvature max |entry|: {tw_max:.3e}")
+    lines.append(
         f"hypotheses hold: {hyp.holds} "
         f"(min sectional {hyp.min_sectional:.3e}, "
         f"min orthogonal sum {hyp.min_orthogonal_sum:.3e})"
     )
-    ok = report.passed and hyp.holds
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return report.passed and hyp.holds, payload, lines, None
 
 
-def _cmd_riccati(args) -> int:
+def _cmd_riccati(args):
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
     ts = _parse_range(args.t)
     if len(ts) * (2 * args.n + 1) ** 2 > _MAX_RICCATI_ENTRIES:
@@ -228,147 +233,107 @@ def _cmd_riccati(args) -> int:
                 "rel_error": err,
             }
         )
-    payload = {
-        "command": "riccati",
-        "config": _config(args, ["b", "c", "n", "t", "tol"]),
-        "points": rows,
-        "max_rel_error": worst,
-    }
     header = ["t", "tr_F1_closed", "tr_F1_ode", "f3_closed", "rel_error"]
-    _emit(args, payload, (header, [[r[k] for k in header] for r in rows]))
-    print(
-        f"closed forms vs ODE at {len(ts)} point(s): "
-        f"max relative deviation {worst:.3e} (tol {args.tol:g})"
-    )
-    ok = worst <= args.tol
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    lines = [f"closed forms vs ODE at {len(ts)} point(s): "
+             f"max relative deviation {worst:.3e} (tol {args.tol:g})"]
+    return (worst <= args.tol, {"points": rows, "max_rel_error": worst}, lines,
+            (header, [[r[k] for k in header] for r in rows]))
 
 
-def _cmd_conjugate(args) -> int:
+def _cmd_conjugate(args):
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
     t_star = conjugate_time(params, t_max=args.t_max)
     payload = {
-        "command": "conjugate",
-        "config": _config(args, ["b", "c", "n", "t-max"]),
         "c": args.c,
         "vertical_momentum": 2.0 * args.c,
         "t_star": None if t_star is None else float(t_star),
     }
-    _emit(args, payload)
     if t_star is None:
-        print(f"no conjugate time in (0, {args.t_max:g}]")
+        line = f"no conjugate time in (0, {args.t_max:g}]"
     else:
-        print(f"first conjugate time: {t_star:.10f}")
-    return 0
+        line = f"first conjugate time: {t_star:.10f}"
+    return None, payload, [line], None
 
 
-def _cmd_mcp_scan(args) -> int:
+def _cmd_mcp_scan(args):
     b, c, t = _parse_range(args.b), _parse_range(args.c), _parse_range(args.t)
     if len(b) < 2 or len(c) < 2 or len(t) < 2:
         raise McplabError("mcp-scan needs lo:hi:count ranges for --b, --c, --t")
     if len(b) != len(c) or len(c) != len(t):
         raise McplabError("mcp-scan ranges must share one count")
-    resolution = len(b)
     report = mcp_scan(
         args.n,
         b_range=(float(b[0]), float(b[-1])),
         c_range=(float(c[0]), float(c[-1])),
         t_range=(float(t[0]), float(t[-1])),
-        resolution=resolution,
+        resolution=len(b),
         tol=args.tol,
     )
-    payload = {
-        "command": "mcp-scan",
-        "config": _config(args, ["n", "b", "c", "t", "tol"]),
-        "report": report.to_dict(),
-    }
-    _emit(args, payload)
     am = report.argmin
-    print(
-        f"min ratio {report.min_ratio:.12f} at b={am[0]:g} c={am[1]:g} t={am[2]:g}; "
-        f"violations: {len(report.violations)}"
-    )
-    print("PASS" if report.ok else "FAIL")
-    return 0 if report.ok else 1
+    lines = [f"min ratio {report.min_ratio:.12f} at b={am[0]:g} c={am[1]:g} "
+             f"t={am[2]:g}; violations: {len(report.violations)}"]
+    return report.ok, {"report": report.to_dict()}, lines, None
 
 
-def _cmd_sharpness(args) -> int:
+def _cmd_sharpness(args):
     value = float(sharpness_scan(args.n, args.t, b_max=args.b_max))
-    payload = {
-        "command": "sharpness",
-        "config": _config(args, ["n", "t", "b-max", "tol"]),
-        "infimum_estimate": value,
-        "exponent": 2 * args.n + 3,
-    }
-    _emit(args, payload)
-    print(f"infimum of density/bound over (b, c): {value:.9f}")
-    ok = value >= 1.0 - args.tol
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    payload = {"infimum_estimate": value, "exponent": 2 * args.n + 3}
+    lines = [f"infimum of density/bound over (b, c): {value:.9f}"]
+    return value >= 1.0 - args.tol, payload, lines, None
 
 
-def _cmd_contract(args) -> int:
+def _cmd_contract(args):
     model = HeisenbergModel(n=args.n, eps=args.eps)
     spec = VelocitySet(
         horizontal_radius=args.radius, vertical_momentum=args.momentum
     )
     x0 = np.zeros(model.dim)
     result = monte_carlo_contraction(
-        model,
-        x0,
-        spec,
-        t=args.t,
-        samples=args.samples,
-        seed=args.seed,
+        model, x0, spec, t=args.t, samples=args.samples, seed=args.seed
     )
     quad = float(quadrature_contraction(model, spec, t=args.t))
     consistent = abs(result.ratio - quad) <= 3.0 * result.std_error
     payload = {
-        "command": "contract",
-        "config": _config(
-            args,
-            ["n", "eps", "radius", "momentum", "t", "samples", "seed"],
-        ),
         "monte_carlo": result.to_dict(),
         "quadrature": quad,
         "consistent_with_quadrature": consistent,
     }
-    _emit(args, payload)
-    print(
-        f"ratio {result.ratio:.6f} +- {result.std_error:.2e} "
-        f"(bound {result.bound:.6f}, quadrature {quad:.6f})"
-    )
+    lines = [f"ratio {result.ratio:.6f} +- {result.std_error:.2e} "
+             f"(bound {result.bound:.6f}, quadrature {quad:.6f})"]
     if result.rejected_fraction:
-        print(f"rejected {100 * result.rejected_fraction:.2f}% of samples")
-    ok = result.passes and consistent
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+        lines.append(f"rejected {100 * result.rejected_fraction:.2f}% of samples")
+    return result.passes and consistent, payload, lines, None
 
 
-def _cmd_density_profile(args) -> int:
+def _cmd_density_profile(args):
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
     ts = _parse_range(args.t)
     prof = density_profile(params, ts)
-    ok = bool(np.all(prof.ratio >= 1.0 - args.tol))
+    min_ratio = float(np.min(prof.ratio))
     payload = {
-        "command": "density-profile",
-        "config": _config(args, ["b", "c", "n", "t", "tol"]),
         "t": [float(v) for v in prof.t_grid],
         "density": [float(v) for v in prof.density],
         "bound": [float(v) for v in prof.bound],
         "ratio": [float(v) for v in prof.ratio],
-        "min_ratio": float(np.min(prof.ratio)),
+        "min_ratio": min_ratio,
     }
     rows = ([args.b, args.c, *row]
             for row in zip(prof.t_grid, prof.density, prof.bound, prof.ratio))
-    _emit(args, payload, (["b", "c", "t", "density", "bound", "ratio"], rows))
-    print(
-        f"density over {len(ts)} point(s): min ratio to (1-t)^{2 * args.n + 3} "
-        f"= {float(np.min(prof.ratio)):.12f}"
-    )
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    lines = [f"density over {len(ts)} point(s): min ratio to "
+             f"(1-t)^{2 * args.n + 3} = {min_ratio:.12f}"]
+    return (bool(np.all(prof.ratio >= 1.0 - args.tol)), payload, lines,
+            (["b", "c", "t", "density", "bound", "ratio"], rows))
+
+
+_COMMANDS = {
+    "curvature": _cmd_curvature,
+    "riccati": _cmd_riccati,
+    "conjugate": _cmd_conjugate,
+    "mcp-scan": _cmd_mcp_scan,
+    "sharpness": _cmd_sharpness,
+    "contract": _cmd_contract,
+    "density-profile": _cmd_density_profile,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -383,74 +348,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mcplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--n", type=int, default=1)
+    common.add_argument("--output", help="write a report (.json or .csv)")
 
-    def common(p):
-        p.add_argument("--output", help="write a report (.json or .csv)")
+    def add(name, summary):
+        return sub.add_parser(name, help=summary, parents=[common])
 
-    p = sub.add_parser("curvature", help="verify structure identities and hypotheses")
+    p = add("curvature", "verify structure identities and hypotheses")
     p.add_argument("--heisenberg", action="store_true", help="use the model group")
     p.add_argument("--model", help="load a model from a JSON file")
-    p.add_argument("--n", type=int, default=1)
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_curvature)
 
-    p = sub.add_parser("riccati", help="closed forms vs ODE integration")
+    p = add("riccati", "closed forms vs ODE integration")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", default="0.1:0.9:9", help="value or lo:hi:count")
     p.add_argument("--tol", type=_tolerance, default=1e-6)
-    common(p)
-    p.set_defaults(func=_cmd_riccati)
 
-    p = sub.add_parser("conjugate", help="first conjugate time")
+    p = add("conjugate", "first conjugate time")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--n", type=int, default=1)
     p.add_argument("--t-max", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=_cmd_conjugate)
 
-    p = sub.add_parser("mcp-scan", help="contraction inequality over a grid")
-    p.add_argument("--n", type=int, default=1)
+    p = add("mcp-scan", "contraction inequality over a grid")
     p.add_argument("--b", default="0:10:50", help="lo:hi:count")
     p.add_argument("--c", default="-3:3:50", help="lo:hi:count")
     p.add_argument("--t", default="0.05:0.95:50", help="lo:hi:count")
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    common(p)
-    p.set_defaults(func=_cmd_mcp_scan)
 
-    p = sub.add_parser("sharpness", help="infimum of density/bound at fixed t")
-    p.add_argument("--n", type=int, default=1)
+    p = add("sharpness", "infimum of density/bound at fixed t")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--b-max", type=float, default=1e4)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    common(p)
-    p.set_defaults(func=_cmd_sharpness)
 
-    p = sub.add_parser("contract", help="Monte Carlo set contraction")
-    p.add_argument("--n", type=int, default=1)
+    p = add("contract", "Monte Carlo set contraction")
     p.add_argument("--eps", type=float, default=1.0)
     p.add_argument("--radius", type=float, default=2.0, help="|w_H| bound")
     p.add_argument("--momentum", type=float, default=5.0, help="|<w,V>| bound")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(func=_cmd_contract)
 
-    p = sub.add_parser("density-profile", help="density vs bound on a t grid")
+    p = add("density-profile", "density vs bound on a t grid")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", default="0:0.95:20", help="value or lo:hi:count")
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    common(p)
-    p.set_defaults(func=_cmd_density_profile)
 
     return parser
 
@@ -489,9 +436,15 @@ def main(argv=None) -> int:
     try:
         if args.n > _MAX_N:
             raise McplabError(f"--n must be at most {_MAX_N}, got {args.n}")
-        code = args.func(args)
+        ok, payload, lines, table = _COMMANDS[args.command](args)
+        payload = {"command": args.command, "config": _config(args), **payload}
+        _emit(args.output, payload, table)
+        for line in lines:
+            print(line)
+        if ok is not None:
+            print("PASS" if ok else "FAIL")
         sys.stdout.flush()
-        return code
+        return 0 if ok is None or ok else 1
     except BrokenPipeError:
         # stdout was closed early (as by `| head -1`); point it at devnull
         # so that the interpreter's last flush does not raise again

@@ -34,6 +34,9 @@ KIND_LEVI_CIVITA = "levi-civita"
 KIND_TANAKA_WEBSTER = "tanaka-webster"
 
 _VALIDATE_TOL = 1e-10
+# check_main_hypotheses counts a hypothesis as holding when its minimum
+# is at least -_HYPOTHESIS_TOL.
+_HYPOTHESIS_TOL = 1e-10
 
 
 def _contract(u, T):
@@ -111,9 +114,6 @@ class ContactStructure:
     def horizontal_projector(self) -> np.ndarray:
         """Projection onto ker eta along V (acts on coefficient vectors)."""
         return np.eye(len(self.eta)) - np.outer(self.reeb, self.eta)
-
-    def d_eta(self, alg: FrameAlgebra, u, v) -> float:
-        return float(-self.eta @ alg.bracket_of(u, v))
 
     def validate(self, alg: FrameAlgebra, tol: float = _VALIDATE_TOL) -> list[str]:
         """Names of violated contact invariants (empty when valid)."""
@@ -460,7 +460,6 @@ def verify_structure_identities(
     pairing = (gradX_V @ J.T @ g @ X.T)[..., None]
     add("covJ_horizontal_via_gradient", _norms(g, covJ_XX - pairing / eps**2 * V))
     add("covJ_vertical_slot", _norms(g, covJ_XV + 0.5 * eps**2 * X))
-    add("covJ_vertical_slot_via_gradient", _norms(g, covJ_XV + gradX_V @ J.T))
     add("covJ_along_reeb", _norms(g, JY @ along_V - Y @ along_V @ J.T))
     add("covJ_along_reeb_mixed", _norms(g, covJ_VX - JX @ grad_V + gradX_V @ J.T))
     add("covJ_reeb_reeb", _norms(g, JV @ along_V - V @ along_V @ J.T))
@@ -621,7 +620,6 @@ def check_main_hypotheses(
     cs: ContactStructure,
     samples: int = 200,
     seed: int = 0,
-    tol: float = 1e-10,
     metric=None,
 ) -> HypothesisReport:
     """Sample random orthonormal bases {v, Jv, w_1, ..., w_{2n-2}} of
@@ -656,11 +654,11 @@ def check_main_hypotheses(
         min1 = min(min1, vals[1])
         if n > 1:
             min2 = min(min2, vals[2:].sum())
-    holds = bool(min1 >= -tol and (n == 1 or min2 >= -tol))
+    holds = bool(min1 >= -_HYPOTHESIS_TOL and (n == 1 or min2 >= -_HYPOTHESIS_TOL))
     return HypothesisReport(
         samples=samples,
         seed=seed,
-        tol=tol,
+        tol=_HYPOTHESIS_TOL,
         min_sectional=float(min1),
         min_orthogonal_sum=float(min2),
         orthogonal_vacuous=bool(n == 1),

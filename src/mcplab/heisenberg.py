@@ -41,6 +41,10 @@ from .riccati import RiccatiParams, _model_blocks, build_blocks, jacobi_flow
 # Horizontal speeds below this fraction of the total speed count as
 # vertical: the adapted frame needs a direction for v1.
 _DEGENERATE_FRACTION = 1e-10
+# adapted_frame checks its drift by central differences of step
+# _FD_STEP * max(T, 1) at _CHECK_POINTS interior times.
+_FD_STEP = 1e-6
+_CHECK_POINTS = 25
 
 
 @dataclass(frozen=True)
@@ -102,10 +106,6 @@ class GeodesicState:
     @property
     def speed(self) -> float:
         return float(np.linalg.norm(self.vel))
-
-    @property
-    def vertical_coefficient(self) -> float:
-        return float(self.vel[0])
 
     @property
     def horizontal_speed(self) -> float:
@@ -255,19 +255,14 @@ class AdaptedFrame:
         return self.params.c
 
 
-def adapted_frame(
-    model: HeisenbergModel,
-    traj: Trajectory,
-    fd_step: float = 1e-6,
-    check_points: int = 25,
-) -> AdaptedFrame:
+def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     """Construct the adapted frame along a trajectory and verify its drift.
 
     v0 is constant in frame coefficients; v1 tracks the normalized
     horizontal velocity; v2 = J v1; the remaining rows rotate at rate c in
     their J-planes, which is exactly parallel transport here.  The drift
     equation Dv/dt = W v is verified by central finite differences of the
-    frame plus the connection term, at check_points interior times."""
+    frame plus the connection term, at _CHECK_POINTS interior times."""
     d = model.dim
     start = GeodesicState(pos=traj.pos[0], vel=traj.vel[0])
     params = adapted_params(model, start)
@@ -298,8 +293,8 @@ def adapted_frame(
     # The samples, then the check points and their two neighbours, from one
     # evaluation of the dense solution.
     lo, hi = float(np.min(traj.t)), float(np.max(traj.t))
-    delta = fd_step * max(hi - lo, 1.0)
-    ts = np.linspace(lo + delta, hi - delta, check_points)
+    delta = _FD_STEP * max(hi - lo, 1.0)
+    ts = np.linspace(lo + delta, hi - delta, _CHECK_POINTS)
     times = np.concatenate((traj.t, ts, ts + delta, ts - delta))
     u = traj._sol(times)[d:].T
     uh = u.copy()
@@ -313,7 +308,7 @@ def adapted_frame(
         ct = np.cos(c * times)[:, None, None]
         st = np.sin(c * times)[:, None, None]
         rows[:, 3:] = ct * comp + st * (comp @ J.T)
-    parts = np.cumsum([len(traj.t), check_points, check_points])
+    parts = np.cumsum([len(traj.t), _CHECK_POINTS, _CHECK_POINTS])
     frames, Fm, Fp, Fms = np.split(rows, parts)
     um = np.split(u, parts)[1]
 

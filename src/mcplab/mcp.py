@@ -48,6 +48,12 @@ _CHUNK = 128
 # million points, so 10^7 caps it near 150 MB, 80 times the largest grid
 # (50^3) that the tests and the benchmark use.
 _MAX_SCAN_POINTS = 10_000_000
+# sharpness_scan's grid: b = 0 and _B_POINTS log-spaced values, times
+# _C_POINTS log-spaced values of c in (0, pi).
+_B_POINTS = 160
+_C_POINTS = 200
+# Gauss-Legendre nodes per axis of quadrature_contraction.
+_QUAD_NODES = 64
 
 
 def _require_finite(values, what: str) -> None:
@@ -57,13 +63,27 @@ def _require_finite(values, what: str) -> None:
         raise DomainError(f"{what} is not finite in float64 for these inputs")
 
 
+def _block_ratios(b, c, s):
+    """The two per-block factors of det A(s) / det A(1) for broadcastable
+    (b, c, s) arrays: d1(s) / d1(1), with d1 the 3x3 block's determinant,
+    and sinc(cs) / sinc(c), so that
+
+        det A(s) / det A(1) = [d1(s) / d1(1)] [s sinc(cs) / sinc(c)]^(2n-2).
+
+    Neither factor holds a power of s above the fifth or a power of
+    sinc(c) above the second, so neither underflows as n grows, where
+    det A(s) and det A(1) both do."""
+    return _det_a(b, c, 1, s) / _det_a(b, c, 1, 1.0), _sinc(c * s) / _sinc(c)
+
+
 def density(params: RiccatiParams, t):
-    """Contraction density D(t) = det A(1 - t) / det A(1) in closed form.
+    """Contraction density D(t) = det A(1 - t) / det A(1) in closed form,
+    per block (_block_ratios).
 
     Accepts scalar or array t in [0, 1); requires |c| < pi so that the
     normalization det A(1) is positive (OutOfRegimeError otherwise).
-    Scalars so large that det A overflows raise DomainError.  D(0) = 1
-    exactly."""
+    Scalars so large that D leaves float64 range raise DomainError.
+    D(0) = 1 exactly."""
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr >= 0.0) & (t_arr < 1.0)):
         raise DomainError("t must lie in [0, 1)")
@@ -73,10 +93,12 @@ def density(params: RiccatiParams, t):
         )
     b, c, n = params.b, params.c, params.n
     with np.errstate(all="ignore"):
-        denom = float(_det_a(b, c, n, 1.0))
-        if denom <= 0.0:
+        if not float(_det_a(b, c, 1, 1.0)) > 0.0:
             raise OutOfRegimeError("det A(1) is not positive for these scalars")
-        out = _det_a(b, c, n, 1.0 - t_arr) / denom
+        s = 1.0 - t_arr
+        out, f3 = _block_ratios(b, c, s)
+        if n > 1:
+            out = out * (s * f3) ** (2 * n - 2)
     _require_finite(out, "density")
     return out if out.ndim else float(out)
 
@@ -88,18 +110,18 @@ def contraction_bound(n: int, t):
 
 def _ratio(b, c, n: int, t):
     """D(t) / (1-t)^(2n+3) for broadcastable (b, c, t) arrays, per block:
-    with s = 1 - t and d1 the 3x3 block's determinant,
+    with s = 1 - t,
 
         [d1(s) / d1(1) / s^5] [sinc(cs) / sinc(c)]^(2n-2).
 
-    Neither factor holds a power of s above the fifth, so nothing
-    underflows as n grows, where det A(s) and (1-t)^(2n+3) both do.  At
-    n = 1 it rounds exactly as density(t) / contraction_bound(t)."""
+    Nothing underflows as n grows, where (1-t)^(2n+3) does.  At n = 1 it
+    rounds exactly as density(t) / contraction_bound(t)."""
     s = 1.0 - t
-    ratio = _det_a(b, c, 1, s) / _det_a(b, c, 1, 1.0) / s**5
+    f1, f3 = _block_ratios(b, c, s)
+    ratio = f1 / s**5
     if n == 1:
         return ratio
-    return ratio * (_sinc(c * s) / _sinc(c)) ** (2 * n - 2)
+    return ratio * f3 ** (2 * n - 2)
 
 
 @dataclass
@@ -264,13 +286,7 @@ def mcp_scan(
     )
 
 
-def sharpness_scan(
-    n: int,
-    t: float,
-    b_max: float = 1e4,
-    b_points: int = 160,
-    c_points: int = 200,
-) -> float:
+def sharpness_scan(n: int, t: float, b_max: float = 1e4) -> float:
     """Infimum estimate of D(t) / (1-t)^(2n+3) over b in [0, b_max]
     (log-spaced plus zero) and c in (0, pi).
 
@@ -285,8 +301,8 @@ def sharpness_scan(
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
     if not (0.0 < b_max < np.inf):
         raise DomainError(f"b_max must be positive and finite, got {b_max!r}")
-    b = np.concatenate(([0.0], np.geomspace(1e-2, b_max, b_points)))[:, None]
-    c = np.geomspace(1e-4, np.pi - 1e-9, c_points)[None, :]
+    b = np.concatenate(([0.0], np.geomspace(1e-2, b_max, _B_POINTS)))[:, None]
+    c = np.geomspace(1e-4, np.pi - 1e-9, _C_POINTS)[None, :]
     with np.errstate(all="ignore"):
         infimum = np.min(_ratio(b, c, n, t))
     _require_finite(infimum, "density/bound ratio")
@@ -437,7 +453,7 @@ def monte_carlo_contraction(
 
 
 def quadrature_contraction(
-    model: HeisenbergModel, spec: VelocitySet, t: float, nodes: int = 64
+    model: HeisenbergModel, spec: VelocitySet, t: float
 ) -> float:
     """Deterministic cross-check of monte_carlo_contraction: the same
     ratio via Gauss-Legendre quadrature of the closed-form determinant
@@ -452,7 +468,7 @@ def quadrature_contraction(
             "quadrature needs the full set inside |c| < pi"
         )
     n = model.n
-    xr, wr = np.polynomial.legendre.leggauss(nodes)
+    xr, wr = np.polynomial.legendre.leggauss(_QUAD_NODES)
     rho = 0.5 * spec.horizontal_radius * (xr + 1.0)
     w_rho = 0.5 * spec.horizontal_radius * wr
     if spec.vertical_momentum > 0.0:

@@ -5,6 +5,8 @@ code contract: 0 all checks passed, 1 verification failure, 2 usage
 error.  File outputs are checked for byte-level reproducibility.
 """
 
+import argparse
+import ast
 import json
 import os
 import shlex
@@ -19,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcplab.cli import main
+import mcplab.cli as cli
+from mcplab.cli import build_parser, main
 from mcplab.frame_algebra import build_heisenberg_algebra, model_to_dict
 
 
@@ -518,3 +521,74 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "0.8975979" in proc.stdout
+
+
+# A passing command line of each subcommand.
+_PASSING = {
+    "curvature": ["curvature", "--heisenberg", "--samples", "20"],
+    "riccati": ["riccati", "--b", "1", "--c", "1", "--t", "0.2:0.8:3"],
+    "conjugate": ["conjugate", "--b", "0", "--c", "3.5"],
+    "mcp-scan": ["mcp-scan", "--b", "0:10:5", "--c", "-3:3:5", "--t", "0.05:0.95:5"],
+    "sharpness": ["sharpness", "--t", "0.5"],
+    "contract": ["contract", "--t", "0.3", "--samples", "1000"],
+    "density-profile": ["density-profile", "--b", "2", "--c", "1", "--t", "0:0.9:4"],
+}
+
+
+def _subparser(name):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("name", sorted(_PASSING))
+def test_report_path(name, tmp_path, capsys):
+    # every subcommand reports through main: the verdict line and exit
+    # code, and a JSON report headed by its name and every one of its flags
+    out = tmp_path / "report.json"
+    assert main(_PASSING[name] + ["--output", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    if name == "conjugate":
+        assert last.startswith("first conjugate time:")
+    else:
+        assert last == "PASS"
+    payload = json.loads(out.read_text())
+    assert payload["command"] == name
+    flags = {
+        max(a.option_strings, key=len)[2:]
+        for a in _subparser(name)._actions
+        if a.option_strings and a.dest != "help"
+    }
+    assert set(payload["config"]) == flags - {"output", "heisenberg"}
+
+
+def _traced_names():
+    """The names bench/cli_traced.py wraps in mcplab.cli: its LAYERS and
+    integrate_inverse_riccati."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "cli_traced.py"
+    tree = ast.parse(path.read_text())
+    layers = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS"
+    )
+    return sorted(ast.literal_eval(layers)) + ["integrate_inverse_riccati"]
+
+
+def test_traced_names_are_called_through_cli(monkeypatch, capsys):
+    # the benchmark times each layer by replacing these names in
+    # mcplab.cli, so main must call them as module globals
+    names = _traced_names()
+    assert len(names) == 10
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    for argv in _PASSING.values():
+        assert main(argv) == 0, argv
+    assert all(calls.values()), calls

@@ -251,8 +251,7 @@ def test_identity_catalog_passes_for_model_structures():
 _IDENTITY_NAMES = [
     "eta_from_metric", "reeb_lie_J", "reeb_lie_metric", "reeb_gradient",
     "reeb_gradient_skew", "reeb_autoparallel", "covJ_horizontal",
-    "covJ_horizontal_via_gradient", "covJ_vertical_slot",
-    "covJ_vertical_slot_via_gradient", "covJ_along_reeb",
+    "covJ_horizontal_via_gradient", "covJ_vertical_slot", "covJ_along_reeb",
     "covJ_along_reeb_mixed", "covJ_reeb_reeb", "eta_derivative_pairing",
     "horizontal_derivative_split", "derivative_along_reeb",
     "horizontal_derivative_eps_independent",
@@ -263,9 +262,7 @@ _IDENTITY_NAMES = [
     "sectional_vertical", "sectional_horizontal_block", "ricci_matches_trace",
 ]
 # The identities that read each of lc, tw, curv_lc and curv_tw (positions
-# 2-5 of the catalog's arguments).  covJ_vertical_slot_via_gradient reads
-# lc but cannot fail: (grad_x J) V + J grad_x V = grad_x (J V), and J V = 0
-# is a precondition of the catalog, so it is not listed.
+# 2-5 of the catalog's arguments).
 _READERS = {
     2: {"reeb_gradient", "reeb_gradient_skew", "reeb_autoparallel",
         "covJ_horizontal", "covJ_horizontal_via_gradient", "covJ_vertical_slot",

@@ -232,6 +232,24 @@ def test_per_block_ratio_against_mpmath_at_large_n():
         np.testing.assert_allclose(_ratio(b, c, n, np.array(ts)), _mp_ratio(b, c, n, ts), rtol=1e-12)
 
 
+def test_density_where_det_a_underflows_against_mpmath():
+    # sinc(c)^(2n) underflows det A(1) here, which once read as a
+    # non-positive normalization; per block the density is finite.  The
+    # (2n-2)th power can magnify the base's rounding to about 2n ulp
+    # (measured: 2.1e-15)
+    b, c, n, t = 0.0, 3.0625, 102, 0.3
+    with mpmath.workdps(50):
+        def det_a(s):
+            x = mpmath.mpf(c) * s
+            return s**3 * (mpmath.sin(x) / x) ** 2 * (mpmath.sin(x) / c) ** (2 * n - 2)
+
+        expect = float(det_a(1 - mpmath.mpf(t)) / det_a(mpmath.mpf(1)))
+    with np.errstate(under="ignore"):
+        assert _det_a(b, c, n, 1.0) == 0.0
+    assert density(RiccatiParams(b=b, c=c, n=n), t) == pytest.approx(expect, rel=3e-14)
+    assert expect == pytest.approx(2.0076e209, rel=1e-4)
+
+
 def test_ratio_at_small_scalars():
     # b = 0, c -> 0: ratio = (1-t)^(-2) exactly in the limit
     p = RiccatiParams(b=0.0, c=1e-9, n=1)
