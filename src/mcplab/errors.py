@@ -45,17 +45,6 @@ class DegenerateDirectionError(DomainError):
     (and everything downstream of it) is undefined."""
 
 
-class IntegrationError(McplabError, RuntimeError):
-    """Numerical integration failed; ``last_good_time`` is the largest time
-    for which a finite state was obtained."""
-
-    def __init__(self, last_good_time, message=None):
-        self.last_good_time = float(last_good_time)
-        super().__init__(
-            message or f"integration failed past t = {last_good_time!r}"
-        )
-
-
 class VelocitySpecError(DomainError):
     """An initial-velocity set is unusable, e.g. because too large a
     fraction of it focuses before the contraction ends."""

@@ -7,11 +7,20 @@ Coordinates are (x_1..x_n, y_1..y_n, z) and the orthonormal frame is
     X_i = d_{x_i} - (y_i/2) d_z,
     Y_i = d_{y_i} + (x_i/2) d_z,
 
-so that [X_i, Y_i] = d_z = eps v0.  Geodesics are integrated in
-frame-velocity form: the coefficients u of the velocity in this frame
-satisfy the autonomous system u'_k = -Gamma^k(u, u) with constant
-connection coefficients, and the position follows by applying the frame
-matrix.  Both |u| and the vertical coefficient u_0 are first integrals.
+so that [X_i, Y_i] = d_z = eps v0.  Geodesics are explicit helices.  In
+frame coefficients u = (u_0, u_X, u_Y) of the velocity the geodesic
+equation is u'_k = -Gamma^k(u, u) with constant connection coefficients:
+u_0 is constant and the horizontal part turns at the rate omega = eps u_0.
+With p = x + i y and w = u_X + i u_Y in C^n,
+
+    w(t) = e^{i omega t} w_0,
+    p(t) = p_0 + w_0 E(t),   E(t) = (e^{i omega t} - 1) / (i omega)
+                                  = t e^{i omega t / 2} sinc(omega t / 2),
+    z(t) = z_0 + u_0 t / eps
+           + (1/2) [Im(conj(p_0) . w_0 E(t)) + |w_0|^2 omega t^3 S(omega t)],
+
+with S(x) = (x - sin x) / x^3 (riccati._xms), so vertical velocities
+(w_0 = 0) and horizontal ones (omega = 0) need no case split.
 
 Along a geodesic with nonvanishing horizontal velocity the adapted moving
 frame is v0, v1 = u_H/|u_H|, v2 = J v1, completed by J-paired parallel
@@ -34,9 +43,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DomainError, IntegrationError
+from .errors import DegenerateDirectionError, DomainError
 from .frame_algebra import build_heisenberg_algebra, levi_civita
-from .riccati import RiccatiParams, _model_blocks, build_blocks, jacobi_flow
+from .riccati import (
+    RiccatiParams,
+    _model_blocks,
+    _sinc,
+    _xms,
+    build_blocks,
+    jacobi_flow,
+)
 
 # Horizontal speeds below this fraction of the total speed count as
 # vertical: the adapted frame needs a direction for v1.
@@ -112,34 +128,46 @@ class GeodesicState:
         return float(np.linalg.norm(self.vel[1:]))
 
 
-def frame_matrix(model: HeisenbergModel, pos) -> np.ndarray:
-    """Rows are the coordinate components of (v0, X_i, Y_i) at pos."""
-    pos = np.asarray(pos, dtype=float)
-    n, d = model.n, model.dim
-    if pos.shape != (d,):
-        raise DomainError(f"pos must have shape ({d},), got {pos.shape}")
-    F = np.zeros((d, d))
-    F[0, 2 * n] = 1.0 / model.eps
-    for i in range(n):
-        F[1 + i, i] = 1.0
-        F[1 + i, 2 * n] = -0.5 * pos[n + i]
-        F[1 + n + i, n + i] = 1.0
-        F[1 + n + i, 2 * n] = 0.5 * pos[i]
-    return F
+@dataclass(frozen=True)
+class _Helix:
+    """The exact geodesic through (p0, z0) with initial velocity (u0, w0),
+    where p = x + i y and w = u_X + i u_Y.  Called like a dense ODE
+    solution: a scalar time gives the state (pos, vel) of shape (2d,), an
+    array of times gives shape (2d, len(t))."""
+
+    eps: float
+    u0: float
+    p0: np.ndarray
+    w0: np.ndarray
+    z0: float
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        ts = np.atleast_1d(t)
+        x = self.eps * self.u0 * ts  # omega t
+        E = ts * np.exp(0.5j * x) * _sinc(0.5 * x)
+        p = self.p0[:, None] + self.w0[:, None] * E
+        w = self.w0[:, None] * np.exp(1j * x)
+        # omega t^3 S(omega t) as t^2 x S(x): no t^3 to overflow
+        lift = (np.imag(np.vdot(self.p0, self.w0) * E)
+                + np.vdot(self.w0, self.w0).real * ts * ts * x * _xms(x))
+        z = self.z0 + self.u0 * ts / self.eps + 0.5 * lift
+        y = np.vstack((p.real, p.imag, z, np.full_like(ts, self.u0), w.real, w.imag))
+        return y if t.ndim else y[:, 0]
 
 
 @dataclass
 class Trajectory:
-    """Dense geodesic solution sampled on a grid.
+    """Geodesic sampled on a grid.
 
-    pos and vel have shape (len(t), dim); the dense interpolant is kept for
+    pos and vel have shape (len(t), dim); the exact solution is kept for
     off-grid evaluation via at()."""
 
     model: HeisenbergModel
     t: np.ndarray
     pos: np.ndarray
     vel: np.ndarray
-    _sol: object
+    _sol: _Helix
 
     def at(self, time: float) -> GeodesicState:
         lo, hi = float(np.min(self.t)), float(np.max(self.t))
@@ -162,15 +190,16 @@ def geodesic_flow(
     model: HeisenbergModel,
     start: GeodesicState,
     T: float,
-    tol: float = 1e-10,
     samples: int = 201,
 ) -> Trajectory:
-    """Integrate the geodesic through start for time T (either sign).
+    """The geodesic through start for time T (either sign), sampled at
+    samples equally spaced times from 0 to T.
 
-    The velocity subsystem is u'_k = -Gamma^k(u, u); the position moves by
-    u applied to the frame matrix, written out: (x, y)' = (u_X, u_Y) and
-    z' = u_0 / eps + (x . u_Y - y . u_X) / 2.  Local error is controlled at
-    tol by an adaptive high-order Runge-Kutta scheme with dense output."""
+    The solution is the closed-form helix of the module docstring, exact
+    up to rounding; it solves the velocity subsystem u'_k = -Gamma^k(u, u)
+    and the position equations (x, y)' = (u_X, u_Y),
+    z' = u_0 / eps + (x . u_Y - y . u_X) / 2.  A finite start whose
+    geodesic leaves the float range on [0, T] raises DomainError."""
     d = model.dim
     if len(start.pos) != d:
         raise DomainError(
@@ -178,40 +207,23 @@ def geodesic_flow(
         )
     if not (np.isfinite(T) and T != 0.0):
         raise DomainError(f"T must be finite and nonzero, got {T!r}")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
     if samples < 2:
         raise DomainError("samples must be >= 2")
-    gamma = model.gamma
-    n, eps = model.n, model.eps
-
-    def rhs(_t, y):
-        u = y[d:]
-        z_dot = u[0] / eps + 0.5 * (y[:n] @ u[1 + n :] - y[n : 2 * n] @ u[1 : 1 + n])
-        return np.concatenate((u[1:], [z_dot], -(u @ (u @ gamma))))
-
-    # Imported here, not at module level: scipy.integrate takes most of a
-    # second to load, and only this nonlinear flow needs it.
-    from scipy.integrate import solve_ivp
-
-    y0 = np.concatenate((start.pos, start.vel))
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(T)),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        dense_output=True,
-        t_eval=np.linspace(0.0, float(T), samples),
+    n = model.n
+    pos, vel = start.pos, start.vel
+    sol = _Helix(
+        eps=model.eps,
+        u0=float(vel[0]),
+        p0=pos[:n] + 1j * pos[n : 2 * n],
+        w0=vel[1 : 1 + n] + 1j * vel[1 + n :],
+        z0=float(pos[2 * n]),
     )
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        last = float(sol.t[-1]) if len(sol.t) else 0.0
-        raise IntegrationError(last, f"geodesic integration stopped: {sol.message}")
-    return Trajectory(
-        model=model, t=sol.t.copy(), pos=sol.y[:d].T.copy(), vel=sol.y[d:].T.copy(),
-        _sol=sol.sol,
-    )
+    t = np.linspace(0.0, float(T), samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = sol(t)
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"the geodesic leaves the float range before t = {T!r}")
+    return Trajectory(model=model, t=t, pos=y[:d].T.copy(), vel=y[d:].T.copy(), _sol=sol)
 
 
 def adapted_params(model: HeisenbergModel, state: GeodesicState) -> RiccatiParams:

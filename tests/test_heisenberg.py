@@ -1,17 +1,22 @@
-"""Tests for geodesic flow, adapted frames, and Jacobi determinants."""
+"""Tests for geodesic flow, adapted frames, and Jacobi determinants.
 
+Oracles for the closed-form geodesic flow: solve_ivp on the frame-matrix
+right-hand side with an einsum over the connection coefficients, and the
+written-out geodesic equations integrated by 30-digit mpmath.odefun.
+"""
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 from scipy.integrate import quad
 
-from mcplab.errors import DegenerateDirectionError, DomainError, IntegrationError
+from mcplab.errors import DegenerateDirectionError, DomainError
 from mcplab.heisenberg import (
     GeodesicState,
     HeisenbergModel,
     adapted_frame,
     adapted_params,
-    frame_matrix,
     geodesic_flow,
     jacobi_determinant,
     jacobi_determinants_from_params,
@@ -22,6 +27,21 @@ from mcplab.riccati import RiccatiParams, closed_forms, conjugate_time, det_dist
 
 def _origin_state(model, vel):
     return GeodesicState(pos=np.zeros(model.dim), vel=np.asarray(vel, dtype=float))
+
+
+def frame_matrix(model: HeisenbergModel, pos) -> np.ndarray:
+    """Rows are the coordinate components of (v0, X_i, Y_i) at pos."""
+    pos = np.asarray(pos, dtype=float)
+    n, d = model.n, model.dim
+    assert pos.shape == (d,)
+    F = np.zeros((d, d))
+    F[0, 2 * n] = 1.0 / model.eps
+    for i in range(n):
+        F[1 + i, i] = 1.0
+        F[1 + i, 2 * n] = -0.5 * pos[n + i]
+        F[1 + n + i, n + i] = 1.0
+        F[1 + n + i, 2 * n] = 0.5 * pos[i]
+    return F
 
 
 def test_model_validation():
@@ -78,7 +98,7 @@ def test_mixed_geodesic_conserves_speed_and_vertical():
     rng = np.random.default_rng(5)
     for _ in range(5):
         vel = rng.normal(size=5)
-        traj = geodesic_flow(m, _origin_state(m, vel), T=10.0, tol=1e-10)
+        traj = geodesic_flow(m, _origin_state(m, vel), T=10.0)
         drift = traj.conservation_drift()
         assert drift["speed"] <= 1e-8
         assert drift["vertical"] <= 1e-8
@@ -98,16 +118,16 @@ def test_horizontal_projection_closes_after_one_period():
 def test_reversibility():
     m = HeisenbergModel(n=1, eps=2.0)
     start = GeodesicState(pos=[0.2, -0.4, 1.0], vel=[0.3, 0.8, -0.5])
-    fwd = geodesic_flow(m, start, T=4.0, tol=1e-10)
+    fwd = geodesic_flow(m, start, T=4.0)
     end = fwd.at(4.0)
-    back = geodesic_flow(m, end, T=-4.0, tol=1e-10)
+    back = geodesic_flow(m, end, T=-4.0)
     again = back.at(-4.0)
     assert np.max(np.abs(again.pos - start.pos)) <= 1e-8
     assert np.max(np.abs(again.vel - start.vel)) <= 1e-8
 
 
 def test_flow_matches_the_frame_matrix_right_hand_side():
-    # the flow writes the position derivative out; integrate u applied to
+    # the flow is the closed-form helix; integrate u applied to
     # frame_matrix and u' = -Gamma(u, u) as einsum instead, to the same end
     rng = np.random.default_rng(3)
     for n, eps in ((1, 1.0), (2, 0.5), (3, 2.0)):
@@ -120,7 +140,7 @@ def test_flow_matches_the_frame_matrix_right_hand_side():
             return np.concatenate((u @ frame_matrix(m, y[:d]), u_dot))
 
         start = GeodesicState(rng.normal(size=d), rng.normal(size=d))
-        traj = geodesic_flow(m, start, T=3.0, tol=1e-12)
+        traj = geodesic_flow(m, start, T=3.0)
         y0 = np.concatenate((start.pos, start.vel))
         ref = scipy.integrate.solve_ivp(rhs, (0.0, 3.0), y0, method="DOP853",
                                         rtol=1e-12, atol=1e-12)
@@ -128,13 +148,54 @@ def test_flow_matches_the_frame_matrix_right_hand_side():
         assert np.max(np.abs(traj.vel[-1] - ref.y[d:, -1])) <= 1e-9
 
 
+def _mpmath_geodesic(model, start, times):
+    """States at times (all of one sign) from mpmath.odefun at 30 digits,
+    on the geodesic equations written out: u'_k = -Gamma^k_ij u_i u_j with
+    the model's connection coefficients, (x, y)' = (u_X, u_Y) and
+    z' = u_0 / eps + (x . u_Y - y . u_X) / 2.  odefun only steps forward,
+    so a negative time runs the reversed field to |t|."""
+    n, d = model.n, model.dim
+    sign = 1 if times[0] > 0 else -1
+    with mpmath.workdps(30):
+        eps = mpmath.mpf(model.eps)
+        gamma = [[[mpmath.mpf(float(g)) for g in row] for row in plane]
+                 for plane in model.gamma]
+
+        def field(_s, y):
+            x, yy, z, u = y[:n], y[n : 2 * n], y[2 * n], y[d:]
+            z_dot = u[0] / eps + (mpmath.fdot(x, u[1 + n :])
+                                  - mpmath.fdot(yy, u[1 : 1 + n])) / 2
+            u_dot = [-mpmath.fsum(gamma[i][j][k] * u[i] * u[j]
+                                  for i in range(d) for j in range(d))
+                     for k in range(d)]
+            return [sign * v for v in list(u[1:]) + [z_dot] + u_dot]
+
+        y0 = [mpmath.mpf(float(v)) for v in np.concatenate((start.pos, start.vel))]
+        sol = mpmath.odefun(field, 0, y0)
+        return np.array([[float(v) for v in sol(abs(mpmath.mpf(float(t))))]
+                         for t in times])
+
+
+def test_flow_against_mpmath_odefun():
+    # endpoints and three off-grid times of the closed form against a
+    # 30-digit Taylor integration of the written-out equations
+    rng = np.random.default_rng(11)
+    for n, eps, T in ((1, 1.0, 2.5), (2, 0.5, -3.0), (3, 2.0, 1.5)):
+        m = HeisenbergModel(n=n, eps=eps)
+        start = GeodesicState(rng.normal(size=m.dim), rng.normal(size=m.dim))
+        traj = geodesic_flow(m, start, T=T)
+        times = np.array([0.137, 0.5003, 0.861, 1.0]) * T
+        ref = _mpmath_geodesic(m, start, times)
+        got = np.vstack((traj._sol(times[:3]).T, np.concatenate((traj.pos[-1], traj.vel[-1]))))
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.max(np.abs(got - ref) / scale) <= 1e-12, (n, T)
+
+
 def test_flow_argument_validation():
     m = HeisenbergModel(n=1, eps=1.0)
     s = _origin_state(m, [0.0, 1.0, 0.0])
     with pytest.raises(DomainError):
         geodesic_flow(m, s, T=0.0)
-    with pytest.raises(DomainError):
-        geodesic_flow(m, s, T=1.0, tol=-1.0)
     with pytest.raises(DomainError):
         geodesic_flow(m, s, T=1.0, samples=1)
     s5 = GeodesicState(pos=np.zeros(5), vel=np.ones(5))
@@ -158,14 +219,14 @@ def test_adapted_params_examples():
 
 def test_adapted_frame_drift_and_residual():
     m = HeisenbergModel(n=1, eps=2.0)
-    traj = geodesic_flow(m, _origin_state(m, [0.0, 1.0, 0.0]), T=1.0, tol=1e-10)
+    traj = geodesic_flow(m, _origin_state(m, [0.0, 1.0, 0.0]), T=1.0)
     af = adapted_frame(m, traj)
     assert af.b == -1.0 and af.c == 0.0
     assert np.allclose(af.W[:3, :3], [[0, 0, -1], [0, 0, 0], [1, 0, 0]])
     assert np.max(np.abs(af.W[3:, :]), initial=0.0) == 0.0
     assert af.max_residual <= 1e-7
 
-    traj = geodesic_flow(m, _origin_state(m, [1.0, 1.0, 0.0]), T=1.0, tol=1e-10)
+    traj = geodesic_flow(m, _origin_state(m, [1.0, 1.0, 0.0]), T=1.0)
     af = adapted_frame(m, traj)
     assert af.c == 1.0
     assert af.max_residual <= 1e-7
@@ -174,7 +235,7 @@ def test_adapted_frame_drift_and_residual():
 def test_adapted_frame_rows_stay_orthonormal():
     m = HeisenbergModel(n=2, eps=1.0)
     vel = np.array([0.7, 0.5, -0.3, 0.2, 0.4])
-    traj = geodesic_flow(m, _origin_state(m, vel), T=2.0, tol=1e-10)
+    traj = geodesic_flow(m, _origin_state(m, vel), T=2.0)
     af = adapted_frame(m, traj)
     assert af.frames.shape == (len(traj.t), 5, 5)
     for Fm in af.frames[:: len(traj.t) // 10]:
@@ -182,23 +243,17 @@ def test_adapted_frame_rows_stay_orthonormal():
     assert af.max_residual <= 1e-7
 
 
-def test_flow_failure_raises_integration_error(monkeypatch):
+def test_flow_overflow_raises_domain_error():
+    # finite starts whose geodesics leave the float range before T
     m = HeisenbergModel(n=1, eps=1.0)
-    start = _origin_state(m, [0.0, 1.0, 0.0])
-    real = scipy.integrate.solve_ivp
-
-    def stalls(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        keep = sol.t <= 0.4
-        sol.t, sol.y = sol.t[keep], sol.y[:, keep]
-        sol.success, sol.status, sol.message = False, -1, "step size too small"
-        return sol
-
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", stalls)
-    with pytest.raises(IntegrationError) as exc:
-        geodesic_flow(m, start, T=1.0, samples=11)
-    assert exc.value.last_good_time == pytest.approx(0.4)
-    assert "step size too small" in str(exc.value)
+    for pos, vel, T in (
+        ([0.0, 0.0, 0.0], [0.0, 1e200, 0.0], 1e200),   # x overflows
+        ([0.0, 0.0, 1e308], [1e308, 0.0, 1.0], 10.0),  # z overflows
+        ([1e200, 0.0, 0.0], [0.0, 0.0, 1e200], 1.0),   # Im(conj(p0) w0 E)
+        ([0.0, 0.0, 0.0], [1e300, 1.0, 0.0], -1e10),   # omega t
+    ):
+        with pytest.raises(DomainError, match="float range"):
+            geodesic_flow(m, GeodesicState(pos, vel), T=T, samples=11)
 
 
 def test_jacobi_euclidean_powers():

@@ -94,6 +94,22 @@ def test_kernels_against_mpmath():
     assert rc._k2hat(0.0) == -1.0 / 3.0 and rc._sxc(0.0) == 1.0 / 3.0
 
 
+def test_xms_against_mpmath():
+    # S(x) = (x - sin x) / x^3 on both sides of the series cut, and far out
+    xs = np.concatenate([
+        np.geomspace(1e-8, 50.0, 300),
+        np.linspace(rc._SERIES_CUT - 0.02, rc._SERIES_CUT + 0.02, 81),
+    ])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, got in zip(xs, rc._xms(xs)):
+            m = mpmath.mpf(float(x))
+            worst = max(worst, float(abs(got / ((m - mpmath.sin(m)) / m**3) - 1)))
+    assert worst <= 1e-14
+    np.testing.assert_array_equal(rc._xms(-xs), rc._xms(xs))
+    assert rc._xms(0.0) == 1.0 / 6.0
+
+
 def test_closed_forms_fixed_values():
     # b = 0, c = pi/2, t = 1/2: per-direction parallel-block value is
     # -(pi/2) cot(pi/4) = -pi/2, and F1 is diagonal
