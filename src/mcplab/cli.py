@@ -218,10 +218,8 @@ def _cmd_riccati(args):
             )
         scale = max(1.0, float(np.max(np.abs(F1c))))
         err1 = float(np.max(np.abs(sol.F1[k] - F1c))) / scale
-        err3 = 0.0
-        if params.n > 1:
-            err3 = float(np.max(np.abs(sol.F3[k] - f3c * np.eye(2 * params.n - 2))))
-            err3 /= max(1.0, abs(f3c))
+        err3 = float(np.max(np.abs(sol.F3[k] - f3c * np.eye(2 * params.n - 2)),
+                            initial=0.0)) / max(1.0, abs(f3c))
         err = max(err1, err3)
         worst = max(worst, err)
         rows.append(

@@ -24,16 +24,16 @@ with S(x) = (x - sin x) / x^3 (riccati._xms), so vertical velocities
 
 Along a geodesic with nonvanishing horizontal velocity the adapted moving
 frame is v0, v1 = u_H/|u_H|, v2 = J v1, completed by J-paired parallel
-vectors.  Its drift is the constant W block of the riccati module with
+vectors.  Its drift is the constant W of riccati.build_blocks with
 
     b = -eps |u_H| / 2,      c = eps u_0 / 2,
 
 and the distortion matrix in this frame solves the row-vector system
-A'' + 2 A' W + A (W^2 + R) = 0 with A(0) = 0, A'(0) = I.  Its determinant
-comes from the matrix-exponential propagator riccati.jacobi_flow, which
-never evaluates a sinc or cot closed form, so it serves as the
-independent oracle for the closed-form determinant and trace profiles in
-the riccati module.
+A'' + 2 A' W + A (W^2 + R) = 0 with A(0) = 0, A'(0) = I, where R is the
+Jacobi operator of the Levi-Civita curvature in this frame.  Its
+determinant comes from riccati.jacobi_flow, which never evaluates a sinc
+or cot closed form, so it serves as the independent oracle for the
+closed-form determinant and trace profiles in the riccati module.
 """
 
 from __future__ import annotations
@@ -324,7 +324,7 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     frames, Fm, Fp, Fms = np.split(rows, parts)
     um = np.split(u, parts)[1]
 
-    W = build_blocks(params).full_W()
+    W = build_blocks(params).W
     dF = (Fp - Fms) / (2.0 * delta)
     covariant = dF + np.einsum("si,saj,ijk->sak", um, Fm, gamma)
     residual = float(np.max(np.abs(covariant - W @ Fm)))
@@ -351,7 +351,7 @@ def _validate_times(ts):
 def jacobi_matrices_from_params(b, c, ts, n: int = 1):
     """A(t) over the (strictly increasing, positive) times ts for
     A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0, A'(0) = I, where W, R are
-    the constant blocks built from (b, c, n) with zero ambient curvature.
+    the constant matrices built from (b, c, n) with zero ambient curvature.
     Propagated by riccati.jacobi_flow, which never evaluates the closed
     forms."""
     params = RiccatiParams(b=b, c=c, n=n)

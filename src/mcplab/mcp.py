@@ -469,8 +469,10 @@ def quadrature_contraction(
         )
     n = model.n
     xr, wr = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    rho = 0.5 * spec.horizontal_radius * (xr + 1.0)
-    w_rho = 0.5 * spec.horizontal_radius * wr
+    # the radial weights leave out radius^(2n), which cancels in the ratio
+    # and would underflow den to 0 at small radii
+    u = 0.5 * (xr + 1.0)
+    rho = spec.horizontal_radius * u
     if spec.vertical_momentum > 0.0:
         p = spec.vertical_momentum * xr
         w_p = spec.vertical_momentum * wr
@@ -479,7 +481,7 @@ def quadrature_contraction(
         w_p = np.ones(1)
     b = -0.5 * model.eps * rho[:, None]
     c = 0.5 * p[None, :]
-    weight = (rho ** (2 * n - 1))[:, None] * w_rho[:, None] * w_p[None, :]
+    weight = (u ** (2 * n - 1))[:, None] * (0.5 * wr)[:, None] * w_p[None, :]
     num = float(np.sum(weight * _det_a(b, c, n, 1.0 - t)))
     den = float(np.sum(weight * _det_a(b, c, n, 1.0)))
     return num / den

@@ -10,7 +10,9 @@ two scalars and the fiber dimension,
 The moving-frame drift ``W`` and the curvature operator ``R`` along a
 geodesic decompose into a 3x3 block (vertical direction, velocity direction,
 its rotation) and a scalar multiple of the identity on the remaining 2n - 2
-directions.  The distortion matrix A(t) solves the row-vector Jacobi system
+directions.  The closed forms below follow that split; the flow takes W and
+R whole, so ambient curvature that couples the blocks needs no change
+there.  The distortion matrix A(t) solves the row-vector Jacobi system
 
     A'' + 2 A' W + A (W^2 + R) = 0,   A(0) = 0,  A'(0) = I,
 
@@ -63,13 +65,19 @@ _XMS_SERIES = (-1 / 355687428096000, 1 / 1307674368000, -1 / 6227020800,
                1 / 39916800, -1 / 362880, 1 / 5040, -1 / 120, 1 / 6)
 
 
+def _series(coeffs, x):
+    """The Taylor series in x^2 at x clipped to the cut, so that no |x|
+    overflows it; callers take it only where |x| <= _SERIES_CUT."""
+    near = np.clip(x, -_SERIES_CUT, _SERIES_CUT)
+    return np.polyval(coeffs, near * near)
+
+
 def _k2hat(x):
     """(x cot x - 1) / x**2, analytic at 0 with value -1/3."""
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    series = np.polyval(_K2HAT_SERIES, x2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (x * np.cos(x) / np.sin(x) - 1.0) / x2
+    series = _series(_K2HAT_SERIES, x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = (x * np.cos(x) / np.sin(x) - 1.0) / (x * x)
     return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
 
 
@@ -87,19 +95,16 @@ def _sinc(x):
 def _sxc(x):
     """(sin x - x cos x) / x**3, analytic at 0 with value 1/3."""
     x = np.asarray(x, dtype=float)
-    x2 = x * x
-    series = np.polyval(_SXC_SERIES, x2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (np.sin(x) - x * np.cos(x)) / (x2 * x)
+    series = _series(_SXC_SERIES, x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = (np.sin(x) - x * np.cos(x)) / (x * x * x)
     return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
 
 
 def _xms(x):
     """(x - sin x) / x**3, analytic at 0 with value 1/6."""
     x = np.asarray(x, dtype=float)
-    # clipped, so that no |x| the geodesic flow meets overflows the series
-    near = np.clip(x, -_SERIES_CUT, _SERIES_CUT)
-    series = np.polyval(_XMS_SERIES, near * near)
+    series = _series(_XMS_SERIES, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = (x - np.sin(x)) / x / x / x
     return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
@@ -137,64 +142,34 @@ class RiccatiParams:
 
 @dataclass(frozen=True)
 class BlockMatrices:
-    """Drift and curvature blocks along a geodesic.
+    """Drift W and curvature R along a geodesic, each (2n+1) x (2n+1) in
+    the adapted frame (vertical direction, velocity direction, its
+    rotation, then the 2n - 2 parallel directions)."""
 
-    W1 is the 3x3 drift of the adapted frame (the remaining 2n - 2
-    directions are parallel, so their drift block is zero).  R1 and R3 are
-    the curvature blocks in the same splitting; R3 acts as a full
-    (2n-2) x (2n-2) matrix.
+    W: np.ndarray
+    R: np.ndarray
+
+
+def build_blocks(params: RiccatiParams, rbar=None) -> BlockMatrices:
+    """Assemble W and R from (b, c, n) and optional ambient curvature.
+
+    rbar ((2n+1) x (2n+1), symmetric) is the curvature of the ambient
+    connection in the adapted frame and is added to R; it defaults to zero,
+    which is the exact value for the model group.
+
+    Flipping the sign of b conjugates W and R by diag(-1, 1, 1, ...);
+    flipping c conjugates by diag(1, -1, 1, ...).  Traces, determinants
+    and eigenvalues are therefore even in each of b, c.
     """
-
-    W1: np.ndarray
-    R1: np.ndarray
-    R3: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 3 + self.R3.shape[0]
-
-    def full_W(self) -> np.ndarray:
-        W = np.zeros((self.dim, self.dim))
-        W[:3, :3] = self.W1
-        return W
-
-    def full_R(self) -> np.ndarray:
-        R = np.zeros((self.dim, self.dim))
-        R[:3, :3] = self.R1
-        R[3:, 3:] = self.R3
-        return R
-
-
-def build_blocks(params: RiccatiParams, rbar1=None, rbar3=None) -> BlockMatrices:
-    """Assemble W and R blocks from (b, c, n) and optional ambient curvature.
-
-    rbar1 (3x3) and rbar3 ((2n-2) x (2n-2)) are the curvature blocks of the
-    ambient connection in the adapted frame; they default to zero, which is
-    the exact value for the model group.  Both must be symmetric.
-
-    Flipping the sign of b conjugates W1 and R1 by diag(-1, 1, 1); flipping
-    c conjugates by diag(1, -1, 1).  Traces, determinants and eigenvalues
-    are therefore even in each of b, c.
-    """
-    b, c, n = params.b, params.c, params.n
-    m = 2 * n - 2
-    if rbar1 is None:
-        rbar1 = np.zeros((3, 3))
-    if rbar3 is None:
-        rbar3 = np.zeros((m, m))
-    rbar1 = np.asarray(rbar1, dtype=float)
-    rbar3 = np.asarray(rbar3, dtype=float)
-    if rbar1.shape != (3, 3):
-        raise DomainError(f"rbar1 must be 3x3, got {rbar1.shape}")
-    if rbar3.shape != (m, m):
-        raise DomainError(f"rbar3 must be {m}x{m} for n = {n}, got {rbar3.shape}")
-    if np.max(np.abs(rbar1 - rbar1.T), initial=0.0) > 1e-9:
-        raise DomainError("rbar1 must be symmetric")
-    if np.max(np.abs(rbar3 - rbar3.T), initial=0.0) > 1e-9:
-        raise DomainError("rbar3 must be symmetric")
-
-    W, R = _model_blocks(b, c, n)
-    return BlockMatrices(W1=W[:3, :3], R1=rbar1 + R[:3, :3], R3=rbar3 + R[3:, 3:])
+    W, R = _model_blocks(params.b, params.c, params.n)
+    if rbar is not None:
+        rbar = np.asarray(rbar, dtype=float)
+        if rbar.shape != R.shape:
+            raise DomainError(f"rbar must have shape {R.shape}, got {rbar.shape}")
+        if np.max(np.abs(rbar - rbar.T)) > 1e-9:
+            raise DomainError("rbar must be symmetric")
+        R = R + rbar
+    return BlockMatrices(W=W, R=R)
 
 
 def _model_blocks(b, c, n: int):
@@ -208,12 +183,14 @@ def _model_blocks(b, c, n: int):
     W[..., 2, 0] = -b
     W[..., 2, 1] = -c
     R = np.zeros(b.shape + (d, d))
-    R[..., 0, 0] = b * b
-    R[..., 0, 1] = R[..., 1, 0] = b * c
-    R[..., 1, 1] = c * c
-    R[..., 2, 2] = c * c - 3.0 * b * b
-    for k in range(3, d):
-        R[..., k, k] = c * c
+    # entries past float64 range are inf, which jacobi_flow refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        R[..., 0, 0] = b * b
+        R[..., 0, 1] = R[..., 1, 0] = b * c
+        R[..., 1, 1] = c * c
+        R[..., 2, 2] = c * c - 3.0 * b * b
+        for k in range(3, d):
+            R[..., k, k] = c * c
     return W, R
 
 
@@ -262,16 +239,23 @@ def closed_forms(params: RiccatiParams, t: float):
     Riccati branch evaluated at time 1 - t.  Requires 0 < t < 1 and
     c*t away from nonzero multiples of pi (SingularityError naming the
     offending factor otherwise; the factor "K1" can only vanish past the
-    first such multiple).
+    first such multiple).  Entries outside float64 range raise DomainError.
     """
     if not (0.0 < t < 1.0):
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
-    b, c = params.b, params.c
+    # numpy scalars, so that overflow gives inf (Python's b ** 3 raises)
+    b, c = np.float64(params.b), np.float64(params.c)
     x = c * t
     _check_sin_regular(x)
-    if abs(float(b * b * t * t * _k2hat(x) - 1.0)) < 1e-14:
-        raise SingularityError("K1")
-    f00, f01, f02, f11, f12, f22, xc, _ = (float(v) for v in _f1_pieces(b, c, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if abs(float(b * b * t * t * _k2hat(x) - 1.0)) < 1e-14:
+            raise SingularityError("K1")
+        pieces = [float(v) for v in _f1_pieces(b, c, t)]
+    if not np.all(np.isfinite(pieces)):
+        raise DomainError(
+            f"closed forms leave float64 range at b = {params.b!r}, c = {params.c!r}"
+        )
+    f00, f01, f02, f11, f12, f22, xc, _ = pieces
     F1 = np.array([[f00, f01, f02], [f01, f11, f12], [f02, f12, f22]])
     return F1, float(-xc / t)
 
@@ -413,14 +397,9 @@ def _det_a(b, c, n: int, s):
     return d1 * (s * sc) ** (2 * n - 2)
 
 
-def det_block1(params: RiccatiParams, t):
-    """Closed-form determinant of the 3x3 block of A(t), which equals
-    t^3 (1 + b^2 t^2 / 3) at c = 0.  Accepts array t and broadcasts."""
-    return _det_a(params.b, params.c, 1, np.asarray(t, dtype=float))
-
-
 def det_distortion(params: RiccatiParams, t):
-    """det A(t) = det_block1 * (t sinc(ct))^(2n-2); equals t^{2n+1} at
+    """det A(t) = det A1(t) * (t sinc(ct))^(2n-2), where det A1 is the 3x3
+    block's factor t^3 (1 + b^2 t^2 / 3) at c = 0; equals t^{2n+1} at
     b = c = 0."""
     return _det_a(params.b, params.c, params.n, np.asarray(t, dtype=float))
 
@@ -430,8 +409,9 @@ def distortion_factor_raw(params: RiccatiParams, t):
 
         g(t) = t (b^2 + c^2)(cos 2ct - 1) + t^2 b^2 c sin 2ct,
 
-    equal to -2 c^4 det_block1(t).  Its logarithmic derivative is
-    -tr F1(1 - t); kept in raw form for finite-difference cross-checks."""
+    equal to -2 c^4 det A1(t), the 3x3 block's factor (_det_a at n = 1).
+    Its logarithmic derivative is -tr F1(1 - t); kept in raw form for
+    finite-difference cross-checks."""
     t = np.asarray(t, dtype=float)
     b, c = params.b, params.c
     return t * (b * b + c * c) * (np.cos(2 * c * t) - 1.0) + t * t * b * b * c * np.sin(
@@ -447,9 +427,9 @@ def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
     """First zero of det A in (0, t_max], or None: pi/|c| when that is at
     most t_max, and None at c = 0.
 
-    With x = ct, det A = det_block1 * (t sinc x)^{2n-2} and
+    With x = ct, det A = det A1 * (t sinc x)^{2n-2} and
 
-        det_block1 = t^5 sinc(x) h(t) / x^2,
+        det A1 = t^5 sinc(x) h(t) / x^2,
         h(t) = (b^2 + c^2) sin x - b^2 x cos x.
 
     sinc x first vanishes at |x| = pi.  h vanishes only where
@@ -495,7 +475,13 @@ _TAYLOR_LAST = 1.0 / math.factorial(24)
 def _taylor_powers(K):
     """What _taylor_expm needs of a (..., m, m) stack K: the powers
     [I, K, ..., K^6] in one (..., 7, m, m) array, and
-    eta = min(max(d4, d5), max(d5, d6)) with d_k = ||K^k||_1^(1/k)."""
+    eta = min(max(d4, d5), max(d5, d6)) with d_k = ||K^k||_1^(1/k).
+
+    The scaling takes eta from the norms of K^4, K^5 and K^6, not from
+    ||hK||_1 (Al-Mohy & Higham 2009).  The Jacobi generators are far from
+    normal, so d_k lies well below ||K||_1, and scaling by the plain norm
+    would square too often and lose digits (det A off by 2e-9 relative at
+    |b| = 100 against mpmath, 4.8e-11 with eta)."""
     K = np.asarray(K, dtype=float)
     P = np.empty(K.shape[:-2] + (7,) + K.shape[-2:])
     P[..., 0, :, :] = np.eye(K.shape[-1])
@@ -534,19 +520,6 @@ def _taylor_expm(powers, h):
     for j in range(int(np.max(s, initial=0))):
         E = np.where((s > j)[..., None, None], E @ E, E)
     return E
-
-
-def _expm(K, h):
-    """exp(h_i K) for each step length h_i and each matrix of a (..., m, m)
-    stack K of finite matrices, shape (len(h),) + K.shape: a degree-24
-    Taylor scaling and squaring with no linear solve (see _taylor_expm).
-
-    The scaling takes eta from the norms of K^4, K^5 and K^6, not from
-    ||hK||_1 (Al-Mohy & Higham 2009).  The Jacobi generators are far from
-    normal, so d_k lies well below ||K||_1, and scaling by the plain norm
-    would square too often and lose digits (det A off by 2e-9 relative at
-    |b| = 100 against mpmath, 4.8e-11 with eta)."""
-    return _taylor_expm(_taylor_powers(K), h)
 
 
 def jacobi_flow(W, R, s):
@@ -613,7 +586,8 @@ def jacobi_flow(W, R, s):
 
 @dataclass
 class RiccatiSolution:
-    """Inverse-Riccati blocks on a grid, with F recovered where regular.
+    """Inverse-Riccati blocks on a grid, with F recovered where regular:
+    the 3x3 block (G1, F1) and the parallel block (G3, F3) of one flow.
 
     F1/F3 hold NaN at grid points flagged in ``singular`` (always at
     t = 0, where G vanishes by construction)."""
@@ -629,19 +603,6 @@ class RiccatiSolution:
     singular: np.ndarray
 
 
-def _validate_grid(t_grid):
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 2:
-        raise DomainError("t_grid must be a 1-d array with at least 2 points")
-    if t_grid[0] != 0.0:
-        raise DomainError("t_grid must start at 0")
-    if np.any(np.diff(t_grid) <= 0.0):
-        raise DomainError("t_grid must be strictly increasing")
-    if t_grid[-1] >= 1.0:
-        raise DomainError("t_grid must stay below 1")
-    return t_grid
-
-
 def _solve_where_regular(M, rhs):
     """M^{-1} rhs over a stack, NaN where M has numerically deficient rank;
     also returns the mask of regular entries."""
@@ -652,8 +613,8 @@ def _solve_where_regular(M, rhs):
 
 
 def _riccati_branch(W, R, t_grid):
-    """(G(t), F(1 - t), f_ok) of the blow-up-at-1 Riccati branch for one
-    block, on t_grid.
+    """(G(t), F(1 - t), f_ok) of the blow-up-at-1 Riccati branch of drift
+    W and curvature R, on t_grid.
 
     Running the Jacobi flow backward from the endpoint is the flow of
     (-W, R) forward in t = 1 - s; its (A, A') gives the branch by Radon's
@@ -672,62 +633,46 @@ def _riccati_branch(W, R, t_grid):
 def integrate_inverse_riccati(
     params: RiccatiParams, blocks: BlockMatrices, t_grid
 ) -> RiccatiSolution:
-    """G1 and G3 on the grid, where G(t) = F(1 - t)^{-1} solves
-    G1' = -G1 R1 G1 - I - W1 G1 - G1 W1^T and G3' = -G3 R3 G3 - I from
-    G(0) = 0, with F(1 - t) where the blocks are regular.
+    """G(t) = F(1 - t)^{-1} on the grid, which solves
+    G' = -G R G - I - W G - G W^T from G(0) = 0, with F(1 - t) where it
+    is regular, split into the 3x3 block (G1, F1) and the block of the
+    2n - 2 parallel directions (G3, F3).
 
-    Both are read off the Jacobi flow of each block (see _riccati_branch),
+    One Jacobi flow of the full W and R gives both (see _riccati_branch),
     so grids crossing zero-eigenvalue points of F(1 - t) (|c| > pi/2) or
-    conjugate points (|c| > pi) need no special handling.
+    conjugate points (|c| > pi) need no special handling, and an R that
+    couples the blocks needs none either.  For the model's block-diagonal
+    W and R the mixed blocks of F and G are zero.
 
     Grid points where F is not representable (always the start, where
-    G = 0) are flagged in ``singular`` and carry NaN in F1/F3 and the
-    traces.  The G blocks stay symmetric; the mixed block of the full
-    system is identically zero, which is why only the two diagonal blocks
-    are propagated.
+    G = 0) are flagged in ``singular`` and carry NaN in F1/F3 and in the
+    traces of nonempty blocks.
     """
-    t_grid = _validate_grid(t_grid)
-    m = blocks.R3.shape[0]
-    if m != 2 * params.n - 2:
-        raise DomainError(
-            f"R3 is {m}x{m} but params.n = {params.n} implies {2 * params.n - 2}"
-        )
-    G1, F1, f1_ok = _riccati_branch(blocks.W1, blocks.R1, t_grid)
-    N = len(t_grid)
-    if m:
-        G3, F3, f3_ok = _riccati_branch(np.zeros((m, m)), blocks.R3, t_grid)
-    else:
-        G3 = np.zeros((N, 0, 0))
-        F3 = np.zeros((N, 0, 0))
-        f3_ok = np.ones(N, dtype=bool)
-    singular = ~(f1_ok & f3_ok)
-    tr_F1 = np.trace(F1, axis1=1, axis2=2)
-    tr_F3 = np.trace(F3, axis1=1, axis2=2) if m else np.zeros(N)
-    tr_F1[singular] = np.nan
-    if m:
-        tr_F3[singular] = np.nan
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 2:
+        raise DomainError("t_grid must be a 1-d array with at least 2 points")
+    if t_grid[0] != 0.0:
+        raise DomainError("t_grid must start at 0")
+    if np.any(np.diff(t_grid) <= 0.0):
+        raise DomainError("t_grid must be strictly increasing")
+    if t_grid[-1] >= 1.0:
+        raise DomainError("t_grid must stay below 1")
+    d = 2 * params.n + 1
+    if blocks.W.shape != (d, d) or blocks.R.shape != (d, d):
+        raise DomainError(f"the blocks must be {d}x{d} for n = {params.n}")
+    G, F, f_ok = _riccati_branch(blocks.W, blocks.R, t_grid)
+    F1, F3 = F[:, :3, :3], F[:, 3:, 3:]
     return RiccatiSolution(
         params=params,
         t_grid=t_grid,
-        G1=G1,
-        G3=G3,
+        G1=G[:, :3, :3],
+        G3=G[:, 3:, 3:],
         F1=F1,
         F3=F3,
-        tr_F1=tr_F1,
-        tr_F3=tr_F3,
-        singular=singular,
+        tr_F1=np.trace(F1, axis1=1, axis2=2),
+        tr_F3=np.trace(F3, axis1=1, axis2=2),
+        singular=~f_ok,
     )
-
-
-def integrate_inverse_riccati_full(
-    params: RiccatiParams, blocks: BlockMatrices, t_grid
-) -> np.ndarray:
-    """Same branch without exploiting the block split: G of the full
-    (2n+1) x (2n+1) system on the grid, shape (N, d, d), NaN where G is
-    not representable.  Used to confirm that the mixed block stays zero."""
-    t_grid = _validate_grid(t_grid)
-    G, _F, _f_ok = _riccati_branch(blocks.full_W(), blocks.full_R(), t_grid)
-    return G
 
 
 def psd_compare(F: np.ndarray, Ftilde: np.ndarray, tol: float = 1e-9) -> bool:

@@ -331,8 +331,18 @@ def test_overflow_is_usage_error(capsys):
         for argv in (
             ["density-profile", "--b", "1e308", "--c", "1", "--t", "0.5"],
             ["sharpness", "--t", "1e-300", "--b-max", "1e300"],
+            ["riccati", "--b", "1e154", "--c", "1", "--t", "0.5"],
+            ["contract", "--t", "0.5", "--eps", "1e154", "--samples", "1000"],
         ):
             _one_line_usage_error(main(argv), capsys)
+
+
+def test_contract_at_a_subnormal_radius(capsys):
+    # the quadrature's radial weights leave out radius^(2n), which cancels
+    # in its ratio; with it they underflowed the denominator to 0
+    assert main(["contract", "--t", "0.5", "--radius", "1e-320",
+                 "--samples", "1000"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_mcp_scan_grid_cap_is_usage_error(capsys):

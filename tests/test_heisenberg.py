@@ -22,7 +22,19 @@ from mcplab.heisenberg import (
     jacobi_determinants_from_params,
     jacobi_matrices_from_params,
 )
-from mcplab.riccati import RiccatiParams, closed_forms, conjugate_time, det_distortion
+from mcplab.frame_algebra import (
+    _jacobi_operator,
+    build_heisenberg_algebra,
+    curvature,
+    levi_civita,
+)
+from mcplab.riccati import (
+    RiccatiParams,
+    build_blocks,
+    closed_forms,
+    conjugate_time,
+    det_distortion,
+)
 
 
 def _origin_state(model, vel):
@@ -241,6 +253,25 @@ def test_adapted_frame_rows_stay_orthonormal():
     for Fm in af.frames[:: len(traj.t) // 10]:
         assert np.max(np.abs(Fm @ Fm.T - np.eye(5))) < 1e-9
     assert af.max_residual <= 1e-7
+
+
+def test_curvature_block_is_the_jacobi_operator_in_the_adapted_frame():
+    # R of riccati.build_blocks, from the reduction to (b, c), against the
+    # Levi-Civita curvature tensor that frame_algebra builds from the
+    # brackets: F M F^T with F the adapted frame rows at t = 0 and
+    # M[i, l] = <R(e_i, u) u, e_l>
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 3):
+        for eps in (0.5, 2.0):
+            alg, _ = build_heisenberg_algebra(n, eps)
+            riem = curvature(alg, levi_civita(alg)).riem
+            m = HeisenbergModel(n=n, eps=eps)
+            for _ in range(24):
+                state = GeodesicState(rng.normal(size=m.dim), rng.normal(size=m.dim))
+                F = adapted_frame(m, geodesic_flow(m, state, T=1.0)).frames[0]
+                M = _jacobi_operator(riem, state.vel)
+                R = build_blocks(adapted_params(m, state)).R
+                assert np.max(np.abs(F @ M @ F.T - R)) <= 1e-13 * np.max(np.abs(R))
 
 
 def test_flow_overflow_raises_domain_error():

@@ -6,6 +6,8 @@ determinant factor, the matrix-exponential Jacobi flow, and the determinant
 written out in 40-digit mpmath.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -30,16 +32,16 @@ def test_params_validation():
 def test_build_blocks_example():
     p = rc.RiccatiParams(1.0, 2.0, 2)
     bl = rc.build_blocks(p)
-    np.testing.assert_allclose(
-        bl.R1, [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]], atol=0
-    )
-    np.testing.assert_allclose(bl.R3, 4.0 * np.eye(2), atol=0)
-    np.testing.assert_allclose(
-        bl.W1, [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [-1.0, -2.0, 0.0]], atol=0
-    )
+    R = np.zeros((5, 5))
+    R[:3, :3] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+    R[3:, 3:] = 4.0 * np.eye(2)
+    np.testing.assert_array_equal(bl.R, R)
+    W = np.zeros((5, 5))
+    W[:3, :3] = [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [-1.0, -2.0, 0.0]]
+    np.testing.assert_array_equal(bl.W, W)
     bl0 = rc.build_blocks(rc.RiccatiParams(0.0, 0.0, 1))
-    assert not bl0.W1.any() and not bl0.R1.any()
-    assert bl0.R3.shape == (0, 0)
+    assert not bl0.W.any() and not bl0.R.any()
+    assert bl0.R.shape == (3, 3)
 
 
 def test_build_blocks_sign_conjugation():
@@ -50,26 +52,26 @@ def test_build_blocks_sign_conjugation():
     blc = rc.build_blocks(rc.RiccatiParams(1.0, -1.0, 1))
     Db = np.diag([-1.0, 1.0, 1.0])
     Dc = np.diag([1.0, -1.0, 1.0])
-    np.testing.assert_allclose(blb.R1, Db @ bl.R1 @ Db, atol=0)
-    np.testing.assert_allclose(blb.W1, Db @ bl.W1 @ Db, atol=0)
-    np.testing.assert_allclose(blc.R1, Dc @ bl.R1 @ Dc, atol=0)
-    np.testing.assert_allclose(blc.W1, Dc @ bl.W1 @ Dc, atol=0)
-    assert np.trace(blb.R1) == np.trace(bl.R1)
+    np.testing.assert_allclose(blb.R, Db @ bl.R @ Db, atol=0)
+    np.testing.assert_allclose(blb.W, Db @ bl.W @ Db, atol=0)
+    np.testing.assert_allclose(blc.R, Dc @ bl.R @ Dc, atol=0)
+    np.testing.assert_allclose(blc.W, Dc @ bl.W @ Dc, atol=0)
+    assert np.trace(blb.R) == np.trace(bl.R)
     np.testing.assert_allclose(
-        np.linalg.eigvalsh(blb.R1), np.linalg.eigvalsh(bl.R1), atol=1e-14
+        np.linalg.eigvalsh(blb.R), np.linalg.eigvalsh(bl.R), atol=1e-14
     )
     # the (0,1) entry itself is odd in both, so the matrices differ
-    assert blb.R1[0, 1] == -bl.R1[0, 1]
+    assert blb.R[0, 1] == -bl.R[0, 1]
 
 
 def test_build_blocks_rejects_bad_ambient():
     p = rc.RiccatiParams(0.0, 0.0, 2)
-    bad = np.zeros((3, 3))
-    bad[0, 1] = 1e-6
+    bad = np.zeros((5, 5))
+    bad[0, 4] = 1e-6
     with pytest.raises(DomainError):
-        rc.build_blocks(p, rbar1=bad)
+        rc.build_blocks(p, rbar=bad)
     with pytest.raises(DomainError):
-        rc.build_blocks(p, rbar3=np.zeros((3, 3)))
+        rc.build_blocks(p, rbar=np.zeros((3, 3)))
 
 
 def test_kernels_against_mpmath():
@@ -108,6 +110,17 @@ def test_xms_against_mpmath():
     assert worst <= 1e-14
     np.testing.assert_array_equal(rc._xms(-xs), rc._xms(xs))
     assert rc._xms(0.0) == 1.0 / 6.0
+
+
+def test_kernels_are_quiet_at_huge_arguments():
+    # each series is taken at |x| clipped to the cut, so no argument
+    # overflows it
+    xs = np.array([1e22, 1e30, 1e160, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det = rc.det_distortion(rc.RiccatiParams(-1.0, 1e30, 1), [0.5])
+        values = [f(s * xs) for f in (rc._k2hat, rc._sxc, rc._xms) for s in (1, -1)]
+    assert np.all(np.isfinite(det)) and np.all(np.isfinite(values))
 
 
 def test_closed_forms_fixed_values():
@@ -152,6 +165,11 @@ def test_closed_forms_domain_and_singularities():
     with pytest.raises(SingularityError) as exc:
         rc.closed_forms(rc.RiccatiParams(b, c, 1), t)
     assert exc.value.factor == "K1"
+    # entries past float64 range (b^3 at b = 1e154) are a DomainError, not
+    # the OverflowError of a Python float power
+    for b in (1e154, -1e300):
+        with pytest.raises(DomainError, match="float64 range"):
+            rc.closed_forms(rc.RiccatiParams(b, 1.0, 1), 0.5)
 
 
 def test_closed_vs_ode_point():
@@ -205,7 +223,7 @@ def _det_envelope(b, n, s):
 def test_jacobi_flow_matches_closed_forms(b, c, n, s):
     p = rc.RiccatiParams(b, c, n)
     bl = rc.build_blocks(p)
-    A, _ = rc.jacobi_flow(bl.full_W(), bl.full_R(), [s])
+    A, _ = rc.jacobi_flow(bl.W, bl.R, [s])
     det_closed = float(rc.det_distortion(p, s))
     envelope = _det_envelope(b, n, s)
     assert abs(np.linalg.det(A[0]) - det_closed) <= 1e-10 * envelope
@@ -255,7 +273,7 @@ def test_jacobi_flow_against_mpmath(b):
             for c in (0.5, 3.0, 3.5):
                 for n in (1, 2):
                     bl = rc.build_blocks(rc.RiccatiParams(sign * b, c, n))
-                    A, _ = rc.jacobi_flow(bl.full_W(), bl.full_R(), times)
+                    A, _ = rc.jacobi_flow(bl.W, bl.R, times)
                     for s, det in zip(times, np.linalg.det(A)):
                         exact = _det_mpmath(b, c, n, s)
                         worst = max(worst, float(abs((det - exact) / exact)))
@@ -305,7 +323,7 @@ def test_expm_against_scipy_on_jacobi_steps():
             for n in (1, 2, 3):
                 K, rate = _jacobi_generator(b, c, n)
                 h = np.array([1.0, 0.37, 1e-3]) / rate
-                E = rc._expm(K, h)
+                E = rc._taylor_expm(rc._taylor_powers(K), h)
                 assert E.shape == (3,) + K.shape
                 for hk, Ek in zip(h, E):
                     ref = expm(hk * K)
@@ -321,25 +339,26 @@ def test_expm_against_scipy_on_random_stacks():
         norms = np.geomspace(1e-3, 100.0, len(M))
         M *= (norms / np.max(np.sum(np.abs(M), axis=-2), axis=-1))[:, None, None]
         h = np.array([1.0, -0.3, 2.5, 1e-4, 0.0])
-        E = rc._expm(M, h)
+        E = rc._taylor_expm(rc._taylor_powers(M), h)
         assert E.shape == (len(h),) + M.shape
         # scipy itself is off by 5e-12 of the largest entry on the 2x2 of
-        # 1-norm 74 here (50-digit mpmath; _expm is within 1e-15 there)
+        # 1-norm 74 here (50-digit mpmath; _taylor_expm is within 1e-15 there)
         for Mk, Ek in zip(M, E[0]):
             ref = expm(Mk)
             assert np.max(np.abs(Ek - ref)) <= 1e-10 * np.max(np.abs(ref))
         # each pair (h_i, M_k) takes its own squarings: the stack of mixed
         # steps and norms gives exactly the per-pair results
-        assert all(np.array_equal(E[i, k], rc._expm(Mk, [hi])[0])
+        assert all(np.array_equal(E[i, k],
+                                  rc._taylor_expm(rc._taylor_powers(Mk), [hi])[0])
                    for i, hi in enumerate(h) for k, Mk in enumerate(M))
 
 
 def test_expm_of_zero_is_identity():
     for m in (1, 2, 6):
-        E = rc._expm(np.zeros((3, m, m)), [1.0, 0.0])
+        E = rc._taylor_expm(rc._taylor_powers(np.zeros((3, m, m))), [1.0, 0.0])
         np.testing.assert_array_equal(E, np.broadcast_to(np.eye(m), (2, 3, m, m)))
-    np.testing.assert_array_equal(rc._expm(np.ones((2, 5, 5)), [0.0])[0],
-                                  np.broadcast_to(np.eye(5), (2, 5, 5)))
+    E = rc._taylor_expm(rc._taylor_powers(np.ones((2, 5, 5))), [0.0])
+    np.testing.assert_array_equal(E[0], np.broadcast_to(np.eye(5), (2, 5, 5)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -348,7 +367,7 @@ def test_expm_of_zero_is_identity():
 def test_expm_inverse_property(m, seed, norm):
     A = np.random.default_rng(seed).standard_normal((m, m))
     A *= norm / np.max(np.sum(np.abs(A), axis=0))
-    E, Einv = rc._expm(A, [1.0, -1.0])
+    E, Einv = rc._taylor_expm(rc._taylor_powers(A), [1.0, -1.0])
     scale = np.linalg.norm(E, 1) * np.linalg.norm(Einv, 1)
     assert np.max(np.abs(E @ Einv - np.eye(m))) <= 1e-13 * scale
 
@@ -363,7 +382,7 @@ def test_jacobi_flow_memory_is_bounded():
     s = np.linspace(0.005, 1.0, 200)
     tracemalloc.start()
     try:
-        A, Ap = rc.jacobi_flow(np.zeros_like(bl.R3), bl.R3, s)
+        A, Ap = rc.jacobi_flow(np.zeros((38, 38)), bl.R[3:, 3:], s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,7 +401,7 @@ def test_jacobi_flow_step_cap(monkeypatch):
     monkeypatch.undo()
     bl = rc.build_blocks(rc.RiccatiParams(1e9, 1.0, 1))
     with pytest.raises(DomainError):
-        rc.jacobi_flow(bl.full_W(), bl.full_R(), [0.1, 1.0])
+        rc.jacobi_flow(bl.W, bl.R, [0.1, 1.0])
 
 
 def test_jacobi_flow_shapes_and_validation():
@@ -428,15 +447,20 @@ def test_inverse_riccati_grid_validation():
 
 
 def test_full_matrix_mixed_block_vanishes():
+    # the flow of the full system keeps the model's blocks apart, and its
+    # diagonal blocks are the branches of each block flowed on its own
     p = rc.RiccatiParams(1.3, 0.7, 2)
     bl = rc.build_blocks(p)
     t_grid = np.array([0.0, 0.2, 0.5, 0.8])
-    G = rc.integrate_inverse_riccati_full(p, bl, t_grid)
-    assert np.nanmax(np.abs(G[1:, :3, 3:])) < 1e-12
-    assert np.nanmax(np.abs(G[1:, 3:, :3])) < 1e-12
+    G, F, _ = rc._riccati_branch(bl.W, bl.R, t_grid)
+    for M in (G[1:], F[1:]):
+        assert np.max(np.abs(M[:, :3, 3:])) < 1e-12
+        assert np.max(np.abs(M[:, 3:, :3])) < 1e-12
     sol = rc.integrate_inverse_riccati(p, bl, t_grid)
-    np.testing.assert_allclose(G[1:, :3, :3], sol.G1[1:], atol=1e-9)
-    np.testing.assert_allclose(G[1:, 3:, 3:], sol.G3[1:], atol=1e-9)
+    G1, _, _ = rc._riccati_branch(bl.W[:3, :3], bl.R[:3, :3], t_grid)
+    G3, _, _ = rc._riccati_branch(np.zeros((2, 2)), bl.R[3:, 3:], t_grid)
+    np.testing.assert_allclose(sol.G1[1:], G1[1:], atol=1e-9)
+    np.testing.assert_allclose(sol.G3[1:], G3[1:], atol=1e-9)
 
 
 def test_det_g1_behavior_at_first_conjugate_time():
@@ -470,7 +494,7 @@ def test_raw_factor_matches_normalized_determinant():
     p = rc.RiccatiParams(1.7, 2.3, 2)
     ts = np.linspace(0.05, 0.95, 7)
     raw = rc.distortion_factor_raw(p, ts)
-    np.testing.assert_allclose(raw, -2.0 * p.c**4 * rc.det_block1(p, ts), rtol=1e-12)
+    np.testing.assert_allclose(raw, -2.0 * p.c**4 * rc._det_a(p.b, p.c, 1, ts), rtol=1e-12)
 
 
 def test_det_distortion_limits():
@@ -480,7 +504,7 @@ def test_det_distortion_limits():
         np.testing.assert_allclose(rc.det_distortion(p, ts), ts ** (2 * n + 1), rtol=1e-14)
     # vanishes at the conjugate time
     p = rc.RiccatiParams(0.0, np.pi, 1)
-    assert abs(float(rc.det_block1(p, 1.0))) < 1e-15
+    assert abs(float(rc._det_a(p.b, p.c, 1, 1.0))) < 1e-15
 
 
 def test_trace_scan_report():
@@ -557,7 +581,7 @@ def test_scalar_outputs_even_in_b_and_c():
         base = rc.RiccatiParams(b, c, 2)
         for flipped in (rc.RiccatiParams(-b, c, 2), rc.RiccatiParams(b, -c, 2)):
             np.testing.assert_allclose(
-                rc.det_block1(base, ts), rc.det_block1(flipped, ts), rtol=1e-13
+                rc._det_a(b, c, 1, ts), rc._det_a(flipped.b, flipped.c, 1, ts), rtol=1e-13
             )
             for t in ts:
                 F1a, f3a = rc.closed_forms(base, float(t))
@@ -579,24 +603,26 @@ def test_psd_compare_basics():
 
 def test_curvature_comparison_orders_riccati_solutions():
     # nonnegative ambient curvature pushes the blow-down branch upward:
-    # F(1-t) with rbar >= 0 dominates the flat-model branch
+    # F(1-t) with rbar >= 0 dominates the flat-model branch, and so do its
+    # diagonal blocks when rbar couples them
     rng = np.random.default_rng(11)
-    M = rng.normal(size=(3, 3))
-    rbar1 = M @ M.T * 0.2
     p = rc.RiccatiParams(1.0, 1.0, 2)
-    rbar3 = 0.3 * np.eye(2)
-    bl_curved = rc.build_blocks(p, rbar1=rbar1, rbar3=rbar3)
-    bl_flat = rc.build_blocks(p)
+    M = rng.normal(size=(3, 3))
+    split = np.zeros((5, 5))
+    split[:3, :3] = M @ M.T * 0.2
+    split[3:, 3:] = 0.3 * np.eye(2)
+    M = rng.normal(size=(5, 5))
+    coupled = M @ M.T * 0.2
     grid = np.concatenate([[0.0], np.linspace(0.1, 0.9, 9)])
-    sc = rc.integrate_inverse_riccati(p, bl_curved, grid)
-    sf = rc.integrate_inverse_riccati(p, bl_flat, grid)
+    sf = rc.integrate_inverse_riccati(p, rc.build_blocks(p), grid)
+    for rbar in (split, coupled):
+        sc = rc.integrate_inverse_riccati(p, rc.build_blocks(p, rbar=rbar), grid)
+        for k in range(1, len(grid)):
+            assert rc.psd_compare(sc.F1[k], sf.F1[k], tol=1e-8)
+            assert sc.tr_F3[k] >= sf.tr_F3[k] - 1e-8
+    # and the flat F3 trace is exactly the comparison solution
     for k in range(1, len(grid)):
-        assert rc.psd_compare(sc.F1[k], sf.F1[k], tol=1e-8)
-        assert sc.tr_F3[k] >= sf.tr_F3[k] - 1e-8
-        # and the flat F3 trace is exactly the comparison solution
-        assert sf.tr_F3[k] == pytest.approx(
-            rc.f3_tilde(p, float(grid[k])), abs=1e-8
-        )
+        assert sf.tr_F3[k] == pytest.approx(rc.f3_tilde(p, float(grid[k])), abs=1e-8)
 
 
 def test_f3_tilde():
