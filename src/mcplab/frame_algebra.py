@@ -37,6 +37,9 @@ _VALIDATE_TOL = 1e-10
 # check_main_hypotheses counts a hypothesis as holding when its minimum
 # is at least -_HYPOTHESIS_TOL.
 _HYPOTHESIS_TOL = 1e-10
+# The eps build_heisenberg_algebra accepts: beyond it the identity catalog's
+# residual norms (squares of terms up to eps^3 and 1/eps) leave float64 range.
+_EPS_RANGE = (1e-50, 1e50)
 
 
 def _contract(u, T):
@@ -183,13 +186,14 @@ class CurvatureData:
 def build_heisenberg_algebra(n: int, eps: float):
     """The model group: frame (v0 = V/eps, X_1..X_n, Y_1..Y_n), orthonormal
     metric, brackets [X_i, Y_i] = eps v0, J X_i = Y_i, J Y_i = -X_i.
+    eps outside _EPS_RANGE raises DomainError.
 
     Returns (FrameAlgebra, ContactStructure).
     """
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise DomainError(f"eps must be a positive real, got {eps!r}")
+    if not (_EPS_RANGE[0] <= eps <= _EPS_RANGE[1]):
+        raise DomainError(f"eps must lie in {list(_EPS_RANGE)}, got {eps!r}")
     n = int(n)
     eps = float(eps)
     d = 2 * n + 1

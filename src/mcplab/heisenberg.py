@@ -147,13 +147,17 @@ class _Helix:
         x = self.eps * self.u0 * ts  # omega t
         E = ts * np.exp(0.5j * x) * _sinc(0.5 * x)
         p = self.p0[:, None] + self.w0[:, None] * E
-        w = self.w0[:, None] * np.exp(1j * x)
         # omega t^3 S(omega t) as t^2 x S(x): no t^3 to overflow
         lift = (np.imag(np.vdot(self.p0, self.w0) * E)
                 + np.vdot(self.w0, self.w0).real * ts * ts * x * _xms(x))
         z = self.z0 + self.u0 * ts / self.eps + 0.5 * lift
-        y = np.vstack((p.real, p.imag, z, np.full_like(ts, self.u0), w.real, w.imag))
+        y = np.vstack((p.real, p.imag, z, self.velocity(ts)))
         return y if t.ndim else y[:, 0]
+
+    def velocity(self, ts):
+        """The lower half of the state, (u_0, u_X, u_Y), at the 1-d times ts."""
+        w = self.w0[:, None] * np.exp(1j * (self.eps * self.u0 * ts))
+        return np.vstack((np.full_like(ts, self.u0), w.real, w.imag))
 
 
 @dataclass
@@ -308,7 +312,7 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     delta = _FD_STEP * max(hi - lo, 1.0)
     ts = np.linspace(lo + delta, hi - delta, _CHECK_POINTS)
     times = np.concatenate((traj.t, ts, ts + delta, ts - delta))
-    u = traj._sol(times)[d:].T
+    u = traj._sol.velocity(times).T
     uh = u.copy()
     uh[:, 0] = 0.0
     v1 = uh / np.linalg.norm(uh, axis=1, keepdims=True)
@@ -320,13 +324,14 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
         ct = np.cos(c * times)[:, None, None]
         st = np.sin(c * times)[:, None, None]
         rows[:, 3:] = ct * comp + st * (comp @ J.T)
-    parts = np.cumsum([len(traj.t), _CHECK_POINTS, _CHECK_POINTS])
-    frames, Fm, Fp, Fms = np.split(rows, parts)
-    um = np.split(u, parts)[1]
+    k = len(traj.t)
+    frames = rows[:k]
+    Fm, Fp, Fms = rows[k:].reshape(3, _CHECK_POINTS, d, d)
+    um = u[k : k + _CHECK_POINTS]
 
     W = build_blocks(params).W
     dF = (Fp - Fms) / (2.0 * delta)
-    covariant = dF + np.einsum("si,saj,ijk->sak", um, Fm, gamma)
+    covariant = dF + Fm @ np.tensordot(um, gamma, 1)
     residual = float(np.max(np.abs(covariant - W @ Fm)))
     return AdaptedFrame(
         params=params, t=traj.t.copy(), frames=frames, W=W, max_residual=residual
@@ -337,25 +342,16 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
 # distortion (Jacobi) matrices
 # ---------------------------------------------------------------------------
 
-def _validate_times(ts):
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.ndim != 1 or len(ts) == 0:
-        raise DomainError("need at least one evaluation time")
-    if np.any(ts <= 0.0) or not np.all(np.isfinite(ts)):
-        raise DomainError("evaluation times must be positive finite reals")
-    if np.any(np.diff(ts) <= 0.0):
-        raise DomainError("evaluation times must be strictly increasing")
-    return ts
-
-
 def jacobi_matrices_from_params(b, c, ts, n: int = 1):
     """A(t) over the (strictly increasing, positive) times ts for
     A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0, A'(0) = I, where W, R are
     the constant matrices built from (b, c, n) with zero ambient curvature.
     Propagated by riccati.jacobi_flow, which never evaluates the closed
-    forms."""
+    forms and checks that the times are finite and increasing."""
     params = RiccatiParams(b=b, c=c, n=n)
-    ts = _validate_times(ts)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.ndim != 1 or len(ts) == 0 or not ts[0] > 0.0:
+        raise DomainError("evaluation times must be a nonempty list of positive reals")
     A, _ = jacobi_flow(*_model_blocks(params.b, params.c, params.n), ts)
     return A
 

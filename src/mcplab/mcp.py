@@ -233,8 +233,9 @@ def mcp_scan(
 
     The c range must stay strictly inside (-pi, pi) and the t range inside
     [0, 1), and the grid within _MAX_SCAN_POINTS points.  Violations,
-    ratios below 1 - tol or NaN, are collected with their grid
-    coordinates; the expected outcome is an empty list."""
+    ratios below 1 - tol, are collected with their grid coordinates; the
+    expected outcome is an empty list.  A NaN ratio (the density out of
+    float64 range) raises DomainError; an infinite one lies above 1."""
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if resolution < 2:
@@ -260,7 +261,10 @@ def mcp_scan(
     c = c_values[None, :, None]
     t = t_values[None, None, :]
 
-    ratio = _ratio(b, c, n, t)
+    with np.errstate(all="ignore"):
+        ratio = _ratio(b, c, n, t)
+    if np.isnan(ratio).any():
+        raise DomainError("density/bound ratio is NaN in float64 for these inputs")
 
     i = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
     min_ratio = float(ratio[i])

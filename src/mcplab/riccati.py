@@ -56,7 +56,7 @@ from .errors import DomainError, OutOfRegimeError, SingularityError
 # (7e-15 at worst on (0, 3.1], 5.4e-15 for _xms just above the cut; a cut
 # of 0.05 left 2e-13 just above it).
 _SERIES_CUT = 0.3
-# Taylor coefficients in x^2, highest power first for np.polyval.
+# Taylor coefficients in x^2, highest power first (Horner order).
 _K2HAT_SERIES = (-3617 / 162820783125, -4 / 18243225, -1382 / 638512875,
                  -2 / 93555, -1 / 4725, -2 / 945, -1 / 45, -1 / 3)
 _SXC_SERIES = (-1 / 22230464256000, 1 / 93405312000, -1 / 518918400,
@@ -67,9 +67,14 @@ _XMS_SERIES = (-1 / 355687428096000, 1 / 1307674368000, -1 / 6227020800,
 
 def _series(coeffs, x):
     """The Taylor series in x^2 at x clipped to the cut, so that no |x|
-    overflows it; callers take it only where |x| <= _SERIES_CUT."""
+    overflows it; callers take it only where |x| <= _SERIES_CUT.  Horner's
+    rule as np.polyval runs it, less its first step 0 * z + c_0 = c_0."""
     near = np.clip(x, -_SERIES_CUT, _SERIES_CUT)
-    return np.polyval(coeffs, near * near)
+    z = near * near
+    y = coeffs[0]
+    for c in coeffs[1:]:
+        y = y * z + c
+    return y
 
 
 def _k2hat(x):
@@ -112,8 +117,8 @@ def _xms(x):
 
 def _check_sin_regular(x, what="sin(c*t)"):
     """Raise if x is (numerically) a nonzero multiple of pi."""
-    k = np.round(float(x) / np.pi)
-    if k != 0 and abs(float(x) - k * np.pi) < 1e-12:
+    k = round(float(x) / math.pi)
+    if k != 0 and abs(float(x) - k * math.pi) < 1e-12:
         raise SingularityError(what)
 
 
@@ -245,17 +250,16 @@ def closed_forms(params: RiccatiParams, t: float):
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
     # numpy scalars, so that overflow gives inf (Python's b ** 3 raises)
     b, c = np.float64(params.b), np.float64(params.c)
-    x = c * t
-    _check_sin_regular(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if abs(float(b * b * t * t * _k2hat(x) - 1.0)) < 1e-14:
-            raise SingularityError("K1")
+    _check_sin_regular(c * t)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pieces = [float(v) for v in _f1_pieces(b, c, t)]
-    if not np.all(np.isfinite(pieces)):
+    f00, f01, f02, f11, f12, f22, xc, k1h = pieces
+    if abs(k1h) < 1e-14:
+        raise SingularityError("K1")
+    if not all(map(math.isfinite, pieces)):
         raise DomainError(
             f"closed forms leave float64 range at b = {params.b!r}, c = {params.c!r}"
         )
-    f00, f01, f02, f11, f12, f22, xc, _ = pieces
     F1 = np.array([[f00, f01, f02], [f01, f11, f12], [f02, f12, f22]])
     return F1, float(-xc / t)
 
@@ -488,7 +492,7 @@ def _taylor_powers(K):
     P[..., 1, :, :] = K
     for k, (i, j) in enumerate(((1, 1), (2, 1), (2, 2), (4, 1), (3, 3)), start=2):
         np.matmul(P[..., i, :, :], P[..., j, :, :], out=P[..., k, :, :])
-    norms = np.max(np.sum(np.abs(P[..., 4:, :, :]), axis=-2), axis=-1)
+    norms = np.max(np.ones(K.shape[-1]) @ np.abs(P[..., 4:, :, :]), axis=-1)
     d4, d5, d6 = np.moveaxis(norms ** (1.0 / np.arange(4.0, 7.0)), -1, 0)
     return P, np.minimum(np.maximum(d4, d5), np.maximum(d5, d6))
 
@@ -536,27 +540,25 @@ def jacobi_flow(W, R, s):
     with h * max(1, max|W|, sqrt(max|R|)) <= 1: |K| grows like b^2, and
     one exponential over the whole span loses digits in its squaring
     phase as it does (with one step per interval, det A is off by 4e-8
-    relative at |b| = 100 and 6e-2 at |b| = 1e3 against mpmath).  The powers of K and their norms are taken
-    once per flow; the step exponentials of all intervals then come from
-    _taylor_expm calls of at most _EXPM_ENTRIES entries of output each.
-    More than _MAX_FLOW_STEPS steps up to the last time raise DomainError
-    before any is taken.
+    relative at |b| = 100 and 6e-2 at |b| = 1e3 against mpmath).  The
+    powers of K and their norms are taken once per flow; the step
+    exponentials of all intervals then come from _taylor_expm calls of at
+    most _EXPM_ENTRIES entries of output each.  More than _MAX_FLOW_STEPS
+    steps up to the last time raise DomainError before any is taken.
     """
-    W = np.asarray(W, dtype=float)
-    R = np.asarray(R, dtype=float)
-    W, R = np.broadcast_arrays(W, R)
-    if not (np.all(np.isfinite(W)) and np.all(np.isfinite(R))):
+    W, R = np.broadcast_arrays(np.asarray(W, dtype=float), np.asarray(R, dtype=float))
+    # NaN and inf reach these maxima; Python's max(1.0, nan) is 1.0
+    w_max = float(np.max(np.abs(W), initial=0.0))
+    r_max = float(np.max(np.abs(R), initial=0.0))
+    if not (math.isfinite(w_max) and math.isfinite(r_max)):
         raise DomainError("W and R must be finite")
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.ndim != 1 or not np.all(np.isfinite(s)) or s[0] < 0.0:
         raise DomainError("flow times must be finite reals >= 0")
-    if np.any(np.diff(s) <= 0.0):
+    span = np.diff(s, prepend=0.0)
+    if not np.all(span[1:] > 0.0):
         raise DomainError("flow times must be strictly increasing")
-    rate = max(
-        1.0,
-        float(np.max(np.abs(W), initial=0.0)),
-        float(np.sqrt(np.max(np.abs(R), initial=0.0))),
-    )
+    rate = max(1.0, w_max, math.sqrt(r_max))
     if np.ceil(s[-1] * rate) > _MAX_FLOW_STEPS:
         raise DomainError(
             f"the flow to s = {s[-1]:g} needs about {s[-1] * rate:.3g} steps "
@@ -570,7 +572,6 @@ def jacobi_flow(W, R, s):
     Y = np.zeros(W.shape[:-2] + (d, 2 * d))
     Y[..., d:] = np.eye(d)
     out = np.empty((len(s),) + Y.shape)
-    span = np.diff(s, prepend=0.0)
     steps = np.ceil(span * rate).astype(int)
     h = span / np.maximum(steps, 1)
     powers = _taylor_powers(K)
@@ -603,15 +604,6 @@ class RiccatiSolution:
     singular: np.ndarray
 
 
-def _solve_where_regular(M, rhs):
-    """M^{-1} rhs over a stack, NaN where M has numerically deficient rank;
-    also returns the mask of regular entries."""
-    ok = np.linalg.matrix_rank(M) == M.shape[-1]
-    X = np.full(rhs.shape, np.nan)
-    X[ok] = np.linalg.solve(M[ok], rhs[ok])
-    return X, ok
-
-
 def _riccati_branch(W, R, t_grid):
     """(G(t), F(1 - t), f_ok) of the blow-up-at-1 Riccati branch of drift
     W and curvature R, on t_grid.
@@ -625,9 +617,12 @@ def _riccati_branch(W, R, t_grid):
     f_ok is False where A is singular (always at t = 0, and at conjugate
     points); G is NaN where A' - A W is singular (kernels of F)."""
     A, Ap = jacobi_flow(-W, R, t_grid)
-    AinvAp, f_ok = _solve_where_regular(A, Ap)
-    G, _ = _solve_where_regular(Ap - A @ W, -A)
-    return G, W - AinvAp, f_ok
+    # both systems in one stack: one rank test and one solve
+    M, rhs = np.stack((A, Ap - A @ W)), np.stack((Ap, -A))
+    ok = np.linalg.matrix_rank(M) == M.shape[-1]
+    X = np.full(rhs.shape, np.nan)
+    X[ok] = np.linalg.solve(M[ok], rhs[ok])
+    return X[1], W - X[0], ok[0]
 
 
 def integrate_inverse_riccati(

@@ -333,6 +333,8 @@ def test_overflow_is_usage_error(capsys):
             ["sharpness", "--t", "1e-300", "--b-max", "1e300"],
             ["riccati", "--b", "1e154", "--c", "1", "--t", "0.5"],
             ["contract", "--t", "0.5", "--eps", "1e154", "--samples", "1000"],
+            ["mcp-scan", "--b", "0:1e300:3", "--c", "-1:1:3", "--t", "0.1:0.5:3"],
+            ["curvature", "--heisenberg", "--eps", "1e154", "--samples", "10"],
         ):
             _one_line_usage_error(main(argv), capsys)
 

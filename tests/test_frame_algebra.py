@@ -58,6 +58,19 @@ def test_build_heisenberg_rejects_bad_arguments():
         build_heisenberg_algebra(1, 0.0)
     with pytest.raises(DomainError):
         build_heisenberg_algebra(1, -2.0)
+    for eps in (1e-51, 1e51, 1e154, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            build_heisenberg_algebra(1, eps)
+
+
+def test_eps_range_keeps_the_catalog_finite():
+    # beyond the range the catalog's residual norms overflow: eps = 1e60
+    # gave inf residuals and 1e154 NaN ones, each read as a failure
+    for n in (1, 3):
+        for eps in (1e-50, 1e50):
+            report = verify_structure_identities(*_full_stack(n, eps), tol=1e-10)
+            assert len(report.identities) == 27
+            assert all(np.isfinite(r.residual) for r in report.identities)
 
 
 def test_algebra_and_contact_validation_pass():

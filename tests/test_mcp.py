@@ -202,11 +202,9 @@ def test_mcp_scan_reports_violations():
     assert not report.ok and 0 < len(expected) < 27
     got = [(v["b"], v["c"], v["t"], v["ratio"]) for v in report.violations]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
-    # a ratio that overflows to NaN is a violation, not a pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = mcp_scan(1, b_range=(0.0, 1e300), resolution=3)
-    assert not report.ok
-    assert all(np.isnan(v["ratio"]) for v in report.violations)
+    # a ratio that overflows to NaN is a usage error, never a pass
+    with pytest.raises(DomainError):
+        mcp_scan(1, b_range=(0.0, 1e300), resolution=3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

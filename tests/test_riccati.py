@@ -112,6 +112,27 @@ def test_xms_against_mpmath():
     assert rc._xms(0.0) == 1.0 / 6.0
 
 
+def test_series_is_polyval_to_the_bit():
+    # Horner's rule in np.polyval's operations: a dense grid over the cut,
+    # its ends and 0, and arguments that are clipped to the cut, scalar
+    # and stacked
+    cut = rc._SERIES_CUT
+    xs = np.concatenate([
+        np.linspace(-cut, cut, 20001),
+        [0.0, -0.0, cut, -cut, np.nextafter(cut, 1.0), 1.0, 1e22, 1e300],
+        -np.geomspace(1e-300, 1e300, 601),
+        np.geomspace(1e-300, 1e300, 601),
+    ])
+    stacked = np.stack((xs, xs[::-1]))
+    near = np.clip(stacked, -cut, cut)
+    for coeffs in (rc._K2HAT_SERIES, rc._SXC_SERIES, rc._XMS_SERIES):
+        expected = np.polyval(coeffs, near * near)
+        assert rc._series(coeffs, stacked).tobytes() == expected.tobytes()
+        for x, z in zip(xs[::97], near[0, ::97]):
+            got = rc._series(coeffs, x)
+            assert got.tobytes() == np.polyval(coeffs, z * z).tobytes()
+
+
 def test_kernels_are_quiet_at_huge_arguments():
     # each series is taken at |x| clipped to the cut, so no argument
     # overflows it
@@ -421,6 +442,16 @@ def test_jacobi_flow_shapes_and_validation():
             rc.jacobi_flow(W, R, bad)
     with pytest.raises(DomainError):
         rc.jacobi_flow(W, np.full((3, 3), np.nan), [0.5])
+    # one bad entry in W alone or in R alone, in a stack and in a single
+    # matrix: Python's max(1.0, nan) is 1.0, so the step rate must not be
+    # where a NaN is lost
+    for shape, entry in (((4, 3, 3), (2, 1, 2)), ((3, 3), (1, 2))):
+        for bad in (np.nan, np.inf, -np.inf):
+            for which in ("W", "R"):
+                M = {"W": np.zeros(shape), "R": np.zeros(shape) + np.eye(3)}
+                M[which][entry] = bad
+                with pytest.raises(DomainError, match="finite"):
+                    rc.jacobi_flow(M["W"], M["R"], [0.5])
 
 
 def test_inverse_riccati_euclidean():
