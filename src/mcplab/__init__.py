@@ -5,7 +5,7 @@ Modules:
 
 - frame_algebra: frames, brackets, connections, curvature, identity checks
 - heisenberg:    the model group, geodesics, adapted frames, distortion
-- riccati:       block matrices, Jacobi and Riccati flow, closed forms, bounds
+- riccati:       block matrices, Jacobi and Riccati flow, closed forms
 - mcp:           densities, contraction scans, Monte Carlo cross-checks
 - cli:           command-line front end
 """

@@ -24,14 +24,11 @@ consequences) and reports one residual per identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainError, ModelValidationError
-
-KIND_LEVI_CIVITA = "levi-civita"
-KIND_TANAKA_WEBSTER = "tanaka-webster"
 
 _VALIDATE_TOL = 1e-10
 # check_main_hypotheses counts a hypothesis as holding when its minimum
@@ -72,10 +69,6 @@ class FrameAlgebra:
     @property
     def dim(self) -> int:
         return self.metric.shape[0]
-
-    def bracket_of(self, u, v) -> np.ndarray:
-        """[u, v] for constant-coefficient vectors u, v."""
-        return v @ _contract(u, self.bracket)
 
     def inner(self, u, v) -> float:
         return float(u @ self.metric @ v)
@@ -156,11 +149,6 @@ class ConnectionCoeffs:
     the derivative of e_j along e_i."""
 
     gamma: np.ndarray
-    torsion_free: bool
-
-    def apply(self, u, w) -> np.ndarray:
-        """Derivative of the constant-coefficient field w along u."""
-        return w @ _contract(u, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -175,12 +163,6 @@ class CurvatureData:
     riem: np.ndarray
     ricci: np.ndarray
     operator: np.ndarray
-    connection_kind: str
-
-    def sectional_like(self, u, w, z, x) -> float:
-        """<R(u, w) z, x> for constant-coefficient vectors, contracted
-        one vector at a time (one d^4 pass, then d^3 and d^2 work)."""
-        return float(z @ _contract(w, _contract(u, self.riem)) @ x)
 
 
 def build_heisenberg_algebra(n: int, eps: float):
@@ -225,7 +207,7 @@ def levi_civita(alg: FrameAlgebra) -> ConnectionCoeffs:
     # cg.transpose(2,0,1)[i,j,k] = <[e_j,e_k],e_i>; (1,2,0) gives <[e_k,e_i],e_j>
     K = cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0)
     gamma = 0.5 * np.einsum("ijk,km->ijm", K, np.linalg.inv(alg.metric))
-    return ConnectionCoeffs(gamma=gamma, torsion_free=True)
+    return ConnectionCoeffs(gamma=gamma)
 
 
 def tanaka_webster(
@@ -246,7 +228,7 @@ def tanaka_webster(
         - 0.5 * (Je @ g)[:, :, None] * V
         + 0.5 * gV[:, None, None] * Je[None, :, :]
     )
-    return ConnectionCoeffs(gamma=gamma, torsion_free=False)
+    return ConnectionCoeffs(gamma=gamma)
 
 
 def curvature(alg: FrameAlgebra, conn: ConnectionCoeffs) -> CurvatureData:
@@ -265,8 +247,7 @@ def curvature(alg: FrameAlgebra, conn: ConnectionCoeffs) -> CurvatureData:
     riem = np.einsum("ijkm,ml->ijkl", op, alg.metric, order="C")
     ginv = np.linalg.inv(alg.metric)
     ricci = np.einsum("vw,vabw->ab", ginv, riem)
-    kind = KIND_LEVI_CIVITA if conn.torsion_free else KIND_TANAKA_WEBSTER
-    return CurvatureData(riem=riem, ricci=ricci, operator=op, connection_kind=kind)
+    return CurvatureData(riem=riem, ricci=ricci, operator=op)
 
 
 def rescale_vertical(alg: FrameAlgebra, cs: ContactStructure, new_eps: float):
@@ -608,15 +589,7 @@ class HypothesisReport:
     holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "min_sectional": self.min_sectional,
-            "min_orthogonal_sum": self.min_orthogonal_sum,
-            "orthogonal_vacuous": self.orthogonal_vacuous,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def check_main_hypotheses(

@@ -165,21 +165,13 @@ class Trajectory:
     """Geodesic sampled on a grid.
 
     pos and vel have shape (len(t), dim); the exact solution is kept for
-    off-grid evaluation via at()."""
+    the off-grid times at which adapted_frame checks its drift."""
 
     model: HeisenbergModel
     t: np.ndarray
     pos: np.ndarray
     vel: np.ndarray
     _sol: _Helix
-
-    def at(self, time: float) -> GeodesicState:
-        lo, hi = float(np.min(self.t)), float(np.max(self.t))
-        if not (lo <= time <= hi):
-            raise DomainError(f"time {time!r} outside the integrated span [{lo}, {hi}]")
-        y = self._sol(time)
-        d = self.model.dim
-        return GeodesicState(pos=y[:d], vel=y[d:])
 
     def conservation_drift(self) -> dict:
         """Maximum drift of the two first integrals over the sample grid."""
@@ -342,31 +334,16 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
 # distortion (Jacobi) matrices
 # ---------------------------------------------------------------------------
 
-def jacobi_matrices_from_params(b, c, ts, n: int = 1):
-    """A(t) over the (strictly increasing, positive) times ts for
+def jacobi_determinants_from_params(b, c, ts, n: int = 1):
+    """det A(t) over the (strictly increasing, positive) times ts for
     A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0, A'(0) = I, where W, R are
     the constant matrices built from (b, c, n) with zero ambient curvature.
     Propagated by riccati.jacobi_flow, which never evaluates the closed
-    forms and checks that the times are finite and increasing."""
+    forms and checks that the times are finite and increasing; the
+    flow-level oracle for the closed-form determinant profile."""
     params = RiccatiParams(b=b, c=c, n=n)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.ndim != 1 or len(ts) == 0 or not ts[0] > 0.0:
         raise DomainError("evaluation times must be a nonempty list of positive reals")
     A, _ = jacobi_flow(*_model_blocks(params.b, params.c, params.n), ts)
-    return A
-
-
-def jacobi_determinants_from_params(b, c, ts, n: int = 1):
-    """det A(t) over the times ts; the flow-level oracle for the
-    closed-form determinant profile."""
-    return np.linalg.det(jacobi_matrices_from_params(b, c, ts, n=n))
-
-
-def jacobi_determinant(
-    model: HeisenbergModel, start: GeodesicState, t: float
-) -> float:
-    """det A(t) along the geodesic through start (scalars b, c read off the
-    initial velocity).  Negative or zero values mean t is at or beyond the
-    first conjugate time; the caller interprets the sign."""
-    params = adapted_params(model, start)
-    return float(jacobi_determinants_from_params(params.b, params.c, [t], n=model.n)[0])
+    return np.linalg.det(A)

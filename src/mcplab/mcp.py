@@ -27,7 +27,7 @@ deterministic for a fixed seed and sample count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -379,16 +379,7 @@ class MonteCarloResult:
         return iter((self.ratio, self.std_error))
 
     def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "std_error": self.std_error,
-            "t": self.t,
-            "samples_used": self.samples_used,
-            "rejected_fraction": self.rejected_fraction,
-            "bound": self.bound,
-            "seed": self.seed,
-            "passes": self.passes,
-        }
+        return {**asdict(self), "passes": self.passes}
 
 
 def monte_carlo_contraction(

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OutOfRegimeError, SingularityError
+from .errors import DomainError, SingularityError
 
 # Below this |x| the helpers _k2hat, _sxc and _xms switch to their Taylor
 # series through x^14, whose truncation error at the cut is below 1e-16
@@ -84,12 +84,6 @@ def _k2hat(x):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = (x * np.cos(x) / np.sin(x) - 1.0) / (x * x)
     return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
-
-
-def _xcot(x):
-    """x cot x, analytic at 0 with value 1."""
-    x = np.asarray(x, dtype=float)
-    return 1.0 + x * x * _k2hat(x)
 
 
 def _sinc(x):
@@ -227,15 +221,6 @@ def _f1_pieces(b, c, t):
     return f00, f01, f02, f11, f12, f22, xc, k1h
 
 
-def _trace_f1(b, c, t):
-    f00, _, _, f11, _, f22, _, _ = _f1_pieces(b, c, t)
-    return f00 + f11 + f22
-
-
-def _trace_f3(c, t, n):
-    return -(2 * n - 2) * _xcot(c * t) / t
-
-
 def closed_forms(params: RiccatiParams, t: float):
     """Closed-form (F1(1 - t), per-direction F3(1 - t)) for zero ambient
     curvature.
@@ -264,127 +249,6 @@ def closed_forms(params: RiccatiParams, t: float):
     return F1, float(-xc / t)
 
 
-def f3_tilde(params: RiccatiParams, t: float) -> float:
-    """Comparison trace for the parallel block: the solution of
-
-        f' = -(2n - 2) c^2 - f^2 / (2n - 2)
-
-    with the same blow-down normalization, namely -(2n-2) c cot(c t).
-    Returns 0.0 for n = 1 (the block is empty).
-    """
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"t must lie in (0, 1), got {t!r}")
-    if params.n == 1:
-        return 0.0
-    _check_sin_regular(params.c * t)
-    return float(_trace_f3(params.c, t, params.n))
-
-
-@dataclass
-class TraceScanReport:
-    """Grid minimum of t * tr F over (b, c, t), with the argmin."""
-
-    n: int
-    tol: float
-    b_values: np.ndarray
-    c_values: np.ndarray
-    t_values: np.ndarray
-    min_t_tr_F1: float
-    argmin_F1: tuple
-    min_t_tr_F3: float
-    argmin_F3: tuple
-    f1_ok: bool
-    f3_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.f1_ok and self.f3_ok
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tol": self.tol,
-            "b_range": [float(self.b_values.min()), float(self.b_values.max())],
-            "c_range": [float(self.c_values.min()), float(self.c_values.max())],
-            "t_range": [float(self.t_values.min()), float(self.t_values.max())],
-            "grid_shape": [
-                len(self.b_values),
-                len(self.c_values),
-                len(self.t_values),
-            ],
-            "min_t_tr_F1": self.min_t_tr_F1,
-            "argmin_F1": {
-                "b": self.argmin_F1[0],
-                "c": self.argmin_F1[1],
-                "t": self.argmin_F1[2],
-            },
-            "bound_F1": -5.0,
-            "min_t_tr_F3": self.min_t_tr_F3,
-            "argmin_F3": {
-                "b": self.argmin_F3[0],
-                "c": self.argmin_F3[1],
-                "t": self.argmin_F3[2],
-            },
-            "bound_F3": -float(2 * self.n - 2),
-            "f1_ok": self.f1_ok,
-            "f3_ok": self.f3_ok,
-            "ok": self.ok,
-        }
-
-
-def trace_scan(
-    n: int,
-    b_values,
-    c_values,
-    t_values,
-    tol: float = 1e-9,
-) -> TraceScanReport:
-    """Vectorized minimum of t * tr F1(1 - t) and t * tr F3(1 - t) over a
-    (b, c, t) grid.  c must stay inside (-pi, pi) and t inside (0, 1]."""
-    b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
-    c_values = np.atleast_1d(np.asarray(c_values, dtype=float))
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    if np.max(np.abs(c_values)) >= np.pi:
-        raise OutOfRegimeError("c grid must stay inside (-pi, pi)")
-    if np.min(t_values) <= 0.0 or np.max(t_values) > 1.0:
-        raise DomainError("t grid must stay inside (0, 1]")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-
-    b = b_values[:, None, None]
-    c = c_values[None, :, None]
-    t = t_values[None, None, :]
-    q1 = t * _trace_f1(b, c, t)
-    q3 = t * _trace_f3(c, t, n) * np.ones_like(b)
-
-    i1 = np.unravel_index(int(np.argmin(q1)), q1.shape)
-    i3 = np.unravel_index(int(np.argmin(q3)), q3.shape)
-    min1 = float(q1[i1])
-    min3 = float(q3[i3])
-    m = 2 * n - 2
-    return TraceScanReport(
-        n=n,
-        tol=tol,
-        b_values=b_values,
-        c_values=c_values,
-        t_values=t_values,
-        min_t_tr_F1=min1,
-        argmin_F1=(
-            float(b_values[i1[0]]),
-            float(c_values[i1[1]]),
-            float(t_values[i1[2]]),
-        ),
-        min_t_tr_F3=min3,
-        argmin_F3=(
-            float(b_values[i3[0]]),
-            float(c_values[i3[1]]),
-            float(t_values[i3[2]]),
-        ),
-        f1_ok=bool(min1 >= -5.0 - tol),
-        f3_ok=bool(min3 >= -float(m) - tol),
-    )
-
-
 # ---------------------------------------------------------------------------
 # determinant factors of the distortion matrix
 # ---------------------------------------------------------------------------
@@ -406,21 +270,6 @@ def det_distortion(params: RiccatiParams, t):
     block's factor t^3 (1 + b^2 t^2 / 3) at c = 0; equals t^{2n+1} at
     b = c = 0."""
     return _det_a(params.b, params.c, params.n, np.asarray(t, dtype=float))
-
-
-def distortion_factor_raw(params: RiccatiParams, t):
-    """The unnormalized scalar profile
-
-        g(t) = t (b^2 + c^2)(cos 2ct - 1) + t^2 b^2 c sin 2ct,
-
-    equal to -2 c^4 det A1(t), the 3x3 block's factor (_det_a at n = 1).
-    Its logarithmic derivative is -tr F1(1 - t); kept in raw form for
-    finite-difference cross-checks."""
-    t = np.asarray(t, dtype=float)
-    b, c = params.b, params.c
-    return t * (b * b + c * c) * (np.cos(2 * c * t) - 1.0) + t * t * b * b * c * np.sin(
-        2 * c * t
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +380,7 @@ def jacobi_flow(W, R, s):
     A'(0) = I, with constant coefficients.
 
     W and R are (..., d, d) stacks of finite matrices that broadcast
-    against each other; s is a 1-d array of increasing times >= 0.
+    against each other; s is a nonempty 1-d array of increasing times >= 0.
     Returns A and A', each of shape (len(s), ..., d, d).
 
     The row state Y = [A, A'] satisfies Y' = Y K with
@@ -553,8 +402,8 @@ def jacobi_flow(W, R, s):
     if not (math.isfinite(w_max) and math.isfinite(r_max)):
         raise DomainError("W and R must be finite")
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.ndim != 1 or not np.all(np.isfinite(s)) or s[0] < 0.0:
-        raise DomainError("flow times must be finite reals >= 0")
+    if s.ndim != 1 or not len(s) or not np.all(np.isfinite(s)) or s[0] < 0.0:
+        raise DomainError("flow times must be a nonempty list of finite reals >= 0")
     span = np.diff(s, prepend=0.0)
     if not np.all(span[1:] > 0.0):
         raise DomainError("flow times must be strictly increasing")
@@ -668,20 +517,3 @@ def integrate_inverse_riccati(
         tr_F3=np.trace(F3, axis1=1, axis2=2),
         singular=~f_ok,
     )
-
-
-def psd_compare(F: np.ndarray, Ftilde: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when F - Ftilde is positive semidefinite within tol.
-
-    Both inputs must be symmetric within 1e-9 (DomainError otherwise);
-    they are symmetrized before the eigenvalue check to shed integration
-    noise."""
-    F = np.asarray(F, dtype=float)
-    Ftilde = np.asarray(Ftilde, dtype=float)
-    for name, M in (("F", F), ("Ftilde", Ftilde)):
-        if M.shape[0] != M.shape[1]:
-            raise DomainError(f"{name} must be square")
-        if np.max(np.abs(M - M.T), initial=0.0) > 1e-9:
-            raise DomainError(f"{name} is not symmetric within 1e-9")
-    S = 0.5 * (F + F.T) - 0.5 * (Ftilde + Ftilde.T)
-    return bool(np.linalg.eigvalsh(S).min() >= -tol)

@@ -2,7 +2,9 @@
 
 Oracles for the closed-form geodesic flow: solve_ivp on the frame-matrix
 right-hand side with an einsum over the connection coefficients, and the
-written-out geodesic equations integrated by 30-digit mpmath.odefun.
+written-out geodesic equations integrated by 30-digit mpmath.odefun.  The
+closed-form det A is checked against central differences of the flow's
+exponential map.
 """
 
 import mpmath
@@ -18,9 +20,7 @@ from mcplab.heisenberg import (
     adapted_frame,
     adapted_params,
     geodesic_flow,
-    jacobi_determinant,
     jacobi_determinants_from_params,
-    jacobi_matrices_from_params,
 )
 from mcplab.frame_algebra import (
     _jacobi_operator,
@@ -30,10 +30,12 @@ from mcplab.frame_algebra import (
 )
 from mcplab.riccati import (
     RiccatiParams,
+    _det_a,
     build_blocks,
     closed_forms,
     conjugate_time,
     det_distortion,
+    jacobi_flow,
 )
 
 
@@ -92,17 +94,15 @@ def test_frame_matrix_examples():
 def test_vertical_geodesic_is_vertical_line():
     m = HeisenbergModel(n=1, eps=2.0)
     traj = geodesic_flow(m, _origin_state(m, [1.0, 0.0, 0.0]), T=3.0)
-    end = traj.at(3.0)
-    assert np.allclose(end.pos, [0.0, 0.0, 1.5], atol=1e-12)
-    assert np.allclose(end.vel, [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(traj.pos[-1], [0.0, 0.0, 1.5], atol=1e-12)
+    assert np.allclose(traj.vel[-1], [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_horizontal_geodesic_is_straight_line():
     m = HeisenbergModel(n=1, eps=1.0)
     traj = geodesic_flow(m, _origin_state(m, [0.0, 1.0, 0.0]), T=2.0)
-    end = traj.at(2.0)
-    assert np.allclose(end.pos, [2.0, 0.0, 0.0], atol=1e-10)
-    assert np.allclose(end.vel, [0.0, 1.0, 0.0], atol=1e-10)
+    assert np.allclose(traj.pos[-1], [2.0, 0.0, 0.0], atol=1e-10)
+    assert np.allclose(traj.vel[-1], [0.0, 1.0, 0.0], atol=1e-10)
 
 
 def test_mixed_geodesic_conserves_speed_and_vertical():
@@ -121,21 +121,20 @@ def test_horizontal_projection_closes_after_one_period():
     # angular rate eps u_0; it closes at t = 2 pi / (eps u_0)
     m = HeisenbergModel(n=1, eps=1.0)
     traj = geodesic_flow(m, _origin_state(m, [1.0, 1.0, 0.0]), T=2 * np.pi)
-    end = traj.at(2 * np.pi)
-    assert abs(end.pos[0]) < 1e-8
-    assert abs(end.pos[1]) < 1e-8
-    assert end.pos[2] > 0.1  # the vertical displacement accumulates
+    end = traj.pos[-1]
+    assert abs(end[0]) < 1e-8
+    assert abs(end[1]) < 1e-8
+    assert end[2] > 0.1  # the vertical displacement accumulates
 
 
 def test_reversibility():
     m = HeisenbergModel(n=1, eps=2.0)
     start = GeodesicState(pos=[0.2, -0.4, 1.0], vel=[0.3, 0.8, -0.5])
     fwd = geodesic_flow(m, start, T=4.0)
-    end = fwd.at(4.0)
+    end = GeodesicState(pos=fwd.pos[-1], vel=fwd.vel[-1])
     back = geodesic_flow(m, end, T=-4.0)
-    again = back.at(-4.0)
-    assert np.max(np.abs(again.pos - start.pos)) <= 1e-8
-    assert np.max(np.abs(again.vel - start.vel)) <= 1e-8
+    assert np.max(np.abs(back.pos[-1] - start.pos)) <= 1e-8
+    assert np.max(np.abs(back.vel[-1] - start.vel)) <= 1e-8
 
 
 def test_flow_matches_the_frame_matrix_right_hand_side():
@@ -213,9 +212,6 @@ def test_flow_argument_validation():
     s5 = GeodesicState(pos=np.zeros(5), vel=np.ones(5))
     with pytest.raises(DomainError):
         geodesic_flow(m, s5, T=1.0)
-    traj = geodesic_flow(m, s, T=1.0)
-    with pytest.raises(DomainError):
-        traj.at(1.5)
 
 
 def test_adapted_params_examples():
@@ -297,7 +293,8 @@ def test_jacobi_euclidean_powers():
 def test_jacobi_initial_conditions():
     # short-time expansion A(t) = t I - t^2 W + O(t^3)
     t = 1e-3
-    A = jacobi_matrices_from_params(-1.0, 0.5, t)[0]
+    blocks = build_blocks(RiccatiParams(b=-1.0, c=0.5))
+    A = jacobi_flow(blocks.W, blocks.R, [t])[0][0]
     W = np.array([[0, 0, -1.0], [0, 0, 0.5], [1.0, -0.5, 0]])
     assert np.max(np.abs(A - (t * np.eye(3) - t * t * W))) < 1e-8
     assert np.linalg.det(A) == pytest.approx(1e-9, rel=1e-3)
@@ -353,11 +350,38 @@ def test_jacobi_matches_exp_trace_integral():
 
 def test_jacobi_determinant_from_state_matches_params():
     m = HeisenbergModel(n=1, eps=2.0)
-    start = _origin_state(m, [1.0, 1.0, 0.0])
-    det_state = jacobi_determinant(m, start, 0.6)
+    p = adapted_params(m, _origin_state(m, [1.0, 1.0, 0.0]))
+    det_state = jacobi_determinants_from_params(p.b, p.c, [0.6], n=p.n)[0]
     det_params = jacobi_determinants_from_params(-1.0, 1.0, [0.6], n=1)[0]
     assert det_state == pytest.approx(det_params, rel=1e-12)
     with pytest.raises(DegenerateDirectionError):
-        jacobi_determinant(m, _origin_state(m, [1.0, 0.0, 0.0]), 0.5)
+        adapted_params(m, _origin_state(m, [1.0, 0.0, 0.0]))
     with pytest.raises(DomainError):
-        jacobi_determinant(m, start, -0.5)
+        jacobi_determinants_from_params(p.b, p.c, [-0.5], n=p.n)
+
+
+def test_det_a_is_the_differential_of_the_exponential_map():
+    # eps det(d pos(t) / d vel_0) of the helix is det A(t) of (b, c): eps
+    # turns the vertical coordinate into the frame coefficient of v0.
+    # Central differences of step 1e-6 are off by at most 1.2e-9 relative
+    # on these 48 states.  det A is even in b and c, so this oracle sees a
+    # wrong factor in adapted_params but not a wrong sign.
+    rng = np.random.default_rng(13)
+    t, h = 0.9, 1e-6
+    for n in (1, 2, 3):
+        for eps in (0.5, 2.0):
+            m = HeisenbergModel(n=n, eps=eps)
+            for _ in range(8):
+                pos, vel = rng.normal(size=(2, m.dim))
+                # |c t| = eps |u_0| t / 2 <= 1.8, well below pi
+                vel[0] = rng.uniform(-4.0, 4.0) / eps
+                columns = [
+                    (geodesic_flow(m, GeodesicState(pos, vel + h * e), T=t).pos[-1]
+                     - geodesic_flow(m, GeodesicState(pos, vel - h * e), T=t).pos[-1])
+                    / (2 * h)
+                    for e in np.eye(m.dim)
+                ]
+                p = adapted_params(m, GeodesicState(pos, vel))
+                det_a = float(_det_a(p.b, p.c, n, t))
+                got = eps * np.linalg.det(np.array(columns).T)
+                assert got == pytest.approx(det_a, rel=1e-8), (n, eps)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcplab import riccati as rc
-from mcplab.errors import DomainError, OutOfRegimeError, SingularityError
+from mcplab.errors import DomainError, SingularityError
 
 
 def test_params_validation():
@@ -437,7 +437,7 @@ def test_jacobi_flow_shapes_and_validation():
                                atol=1e-15)
     np.testing.assert_allclose(Ap[1], np.cos(0.5) * np.broadcast_to(np.eye(3), (4, 3, 3)),
                                atol=1e-15)
-    for bad in ([-0.1, 0.5], [0.5, 0.5], [0.5, 0.2], [0.1, np.nan]):
+    for bad in ([], [-0.1, 0.5], [0.5, 0.5], [0.5, 0.2], [0.1, np.nan]):
         with pytest.raises(DomainError):
             rc.jacobi_flow(W, R, bad)
     with pytest.raises(DomainError):
@@ -508,24 +508,32 @@ def test_det_g1_behavior_at_first_conjugate_time():
     assert np.linalg.det(s0.G1[1]) < 0.0 and np.linalg.det(s0.G1[2]) < 0.0
 
 
+def _raw_factor(b, c, t):
+    """g(t) = t (b^2 + c^2)(cos 2ct - 1) + t^2 b^2 c sin 2ct, which is
+    -2 c^4 det A1(t) written out in plain trigonometric functions."""
+    return t * (b * b + c * c) * (np.cos(2 * c * t) - 1.0) + t * t * b * b * c * np.sin(
+        2 * c * t
+    )
+
+
 def test_trace_identity_against_raw_factor():
     # tr F1(1-t) = -d/dt ln |g(t)| with g the raw determinant factor
     for b, c in [(1.3, 2.1), (0.0, 1.7), (2.0, -0.9)]:
         p = rc.RiccatiParams(b, c, 1)
         t, h = 0.37, 1e-5
         dlng = (
-            np.log(abs(float(rc.distortion_factor_raw(p, t + h))))
-            - np.log(abs(float(rc.distortion_factor_raw(p, t - h))))
+            np.log(abs(_raw_factor(b, c, t + h))) - np.log(abs(_raw_factor(b, c, t - h)))
         ) / (2 * h)
         F1, _ = rc.closed_forms(p, t)
         assert np.trace(F1) == pytest.approx(-dlng, abs=1e-5)
 
 
 def test_raw_factor_matches_normalized_determinant():
-    p = rc.RiccatiParams(1.7, 2.3, 2)
+    b, c = 1.7, 2.3
     ts = np.linspace(0.05, 0.95, 7)
-    raw = rc.distortion_factor_raw(p, ts)
-    np.testing.assert_allclose(raw, -2.0 * p.c**4 * rc._det_a(p.b, p.c, 1, ts), rtol=1e-12)
+    np.testing.assert_allclose(
+        _raw_factor(b, c, ts), -2.0 * c**4 * rc._det_a(b, c, 1, ts), rtol=1e-12
+    )
 
 
 def test_det_distortion_limits():
@@ -538,42 +546,20 @@ def test_det_distortion_limits():
     assert abs(float(rc._det_a(p.b, p.c, 1, 1.0))) < 1e-15
 
 
-def test_trace_scan_report():
-    b = np.concatenate([[0.0], np.geomspace(1e-2, 1e3, 21)])
-    c = np.linspace(-np.pi + 1e-3, np.pi - 1e-3, 31)
-    t = np.linspace(0.02, 1.0, 25)
-    rep = rc.trace_scan(2, b, c, t)
-    assert rep.ok and rep.f1_ok and rep.f3_ok
-    assert rep.min_t_tr_F1 >= -5.0 - 1e-9
-    assert rep.min_t_tr_F3 >= -2.0 - 1e-9
-    # infimum -5 is approached at large b, small |c|, t = 1
-    assert rep.argmin_F1[0] == 1e3 and rep.argmin_F1[2] == 1.0
-    assert abs(rep.argmin_F1[1]) < 0.25
-    d = rep.to_dict()
-    assert d["bound_F1"] == -5.0 and d["ok"]
-    with pytest.raises(OutOfRegimeError):
-        rc.trace_scan(1, b, np.array([3.2]), t)
-    with pytest.raises(DomainError):
-        rc.trace_scan(1, b, c, np.array([0.0, 0.5]))
-
-
 def test_trace_bounds_values_and_flags():
-    # one-point grids: at c = 0, t = 1 the trace is -(9 + 5 b^2) / (3 + b^2)
+    def t_tr_f1(b, c, t):
+        f00, _, _, f11, _, f22, _, _ = rc._f1_pieces(b, c, t)
+        return t * (f00 + f11 + f22)
+
+    # at c = 0, t = 1 the trace is -(9 + 5 b^2) / (3 + b^2)
     expected = -(9.0 + 5.0e6) / (3.0 + 1.0e6)
-    one = rc.trace_scan(1, 1e3, 0.0, 1.0)
-    assert one.min_t_tr_F1 == pytest.approx(expected, rel=1e-12)
-    assert -5.0 < one.min_t_tr_F1 < -4.99 and one.ok
+    assert t_tr_f1(1e3, 0.0, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert -5.0 < t_tr_f1(1e3, 0.0, 1.0) < -4.99
     # small c perturbation stays stable (raw K2/K1 forms lose digits here)
-    one = rc.trace_scan(1, 1e3, 1e-3, 1.0)
-    assert one.min_t_tr_F1 == pytest.approx(expected, rel=1e-4) and one.f1_ok
+    assert t_tr_f1(1e3, 1e-3, 1.0) == pytest.approx(expected, rel=1e-4)
     # F3 bound for n = 2: t tr F3 = -(2n-2) x cot x >= -(2n-2) on |x| < pi,
     # and past pi/2 the cotangent flips sign
-    one = rc.trace_scan(2, 0.0, 2.8, 1.0)
-    assert one.f3_ok and one.min_t_tr_F3 > 0.0
-    with pytest.raises(OutOfRegimeError):
-        rc.trace_scan(1, 0.0, np.pi, 0.5)
-    with pytest.raises(DomainError):
-        rc.trace_scan(1, 1e3, 0.0, 0.0)
+    assert -2.0 * rc._f1_pieces(0.0, 2.8, 1.0)[6] > 0.0
 
 
 def test_conjugate_time_values():
@@ -621,17 +607,6 @@ def test_scalar_outputs_even_in_b_and_c():
                 assert f3a == pytest.approx(f3b, rel=1e-13)
 
 
-def test_psd_compare_basics():
-    A = np.diag([1.0, 2.0, 3.0])
-    assert rc.psd_compare(A, A)
-    assert rc.psd_compare(A, A - 1e-12 * np.eye(3))
-    assert not rc.psd_compare(A, A + np.diag([0.0, 1e-3, 0.0]))
-    bad = A.copy()
-    bad[0, 1] = 1e-5
-    with pytest.raises(DomainError):
-        rc.psd_compare(bad, A)
-
-
 def test_curvature_comparison_orders_riccati_solutions():
     # nonnegative ambient curvature pushes the blow-down branch upward:
     # F(1-t) with rbar >= 0 dominates the flat-model branch, and so do its
@@ -649,22 +624,31 @@ def test_curvature_comparison_orders_riccati_solutions():
     for rbar in (split, coupled):
         sc = rc.integrate_inverse_riccati(p, rc.build_blocks(p, rbar=rbar), grid)
         for k in range(1, len(grid)):
-            assert rc.psd_compare(sc.F1[k], sf.F1[k], tol=1e-8)
+            # F1 - F1_flat is positive semidefinite; both are symmetric
+            for F in (sc.F1[k], sf.F1[k]):
+                assert np.max(np.abs(F - F.T)) <= 1e-9
+            D = sc.F1[k] - sf.F1[k]
+            assert np.linalg.eigvalsh(0.5 * (D + D.T)).min() >= -1e-8
             assert sc.tr_F3[k] >= sf.tr_F3[k] - 1e-8
     # and the flat F3 trace is exactly the comparison solution
     for k in range(1, len(grid)):
-        assert sf.tr_F3[k] == pytest.approx(rc.f3_tilde(p, float(grid[k])), abs=1e-8)
+        assert sf.tr_F3[k] == pytest.approx(_f3_tilde(p.c, grid[k], p.n), abs=1e-8)
+
+
+def _f3_tilde(c, t, n):
+    """The comparison trace -(2n - 2) c cot(ct) of the parallel block."""
+    return -(2 * n - 2) * c / np.tan(c * t)
 
 
 def test_f3_tilde():
-    assert rc.f3_tilde(rc.RiccatiParams(2.0, 1.0, 1), 0.5) == 0.0
     # c -> 0 limit is -(2n-2)/t
-    assert rc.f3_tilde(rc.RiccatiParams(0.0, 1e-12, 3), 0.25) == pytest.approx(
-        -16.0, rel=1e-12
-    )
+    assert _f3_tilde(1e-12, 0.25, 3) == pytest.approx(-16.0, rel=1e-12)
     # satisfies f' = (2n-2) c^2 + f^2/(2n-2) in the time-to-endpoint variable
-    p = rc.RiccatiParams(0.0, 1.3, 2)
-    t, h = 0.4, 1e-6
-    df = (rc.f3_tilde(p, t + h) - rc.f3_tilde(p, t - h)) / (2 * h)
-    f = rc.f3_tilde(p, t)
-    assert df == pytest.approx(2.0 * p.c**2 + f * f / 2.0, rel=1e-7)
+    c, t, h = 1.3, 0.4, 1e-6
+    df = (_f3_tilde(c, t + h, 2) - _f3_tilde(c, t - h, 2)) / (2 * h)
+    f = _f3_tilde(c, t, 2)
+    assert df == pytest.approx(2.0 * c**2 + f * f / 2.0, rel=1e-7)
+    # the closed form's parallel block is that comparison trace
+    for b, c, n in ((2.0, 1.0, 1), (0.0, 1e-12, 3), (0.7, 1.3, 2), (1.5, -2.9, 3)):
+        f3 = rc.closed_forms(rc.RiccatiParams(b, c, n), 0.25)[1]
+        assert (2 * n - 2) * f3 == pytest.approx(_f3_tilde(c, 0.25, n), rel=1e-12)
