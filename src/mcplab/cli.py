@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .errors import McplabError
 from .frame_algebra import (
+    _MAX_N,
     build_heisenberg_algebra,
     check_main_hypotheses,
     curvature,
@@ -63,10 +64,6 @@ from .riccati import (
 # about 160 bytes per point, so 10^6 points stay near 150 MB, like
 # mcp._MAX_SCAN_POINTS.
 _MAX_RANGE_COUNT = 1_000_000
-# The largest --n.  curvature holds four (2n+1)^4-entry tensors, 2.8
-# million entries (23 MB) each at n = 20, and the identity catalog traces
-# at most 61 MB more while it contracts them with its stacks of vectors.
-_MAX_N = 20
 # The most count * (2n+1)^2 block entries of one riccati run, at about 64
 # bytes each: about 130 MB.
 _MAX_RICCATI_ENTRIES = 2_000_000
@@ -173,7 +170,7 @@ def _cmd_curvature(args):
         alg, cs, lc, tw, curv_lc, curv_tw, tol=args.tol
     )
     hyp = check_main_hypotheses(
-        curv_tw, cs, samples=args.samples, seed=args.seed, metric=alg.metric
+        curv_tw, cs, alg.metric, samples=args.samples, seed=args.seed
     )
     tw_max = float(np.max(np.abs(curv_tw.riem)))
     payload = {

@@ -30,10 +30,19 @@ import numpy as np
 
 from .errors import DomainError, ModelValidationError
 
-_VALIDATE_TOL = 1e-10
+# The largest violation of an algebra invariant (FrameAlgebra.validate)
+# and of a contact invariant (ContactStructure.validate) that passes.
+_ALGEBRA_TOL = 1e-12
+_CONTACT_TOL = 1e-10
 # check_main_hypotheses counts a hypothesis as holding when its minimum
 # is at least -_HYPOTHESIS_TOL.
 _HYPOTHESIS_TOL = 1e-10
+# The largest n, for the model group and for a model file (frame dimension
+# 2n + 1 = 41).  The curvature suite holds four (2n+1)^4-entry tensors,
+# 2.8 million entries (23 MB) each at n = 20, and the identity catalog
+# traces at most 61 MB more while it contracts them with its stacks of
+# vectors.
+_MAX_N = 20
 # The eps build_heisenberg_algebra accepts: beyond it the identity catalog's
 # residual norms (squares of terms up to eps^3 and 1/eps) leave float64 range.
 _EPS_RANGE = (1e-50, 1e50)
@@ -73,23 +82,23 @@ class FrameAlgebra:
     def inner(self, u, v) -> float:
         return float(u @ self.metric @ v)
 
-    def validate(self, tol: float = 1e-12) -> list[str]:
+    def validate(self) -> list[str]:
         """Names of violated algebra invariants (empty when valid)."""
         out = []
         c, g = self.bracket, self.metric
         d = g.shape[0]
         if c.shape != (d, d, d) or g.shape != (d, d):
             return [f"shape mismatch: bracket {c.shape}, metric {g.shape}"]
-        if np.max(np.abs(c + c.swapaxes(0, 1)), initial=0.0) > tol:
+        if np.max(np.abs(c + c.swapaxes(0, 1)), initial=0.0) > _ALGEBRA_TOL:
             out.append("bracket is not antisymmetric")
         jac = (
             np.einsum("ijm,mkl->ijkl", c, c)
             + np.einsum("jkm,mil->ijkl", c, c)
             + np.einsum("kim,mjl->ijkl", c, c)
         )
-        if np.max(np.abs(jac), initial=0.0) > tol:
+        if np.max(np.abs(jac), initial=0.0) > _ALGEBRA_TOL:
             out.append("Jacobi identity fails")
-        if np.max(np.abs(g - g.T), initial=0.0) > tol:
+        if np.max(np.abs(g - g.T), initial=0.0) > _ALGEBRA_TOL:
             out.append("metric is not symmetric")
         elif np.linalg.eigvalsh(0.5 * (g + g.T)).min() <= 0.0:
             out.append("metric is not positive definite")
@@ -111,7 +120,7 @@ class ContactStructure:
         """Projection onto ker eta along V (acts on coefficient vectors)."""
         return np.eye(len(self.eta)) - np.outer(self.reeb, self.eta)
 
-    def validate(self, alg: FrameAlgebra, tol: float = _VALIDATE_TOL) -> list[str]:
+    def validate(self, alg: FrameAlgebra) -> list[str]:
         """Names of violated contact invariants (empty when valid)."""
         out = []
         d = alg.dim
@@ -120,25 +129,25 @@ class ContactStructure:
             return ["contact data shapes do not match the algebra dimension"]
         if not (eps > 0.0 and np.isfinite(eps)):
             return ["eps must be a positive real"]
-        if abs(float(eta @ V) - 1.0) > tol:
+        if abs(float(eta @ V) - 1.0) > _CONTACT_TOL:
             out.append("eta(V) != 1")
         # d eta(V, e_j) = -eta([V, e_j])
         dV = _contract(V, alg.bracket) @ eta
-        if np.max(np.abs(dV), initial=0.0) > tol:
+        if np.max(np.abs(dV), initial=0.0) > _CONTACT_TOL:
             out.append("d eta(V, .) != 0")
-        if np.max(np.abs(J @ V), initial=0.0) > tol:
+        if np.max(np.abs(J @ V), initial=0.0) > _CONTACT_TOL:
             out.append("J V != 0")
         P = self.horizontal_projector()
-        if np.max(np.abs((J @ J + np.eye(d)) @ P), initial=0.0) > tol:
+        if np.max(np.abs((J @ J + np.eye(d)) @ P), initial=0.0) > _CONTACT_TOL:
             out.append("J^2 != -1 on ker eta")
         # compatibility d eta(X1, X2) = <X1, J X2> on ker eta, on the
         # columns of P: d eta(h_i, h_j) = -(P^T (bracket . eta) P)[i, j]
         comp = np.max(np.abs(P.T @ (alg.bracket @ eta + alg.metric @ J) @ P))
-        if comp > tol:
+        if comp > _CONTACT_TOL:
             out.append("d eta and the metric are incompatible on ker eta")
-        if abs(alg.inner(V, V) - eps * eps) > tol * max(1.0, eps * eps):
+        if abs(alg.inner(V, V) - eps * eps) > _CONTACT_TOL * max(1.0, eps * eps):
             out.append("|V| != eps")
-        if np.max(np.abs((alg.metric @ V) @ P), initial=0.0) > tol:
+        if np.max(np.abs((alg.metric @ V) @ P), initial=0.0) > _CONTACT_TOL:
             out.append("V is not orthogonal to ker eta")
         return out
 
@@ -272,13 +281,6 @@ class IdentityResult:
     name: str
     residual: float
     passed: bool
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        d = {"name": self.name, "residual": self.residual, "passed": self.passed}
-        if self.note:
-            d["note"] = self.note
-        return d
 
 
 @dataclass
@@ -309,7 +311,7 @@ class IdentityReport:
             "tol": self.tol,
             "passed": self.passed,
             "precondition_failures": list(self.precondition_failures),
-            "identities": [r.to_dict() for r in self.identities],
+            "identities": [asdict(r) for r in self.identities],
             "ricci_comparison": self.ricci_comparison,
         }
 
@@ -405,15 +407,10 @@ def verify_structure_identities(
 
     results = []
 
-    def add(name, residuals, note=""):
+    def add(name, residuals):
         residual = float(np.max(residuals))
         results.append(
-            IdentityResult(
-                name=name,
-                residual=residual,
-                passed=bool(residual <= tol),
-                note=note,
-            )
+            IdentityResult(name=name, residual=residual, passed=bool(residual <= tol))
         )
 
     # eta recovered from the metric: eta(Y) = <V, Y> / eps^2
@@ -595,9 +592,9 @@ class HypothesisReport:
 def check_main_hypotheses(
     curv_tw: CurvatureData,
     cs: ContactStructure,
+    metric,
     samples: int = 200,
     seed: int = 0,
-    metric=None,
 ) -> HypothesisReport:
     """Sample random orthonormal bases {v, Jv, w_1, ..., w_{2n-2}} of
     ker eta and evaluate the two curvature hypotheses
@@ -607,13 +604,13 @@ def check_main_hypotheses(
 
     for the canonical-connection curvature.  Returns the minimum of each
     over the samples; for n = 1 the sum is empty and reported as vacuously
-    true.  The frame is assumed orthonormal unless a metric is supplied.
+    true.  metric is the Gram matrix of the frame.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
     d = cs.J.shape[0]
     n = (d - 1) // 2
-    g = np.eye(d) if metric is None else np.asarray(metric, dtype=float)
+    g = np.asarray(metric, dtype=float)
     rng = np.random.default_rng(seed)
     P = cs.horizontal_projector()
 
@@ -671,6 +668,8 @@ def model_from_dict(data: dict):
         raise ModelValidationError([f"malformed model description: {exc}"]) from exc
     if d < 3 or d % 2 != 1:
         raise ModelValidationError([f"dim must be odd and >= 3, got {d}"])
+    if d > 2 * _MAX_N + 1:
+        raise ModelValidationError([f"dim must be at most {2 * _MAX_N + 1}, got {d}"])
     bracket = np.full((d, d, d), np.nan)
     for entry in entries:
         if len(entry) != 4:

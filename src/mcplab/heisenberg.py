@@ -20,7 +20,10 @@ With p = x + i y and w = u_X + i u_Y in C^n,
            + (1/2) [Im(conj(p_0) . w_0 E(t)) + |w_0|^2 omega t^3 S(omega t)],
 
 with S(x) = (x - sin x) / x^3 (riccati._xms), so vertical velocities
-(w_0 = 0) and horizontal ones (omega = 0) need no case split.
+(w_0 = 0) and horizontal ones (omega = 0) need no case split.  Being
+closed form, the helix is evaluated from the start state at whatever
+times are asked for: geodesic_flow at its sample grid, adapted_frame at
+its off-grid check times.
 
 Along a geodesic with nonvanishing horizontal velocity the adapted moving
 frame is v0, v1 = u_H/|u_H|, v2 = J v1, completed by J-paired parallel
@@ -128,50 +131,37 @@ class GeodesicState:
         return float(np.linalg.norm(self.vel[1:]))
 
 
-@dataclass(frozen=True)
-class _Helix:
-    """The exact geodesic through (p0, z0) with initial velocity (u0, w0),
-    where p = x + i y and w = u_X + i u_Y.  Called like a dense ODE
-    solution: a scalar time gives the state (pos, vel) of shape (2d,), an
-    array of times gives shape (2d, len(t))."""
+def _helix_velocity(eps, vel, ts):
+    """The velocity (u_0, u_X, u_Y) of the geodesic with initial velocity
+    vel at the 1-d times ts, shape (d, len(ts)): u_0 stays constant and
+    w = u_X + i u_Y turns at the rate omega = eps u_0."""
+    n = len(vel) // 2
+    w = (vel[1 : 1 + n] + 1j * vel[1 + n :])[:, None] * np.exp(1j * (eps * vel[0] * ts))
+    return np.vstack((np.full_like(ts, vel[0]), w.real, w.imag))
 
-    eps: float
-    u0: float
-    p0: np.ndarray
-    w0: np.ndarray
-    z0: float
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        ts = np.atleast_1d(t)
-        x = self.eps * self.u0 * ts  # omega t
-        E = ts * np.exp(0.5j * x) * _sinc(0.5 * x)
-        p = self.p0[:, None] + self.w0[:, None] * E
-        # omega t^3 S(omega t) as t^2 x S(x): no t^3 to overflow
-        lift = (np.imag(np.vdot(self.p0, self.w0) * E)
-                + np.vdot(self.w0, self.w0).real * ts * ts * x * _xms(x))
-        z = self.z0 + self.u0 * ts / self.eps + 0.5 * lift
-        y = np.vstack((p.real, p.imag, z, self.velocity(ts)))
-        return y if t.ndim else y[:, 0]
-
-    def velocity(self, ts):
-        """The lower half of the state, (u_0, u_X, u_Y), at the 1-d times ts."""
-        w = self.w0[:, None] * np.exp(1j * (self.eps * self.u0 * ts))
-        return np.vstack((np.full_like(ts, self.u0), w.real, w.imag))
+def _helix(eps, pos, vel, ts):
+    """The state (pos, vel) of the exact geodesic from (pos, vel) at the
+    1-d times ts, shape (2d, len(ts)): the helix of the module docstring."""
+    n = len(vel) // 2
+    p0 = pos[:n] + 1j * pos[n : 2 * n]
+    w0 = vel[1 : 1 + n] + 1j * vel[1 + n :]
+    x = eps * vel[0] * ts  # omega t
+    E = ts * np.exp(0.5j * x) * _sinc(0.5 * x)
+    p = p0[:, None] + w0[:, None] * E
+    # omega t^3 S(omega t) as t^2 x S(x): no t^3 to overflow
+    lift = np.imag(np.vdot(p0, w0) * E) + np.vdot(w0, w0).real * ts * ts * x * _xms(x)
+    z = pos[2 * n] + vel[0] * ts / eps + 0.5 * lift
+    return np.vstack((p.real, p.imag, z, _helix_velocity(eps, vel, ts)))
 
 
 @dataclass
 class Trajectory:
-    """Geodesic sampled on a grid.
+    """Geodesic sampled on a grid: pos and vel have shape (len(t), dim)."""
 
-    pos and vel have shape (len(t), dim); the exact solution is kept for
-    the off-grid times at which adapted_frame checks its drift."""
-
-    model: HeisenbergModel
     t: np.ndarray
     pos: np.ndarray
     vel: np.ndarray
-    _sol: _Helix
 
     def conservation_drift(self) -> dict:
         """Maximum drift of the two first integrals over the sample grid."""
@@ -205,21 +195,12 @@ def geodesic_flow(
         raise DomainError(f"T must be finite and nonzero, got {T!r}")
     if samples < 2:
         raise DomainError("samples must be >= 2")
-    n = model.n
-    pos, vel = start.pos, start.vel
-    sol = _Helix(
-        eps=model.eps,
-        u0=float(vel[0]),
-        p0=pos[:n] + 1j * pos[n : 2 * n],
-        w0=vel[1 : 1 + n] + 1j * vel[1 + n :],
-        z0=float(pos[2 * n]),
-    )
     t = np.linspace(0.0, float(T), samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        y = sol(t)
+        y = _helix(model.eps, start.pos, start.vel, t)
     if not np.all(np.isfinite(y)):
         raise DomainError(f"the geodesic leaves the float range before t = {T!r}")
-    return Trajectory(model=model, t=t, pos=y[:d].T.copy(), vel=y[d:].T.copy(), _sol=sol)
+    return Trajectory(t=t, pos=y[:d].T.copy(), vel=y[d:].T.copy())
 
 
 def adapted_params(model: HeisenbergModel, state: GeodesicState) -> RiccatiParams:
@@ -243,13 +224,12 @@ def adapted_params(model: HeisenbergModel, state: GeodesicState) -> RiccatiParam
 @dataclass
 class AdaptedFrame:
     """Moving frame along a geodesic: rows of frames[k] are the frame
-    coefficients of (v0, v1, v2, ...) at t[k]; W is the constant drift
-    matrix (covariant derivative along the geodesic), nonzero only in its
-    leading 3x3 block; max_residual is the verified bound on
-    |Dv/dt - W v| along the trajectory."""
+    coefficients of (v0, v1, v2, ...) at the trajectory's time t[k]; W is
+    the constant drift matrix (covariant derivative along the geodesic),
+    nonzero only in its leading 3x3 block; max_residual is the verified
+    bound on |Dv/dt - W v| along the trajectory."""
 
     params: RiccatiParams
-    t: np.ndarray
     frames: np.ndarray
     W: np.ndarray
     max_residual: float
@@ -299,12 +279,12 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     comp = np.array(comp).reshape(2 * model.n - 2, d)
 
     # The samples, then the check points and their two neighbours, from one
-    # evaluation of the dense solution.
+    # evaluation of the exact velocity.
     lo, hi = float(np.min(traj.t)), float(np.max(traj.t))
     delta = _FD_STEP * max(hi - lo, 1.0)
     ts = np.linspace(lo + delta, hi - delta, _CHECK_POINTS)
     times = np.concatenate((traj.t, ts, ts + delta, ts - delta))
-    u = traj._sol.velocity(times).T
+    u = _helix_velocity(model.eps, start.vel, times).T
     uh = u.copy()
     uh[:, 0] = 0.0
     v1 = uh / np.linalg.norm(uh, axis=1, keepdims=True)
@@ -325,9 +305,7 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     dF = (Fp - Fms) / (2.0 * delta)
     covariant = dF + Fm @ np.tensordot(um, gamma, 1)
     residual = float(np.max(np.abs(covariant - W @ Fm)))
-    return AdaptedFrame(
-        params=params, t=traj.t.copy(), frames=frames, W=W, max_residual=residual
-    )
+    return AdaptedFrame(params=params, frames=frames, W=W, max_residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ _MAX_REJECT_FRACTION = 0.01
 # took under 1k page faults, against 44k at 256 samples and 52k with the
 # Pade flow at 512, at about 0.8 us each.
 _CHUNK = 128
+# The most samples monte_carlo_contraction draws.  It peaks near 70 bytes
+# per sample (65 B at 4e5 samples, 73 B at 1e5, n = 1 and 2), so 2e6 caps
+# it near 150 MB, 20 times the CLI's default of 1e5.
+_MAX_SAMPLES = 2_000_000
 # The most (b, c, t) points mcp_scan evaluates.  It holds about 15 MB per
 # million points, so 10^7 caps it near 150 MB, 80 times the largest grid
 # (50^3) that the tests and the benchmark use.
@@ -359,9 +363,7 @@ def _flow_dets(b, c, n, s):
 @dataclass
 class MonteCarloResult:
     """Sampled contraction ratio with the delta-method standard error of
-    a ratio estimator.
-
-    Iterable as (ratio, std_error) for tuple unpacking."""
+    a ratio estimator."""
 
     ratio: float
     std_error: float
@@ -374,9 +376,6 @@ class MonteCarloResult:
     @property
     def passes(self) -> bool:
         return self.ratio >= self.bound * (1.0 - 3.0 * self.std_error)
-
-    def __iter__(self):
-        return iter((self.ratio, self.std_error))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passes": self.passes}
@@ -396,8 +395,8 @@ def monte_carlo_contraction(
 
         ratio = sum_w det A_w(1 - t) / sum_w det A_w(1).
 
-    By left-invariance the result does not depend on x0 (it is validated
-    and recorded only).  Samples whose vertical scalar reaches |c| >= pi
+    By left-invariance the result does not depend on x0 (it is only
+    validated).  Samples whose vertical scalar reaches |c| >= pi
     lie past their first conjugate time before the endpoint; they are
     rejected and counted, and more than 1% rejections aborts with
     VelocitySpecError.  With x = det A(1 - t) and y = det A(1) per sample
@@ -411,6 +410,8 @@ def monte_carlo_contraction(
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
     if samples < 1000:
         raise DomainError("samples must be >= 1000")
+    if samples > _MAX_SAMPLES:
+        raise DomainError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
     rng = np.random.default_rng(seed)
 
     n = model.n

@@ -20,17 +20,13 @@ and F = A^{-1} A' + W solves the Riccati equation
 
     F' = -R - F^2 - F W - W^T F.
 
-The branch of interest blows up at time 1 (the contraction endpoint); its
-inverse G(t) = F(1 - t)^{-1} starts at 0 and satisfies
-
-    G' = -G R G - I - W G - G W^T.
-
-Neither Riccati equation is integrated here.  Both matrices are read off
-the linear Jacobi flow (Radon's linearisation; W. T. Reid, Riccati
-Differential Equations, 1972), which jacobi_flow propagates exactly with
-matrix exponentials because W and R are constant.  The linear flow passes
-through the poles of F and of G (conjugate points, kernels of F) without
-any change of chart.
+The branch of interest blows up at time 1 (the contraction endpoint) and
+is read as F(1 - t) for t in [0, 1).  The Riccati equation is not
+integrated here: F is read off the linear Jacobi flow (Radon's
+linearisation; W. T. Reid, Riccati Differential Equations, 1972), which
+jacobi_flow propagates exactly with matrix exponentials because W and R
+are constant.  The linear flow passes through the poles of F (conjugate
+points) and its kernels without any change of chart.
 
 Closed forms for F(1 - t) are expressed through the scaled cotangent
 
@@ -302,7 +298,7 @@ def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
 
 
 # ---------------------------------------------------------------------------
-# the Jacobi flow and the inverse Riccati branch read off it
+# the Jacobi flow and the Riccati branch read off it
 # ---------------------------------------------------------------------------
 
 # The most steps jacobi_flow will take.  It takes about 1.7 |b| steps per
@@ -436,16 +432,12 @@ def jacobi_flow(W, R, s):
 
 @dataclass
 class RiccatiSolution:
-    """Inverse-Riccati blocks on a grid, with F recovered where regular:
-    the 3x3 block (G1, F1) and the parallel block (G3, F3) of one flow.
+    """F(1 - t) on a grid where it is regular: the 3x3 block F1 and the
+    parallel block F3 of one flow, and their traces.
 
     F1/F3 hold NaN at grid points flagged in ``singular`` (always at
-    t = 0, where G vanishes by construction)."""
+    t = 0, where F blows up)."""
 
-    params: RiccatiParams
-    t_grid: np.ndarray
-    G1: np.ndarray
-    G3: np.ndarray
     F1: np.ndarray
     F3: np.ndarray
     tr_F1: np.ndarray
@@ -454,43 +446,38 @@ class RiccatiSolution:
 
 
 def _riccati_branch(W, R, t_grid):
-    """(G(t), F(1 - t), f_ok) of the blow-up-at-1 Riccati branch of drift
-    W and curvature R, on t_grid.
+    """(F(1 - t), ok) of the blow-up-at-1 Riccati branch of drift W and
+    curvature R, on t_grid.
 
     Running the Jacobi flow backward from the endpoint is the flow of
     (-W, R) forward in t = 1 - s; its (A, A') gives the branch by Radon's
-    linearisation, with no change of chart at poles of either matrix:
-
-        F(1 - t) = W - A^{-1} A',      G(t) = -(A' - A W)^{-1} A.
-
-    f_ok is False where A is singular (always at t = 0, and at conjugate
-    points); G is NaN where A' - A W is singular (kernels of F)."""
+    linearisation, F(1 - t) = W - A^{-1} A', with no change of chart at
+    its poles or kernels.  ok is False, and F NaN, where A is singular
+    (always at t = 0, and at conjugate points)."""
     A, Ap = jacobi_flow(-W, R, t_grid)
-    # both systems in one stack: one rank test and one solve
-    M, rhs = np.stack((A, Ap - A @ W)), np.stack((Ap, -A))
-    ok = np.linalg.matrix_rank(M) == M.shape[-1]
-    X = np.full(rhs.shape, np.nan)
-    X[ok] = np.linalg.solve(M[ok], rhs[ok])
-    return X[1], W - X[0], ok[0]
+    ok = np.linalg.matrix_rank(A) == A.shape[-1]
+    X = np.full(Ap.shape, np.nan)
+    X[ok] = np.linalg.solve(A[ok], Ap[ok])
+    return W - X, ok
 
 
 def integrate_inverse_riccati(
     params: RiccatiParams, blocks: BlockMatrices, t_grid
 ) -> RiccatiSolution:
-    """G(t) = F(1 - t)^{-1} on the grid, which solves
-    G' = -G R G - I - W G - G W^T from G(0) = 0, with F(1 - t) where it
-    is regular, split into the 3x3 block (G1, F1) and the block of the
-    2n - 2 parallel directions (G3, F3).
+    """F(1 - t) on the grid, the Riccati branch that blows up at t = 0,
+    where it is regular, split into the 3x3 block F1 and the block F3 of
+    the 2n - 2 parallel directions.  The name is that of the inverse
+    branch G(t) = F(1 - t)^{-1}, which starts at 0 on the same grid.
 
-    One Jacobi flow of the full W and R gives both (see _riccati_branch),
+    One Jacobi flow of the full W and R gives F (see _riccati_branch),
     so grids crossing zero-eigenvalue points of F(1 - t) (|c| > pi/2) or
     conjugate points (|c| > pi) need no special handling, and an R that
     couples the blocks needs none either.  For the model's block-diagonal
-    W and R the mixed blocks of F and G are zero.
+    W and R the mixed blocks of F are zero.
 
-    Grid points where F is not representable (always the start, where
-    G = 0) are flagged in ``singular`` and carry NaN in F1/F3 and in the
-    traces of nonempty blocks.
+    Grid points where F is not representable (always the start) are
+    flagged in ``singular`` and carry NaN in F1/F3 and in the traces of
+    nonempty blocks.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -504,16 +491,12 @@ def integrate_inverse_riccati(
     d = 2 * params.n + 1
     if blocks.W.shape != (d, d) or blocks.R.shape != (d, d):
         raise DomainError(f"the blocks must be {d}x{d} for n = {params.n}")
-    G, F, f_ok = _riccati_branch(blocks.W, blocks.R, t_grid)
+    F, ok = _riccati_branch(blocks.W, blocks.R, t_grid)
     F1, F3 = F[:, :3, :3], F[:, 3:, 3:]
     return RiccatiSolution(
-        params=params,
-        t_grid=t_grid,
-        G1=G[:, :3, :3],
-        G3=G[:, 3:, 3:],
         F1=F1,
         F3=F3,
         tr_F1=np.trace(F1, axis1=1, axis2=2),
         tr_F3=np.trace(F3, axis1=1, axis2=2),
-        singular=~f_ok,
+        singular=~ok,
     )

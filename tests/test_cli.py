@@ -356,6 +356,28 @@ def test_mcp_scan_grid_cap_is_usage_error(capsys):
     _one_line_usage_error(rc, capsys)
 
 
+def test_contract_sample_cap_is_usage_error(capsys):
+    # 10^12 samples are refused before any is drawn
+    start = time.perf_counter()
+    rc = main(["contract", "--t", "0.5", "--samples", "1000000000000"])
+    assert time.perf_counter() - start < 1.0
+    _one_line_usage_error(rc, capsys)
+
+
+def test_curvature_model_dim_cap_is_usage_error(tmp_path, capsys):
+    # a model file's dim is held to the --n cap (dim 2 * 20 + 1 = 41)
+    # before its bracket array is allocated: a huge dim, and the valid
+    # model group at n = 21
+    model = tmp_path / "m.json"
+    for n, dim in ((1, 1_000_001), (21, 43)):
+        data = model_to_dict(*build_heisenberg_algebra(n, 1.0))
+        model.write_text(json.dumps({**data, "dim": dim}))
+        start = time.perf_counter()
+        rc = main(["curvature", "--model", str(model)])
+        assert time.perf_counter() - start < 1.0, dim
+        _one_line_usage_error(rc, capsys)
+
+
 def test_cli_sizes_are_usage_errors(capsys):
     # range counts, --n and the size of a riccati run are refused before
     # anything of that size is allocated
@@ -524,6 +546,17 @@ def test_readme_usage_block_runs(tmp_path, monkeypatch, capsys):
     for argv in lines:
         assert main(argv[1:]) == 0, argv
     assert (tmp_path / "contract.json").exists() and (tmp_path / "profile.csv").exists()
+
+
+def test_readme_python_block_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Python API", 1)[1].split("```python", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    first, second = capsys.readouterr().out.splitlines()
+    dens, bound = second.split()
+    assert first == "None"
+    assert float(dens) == pytest.approx(0.14533613780687574, rel=1e-12)
+    assert bound == "0.03125"
 
 
 def test_module_entry_point():

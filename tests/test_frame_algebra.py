@@ -440,7 +440,7 @@ def test_main_hypotheses_hold_for_model():
         alg, cs = build_heisenberg_algebra(n, 1.0)
         lc = levi_civita(alg)
         tw_curv = curvature(alg, tanaka_webster(alg, cs, lc))
-        report = check_main_hypotheses(tw_curv, cs, samples=100, seed=3)
+        report = check_main_hypotheses(tw_curv, cs, alg.metric, samples=100, seed=3)
         assert report.holds
         assert abs(report.min_sectional) < 1e-12
         assert report.orthogonal_vacuous == (n == 1)
@@ -459,7 +459,7 @@ def test_main_hypotheses_match_a_per_sample_loop():
     rng = np.random.default_rng(2)
     alg, cs, lc, tw, curv_lc, curv_tw = _full_stack(3, 1.0)
     curv = _perturbed(curv_tw, rng)
-    report = check_main_hypotheses(curv, cs, samples=50, seed=8)
+    report = check_main_hypotheses(curv, cs, alg.metric, samples=50, seed=8)
     draw = np.random.default_rng(8)
     P = cs.horizontal_projector()
     first, rest = [], []
@@ -497,7 +497,7 @@ def test_main_hypotheses_sign_against_angle_grid():
         v = np.cos(th) * e[1] + np.sin(th) * e[2]
         jv = cs.J @ v
         best = min(best, _sectional_like(tw_curv.riem, jv, v, v, jv))
-    report = check_main_hypotheses(tw_curv, cs, samples=4000, seed=11)
+    report = check_main_hypotheses(tw_curv, cs, alg2.metric, samples=4000, seed=11)
     assert report.min_sectional >= best - 1e-12
     assert report.min_sectional <= best + 0.05 * abs(best) + 1e-9
     if best < -1e-9:

@@ -355,10 +355,11 @@ def test_monte_carlo_satisfies_contraction_bound():
     )
     assert res.passes
     assert res.ratio >= 0.7**5 * (1.0 - 3.0 * res.std_error)
-    ratio, se = res  # tuple unpacking contract
-    assert ratio == res.ratio and se == res.std_error
+    assert isinstance(res.ratio, float) and isinstance(res.std_error, float)
+    assert res.std_error > 0.0
     blob = res.to_dict()
     assert blob["seed"] == 7 and blob["passes"] is True
+    assert blob["ratio"] == res.ratio and blob["std_error"] == res.std_error
 
 
 def test_monte_carlo_matches_quadrature():

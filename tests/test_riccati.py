@@ -458,7 +458,6 @@ def test_inverse_riccati_euclidean():
     p = rc.RiccatiParams(0.0, 0.0, 2)
     sol = rc.integrate_inverse_riccati(p, rc.build_blocks(p), np.array([0.0, 0.5]))
     assert sol.singular[0] and not sol.singular[1]
-    np.testing.assert_allclose(sol.G1[1], -0.5 * np.eye(3), atol=1e-12)
     np.testing.assert_allclose(sol.F1[1], -2.0 * np.eye(3), atol=1e-10)
     assert sol.tr_F1[1] == pytest.approx(-6.0, rel=1e-10)
     assert sol.tr_F3[1] == pytest.approx(-4.0, rel=1e-10)
@@ -483,29 +482,34 @@ def test_full_matrix_mixed_block_vanishes():
     p = rc.RiccatiParams(1.3, 0.7, 2)
     bl = rc.build_blocks(p)
     t_grid = np.array([0.0, 0.2, 0.5, 0.8])
-    G, F, _ = rc._riccati_branch(bl.W, bl.R, t_grid)
-    for M in (G[1:], F[1:]):
-        assert np.max(np.abs(M[:, :3, 3:])) < 1e-12
-        assert np.max(np.abs(M[:, 3:, :3])) < 1e-12
+    F, _ = rc._riccati_branch(bl.W, bl.R, t_grid)
+    assert np.max(np.abs(F[1:, :3, 3:])) < 1e-12
+    assert np.max(np.abs(F[1:, 3:, :3])) < 1e-12
     sol = rc.integrate_inverse_riccati(p, bl, t_grid)
-    G1, _, _ = rc._riccati_branch(bl.W[:3, :3], bl.R[:3, :3], t_grid)
-    G3, _, _ = rc._riccati_branch(np.zeros((2, 2)), bl.R[3:, 3:], t_grid)
-    np.testing.assert_allclose(sol.G1[1:], G1[1:], atol=1e-9)
-    np.testing.assert_allclose(sol.G3[1:], G3[1:], atol=1e-9)
+    F1, _ = rc._riccati_branch(bl.W[:3, :3], bl.R[:3, :3], t_grid)
+    F3, _ = rc._riccati_branch(np.zeros((2, 2)), bl.R[3:, 3:], t_grid)
+    np.testing.assert_allclose(sol.F1[1:], F1[1:], atol=1e-9)
+    np.testing.assert_allclose(sol.F3[1:], F3[1:], atol=1e-9)
+
+
+def _inverse_branch(p, t_grid):
+    """G(t) = F(1 - t)^{-1} = -(A' - A W)^{-1} A from the backward Jacobi
+    flow, which stays regular through the conjugate points where F blows
+    up."""
+    bl = rc.build_blocks(p)
+    A, Ap = rc.jacobi_flow(-bl.W, bl.R, t_grid)
+    return -np.linalg.solve(Ap - A @ bl.W, A)
 
 
 def test_det_g1_behavior_at_first_conjugate_time():
     # simple zero for b != 0 (sign change); double zero at b = 0 (touch)
     t_star = np.pi / 3.5
-    grid = np.array([0.0, t_star - 0.02, t_star + 0.02])
-    p1 = rc.RiccatiParams(1.0, 3.5, 1)
-    s1 = rc.integrate_inverse_riccati(p1, rc.build_blocks(p1), grid)
-    d_before = np.linalg.det(s1.G1[1])
-    d_after = np.linalg.det(s1.G1[2])
+    grid = np.array([t_star - 0.02, t_star + 0.02])
+    G = _inverse_branch(rc.RiccatiParams(1.0, 3.5, 1), grid)
+    d_before, d_after = np.linalg.det(G)
     assert d_before < 0.0 < d_after
-    p0 = rc.RiccatiParams(0.0, 3.5, 1)
-    s0 = rc.integrate_inverse_riccati(p0, rc.build_blocks(p0), grid)
-    assert np.linalg.det(s0.G1[1]) < 0.0 and np.linalg.det(s0.G1[2]) < 0.0
+    G = _inverse_branch(rc.RiccatiParams(0.0, 3.5, 1), grid)
+    assert np.all(np.linalg.det(G) < 0.0)
 
 
 def _raw_factor(b, c, t):
