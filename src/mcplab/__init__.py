@@ -11,3 +11,11 @@ Modules:
 """
 
 __version__ = "0.1.0"
+
+# The largest n, for the model group and for a model file (frame dimension
+# 2n + 1 = 41).  The curvature suite holds four (2n+1)^4-entry tensors,
+# 2.8 million entries (23 MB) each at n = 20, and the identity catalog
+# traces at most 61 MB more while it contracts them with its stacks of
+# vectors.  It lives here, free of numpy, so that the command line can
+# check --n before it loads any numerical module.
+_MAX_N = 20

@@ -3,15 +3,18 @@
 Each subcommand runs one suite and returns (ok, payload, lines, table):
 its verdict (None for conjugate, which has none), the report's own
 fields, the human summary for stdout, and the (header, rows) of its CSV
-form or None.  main looks the subcommand up in _COMMANDS and does the
-rest once for all of them: it adds "command" and "config" to the
-payload, writes the report when --output is given (format chosen by the
-extension: .json or .csv), prints the summary, then PASS or FAIL unless
-ok is None, and maps the verdict to the exit code.  The config is
-derived from the parsed flags (every flag but --output and --heisenberg,
-under its flag name), so a report lists each flag of its subcommand.
-JSON keys are sorted and floats are serialized via repr, so identical
-flags and seed produce byte-identical files.
+form or None.  main first checks the flags that need no numerical module
+(--n, --output's directory, --seed, --t-max and the --model file), so a
+usage error there is found before numpy is loaded.  It then looks the
+subcommand up in _COMMANDS and does the rest once for all of them: it
+adds "command" and "config" to the payload, writes the report when
+--output is given (format chosen by the extension: .json or .csv),
+prints the summary, then PASS or FAIL unless ok is None, and maps the
+verdict to the exit code.  The config is derived from the parsed flags
+(every flag but --output and --heisenberg, under its flag name), so a
+report lists each flag of its subcommand.  JSON keys are sorted and
+floats are serialized via repr, so identical flags and seed produce
+byte-identical files.
 
 Exit codes: 0 when every check passes (or there is no verdict), 1 when a
 verification fails, and 2 for usage errors (bad flags, values outside an
@@ -24,40 +27,67 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
 
-import numpy as np
-
-from . import __version__
+from . import _MAX_N, __version__
 from .errors import McplabError
-from .frame_algebra import (
-    _MAX_N,
-    build_heisenberg_algebra,
-    check_main_hypotheses,
-    curvature,
-    levi_civita,
-    model_from_json,
-    tanaka_webster,
-    verify_structure_identities,
-)
-from .heisenberg import HeisenbergModel
-from .mcp import (
-    VelocitySet,
-    density_profile,
-    mcp_scan,
-    monte_carlo_contraction,
-    quadrature_contraction,
-    sharpness_scan,
-)
-from .riccati import (
-    RiccatiParams,
-    build_blocks,
-    closed_forms,
-    conjugate_time,
-    integrate_inverse_riccati,
-)
+
+# Where each library name that the subcommands call lives.  Importing this
+# module loads none of them: main checks the flags first, and each
+# subcommand then binds the names it calls (_bind), so --version, --help
+# and a usage error return without loading numpy, and each subcommand
+# loads only the modules it uses.  A name read from outside the module
+# (a caller that replaces it before main runs) is bound on first access
+# by __getattr__; a name already bound is never rebound.
+_SOURCES = {
+    "np": "numpy",
+    **dict.fromkeys(
+        ("build_heisenberg_algebra", "check_main_hypotheses", "curvature",
+         "levi_civita", "model_from_dict", "tanaka_webster",
+         "verify_structure_identities"),
+        ".frame_algebra",
+    ),
+    "HeisenbergModel": ".heisenberg",
+    **dict.fromkeys(
+        ("VelocitySet", "density_profile", "mcp_scan", "monte_carlo_contraction",
+         "quadrature_contraction", "sharpness_scan"),
+        ".mcp",
+    ),
+    **dict.fromkeys(
+        ("RiccatiParams", "build_blocks", "closed_forms", "conjugate_time",
+         "integrate_inverse_riccati"),
+        ".riccati",
+    ),
+}
+
+
+def __getattr__(name):
+    """Import the module of a name in _SOURCES, bind the name here and
+    return it (PEP 562); a source without a leading dot is the value.
+    __import__ takes the import statement's path, which -X importtime
+    reports (importlib.import_module does not)."""
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    if source.startswith("."):
+        module = __package__ + source
+        __import__(module)
+        value = getattr(sys.modules[module], name)
+    else:
+        value = __import__(source)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names) -> None:
+    """Bind each of names that is not bound yet, through _SOURCES."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 # The most points a lo:hi:count range may hold.  density-profile holds
@@ -69,9 +99,10 @@ _MAX_RANGE_COUNT = 1_000_000
 _MAX_RICCATI_ENTRIES = 2_000_000
 
 
-def _parse_range(text: str) -> np.ndarray:
+def _parse_range(text: str):
     """Parse 'lo:hi:count' into a linspace, or a single float into a
     one-point array.  Locale-independent."""
+    _bind("np")
     parts = text.split(":")
     try:
         if len(parts) == 1:
@@ -98,8 +129,8 @@ def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    if 0.0 <= value < np.inf:
+        value = math.nan
+    if 0.0 <= value < math.inf:
         return value
     raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
 
@@ -150,16 +181,12 @@ def _config(args) -> dict:
 # subcommands, each returning (ok, payload, lines, table)
 # ---------------------------------------------------------------------------
 
-def _cmd_curvature(args):
-    if args.model and args.heisenberg:
-        raise McplabError("--model and --heisenberg are mutually exclusive")
+def _cmd_curvature(args, model=None):
+    _bind("np", "build_heisenberg_algebra", "check_main_hypotheses", "curvature",
+          "levi_civita", "model_from_dict", "tanaka_webster",
+          "verify_structure_identities")
     if args.model:
-        try:
-            alg, cs = model_from_json(args.model)
-        except OSError as exc:
-            raise McplabError(f"cannot read {args.model}: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
-            raise McplabError(f"{args.model} is not JSON: {exc}") from None
+        alg, cs = model_from_dict(model)
     else:
         alg, cs = build_heisenberg_algebra(args.n, args.eps)
     lc = levi_civita(alg)
@@ -194,6 +221,8 @@ def _cmd_curvature(args):
 
 
 def _cmd_riccati(args):
+    _bind("np", "RiccatiParams", "build_blocks", "closed_forms",
+          "integrate_inverse_riccati")
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
     ts = _parse_range(args.t)
     if len(ts) * (2 * args.n + 1) ** 2 > _MAX_RICCATI_ENTRIES:
@@ -236,6 +265,7 @@ def _cmd_riccati(args):
 
 
 def _cmd_conjugate(args):
+    _bind("RiccatiParams", "conjugate_time")
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
     t_star = conjugate_time(params, t_max=args.t_max)
     payload = {
@@ -251,6 +281,7 @@ def _cmd_conjugate(args):
 
 
 def _cmd_mcp_scan(args):
+    _bind("mcp_scan")
     b, c, t = _parse_range(args.b), _parse_range(args.c), _parse_range(args.t)
     if len(b) < 2 or len(c) < 2 or len(t) < 2:
         raise McplabError("mcp-scan needs lo:hi:count ranges for --b, --c, --t")
@@ -271,6 +302,7 @@ def _cmd_mcp_scan(args):
 
 
 def _cmd_sharpness(args):
+    _bind("sharpness_scan")
     value = float(sharpness_scan(args.n, args.t, b_max=args.b_max))
     payload = {"infimum_estimate": value, "exponent": 2 * args.n + 3}
     lines = [f"infimum of density/bound over (b, c): {value:.9f}"]
@@ -278,6 +310,8 @@ def _cmd_sharpness(args):
 
 
 def _cmd_contract(args):
+    _bind("np", "HeisenbergModel", "VelocitySet", "monte_carlo_contraction",
+          "quadrature_contraction")
     model = HeisenbergModel(n=args.n, eps=args.eps)
     spec = VelocitySet(
         horizontal_radius=args.radius, vertical_momentum=args.momentum
@@ -301,6 +335,7 @@ def _cmd_contract(args):
 
 
 def _cmd_density_profile(args):
+    _bind("np", "RiccatiParams", "density_profile")
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
     ts = _parse_range(args.t)
     prof = density_profile(params, ts)
@@ -419,6 +454,39 @@ def _merge_negative_values(argv):
     return out
 
 
+def _read_model(path) -> dict:
+    """The --model file's description, read with the standard library;
+    model_from_dict validates it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise McplabError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise McplabError(f"{path} is not JSON: {exc}") from None
+
+
+def _check_flags(args) -> dict:
+    """The usage errors that need no numerical module, raised before any
+    is loaded.  Returns the subcommand's keyword inputs: the --model
+    description, read here."""
+    if args.n > _MAX_N:
+        raise McplabError(f"--n must be at most {_MAX_N}, got {args.n}")
+    if args.output is not None:
+        folder = os.path.dirname(args.output) or "."
+        if not os.path.isdir(folder):
+            raise McplabError(f"cannot write {args.output}: no directory {folder}")
+    if getattr(args, "seed", 0) < 0:
+        raise McplabError(f"--seed must be >= 0, got {args.seed}")
+    if not 0.0 < getattr(args, "t_max", 1.0) < math.inf:
+        raise McplabError(f"--t-max must be positive and finite, got {args.t_max!r}")
+    if getattr(args, "model", None):
+        if args.heisenberg:
+            raise McplabError("--model and --heisenberg are mutually exclusive")
+        return {"model": _read_model(args.model)}
+    return {}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
@@ -429,9 +497,8 @@ def main(argv=None) -> int:
         code = exc.code if exc.code is not None else 0
         return 0 if code == 0 else 2
     try:
-        if args.n > _MAX_N:
-            raise McplabError(f"--n must be at most {_MAX_N}, got {args.n}")
-        ok, payload, lines, table = _COMMANDS[args.command](args)
+        inputs = _check_flags(args)
+        ok, payload, lines, table = _COMMANDS[args.command](args, **inputs)
         payload = {"command": args.command, "config": _config(args), **payload}
         _emit(args.output, payload, table)
         for line in lines:

@@ -28,12 +28,15 @@ deterministic for a fixed seed and sample count.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, OutOfRegimeError, VelocitySpecError
-from .heisenberg import HeisenbergModel
 from .riccati import RiccatiParams, _det_a, _model_blocks, _sinc, jacobi_flow
+
+if TYPE_CHECKING:  # annotations only: importing heisenberg loads frame_algebra
+    from .heisenberg import HeisenbergModel
 
 _MAX_REJECT_FRACTION = 0.01
 # Samples per jacobi_flow call in monte_carlo_contraction.  A flow holds
@@ -412,6 +415,8 @@ def monte_carlo_contraction(
         raise DomainError("samples must be >= 1000")
     if samples > _MAX_SAMPLES:
         raise DomainError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     n = model.n

@@ -262,8 +262,8 @@ def test_help_and_version_exit_0(capsys):
 
 
 def test_threads_flag_and_env(capsys, monkeypatch):
-    # the thread cap was removed: BLAS reads its thread variables when
-    # numpy loads, before any flag could set them
+    # the thread cap was removed: BLAS takes its thread count from the
+    # standard variables, which mcplab neither sets nor reads
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert main(["conjugate", "--b", "0", "--c", "3.5", "--threads", "2"]) == 2
     assert "--threads" in capsys.readouterr().err
@@ -379,8 +379,9 @@ def test_curvature_model_dim_cap_is_usage_error(tmp_path, capsys):
 
 
 def test_cli_sizes_are_usage_errors(capsys):
-    # range counts, --n and the size of a riccati run are refused before
-    # anything of that size is allocated
+    # range counts, --n, the size of a riccati run and the hypothesis
+    # sample count are refused before anything of that size is allocated
+    # or run
     huge = "0:0.9:1000000000"
     for argv in (
         ["riccati", "--b", "1", "--c", "1", "--t", huge],
@@ -389,6 +390,8 @@ def test_cli_sizes_are_usage_errors(capsys):
         ["riccati", "--b", "1", "--c", "1", "--n", "1000000000", "--t", "0.5"],
         ["curvature", "--heisenberg", "--n", "21"],
         ["riccati", "--b", "1", "--c", "1", "--n", "20", "--t", "0.01:0.9:2000"],
+        # the hypothesis sampler loops in Python, about 85 us per sample
+        ["curvature", "--heisenberg", "--samples", "100001"],
     ):
         start = time.perf_counter()
         rc = main(argv)
@@ -434,11 +437,108 @@ def test_no_mcplab_path_loads_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-# A valid command line of each cheap subcommand, whose flags the fuzzer
-# then overrides (argparse keeps the last value) with values of the flag's
-# kind: "x" a number, "n" an integer, "r" a number or lo:hi:count.  Range
-# counts stay at most 4 (mcp-scan evaluates count^3 points) and --n at
-# most 5 (riccati builds (2n-2)^2 blocks).
+# Run main(argv) in a fresh interpreter and print its exit code and the
+# numpy and mcplab modules it loaded, as the last line of stdout.
+_LOADED = """
+import json, sys
+from mcplab.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("mcplab."))
+print(json.dumps([code, loaded]))
+"""
+
+
+def _fresh_main(argv):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, *argv],
+                          capture_output=True, text=True)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, proc.stderr, set(loaded)
+
+
+def test_version_help_and_usage_errors_load_no_numpy(tmp_path):
+    # the flags are checked before any numerical module is loaded; the
+    # first three usage errors are the benchmark's cli-session ones, and a
+    # negative seed used to reach numpy's generator, whose ValueError was
+    # a traceback
+    for argv, code in (
+        (["--version"], 0),
+        (["--help"], 0),
+        (["conjugate", "--help"], 0),
+        (["conjugate", "--b", "1", "--c", "4", "--t-max", "nan"], 2),
+        (["conjugate", "--b", "1", "--c", "4",
+          "--output", str(tmp_path / "missing" / "c.json")], 2),
+        (["curvature", "--model", str(tmp_path / "missing-model.json")], 2),
+        (["contract", "--t", "0.5", "--seed", "-1"], 2),
+        (["curvature", "--heisenberg", "--seed", "-1"], 2),
+        (["curvature", "--heisenberg", "--n", "21"], 2),
+    ):
+        rc, err, loaded = _fresh_main(argv)
+        assert rc == code, argv
+        assert loaded == {"mcplab.cli", "mcplab.errors"}, (argv, loaded)
+        if code == 2:
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+# The numerical modules each subcommand loads, and no others.
+_SUBCOMMAND_MODULES = {
+    "curvature": {"frame_algebra"},
+    "riccati": {"riccati"},
+    "conjugate": {"riccati"},
+    "mcp-scan": {"mcp", "riccati"},
+    "sharpness": {"mcp", "riccati"},
+    "density-profile": {"mcp", "riccati"},
+    "contract": {"mcp", "riccati", "heisenberg", "frame_algebra"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_its_modules(name):
+    rc, _, loaded = _fresh_main(_PASSING[name])
+    assert rc == 0
+    expected = {f"mcplab.{m}" for m in _SUBCOMMAND_MODULES[name]}
+    assert loaded == {"numpy", "mcplab.cli", "mcplab.errors"} | expected
+
+
+# The traced-names contract of test_traced_names_are_called_through_cli in
+# a fresh interpreter, where no name is bound before it is read.
+_TRACED_FRESH = """
+import json, sys
+import mcplab.cli as cli
+names, lines = json.loads(sys.argv[1])
+calls = dict.fromkeys(names, 0)
+
+def counted(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in names:
+    setattr(cli, name, counted(name, getattr(cli, name)))
+codes = [cli.main(argv) for argv in lines]
+print(json.dumps([codes, calls]))
+"""
+
+
+def test_traced_names_are_called_through_cli_in_a_fresh_interpreter():
+    names = _traced_names()
+    arg = json.dumps([names, list(_PASSING.values())])
+    proc = subprocess.run([sys.executable, "-c", _TRACED_FRESH, arg],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, calls = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(_PASSING)
+    assert set(calls) == set(names) and all(calls.values()), calls
+
+
+# A valid command line of each subcommand at a small size, whose flags the
+# fuzzer then overrides (argparse keeps the last value) with values of the
+# flag's kind: "x" a number, "n" an integer, "r" a number or lo:hi:count,
+# "m" and "k" a Monte Carlo and a hypothesis sample count, "s" a seed.
+# Range counts stay at most 4 (mcp-scan evaluates count^3 points), --n at
+# most 5 (riccati builds (2n-2)^2 blocks) and the sample counts at most
+# 3000 and 20.
 _FUZZ_COMMANDS = {
     "conjugate": (["--b", "1", "--c", "3.5"],
                   {"--b": "x", "--c": "x", "--n": "n", "--t-max": "x"}),
@@ -450,6 +550,12 @@ _FUZZ_COMMANDS = {
                   {"--t": "x", "--n": "n", "--b-max": "x", "--tol": "x"}),
     "density-profile": (["--b", "2", "--c", "1", "--t", "0:0.9:4"],
                         {"--b": "x", "--c": "x", "--n": "n", "--t": "r", "--tol": "x"}),
+    "contract": (["--t", "0.5", "--samples", "1000"],
+                 {"--t": "x", "--n": "n", "--eps": "x", "--radius": "x",
+                  "--momentum": "x", "--samples": "m", "--seed": "s"}),
+    "curvature": (["--heisenberg", "--samples", "5"],
+                  {"--n": "n", "--eps": "x", "--tol": "x", "--samples": "k",
+                   "--seed": "s"}),
 }
 _fuzz_number = st.one_of(
     st.sampled_from(["0", "-0.0", "1", "-1", "0.5", "0.99", "3.5", "1e4", "1e300",
@@ -463,6 +569,9 @@ _fuzz_kinds = {
     "r": st.one_of(_fuzz_number, st.builds(
         lambda lo, hi, k: f"{lo}:{hi}:{k}", _fuzz_number, _fuzz_number,
         st.sampled_from([-1, 0, 1, 2, 4]))),
+    "m": st.one_of(st.integers(1000, 3000), st.integers(-1, 999)).map(str),
+    "k": st.integers(-1, 20).map(str),
+    "s": st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70)).map(str),
 }
 _fuzz_junk = st.text(alphabet="0123456789.-+:eEnaif", max_size=6).filter(
     lambda v: v.count(":") != 2)
@@ -484,7 +593,7 @@ def _fuzz_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(argv=_fuzz_argv())
 def test_fuzzed_argv_exits_0_1_or_2(argv):
     with np.errstate(all="ignore"):

@@ -1,6 +1,7 @@
 """Tests for frame algebras, connections, curvature, and the identity catalog."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from mcplab.errors import DomainError, ModelValidationError
 from mcplab.frame_algebra import (
+    _MAX_HYPOTHESIS_SAMPLES,
     ConnectionCoeffs,
     CurvatureData,
     _adapted_basis,
@@ -451,6 +453,20 @@ def test_main_hypotheses_hold_for_model():
         blob = json.loads(json.dumps(report.to_dict()))
         assert blob["holds"] is True
         assert blob["samples"] == 100
+
+
+def test_main_hypotheses_reject_a_negative_seed_and_too_many_samples():
+    # both before the first sample: the sampler loops in Python per sample
+    alg, cs = build_heisenberg_algebra(1, 1.0)
+    tw_curv = curvature(alg, tanaka_webster(alg, cs, levi_civita(alg)))
+    with pytest.raises(DomainError, match="seed"):
+        check_main_hypotheses(tw_curv, cs, alg.metric, samples=10, seed=-1)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="samples"):
+        check_main_hypotheses(
+            tw_curv, cs, alg.metric, samples=_MAX_HYPOTHESIS_SAMPLES + 1
+        )
+    assert time.perf_counter() - start < 0.1
 
 
 def test_main_hypotheses_match_a_per_sample_loop():

@@ -415,6 +415,12 @@ def test_monte_carlo_rejection_paths():
         monte_carlo_contraction(
             model, np.zeros(3), VelocitySet(1.0, 1.0), 1.5, samples=2000
         )
+    # numpy's generator takes no negative seed; its ValueError is not a
+    # McplabError
+    with pytest.raises(DomainError, match="seed"):
+        monte_carlo_contraction(
+            model, np.zeros(3), VelocitySet(1.0, 1.0), 0.5, samples=2000, seed=-1
+        )
 
 
 def test_quadrature_pure_horizontal_set():
