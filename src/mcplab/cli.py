@@ -4,17 +4,17 @@ Each subcommand runs one suite and returns (ok, payload, lines, table):
 its verdict (None for conjugate, which has none), the report's own
 fields, the human summary for stdout, and the (header, rows) of its CSV
 form or None.  main first checks the flags that need no numerical module
-(--n, --output's directory, --seed, --t-max and the --model file), so a
-usage error there is found before numpy is loaded.  It then looks the
-subcommand up in _COMMANDS and does the rest once for all of them: it
-adds "command" and "config" to the payload, writes the report when
---output is given (format chosen by the extension: .json or .csv),
-prints the summary, then PASS or FAIL unless ok is None, and maps the
-verdict to the exit code.  The config is derived from the parsed flags
-(every flag but --output and --heisenberg, under its flag name), so a
-report lists each flag of its subcommand.  JSON keys are sorted and
-floats are serialized via repr, so identical flags and seed produce
-byte-identical files.
+(--n, --output's directory and extension, --seed, --t-max and the
+--model file), so a usage error there is found before numpy is loaded.
+It then looks the subcommand up in _COMMANDS and does the rest once for
+all of them: it adds "command" and "config" to the payload, writes the
+report when --output is given (format chosen by the extension: .json,
+or .csv for the _CSV_COMMANDS), prints the summary, then PASS or FAIL
+unless ok is None, and maps the verdict to the exit code.  The config
+is derived from the parsed flags (every flag but --output and
+--heisenberg, under its flag name), so a report lists each flag of its
+subcommand.  JSON keys are sorted and floats are serialized via repr, so
+identical flags and seed produce byte-identical files.
 
 Exit codes: 0 when every check passes (or there is no verdict), 1 when a
 verification fails, and 2 for usage errors (bad flags, values outside an
@@ -149,20 +149,17 @@ def _write_csv(path, header, rows) -> None:
         w.writerows([repr(float(v)) for v in row] for row in rows)
 
 
-def _emit(path, payload, table=None) -> None:
-    """Write payload as JSON, or table = (header, rows) as CSV, to path by
-    its extension; nothing when path is None."""
+def _emit(path, payload, table) -> None:
+    """Write payload as JSON to a .json path, or table = (header, rows) as
+    CSV to a .csv one (_check_flags has checked the extension); nothing
+    when path is None."""
     if path is None:
         return
     try:
-        if str(path).endswith(".json"):
+        if path.endswith(".json"):
             _write_json(path, payload)
-        elif str(path).endswith(".csv"):
-            if table is None:
-                raise McplabError("this subcommand has no CSV form; use .json")
-            _write_csv(path, *table)
         else:
-            raise McplabError("output extension must be .csv or .json")
+            _write_csv(path, *table)
     except OSError as exc:
         raise McplabError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -252,7 +249,7 @@ def _cmd_riccati(args):
             {
                 "t": float(t),
                 "tr_F1_closed": float(np.trace(F1c)),
-                "tr_F1_ode": float(sol.tr_F1[k]),
+                "tr_F1_ode": float(np.trace(sol.F1[k])),
                 "f3_closed": float(f3c),
                 "rel_error": err,
             }
@@ -354,6 +351,9 @@ def _cmd_density_profile(args):
     return (bool(np.all(prof.ratio >= 1.0 - args.tol)), payload, lines,
             (["b", "c", "t", "density", "bound", "ratio"], rows))
 
+
+# The subcommands whose table is not None, the ones with a CSV form.
+_CSV_COMMANDS = ("riccati", "density-profile")
 
 _COMMANDS = {
     "curvature": _cmd_curvature,
@@ -476,6 +476,10 @@ def _check_flags(args) -> dict:
         folder = os.path.dirname(args.output) or "."
         if not os.path.isdir(folder):
             raise McplabError(f"cannot write {args.output}: no directory {folder}")
+        if not args.output.endswith((".json", ".csv")):
+            raise McplabError("output extension must be .csv or .json")
+        if args.output.endswith(".csv") and args.command not in _CSV_COMMANDS:
+            raise McplabError("this subcommand has no CSV form; use .json")
     if getattr(args, "seed", 0) < 0:
         raise McplabError(f"--seed must be >= 0, got {args.seed}")
     if not 0.0 < getattr(args, "t_max", 1.0) < math.inf:

@@ -58,6 +58,11 @@ def _contract2(v, T):
     return (v @ T.reshape(T.shape[:2] + (-1,))).reshape(T.shape[:1] + T.shape[2:])
 
 
+def _exceeds(x, tol) -> bool:
+    """Whether some |x| is above tol or NaN (as overflow leaves it)."""
+    return not np.max(np.abs(x), initial=0.0) <= tol
+
+
 def _norms(g, A):
     """Metric lengths of the rows (last axis) of A."""
     return np.sqrt(np.maximum(np.einsum("...i,...i->...", A @ g, A), 0.0))
@@ -88,18 +93,18 @@ class FrameAlgebra:
         d = g.shape[0]
         if c.shape != (d, d, d) or g.shape != (d, d):
             return [f"shape mismatch: bracket {c.shape}, metric {g.shape}"]
-        if np.max(np.abs(c + c.swapaxes(0, 1)), initial=0.0) > _ALGEBRA_TOL:
+        if _exceeds(c + c.swapaxes(0, 1), _ALGEBRA_TOL):
             out.append("bracket is not antisymmetric")
         jac = (
             np.einsum("ijm,mkl->ijkl", c, c)
             + np.einsum("jkm,mil->ijkl", c, c)
             + np.einsum("kim,mjl->ijkl", c, c)
         )
-        if np.max(np.abs(jac), initial=0.0) > _ALGEBRA_TOL:
+        if _exceeds(jac, _ALGEBRA_TOL):
             out.append("Jacobi identity fails")
-        if np.max(np.abs(g - g.T), initial=0.0) > _ALGEBRA_TOL:
+        if _exceeds(g - g.T, _ALGEBRA_TOL):
             out.append("metric is not symmetric")
-        elif np.linalg.eigvalsh(0.5 * (g + g.T)).min() <= 0.0:
+        elif np.linalg.eigvalsh(0.5 * g + 0.5 * g.T).min() <= 0.0:
             out.append("metric is not positive definite")
         return out
 
@@ -128,25 +133,23 @@ class ContactStructure:
             return ["contact data shapes do not match the algebra dimension"]
         if not (eps > 0.0 and np.isfinite(eps)):
             return ["eps must be a positive real"]
-        if abs(float(eta @ V) - 1.0) > _CONTACT_TOL:
+        if _exceeds(eta @ V - 1.0, _CONTACT_TOL):
             out.append("eta(V) != 1")
         # d eta(V, e_j) = -eta([V, e_j])
-        dV = _contract(V, alg.bracket) @ eta
-        if np.max(np.abs(dV), initial=0.0) > _CONTACT_TOL:
+        if _exceeds(_contract(V, alg.bracket) @ eta, _CONTACT_TOL):
             out.append("d eta(V, .) != 0")
-        if np.max(np.abs(J @ V), initial=0.0) > _CONTACT_TOL:
+        if _exceeds(J @ V, _CONTACT_TOL):
             out.append("J V != 0")
         P = self.horizontal_projector()
-        if np.max(np.abs((J @ J + np.eye(d)) @ P), initial=0.0) > _CONTACT_TOL:
+        if _exceeds((J @ J + np.eye(d)) @ P, _CONTACT_TOL):
             out.append("J^2 != -1 on ker eta")
         # compatibility d eta(X1, X2) = <X1, J X2> on ker eta, on the
         # columns of P: d eta(h_i, h_j) = -(P^T (bracket . eta) P)[i, j]
-        comp = np.max(np.abs(P.T @ (alg.bracket @ eta + alg.metric @ J) @ P))
-        if comp > _CONTACT_TOL:
+        if _exceeds(P.T @ (alg.bracket @ eta + alg.metric @ J) @ P, _CONTACT_TOL):
             out.append("d eta and the metric are incompatible on ker eta")
-        if abs(alg.inner(V, V) - eps * eps) > _CONTACT_TOL * max(1.0, eps * eps):
+        if _exceeds(alg.inner(V, V) - eps * eps, _CONTACT_TOL * max(1.0, eps * eps)):
             out.append("|V| != eps")
-        if np.max(np.abs((alg.metric @ V) @ P), initial=0.0) > _CONTACT_TOL:
+        if _exceeds((alg.metric @ V) @ P, _CONTACT_TOL):
             out.append("V is not orthogonal to ker eta")
         return out
 
@@ -288,13 +291,11 @@ class IdentityReport:
 
     precondition_failures is nonempty when the model is not a valid
     weakly-contact-metric structure; in that case no identities are
-    evaluated.  ricci_comparison carries the two inequivalent readings of
-    the Ricci consequence (see verify_structure_identities)."""
+    evaluated."""
 
     tol: float
     precondition_failures: list
     identities: list
-    ricci_comparison: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -311,7 +312,6 @@ class IdentityReport:
             "passed": self.passed,
             "precondition_failures": list(self.precondition_failures),
             "identities": [asdict(r) for r in self.identities],
-            "ricci_comparison": self.ricci_comparison,
         }
 
 
@@ -368,12 +368,11 @@ def verify_structure_identities(
     whole stack at once: with U and W stacks, W @ _contract(U, T) holds
     T(u_a, w_b, ...) at [a, b].
 
-    The Ricci consequence admits two inequivalent readings: the printed
-    combination n <Y,V>^2 / 2 - 3 eps^2 |Y_H|^2 / 4 + ric_tw(Y, Y), and
-    the direct trace of the sectional values (which includes the vertical
-    row and differs by eps^2 |Y_H|^2 / 4).  Both are computed and returned
-    in ricci_comparison with the discrepancy flagged; neither is graded
-    against the other.
+    The Ricci consequence is graded as the direct trace of the sectional
+    values, vertical row included (ricci_matches_trace).  The paper's
+    printed combination n <Y,V>^2 / 2 - 3 eps^2 |Y_H|^2 / 4 + ric_tw(Y, Y)
+    leaves out that row's eps^2 |Y_H|^2 / 4: for a unit horizontal Y at
+    n = 1, eps = 2 it gives -3 where the trace gives -2.
     """
     d = alg.dim
     if d % 2 != 1 or d < 3:
@@ -514,11 +513,8 @@ def verify_structure_identities(
 
     # sectional consequences in the adapted basis B of each direction y
     # with a horizontal part; from M[i, l] = <R(e_i, y) y, e_l> every basis
-    # value is B M B^T.  The last direction is the unit horizontal of the
-    # Ricci comparison; the identities grade the others ([:-1]).
-    hY = _norms(g, X)
-    k = np.flatnonzero(hY[:d] > 1e-6)[0]  # the first frame vector with one
-    ys = np.vstack([Y[hY > 1e-6], X[k] / hY[k]])
+    # value is B M B^T
+    ys = Y[_norms(g, X) > 1e-6]
     B = np.array([_adapted_basis(g, cs, y, rng) for y in ys])
     Bt = B.swapaxes(1, 2)
     v0 = V / eps
@@ -533,38 +529,16 @@ def verify_structure_identities(
     mixed[:, 0] += 0.25 * eps * yv * h
     expected = S_tw + 0.25 * (yv * yv)[:, None, None] * np.eye(2 * n)
     expected[:, 1, 1] -= 0.75 * eps**2 * h * h
-    add("sectional_mixed_row", np.abs(mixed[:-1]))
-    add("sectional_vertical", np.abs(vertical - c4 * h * h)[:-1])
-    add("sectional_horizontal_block", np.abs(S_lc - expected)[:-1])
+    add("sectional_mixed_row", np.abs(mixed))
+    add("sectional_vertical", np.abs(vertical - c4 * h * h))
+    add("sectional_horizontal_block", np.abs(S_lc - expected))
 
     # ricci array consistency: the stored quadratic form is the direct trace
     traced = vertical + np.trace(S_lc, axis1=1, axis2=2)
-    traced_tw = np.trace(S_tw, axis1=1, axis2=2) + M_tw @ v0 @ v0
-    printed = 0.5 * n * yv * yv - 0.75 * eps**2 * h * h + traced_tw
     ricci_form = np.sum(ys @ curv_lc.ricci * ys, axis=1)
-    add("ricci_matches_trace", np.abs(ricci_form - traced)[:-1])
+    add("ricci_matches_trace", np.abs(ricci_form - traced))
 
-    # the two readings of the Ricci consequence, reported side by side
-    max_gap = float(np.max(np.abs(printed - traced)[:-1]))
-    ricci_comparison = {
-        "direction": "unit horizontal",
-        "printed": float(printed[-1]),
-        "traced": float(traced[-1]),
-        "difference": float(printed[-1] - traced[-1]),
-        "max_difference_over_samples": max_gap,
-        "flagged": bool(max_gap > tol),
-        "note": (
-            "printed combination omits the vertical-row term "
-            "eps^2 |Y_H|^2 / 4 relative to the direct trace"
-        ),
-    }
-
-    return IdentityReport(
-        tol=tol,
-        precondition_failures=[],
-        identities=results,
-        ricci_comparison=ricci_comparison,
-    )
+    return IdentityReport(tol=tol, precondition_failures=[], identities=results)
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +630,17 @@ def model_from_dict(data: dict):
          "metric": [[...]], "J": [[...]], "eta": [...],
          "reeb": [...], "eps": real}
 
-    Bracket entries are zero-based; for each entry the antisymmetric
-    mirror is filled in automatically, and supplying both with
-    inconsistent values is an error.  Raises ModelValidationError when the
-    assembled model violates any structural invariant.
+    Bracket entries are zero-based, with integer indices and a finite
+    value; for each entry the antisymmetric mirror is filled in
+    automatically, and supplying both with inconsistent values is an
+    error.  Raises ModelValidationError when the description is malformed
+    or not finite, or the assembled model violates any structural
+    invariant (checked with float errors silenced: a value that
+    overflows fails its check).
     """
     try:
         d = int(data["dim"])
-        entries = data["bracket"]
+        entries = list(data["bracket"])
         metric = np.asarray(data["metric"], dtype=float)
         J = np.asarray(data["J"], dtype=float)
         eta = np.asarray(data["eta"], dtype=float)
@@ -671,17 +648,25 @@ def model_from_dict(data: dict):
         eps = float(data["eps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError([f"malformed model description: {exc}"]) from exc
+    if not all(np.all(np.isfinite(a)) for a in (metric, J, eta, reeb)):
+        raise ModelValidationError(["metric, J, eta and reeb must be finite"])
     if d < 3 or d % 2 != 1:
         raise ModelValidationError([f"dim must be odd and >= 3, got {d}"])
     if d > 2 * _MAX_N + 1:
         raise ModelValidationError([f"dim must be at most {2 * _MAX_N + 1}, got {d}"])
     bracket = np.full((d, d, d), np.nan)
     for entry in entries:
-        if len(entry) != 4:
+        try:
+            *index, value = map(float, entry)
+        except (TypeError, ValueError, OverflowError):
+            raise ModelValidationError([f"bad bracket entry {entry!r}"]) from None
+        if len(index) != 3 or not np.isfinite(value):
             raise ModelValidationError([f"bad bracket entry {entry!r}"])
-        i, j, k, value = int(entry[0]), int(entry[1]), int(entry[2]), float(entry[3])
-        if not all(0 <= idx < d for idx in (i, j, k)):
-            raise ModelValidationError([f"bracket index out of range in {entry!r}"])
+        if not all(x.is_integer() and 0 <= x < d for x in index):
+            raise ModelValidationError(
+                [f"bracket indices must be integers in [0, {d}) in {entry!r}"]
+            )
+        i, j, k = map(int, index)
         for a, b, val in ((i, j, value), (j, i, -value)):
             if not np.isnan(bracket[a, b, k]) and bracket[a, b, k] != val:
                 raise ModelValidationError(
@@ -691,7 +676,8 @@ def model_from_dict(data: dict):
     bracket = np.nan_to_num(bracket, nan=0.0)
     alg = FrameAlgebra(bracket=bracket, metric=metric)
     cs = ContactStructure(eta=eta, reeb=reeb, J=J, eps=eps)
-    violations = alg.validate() + cs.validate(alg)
+    with np.errstate(all="ignore"):
+        violations = alg.validate() + cs.validate(alg)
     if violations:
         raise ModelValidationError(violations)
     return alg, cs

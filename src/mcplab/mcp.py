@@ -9,8 +9,11 @@ density of that map is
 where A is the distortion (Jacobi) matrix with A(0) = 0, A'(0) = I; the
 closed form of det A is the product of the two block determinants in the
 riccati module, so D is evaluated in closed form, stays exact in the
-c -> 0 and b -> 0 limits, and is even in b and in c.  The inequality under
-test is
+c -> 0 and b -> 0 limits, and is even in b and in c.  The paper displays
+D as two block factors; it is read here as their product, the
+determinant of the block-diagonal A, which the Jacobi flow reproduces.
+Their sum is not a density: at n = 1, b = c = 1, t = 0.5 it exceeds 1.  The
+inequality under test is
 
     D(t) >= (1 - t)^(2n+3)         for |c| < pi, t in [0, 1),
 
@@ -39,14 +42,17 @@ if TYPE_CHECKING:  # annotations only: importing heisenberg loads frame_algebra
     from .heisenberg import HeisenbergModel
 
 _MAX_REJECT_FRACTION = 0.01
-# Samples per jacobi_flow call in monte_carlo_contraction.  A flow holds
-# the powers K^0..K^6 of each sample's 6x6 generator (2 KB per sample)
-# and, for both times at once, temporaries of 576 B per sample.  At 128
-# samples each stays below 300 KB and the allocator reuses them from one
-# chunk to the next: one library-benchmark operation (both contractions)
-# took under 1k page faults, against 44k at 256 samples and 52k with the
-# Pade flow at 512, at about 0.8 us each.
-_CHUNK = 128
+# Generator entries per jacobi_flow call in monte_carlo_contraction: the
+# samples of one call times the (2d)^2 entries of each sample's d x d
+# block generator, so 128 samples of 6x6 at n = 1 and 72 of 8x8 at
+# n >= 2.  A flow holds the powers K^0..K^6 of each generator and
+# temporaries for both times at once; below this budget the allocator
+# reuses them from one chunk to the next.  Minor page faults per call,
+# on a 2-core Xeon with numpy 2.4: about 500 at n = 1 (30,000 samples)
+# and 0 to 190 at n = 2 (12,288 samples).  At 128 samples of 8x8 the
+# n = 2 call took 20,000, and at 256 samples of 6x6 the n = 1 call
+# 24,000, with no time gained.
+_FLOW_ENTRIES = 128 * 6**2
 # The most samples monte_carlo_contraction draws.  It peaks near 70 bytes
 # per sample (65 B at 4e5 samples, 73 B at 1e5, n = 1 and 2), so 2e6 caps
 # it near 150 MB, 20 times the CLI's default of 1e5.
@@ -135,7 +141,6 @@ def _ratio(b, c, n: int, t):
 class DensityProfile:
     """Density, bound and their ratio on a t grid for one (b, c, n)."""
 
-    params: RiccatiParams
     t_grid: np.ndarray
     density: np.ndarray
     bound: np.ndarray
@@ -151,40 +156,12 @@ def density_profile(params: RiccatiParams, t_grid) -> DensityProfile:
         bound = contraction_bound(params.n, t_grid)
         ratio = _ratio(params.b, params.c, params.n, t_grid)
     _require_finite(ratio, "density/bound ratio")
-    return DensityProfile(
-        params=params,
-        t_grid=t_grid,
-        density=dens,
-        bound=bound,
-        ratio=ratio,
-    )
+    return DensityProfile(t_grid=t_grid, density=dens, bound=bound, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------
 # grid scans
 # ---------------------------------------------------------------------------
-
-def _density_readings(n: int) -> dict:
-    """Both readings of the two-block density display at a reference point.
-
-    The per-block factors D1, D3 multiply to exp of the integrated full
-    trace (the reading implemented everywhere here); their sum is the
-    other literal reading of the displayed formula.  Recorded so the
-    discrepancy is documented rather than silently patched; the product
-    is the one that matches the ODE oracle."""
-    b, c, t = 1.0, 1.0, 0.5
-    d1 = float(_det_a(b, c, 1, 1.0 - t) / _det_a(b, c, 1, 1.0))
-    x1 = c * (1.0 - t)
-    d3 = float((np.sin(x1) / np.sin(c)) ** (2 * n - 2))
-    return {
-        "reference_point": {"b": b, "c": c, "t": t},
-        "block1_factor": d1,
-        "block3_factor": d3,
-        "product_reading": d1 * d3,
-        "sum_reading": d1 + d3,
-        "implemented": "product",
-    }
-
 
 @dataclass
 class ScanReport:
@@ -224,7 +201,6 @@ class ScanReport:
             },
             "violations": list(self.violations),
             "ok": self.ok,
-            "density_readings": _density_readings(self.n),
         }
 
 
@@ -347,19 +323,22 @@ class VelocitySet:
 
 def _flow_dets(b, c, n, s):
     """det A at the increasing times s for per-sample scalars b, c, shape
-    (len(s), len(b)), from jacobi_flow on _CHUNK samples at a time.
+    (len(s), len(b)), from jacobi_flow on _FLOW_ENTRIES generator entries
+    at a time.
 
     W and R are block diagonal, so det A = det A1 a^(2n-2), where A1 is
     the flow of the 3x3 block and a that of one parallel direction
-    (W = 0, R = c^2)."""
+    (W = 0, R = c^2): both come from one flow of the leading
+    min(2n+1, 4) block, whose last diagonal entry is a at n >= 2 and
+    enters to the power 0 at n = 1."""
+    d = min(2 * n + 1, 4)
+    chunk = _FLOW_ENTRIES // (2 * d) ** 2
     out = np.empty((len(s), len(b)))
-    for lo in range(0, len(b), _CHUNK):
-        W, R = _model_blocks(b[lo : lo + _CHUNK], c[lo : lo + _CHUNK], 2)
-        A1, _ = jacobi_flow(W[..., :3, :3], R[..., :3, :3], s)
-        out[:, lo : lo + _CHUNK] = np.linalg.det(A1)
-        if n > 1:
-            a, _ = jacobi_flow(W[..., 3:4, 3:4], R[..., 3:4, 3:4], s)
-            out[:, lo : lo + _CHUNK] *= a[..., 0, 0] ** (2 * n - 2)
+    for lo in range(0, len(b), chunk):
+        W, R = _model_blocks(b[lo : lo + chunk], c[lo : lo + chunk], 2)
+        A, _ = jacobi_flow(W[..., :d, :d], R[..., :d, :d], s)
+        a = A[..., -1, -1] ** (2 * n - 2)
+        out[:, lo : lo + chunk] = np.linalg.det(A[..., :3, :3]) * a
     return out
 
 

@@ -105,11 +105,11 @@ def _xms(x):
     return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
 
 
-def _check_sin_regular(x, what="sin(c*t)"):
-    """Raise if x is (numerically) a nonzero multiple of pi."""
+def _check_sin_regular(x):
+    """Raise if x = c t is (numerically) a nonzero multiple of pi."""
     k = round(float(x) / math.pi)
     if k != 0 and abs(float(x) - k * math.pi) < 1e-12:
-        raise SingularityError(what)
+        raise SingularityError("sin(c*t)")
 
 
 @dataclass(frozen=True)
@@ -145,25 +145,15 @@ class BlockMatrices:
     R: np.ndarray
 
 
-def build_blocks(params: RiccatiParams, rbar=None) -> BlockMatrices:
-    """Assemble W and R from (b, c, n) and optional ambient curvature.
-
-    rbar ((2n+1) x (2n+1), symmetric) is the curvature of the ambient
-    connection in the adapted frame and is added to R; it defaults to zero,
-    which is the exact value for the model group.
+def build_blocks(params: RiccatiParams) -> BlockMatrices:
+    """Assemble W and R of the model group from (b, c, n); its ambient
+    curvature is zero.
 
     Flipping the sign of b conjugates W and R by diag(-1, 1, 1, ...);
     flipping c conjugates by diag(1, -1, 1, ...).  Traces, determinants
     and eigenvalues are therefore even in each of b, c.
     """
     W, R = _model_blocks(params.b, params.c, params.n)
-    if rbar is not None:
-        rbar = np.asarray(rbar, dtype=float)
-        if rbar.shape != R.shape:
-            raise DomainError(f"rbar must have shape {R.shape}, got {rbar.shape}")
-        if np.max(np.abs(rbar - rbar.T)) > 1e-9:
-            raise DomainError("rbar must be symmetric")
-        R = R + rbar
     return BlockMatrices(W=W, R=R)
 
 
@@ -433,15 +423,13 @@ def jacobi_flow(W, R, s):
 @dataclass
 class RiccatiSolution:
     """F(1 - t) on a grid where it is regular: the 3x3 block F1 and the
-    parallel block F3 of one flow, and their traces.
+    parallel block F3 of one flow.
 
     F1/F3 hold NaN at grid points flagged in ``singular`` (always at
     t = 0, where F blows up)."""
 
     F1: np.ndarray
     F3: np.ndarray
-    tr_F1: np.ndarray
-    tr_F3: np.ndarray
     singular: np.ndarray
 
 
@@ -476,8 +464,7 @@ def integrate_inverse_riccati(
     W and R the mixed blocks of F are zero.
 
     Grid points where F is not representable (always the start) are
-    flagged in ``singular`` and carry NaN in F1/F3 and in the traces of
-    nonempty blocks.
+    flagged in ``singular`` and carry NaN in F1/F3.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -492,11 +479,4 @@ def integrate_inverse_riccati(
     if blocks.W.shape != (d, d) or blocks.R.shape != (d, d):
         raise DomainError(f"the blocks must be {d}x{d} for n = {params.n}")
     F, ok = _riccati_branch(blocks.W, blocks.R, t_grid)
-    F1, F3 = F[:, :3, :3], F[:, 3:, 3:]
-    return RiccatiSolution(
-        F1=F1,
-        F3=F3,
-        tr_F1=np.trace(F1, axis1=1, axis2=2),
-        tr_F3=np.trace(F3, axis1=1, axis2=2),
-        singular=~ok,
-    )
+    return RiccatiSolution(F1=F[:, :3, :3], F3=F[:, 3:, 3:], singular=~ok)

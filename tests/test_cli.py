@@ -88,6 +88,22 @@ def test_curvature_rejects_broken_model_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bracket", [[1, 2, 0, 2.0], [0, 1, 2, "x"]]),   # a value that is no number
+    ("bracket", 5),                                    # no list of entries
+    ("bracket", [[1.9, 2, 0, 2.0]]),                   # an index that is no integer
+    ("bracket", [[1, 2, 0, 2.0], [0, 1, 2, float("nan")]]),  # NaN at a zero slot
+    ("eta", [1e308, 0.0, 0.0]),                        # overflows in validation
+])
+def test_curvature_rejects_malformed_model_entry(field, value, tmp_path, capsys):
+    # each used to be a traceback (exit 1), a silently accepted model, or
+    # RuntimeWarnings before the error line
+    model = tmp_path / "m.json"
+    data = model_to_dict(*build_heisenberg_algebra(1, 2.0))
+    model.write_text(json.dumps({**data, field: value}))
+    _one_line_usage_error(main(["curvature", "--model", str(model)]), capsys)
+
+
 def test_curvature_impossible_tolerance_exits_1(capsys):
     # Perturbed eps makes nothing fail; an unreachable tolerance does, and
     # the failure must come back as exit 1 rather than an exception.
@@ -458,9 +474,10 @@ def _fresh_main(argv):
 
 def test_version_help_and_usage_errors_load_no_numpy(tmp_path):
     # the flags are checked before any numerical module is loaded; the
-    # first three usage errors are the benchmark's cli-session ones, and a
+    # first three usage errors are the benchmark's cli-session ones, a
     # negative seed used to reach numpy's generator, whose ValueError was
-    # a traceback
+    # a traceback, and an --output extension used to be refused only
+    # after the run
     for argv, code in (
         (["--version"], 0),
         (["--help"], 0),
@@ -472,6 +489,9 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path):
         (["contract", "--t", "0.5", "--seed", "-1"], 2),
         (["curvature", "--heisenberg", "--seed", "-1"], 2),
         (["curvature", "--heisenberg", "--n", "21"], 2),
+        (["contract", "--t", "0.5", "--output", str(tmp_path / "r.txt")], 2),
+        (["mcp-scan", "--b", "0:1:5", "--c", "-1:1:5", "--t", "0.1:0.9:5",
+          "--output", str(tmp_path / "s.csv")], 2),
     ):
         rc, err, loaded = _fresh_main(argv)
         assert rc == code, argv
@@ -700,7 +720,8 @@ def _subparser(name):
 @pytest.mark.parametrize("name", sorted(_PASSING))
 def test_report_path(name, tmp_path, capsys):
     # every subcommand reports through main: the verdict line and exit
-    # code, and a JSON report headed by its name and every one of its flags
+    # code, and a JSON report headed by its name and every one of its
+    # flags, byte-identical when the same flags run again
     out = tmp_path / "report.json"
     assert main(_PASSING[name] + ["--output", str(out)]) == 0
     last = capsys.readouterr().out.splitlines()[-1]
@@ -708,7 +729,10 @@ def test_report_path(name, tmp_path, capsys):
         assert last.startswith("first conjugate time:")
     else:
         assert last == "PASS"
-    payload = json.loads(out.read_text())
+    first = out.read_bytes()
+    assert main(_PASSING[name] + ["--output", str(out)]) == 0
+    assert out.read_bytes() == first
+    payload = json.loads(first)
     assert payload["command"] == name
     flags = {
         max(a.option_strings, key=len)[2:]

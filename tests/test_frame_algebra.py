@@ -399,16 +399,22 @@ def test_jacobi_operator_matches_sectional_like():
 
 
 def test_identity_report_ricci_comparison():
-    report = verify_structure_identities(*_full_stack(1, 2.0), tol=1e-10)
-    cmp = report.ricci_comparison
-    # printed reading: -3 eps^2 / 4; direct trace: -eps^2 / 2 (eps = 2)
-    assert cmp["printed"] == pytest.approx(-3.0)
-    assert cmp["traced"] == pytest.approx(-2.0)
-    assert cmp["difference"] == pytest.approx(-1.0)
-    assert cmp["flagged"] is True
-    # the report is serializable and carries both values
+    # the two readings of the Ricci consequence at a unit horizontal y:
+    # the printed n <y,V>^2 / 2 - 3 eps^2 |y_H|^2 / 4 + ric_tw(y, y) is
+    # -3 eps^2 / 4, the direct trace ric_lc(y, y) is -eps^2 / 2 (eps = 2)
+    stack = _full_stack(1, 2.0)
+    alg, cs, lc, tw, curv_lc, curv_tw = stack
+    y = np.array([0.0, 1.0, 0.0])
+    yv = y @ alg.metric @ cs.reeb
+    printed = 0.5 * yv * yv - 0.75 * cs.eps**2 + y @ curv_tw.ricci @ y
+    traced = y @ curv_lc.ricci @ y
+    assert printed == pytest.approx(-3.0)
+    assert traced == pytest.approx(-2.0)
+    assert printed - traced == pytest.approx(-1.0)
+    # the catalog grades the trace; the report is serializable
+    report = verify_structure_identities(*stack, tol=1e-10)
+    assert "ricci_matches_trace" in {r.name for r in report.identities}
     blob = json.loads(json.dumps(report.to_dict()))
-    assert blob["ricci_comparison"]["printed"] == pytest.approx(-3.0)
     assert blob["passed"] is True
 
 

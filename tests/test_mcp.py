@@ -161,12 +161,15 @@ def test_mcp_scan_holds_on_grid():
     blob = json.loads(json.dumps(report.to_dict()))
     assert blob["ok"] is True
     assert blob["exponent"] == 5
-    # both readings of the two-block display are recorded; the sum reading
-    # exceeds 1 at the reference point and is clearly not a density
-    readings = blob["density_readings"]
-    assert readings["implemented"] == "product"
-    assert readings["sum_reading"] > 1.0
-    assert 0.0 < readings["product_reading"] < 1.0
+    # both readings of the two-block display at b = c = 1, t = 0.5: the
+    # sum of the block factors exceeds 1 and is clearly not a density,
+    # their product is the density
+    n, s = 1, 0.5
+    d1 = float(_det_a(1.0, 1.0, 1, s) / _det_a(1.0, 1.0, 1, 1.0))
+    d3 = float((np.sin(s) / np.sin(1.0)) ** (2 * n - 2))
+    assert d1 + d3 > 1.0
+    assert 0.0 < d1 * d3 < 1.0
+    assert d1 * d3 == pytest.approx(density(RiccatiParams(1.0, 1.0, n), 0.5), rel=1e-14)
 
 
 def test_mcp_scan_higher_n():
@@ -319,15 +322,16 @@ def test_velocity_set_validation():
 
 
 def test_flow_determinants_match_closed_form():
-    # the Monte Carlo determinants, over several chunks and a partial one,
-    # against the closed form at the sizes of a radius-2, momentum-5 set
-    from mcplab.mcp import _CHUNK, _flow_dets
+    # the Monte Carlo determinants, over several chunks and a partial one
+    # at both block sizes, against the closed form at the sizes of a
+    # radius-2, momentum-5 set
+    from mcplab.mcp import _FLOW_ENTRIES, _flow_dets
 
     rng = np.random.default_rng(0)
-    N = 2 * _CHUNK + 37
+    N = 2 * _FLOW_ENTRIES // 36 + 37
     b = -2.0 * rng.random(N)
     c = rng.uniform(-2.5, 2.5, N)
-    for n in (1, 2):
+    for n in (1, 2, 3, 5):
         dets = _flow_dets(b, c, n, [0.6, 1.0])
         for row, s in zip(dets, (0.6, 1.0)):
             np.testing.assert_allclose(row, _det_a(b, c, n, s), rtol=1e-12, atol=0)
