@@ -250,14 +250,17 @@ def curvature(alg: FrameAlgebra, conn: ConnectionCoeffs) -> CurvatureData:
     # order="C" lays the tensors out row-major, so that the catalog's
     # reshapes of them are views, not 23 MB copies at n = 20
     gm = conn.gamma
-    op = (
-        np.einsum("jkl,ilm->ijkm", gm, gm, order="C")
-        - np.einsum("ikl,jlm->ijkm", gm, gm, order="C")
-        - np.einsum("ijl,lkm->ijkm", alg.bracket, gm, order="C")
-    )
-    riem = np.einsum("ijkm,ml->ijkl", op, alg.metric, order="C")
     ginv = np.linalg.inv(alg.metric)
-    ricci = np.einsum("vw,vabw->ab", ginv, riem)
+    # an entry past float64 range is left for the catalog and the
+    # hypothesis sampler to refuse
+    with np.errstate(all="ignore"):
+        op = (
+            np.einsum("jkl,ilm->ijkm", gm, gm, order="C")
+            - np.einsum("ikl,jlm->ijkm", gm, gm, order="C")
+            - np.einsum("ijl,lkm->ijkm", alg.bracket, gm, order="C")
+        )
+        riem = np.einsum("ijkm,ml->ijkl", op, alg.metric, order="C")
+        ricci = np.einsum("vw,vabw->ab", ginv, riem)
     return CurvatureData(riem=riem, ricci=ricci, operator=op)
 
 
@@ -362,7 +365,9 @@ def verify_structure_identities(
     on horizontal projections of frame vectors where an argument must lie
     in ker eta, and additionally on a few seeded random constant
     combinations as redundancy.  Each entry records the maximum absolute
-    residual found; it passes iff that residual is <= tol.
+    residual found; it passes iff that residual is <= tol.  A connection
+    or curvature that is not finite (a model past float64 range) raises
+    DomainError.
 
     The vectors are stacked as rows, and each tensor is contracted with a
     whole stack at once: with U and W stacks, W @ _contract(U, T) holds
@@ -385,6 +390,8 @@ def verify_structure_identities(
     ):
         if arr.shape != shape:
             raise DomainError(f"{what} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{what} is not finite in float64 for this model")
 
     pre = alg.validate() + cs.validate(alg)
     if pre:
@@ -577,7 +584,8 @@ def check_main_hypotheses(
 
     for the canonical-connection curvature.  Returns the minimum of each
     over the samples; for n = 1 the sum is empty and reported as vacuously
-    true.  metric is the Gram matrix of the frame.
+    true.  metric is the Gram matrix of the frame.  A curvature that is
+    not finite (a model past float64 range) raises DomainError.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -587,6 +595,10 @@ def check_main_hypotheses(
         )
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    if not np.all(np.isfinite(curv_tw.riem)):
+        raise DomainError(
+            "canonical-connection curvature is not finite in float64 for this model"
+        )
     d = cs.J.shape[0]
     n = (d - 1) // 2
     g = np.asarray(metric, dtype=float)

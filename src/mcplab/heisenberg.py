@@ -23,7 +23,9 @@ with S(x) = (x - sin x) / x^3 (riccati._xms), so vertical velocities
 (w_0 = 0) and horizontal ones (omega = 0) need no case split.  Being
 closed form, the helix is evaluated from the start state at whatever
 times are asked for: geodesic_flow at its sample grid, adapted_frame at
-its off-grid check times.
+its off-grid check times.  Its differential in the initial velocity,
+the Jacobian of the exponential map (_helix_det), weights the samples of
+mcp.monte_carlo_contraction.
 
 Along a geodesic with nonvanishing horizontal velocity the adapted moving
 frame is v0, v1 = u_H/|u_H|, v2 = J v1, completed by J-paired parallel
@@ -52,6 +54,7 @@ from .riccati import (
     RiccatiParams,
     _model_blocks,
     _sinc,
+    _sxc,
     _xms,
     build_blocks,
     jacobi_flow,
@@ -153,6 +156,56 @@ def _helix(eps, pos, vel, ts):
     lift = np.imag(np.vdot(p0, w0) * E) + np.vdot(w0, w0).real * ts * ts * x * _xms(x)
     z = pos[2 * n] + vel[0] * ts / eps + 0.5 * lift
     return np.vstack((p.real, p.imag, z, _helix_velocity(eps, vel, ts)))
+
+
+def _helix_slopes(x, h, S):
+    """The x-derivatives of the helix's two kernels at x = omega t, given
+    h = sinc(x/2) and S = S(x): the real and imaginary parts of
+
+        g'(x) = -x sxc(x) + i (sinc x - h^2 / 2)
+
+    for g(x) = e^{ix/2} h, with E(t) = t g(x), and
+
+        (x S(x))' = h^2 / 2 - 2 S(x)
+
+    for the lift t^2 x S(x).  Neither difference cancels at x = 0, where
+    they are 1/2 and 1/6, so neither needs a series."""
+    half = 0.5 * h * h
+    return -x * _sxc(x), _sinc(x) - half, half - 2.0 * S
+
+
+def _helix_det(eps, n: int, u0, w2, t):
+    """det d pos(t) / d vel of the helix for broadcastable arrays of the
+    vertical velocity u0, the squared horizontal speed w2 = |w_0|^2 and
+    the time t: the Jacobian of the exponential map, whose integral over
+    a velocity set is the Haar (here Lebesgue) measure of its image.
+
+    Differentiating the helix of the module docstring in (w_0, u_0), with
+    x = eps u0 t and D = eps t^2 g'(x) (_helix_slopes):
+
+        d p / d w_0 = E (complex multiplication),   d p / d u_0 = w_0 D,
+        d z / d w_0 = t^2 x S(x) w_0,
+        d z / d u_0 = t / eps + |w_0|^2 eps t^3 (x S(x))' / 2 = alpha.
+
+    The Schur complement of the horizontal block then gives
+
+        det = |E|^(2n-2) (|E|^2 alpha - t^2 x S(x) |w_0|^2 Re(D conj E)),
+
+    which depends on w_0 only through |w_0| (the U(n) symmetry) and not
+    on the start point (left translations have unit Jacobian).  eps times
+    it is det A(t) of adapted_params."""
+    x = eps * u0 * t
+    h = _sinc(0.5 * x)
+    S = _xms(x)
+    dg_re, dg_im, dxs = _helix_slopes(x, h, S)
+    E2 = (t * h) ** 2
+    alpha = t / eps + 0.5 * w2 * eps * t**3 * dxs
+    # Re(D conj E) = eps t^3 h Re(g'(x) e^{-ix/2})
+    dce = eps * t**3 * h * (dg_re * np.cos(0.5 * x) + dg_im * np.sin(0.5 * x))
+    det = E2 * alpha - t * t * x * S * w2 * dce
+    if n == 1:
+        return det
+    return det * E2 ** (n - 1)
 
 
 @dataclass

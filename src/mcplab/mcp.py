@@ -20,12 +20,18 @@ inequality under test is
 with equality approached as b -> infinity, c -> 0 (the exponent is the
 vertical 5 plus 2n - 2 parallel directions, not the dimension 2n + 1).
 
-Three independent evaluations are provided: the closed form (density and
-the grid scans), the Jacobi flow of each sample (riccati.jacobi_flow, which
-never evaluates the closed form) driven by Monte Carlo sampling of a
-velocity set, and deterministic quadrature of the closed form over the
-same set.  Sums use numpy's pairwise reduction, so results are
-deterministic for a fixed seed and sample count.
+Three evaluations are provided.  The closed form gives the density and
+the grid scans.  The set-level ratio mu(Z_(1-t)) / mu(Z_1), for Z_s the
+image of a velocity set under the time-s exponential map (Juillet 2009;
+Rifford 2013), comes from two routes.  monte_carlo_contraction samples
+the set and weights each velocity by the Jacobian of the closed-form
+helix (heisenberg._helix_det), since Haar measure is Lebesgue measure in
+the model's coordinates.  quadrature_contraction integrates the closed
+form det A over the same set through the reduction b = -eps |w_H| / 2,
+c = <w, V> / 2, which the Monte Carlo never forms; eps times the
+Jacobian is det A, so the two agree only while the reduction is right.
+Sums use numpy's pairwise reduction, so results are deterministic for a
+fixed seed and sample count.
 """
 
 from __future__ import annotations
@@ -36,26 +42,21 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, OutOfRegimeError, VelocitySpecError
-from .riccati import RiccatiParams, _det_a, _model_blocks, _sinc, jacobi_flow
+from .riccati import RiccatiParams, _det_a, _sinc
 
 if TYPE_CHECKING:  # annotations only: importing heisenberg loads frame_algebra
     from .heisenberg import HeisenbergModel
 
 _MAX_REJECT_FRACTION = 0.01
-# Generator entries per jacobi_flow call in monte_carlo_contraction: the
-# samples of one call times the (2d)^2 entries of each sample's d x d
-# block generator, so 128 samples of 6x6 at n = 1 and 72 of 8x8 at
-# n >= 2.  A flow holds the powers K^0..K^6 of each generator and
-# temporaries for both times at once; below this budget the allocator
-# reuses them from one chunk to the next.  Minor page faults per call,
-# on a 2-core Xeon with numpy 2.4: about 500 at n = 1 (30,000 samples)
-# and 0 to 190 at n = 2 (12,288 samples).  At 128 samples of 8x8 the
-# n = 2 call took 20,000, and at 256 samples of 6x6 the n = 1 call
-# 24,000, with no time gained.
-_FLOW_ENTRIES = 128 * 6**2
-# The most samples monte_carlo_contraction draws.  It peaks near 70 bytes
-# per sample (65 B at 4e5 samples, 73 B at 1e5, n = 1 and 2), so 2e6 caps
-# it near 150 MB, 20 times the CLI's default of 1e5.
+# Samples per heisenberg._helix_det call in monte_carlo_contraction, so
+# that its dozen temporaries (64 KB each for two times) do not grow with
+# the sample count: traced peak of a 30,000-sample call at n = 1, 2.2 MiB
+# chunked and 6.9 MiB in one call.
+_DET_CHUNK = 4096
+# The most samples monte_carlo_contraction draws.  It peaks near 58 bytes
+# per sample (tracemalloc: 57.6 B at 1e5 samples and 57.0 B at 4e5, the
+# same at n = 1, 2 and 20), so 2e6 caps it near 115 MB, 20 times the
+# CLI's default of 1e5.
 _MAX_SAMPLES = 2_000_000
 # The most (b, c, t) points mcp_scan evaluates.  It holds about 15 MB per
 # million points, so 10^7 caps it near 150 MB, 80 times the largest grid
@@ -321,24 +322,18 @@ class VelocitySet:
         return 0.5 * self.vertical_momentum
 
 
-def _flow_dets(b, c, n, s):
-    """det A at the increasing times s for per-sample scalars b, c, shape
-    (len(s), len(b)), from jacobi_flow on _FLOW_ENTRIES generator entries
-    at a time.
+def _exp_dets(model: HeisenbergModel, u0, w2, s):
+    """det d pos(s) / d vel of the helices from the origin at the times s
+    for per-sample vertical velocities u0 and squared horizontal speeds
+    w2, shape (len(s), len(u0)), from heisenberg._helix_det on _DET_CHUNK
+    samples at a time."""
+    from .heisenberg import _helix_det
 
-    W and R are block diagonal, so det A = det A1 a^(2n-2), where A1 is
-    the flow of the 3x3 block and a that of one parallel direction
-    (W = 0, R = c^2): both come from one flow of the leading
-    min(2n+1, 4) block, whose last diagonal entry is a at n >= 2 and
-    enters to the power 0 at n = 1."""
-    d = min(2 * n + 1, 4)
-    chunk = _FLOW_ENTRIES // (2 * d) ** 2
-    out = np.empty((len(s), len(b)))
-    for lo in range(0, len(b), chunk):
-        W, R = _model_blocks(b[lo : lo + chunk], c[lo : lo + chunk], 2)
-        A, _ = jacobi_flow(W[..., :d, :d], R[..., :d, :d], s)
-        a = A[..., -1, -1] ** (2 * n - 2)
-        out[:, lo : lo + chunk] = np.linalg.det(A[..., :3, :3]) * a
+    s = np.asarray(s, dtype=float)[:, None]
+    out = np.empty((len(s), len(u0)))
+    for lo in range(0, len(u0), _DET_CHUNK):
+        hi = lo + _DET_CHUNK
+        out[:, lo:hi] = _helix_det(model.eps, model.n, u0[lo:hi], w2[lo:hi], s)
     return out
 
 
@@ -371,20 +366,25 @@ def monte_carlo_contraction(
     samples: int = 100_000,
     seed: int = 0,
 ) -> MonteCarloResult:
-    """Estimate mu(U_t) / mu(U_0) for U_0 the exponential image of the
-    velocity set at x0, by uniform sampling of the set and the distortion
-    determinant of each sample from the Jacobi flow (riccati.jacobi_flow):
+    """Estimate mu(Z_(1-t)) / mu(Z_1), for Z_s the image of the velocity
+    set under the time-s exponential map at x0, by uniform sampling of
+    the set.  Haar measure is Lebesgue measure in the model's
+    coordinates, so each sampled velocity w weighs by J_w(s) =
+    det d exp_x0(s w) / d w, the Jacobian of the closed-form helix
+    (heisenberg._helix_det), and
 
-        ratio = sum_w det A_w(1 - t) / sum_w det A_w(1).
+        ratio = sum_w J_w(1 - t) / sum_w J_w(1).
 
-    By left-invariance the result does not depend on x0 (it is only
-    validated).  Samples whose vertical scalar reaches |c| >= pi
-    lie past their first conjugate time before the endpoint; they are
-    rejected and counted, and more than 1% rejections aborts with
-    VelocitySpecError.  With x = det A(1 - t) and y = det A(1) per sample
-    and R the ratio, the standard error is the delta method's
-    sqrt(var(x - R y) / N) / mean(y) (Cochran, Sampling Techniques,
-    1977, ch. 6)."""
+    This route never forms the scalars (b, c) that quadrature_contraction
+    integrates over, so it checks the quadrature's reduction.  By
+    left-invariance the result does not depend on x0 (it is only
+    validated).  Samples whose helix turns by |<w, V>| >= 2 pi before
+    time 1 lie past their first conjugate time; they are rejected and
+    counted, and more than 1% rejections aborts with VelocitySpecError.
+    Sums that leave float64 range raise DomainError.  With x = J(1 - t)
+    and y = J(1) per sample and R the ratio, the standard error is the
+    delta method's sqrt(var(x - R y) / N) / mean(y) (Cochran, Sampling
+    Techniques, 1977, ch. 6)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.dim,) or not np.all(np.isfinite(x0)):
         raise DomainError(f"x0 must be {model.dim} finite coordinates")
@@ -401,10 +401,10 @@ def monte_carlo_contraction(
     n = model.n
     rho = spec.horizontal_radius * rng.random(samples) ** (1.0 / (2 * n))
     p = spec.vertical_momentum * (2.0 * rng.random(samples) - 1.0)
-    b = -0.5 * model.eps * rho
-    c = 0.5 * p
 
-    keep = np.abs(c) < np.pi - 1e-9
+    # the helix turns at the rate eps u0 = <w, V> = p and reaches its
+    # first conjugate point after a full turn, at |p| s = 2 pi
+    keep = 0.5 * np.abs(p) < np.pi - 1e-9
     rejected = int(samples - np.count_nonzero(keep))
     frac = rejected / samples
     if frac > _MAX_REJECT_FRACTION:
@@ -412,18 +412,18 @@ def monte_carlo_contraction(
             f"{100 * frac:.1f}% of sampled velocities pass their conjugate "
             "time before the endpoint; shrink the vertical momentum bound"
         )
-    b, c = b[keep], c[keep]
-
-    det_t, det_1 = _flow_dets(b, c, n, [1.0 - t, 1.0])
-    ratio = float(np.sum(det_t) / np.sum(det_1))
-    N = len(b)
-    std_error = float(
-        np.sqrt(np.var(det_t - ratio * det_1, ddof=1) / N) / np.mean(det_1)
-    )
+    with np.errstate(all="ignore"):
+        u0 = p[keep] / model.eps
+        N = len(u0)
+        det_t, det_1 = _exp_dets(model, u0, rho[keep] ** 2, [1.0 - t, 1.0])
+        num, den = np.sum(det_t), np.sum(det_1)
+        ratio = num / den
+        std_error = np.sqrt(np.var(det_t - ratio * det_1, ddof=1) / N) / np.mean(det_1)
+    _require_finite((num, den, ratio, std_error), "the Monte Carlo ratio")
 
     return MonteCarloResult(
-        ratio=ratio,
-        std_error=std_error,
+        ratio=float(ratio),
+        std_error=float(std_error),
         t=float(t),
         samples_used=N,
         rejected_fraction=float(frac),
@@ -440,7 +440,7 @@ def quadrature_contraction(
     over (|w_H|, vertical momentum), with the sphere factor |w_H|^(2n-1).
 
     Requires the whole set inside the conjugate-time regime
-    (c_max < pi)."""
+    (c_max < pi); sums that leave float64 range raise DomainError."""
     if not (0.0 < t < 1.0):
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
     if spec.c_max >= np.pi:
@@ -462,6 +462,9 @@ def quadrature_contraction(
     b = -0.5 * model.eps * rho[:, None]
     c = 0.5 * p[None, :]
     weight = (u ** (2 * n - 1))[:, None] * (0.5 * wr)[:, None] * w_p[None, :]
-    num = float(np.sum(weight * _det_a(b, c, n, 1.0 - t)))
-    den = float(np.sum(weight * _det_a(b, c, n, 1.0)))
-    return num / den
+    with np.errstate(all="ignore"):
+        num = np.sum(weight * _det_a(b, c, n, 1.0 - t))
+        den = np.sum(weight * _det_a(b, c, n, 1.0))
+        ratio = num / den
+    _require_finite((num, den, ratio), "the quadrature ratio")
+    return float(ratio)

@@ -104,6 +104,19 @@ def test_curvature_rejects_malformed_model_entry(field, value, tmp_path, capsys)
     _one_line_usage_error(main(["curvature", "--model", str(model)]), capsys)
 
 
+def test_curvature_past_float_range_is_usage_error(tmp_path, capsys):
+    # a bracket entry of 1e308 passes the model's checks but its curvature
+    # overflows to NaN, which once read "hypotheses hold: True" (min of
+    # inf and NaN) after RuntimeWarnings
+    model = tmp_path / "m.json"
+    data = model_to_dict(*build_heisenberg_algebra(1, 1.0))
+    data["bracket"].append([0, 1, 2, 1e308])
+    model.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _one_line_usage_error(main(["curvature", "--model", str(model)]), capsys)
+
+
 def test_curvature_impossible_tolerance_exits_1(capsys):
     # Perturbed eps makes nothing fail; an unreachable tolerance does, and
     # the failure must come back as exit 1 rather than an exception.
@@ -348,11 +361,15 @@ def test_overflow_is_usage_error(capsys):
             ["density-profile", "--b", "1e308", "--c", "1", "--t", "0.5"],
             ["sharpness", "--t", "1e-300", "--b-max", "1e300"],
             ["riccati", "--b", "1e154", "--c", "1", "--t", "0.5"],
-            ["contract", "--t", "0.5", "--eps", "1e154", "--samples", "1000"],
+            # b^2 = (eps |w_H| / 2)^2 overflows in the quadrature's closed form
+            ["contract", "--t", "0.5", "--eps", "1e155", "--samples", "1000"],
             ["mcp-scan", "--b", "0:1e300:3", "--c", "-1:1:3", "--t", "0.1:0.5:3"],
             ["curvature", "--heisenberg", "--eps", "1e154", "--samples", "10"],
         ):
             _one_line_usage_error(main(argv), capsys)
+        # at eps = 1e154 b^2 stays finite, and the exponential map's
+        # Jacobian never forms it
+        assert main(["contract", "--t", "0.5", "--eps", "1e154", "--samples", "1000"]) == 0
 
 
 def test_contract_at_a_subnormal_radius(capsys):
@@ -408,6 +425,8 @@ def test_cli_sizes_are_usage_errors(capsys):
         ["riccati", "--b", "1", "--c", "1", "--n", "20", "--t", "0.01:0.9:2000"],
         # the hypothesis sampler loops in Python, about 85 us per sample
         ["curvature", "--heisenberg", "--samples", "100001"],
+        # squared horizontal speeds overflow: a NaN ratio, not a verdict
+        ["contract", "--t", "0.5", "--samples", "5000", "--radius", "1e200"],
     ):
         start = time.perf_counter()
         rc = main(argv)

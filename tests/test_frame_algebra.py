@@ -567,3 +567,19 @@ def test_model_json_roundtrip_and_validation():
     bad["bracket"] = [[0, 1, 99, 1.0]]
     with pytest.raises(ModelValidationError):
         model_from_dict(bad)
+
+
+def test_curvature_past_float_range_raises_domain_error():
+    # a model that passes its checks but whose curvature overflows to NaN:
+    # neither the catalog nor the hypothesis sampler reads a verdict off it
+    data = model_to_dict(*build_heisenberg_algebra(1, 1.0))
+    data["bracket"].append([0, 1, 2, 1e308])
+    alg, cs = model_from_dict(data)
+    lc = levi_civita(alg)
+    tw = tanaka_webster(alg, cs, lc)
+    curv_lc, curv_tw = curvature(alg, lc), curvature(alg, tw)
+    assert not np.all(np.isfinite(curv_tw.riem))
+    with pytest.raises(DomainError, match="not finite"):
+        verify_structure_identities(alg, cs, lc, tw, curv_lc, curv_tw)
+    with pytest.raises(DomainError, match="not finite"):
+        check_main_hypotheses(curv_tw, cs, alg.metric, samples=10)

@@ -322,19 +322,22 @@ def test_velocity_set_validation():
 
 
 def test_flow_determinants_match_closed_form():
-    # the Monte Carlo determinants, over several chunks and a partial one
-    # at both block sizes, against the closed form at the sizes of a
-    # radius-2, momentum-5 set
-    from mcplab.mcp import _FLOW_ENTRIES, _flow_dets
+    # the Monte Carlo weights, the Jacobians of the time-s exponential map,
+    # over several chunks and a partial one, against the closed form at
+    # the sizes of a radius-2, momentum-5 set: eps times the Jacobian at
+    # (u0, |w|) = (2c / eps, -2b / eps) is det A(s) of (b, c)
+    from mcplab.mcp import _DET_CHUNK, _exp_dets
 
     rng = np.random.default_rng(0)
-    N = 2 * _FLOW_ENTRIES // 36 + 37
+    N = 2 * _DET_CHUNK + 37
     b = -2.0 * rng.random(N)
     c = rng.uniform(-2.5, 2.5, N)
-    for n in (1, 2, 3, 5):
-        dets = _flow_dets(b, c, n, [0.6, 1.0])
-        for row, s in zip(dets, (0.6, 1.0)):
-            np.testing.assert_allclose(row, _det_a(b, c, n, s), rtol=1e-12, atol=0)
+    for n in (1, 2, 3, 5, 20):
+        for eps in (0.5, 2.0):
+            model = HeisenbergModel(n=n, eps=eps)
+            dets = _exp_dets(model, 2.0 * c / eps, (2.0 * b / eps) ** 2, [0.6, 1.0])
+            for row, s in zip(dets, (0.6, 1.0)):
+                np.testing.assert_allclose(eps * row, _det_a(b, c, n, s), rtol=1e-12, atol=0)
 
 
 def test_monte_carlo_tiny_ball_is_euclidean():
@@ -436,3 +439,36 @@ def test_quadrature_pure_horizontal_set():
     assert abs(res.ratio - ref) <= 3.0 * res.std_error + 1e-9
     with pytest.raises(VelocitySpecError):
         quadrature_contraction(model, VelocitySet(1.0, 7.0), t=0.5)
+
+
+def test_contract_fails_when_the_reduction_is_wrong(monkeypatch, tmp_path):
+    # b = -eps |w_H| / 2 scaled by 1.2 wherever mcp could take it from
+    # (b, c): in the closed form det A and in the Jacobi blocks a flow
+    # route would build (mcp imports none, hence raising=False).  A Monte
+    # Carlo that shared the reduction would move with the quadrature and
+    # still agree with it; the exponential map's Jacobian does not move,
+    # so contract fails
+    import mcplab.mcp as mcp
+    from mcplab.riccati import _model_blocks
+
+    monkeypatch.setattr(mcp, "_det_a", lambda b, c, n, s: _det_a(1.2 * b, c, n, s))
+    monkeypatch.setattr(mcp, "_model_blocks",
+                        lambda b, c, n: _model_blocks(1.2 * b, c, n), raising=False)
+    for n, t in ((1, "0.5"), (2, "0.3")):
+        out = tmp_path / f"contract-{n}.json"
+        argv = ["contract", "--n", str(n), "--t", t, "--eps", "2",
+                "--samples", "20000", "--seed", "0", "--output", str(out)]
+        assert main(argv) == 1
+        assert json.loads(out.read_text())["consistent_with_quadrature"] is False
+
+
+def test_contract_sums_out_of_float_range_raise_domain_error():
+    # a radius whose squared speeds overflow: no NaN ratio, no warning
+    model = HeisenbergModel(n=1, eps=1.0)
+    spec = VelocitySet(horizontal_radius=1e200, vertical_momentum=5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="Monte Carlo"):
+            monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=5000)
+        with pytest.raises(DomainError, match="quadrature"):
+            quadrature_contraction(model, spec, 0.5)
