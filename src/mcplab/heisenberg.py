@@ -52,7 +52,6 @@ from .errors import DegenerateDirectionError, DomainError
 from .frame_algebra import build_heisenberg_algebra, levi_civita
 from .riccati import (
     RiccatiParams,
-    _model_blocks,
     _sinc,
     _sxc,
     _xms,
@@ -376,5 +375,6 @@ def jacobi_determinants_from_params(b, c, ts, n: int = 1):
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.ndim != 1 or len(ts) == 0 or not ts[0] > 0.0:
         raise DomainError("evaluation times must be a nonempty list of positive reals")
-    A, _ = jacobi_flow(*_model_blocks(params.b, params.c, params.n), ts)
+    blocks = build_blocks(params)
+    A, _ = jacobi_flow(blocks.W, blocks.R, ts)
     return np.linalg.det(A)

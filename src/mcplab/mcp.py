@@ -416,6 +416,10 @@ def monte_carlo_contraction(
         u0 = p[keep] / model.eps
         N = len(u0)
         det_t, det_1 = _exp_dets(model, u0, rho[keep] ** 2, [1.0 - t, 1.0])
+        # an exact power of two that brings the largest weight near 1, so
+        # that var() does not square weights near 1e300 past float64 range
+        scale = np.ldexp(1.0, -np.frexp(np.max(det_1))[1])
+        det_t, det_1 = det_t * scale, det_1 * scale
         num, den = np.sum(det_t), np.sum(det_1)
         ratio = num / den
         std_error = np.sqrt(np.var(det_t - ratio * det_1, ddof=1) / N) / np.mean(det_1)
@@ -455,7 +459,9 @@ def quadrature_contraction(
     rho = spec.horizontal_radius * u
     if spec.vertical_momentum > 0.0:
         p = spec.vertical_momentum * xr
-        w_p = spec.vertical_momentum * wr
+        # the momentum's power of two cancels in the ratio, and would
+        # underflow w_p at subnormal momenta
+        w_p = np.frexp(spec.vertical_momentum)[0] * wr
     else:
         p = np.zeros(1)
         w_p = np.ones(1)

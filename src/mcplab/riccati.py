@@ -73,13 +73,17 @@ def _series(coeffs, x):
     return y
 
 
+def _analytic(coeffs, direct, x):
+    """The series in coeffs where |x| <= _SERIES_CUT, else direct(x) unwarned."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        far = direct(x)
+    return np.where(np.abs(x) <= _SERIES_CUT, _series(coeffs, x), far)
+
+
 def _k2hat(x):
     """(x cot x - 1) / x**2, analytic at 0 with value -1/3."""
-    x = np.asarray(x, dtype=float)
-    series = _series(_K2HAT_SERIES, x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = (x * np.cos(x) / np.sin(x) - 1.0) / (x * x)
-    return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
+    return _analytic(_K2HAT_SERIES, lambda x: (x * np.cos(x) / np.sin(x) - 1.0) / (x * x), x)
 
 
 def _sinc(x):
@@ -89,20 +93,12 @@ def _sinc(x):
 
 def _sxc(x):
     """(sin x - x cos x) / x**3, analytic at 0 with value 1/3."""
-    x = np.asarray(x, dtype=float)
-    series = _series(_SXC_SERIES, x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = (np.sin(x) - x * np.cos(x)) / (x * x * x)
-    return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
+    return _analytic(_SXC_SERIES, lambda x: (np.sin(x) - x * np.cos(x)) / (x * x * x), x)
 
 
 def _xms(x):
     """(x - sin x) / x**3, analytic at 0 with value 1/6."""
-    x = np.asarray(x, dtype=float)
-    series = _series(_XMS_SERIES, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (x - np.sin(x)) / x / x / x
-    return np.where(np.abs(x) <= _SERIES_CUT, series, direct)
+    return _analytic(_XMS_SERIES, lambda x: (x - np.sin(x)) / x / x / x, x)
 
 
 def _check_sin_regular(x):
@@ -153,30 +149,18 @@ def build_blocks(params: RiccatiParams) -> BlockMatrices:
     flipping c conjugates by diag(1, -1, 1, ...).  Traces, determinants
     and eigenvalues are therefore even in each of b, c.
     """
-    W, R = _model_blocks(params.b, params.c, params.n)
-    return BlockMatrices(W=W, R=R)
-
-
-def _model_blocks(b, c, n: int):
-    """Full drift W and curvature R with zero ambient curvature for
-    broadcastable arrays b, c: stacks of shape b.shape + (2n+1, 2n+1)."""
-    b, c = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
-    d = 2 * n + 1
-    W = np.zeros(b.shape + (d, d))
-    W[..., 0, 2] = b
-    W[..., 1, 2] = c
-    W[..., 2, 0] = -b
-    W[..., 2, 1] = -c
-    R = np.zeros(b.shape + (d, d))
+    b, c, d = params.b, params.c, 2 * params.n + 1
+    W = np.zeros((d, d))
+    W[0, 2], W[1, 2], W[2, 0], W[2, 1] = b, c, -b, -c
     # entries past float64 range are inf, which jacobi_flow refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        R[..., 0, 0] = b * b
-        R[..., 0, 1] = R[..., 1, 0] = b * c
-        R[..., 1, 1] = c * c
-        R[..., 2, 2] = c * c - 3.0 * b * b
-        for k in range(3, d):
-            R[..., k, k] = c * c
-    return W, R
+    R = np.zeros((d, d))
+    R[0, 0] = b * b
+    R[0, 1] = R[1, 0] = b * c
+    R[1, 1] = c * c
+    R[2, 2] = c * c - 3.0 * b * b
+    for k in range(3, d):
+        R[k, k] = c * c
+    return BlockMatrices(W=W, R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -311,53 +295,43 @@ _TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(24)]).reshape(
 _TAYLOR_LAST = 1.0 / math.factorial(24)
 
 
-def _taylor_powers(K):
-    """What _taylor_expm needs of a (..., m, m) stack K: the powers
-    [I, K, ..., K^6] in one (..., 7, m, m) array, and
-    eta = min(max(d4, d5), max(d5, d6)) with d_k = ||K^k||_1^(1/k).
-
-    The scaling takes eta from the norms of K^4, K^5 and K^6, not from
-    ||hK||_1 (Al-Mohy & Higham 2009).  The Jacobi generators are far from
-    normal, so d_k lies well below ||K||_1, and scaling by the plain norm
-    would square too often and lose digits (det A off by 2e-9 relative at
-    |b| = 100 against mpmath, 4.8e-11 with eta)."""
-    K = np.asarray(K, dtype=float)
-    P = np.empty(K.shape[:-2] + (7,) + K.shape[-2:])
-    P[..., 0, :, :] = np.eye(K.shape[-1])
-    P[..., 1, :, :] = K
-    for k, (i, j) in enumerate(((1, 1), (2, 1), (2, 2), (4, 1), (3, 3)), start=2):
-        np.matmul(P[..., i, :, :], P[..., j, :, :], out=P[..., k, :, :])
-    norms = np.max(np.ones(K.shape[-1]) @ np.abs(P[..., 4:, :, :]), axis=-1)
-    d4, d5, d6 = np.moveaxis(norms ** (1.0 / np.arange(4.0, 7.0)), -1, 0)
-    return P, np.minimum(np.maximum(d4, d5), np.maximum(d5, d6))
-
-
-def _taylor_expm(powers, h):
-    """exp(h_i K) from powers = _taylor_powers(K), shape (len(h),) + K.shape.
+def _taylor_expm(K, h):
+    """exp(h_i K), shape (len(h), m, m), for one m x m K and 1-d steps h.
 
     X = a K with a = 2^-s h_i is evaluated by T_24 in Paterson-Stockmeyer
     form, T_24(X) = B_0 + X^6 (B_1 + X^6 (B_2 + X^6 (B_3 + X^6 / 24!))) with
-    B_j = sum_{i<6} a^i K^i / (6j + i)!, and squared s times.  Each pair
-    (h_i, K) takes its own s = max(0, ceil(log2(|h_i| eta / theta_24))),
-    since d_k(hK) = |h| d_k(K), and stops squaring once its own s is
-    reached, so its result does not depend on the rest of the stack."""
-    P, eta = powers
-    h = np.asarray(h, dtype=float).reshape((-1,) + (1,) * eta.ndim)
+    B_j = sum_{i<6} a^i K^i / (6j + i)!, and squared s times.  Each h_i
+    takes its own s = max(0, ceil(log2(|h_i| eta / theta_24))), since
+    d_k(hK) = |h| d_k(K), and stops squaring once its own s is reached, so
+    its result does not depend on the other steps.
+
+    The scaling takes eta = min(max(d4, d5), max(d5, d6)), d_k =
+    ||K^k||_1^(1/k), not ||hK||_1 (Al-Mohy & Higham 2009): the Jacobi
+    generators are far from normal, so d_k lies well below ||K||_1, and the
+    plain norm would square too often and lose digits (det A off by 2e-9
+    relative at |b| = 100 against mpmath, 4.8e-11 with eta)."""
+    m = K.shape[-1]
+    P = np.empty((7, m, m))
+    P[0], P[1] = np.eye(m), K
+    for k, (i, j) in enumerate(((1, 1), (2, 1), (2, 2), (4, 1), (3, 3)), start=2):
+        np.matmul(P[i], P[j], out=P[k])
+    d4, d5, d6 = np.max(np.ones(m) @ np.abs(P[4:]), axis=-1) ** (1.0 / np.arange(4.0, 7.0))
+    eta = np.minimum(np.maximum(d4, d5), np.maximum(d5, d6))
+    h = np.asarray(h, dtype=float)
     s = np.ceil(np.log2(np.maximum(np.abs(h) * eta, _THETA24) / _THETA24)).astype(int)
-    ai = (h * np.ldexp(1.0, -s))[..., None] ** np.arange(7.0)
-    # the coefficients of B_j per pair, so that B_j is one product with
+    ai = (h * np.ldexp(1.0, -s))[:, None] ** np.arange(7.0)
+    # the coefficients of B_j per step, so that B_j is one product with
     # the stacked powers and X^i is never formed
-    coef = ai[..., None, :6] * _TAYLOR_BLOCKS
-    m = P.shape[-1]
-    Pf = P.reshape(P.shape[:-2] + (m * m,))[..., :6, :]
-    X6 = ai[..., 6, None, None] * P[..., 6, :, :]
+    coef = ai[:, None, :6] * _TAYLOR_BLOCKS
+    Pf = P.reshape(7, m * m)[:6]
+    X6 = ai[:, 6, None, None] * P[6]
     E = _TAYLOR_LAST * X6
     for j in (3, 2, 1, 0):
-        E = (coef[..., j : j + 1, :] @ Pf).reshape(E.shape) + E
+        E = (coef[:, j : j + 1, :] @ Pf).reshape(E.shape) + E
         if j:
             E = X6 @ E
     for j in range(int(np.max(s, initial=0))):
-        E = np.where((s > j)[..., None, None], E @ E, E)
+        E = np.where((s > j)[:, None, None], E @ E, E)
     return E
 
 
@@ -365,9 +339,9 @@ def jacobi_flow(W, R, s):
     """(A(s), A'(s)) for A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0,
     A'(0) = I, with constant coefficients.
 
-    W and R are (..., d, d) stacks of finite matrices that broadcast
-    against each other; s is a nonempty 1-d array of increasing times >= 0.
-    Returns A and A', each of shape (len(s), ..., d, d).
+    W and R are one pair of finite d x d matrices; s is a nonempty 1-d
+    array of increasing times >= 0.  Returns A and A', each of shape
+    (len(s), d, d).
 
     The row state Y = [A, A'] satisfies Y' = Y K with
     K = [[0, -(W^2 + R)], [I, -2W]], so Y(s + h) = Y(s) expm(hK) exactly.
@@ -376,15 +350,15 @@ def jacobi_flow(W, R, s):
     one exponential over the whole span loses digits in its squaring
     phase as it does (with one step per interval, det A is off by 4e-8
     relative at |b| = 100 and 6e-2 at |b| = 1e3 against mpmath).  The
-    powers of K and their norms are taken once per flow; the step
-    exponentials of all intervals then come from _taylor_expm calls of at
+    step exponentials of all intervals come from _taylor_expm calls of at
     most _EXPM_ENTRIES entries of output each.  More than _MAX_FLOW_STEPS
     steps up to the last time raise DomainError before any is taken.
     """
-    W, R = np.broadcast_arrays(np.asarray(W, dtype=float), np.asarray(R, dtype=float))
+    W, R = np.asarray(W, dtype=float), np.asarray(R, dtype=float)
+    if W.ndim != 2 or not W.size or W.shape != R.shape or len(W) != W.shape[1]:
+        raise DomainError(f"W and R must be two d x d matrices, got {W.shape} and {R.shape}")
     # NaN and inf reach these maxima; Python's max(1.0, nan) is 1.0
-    w_max = float(np.max(np.abs(W), initial=0.0))
-    r_max = float(np.max(np.abs(R), initial=0.0))
+    w_max, r_max = (float(np.max(np.abs(M))) for M in (W, R))
     if not (math.isfinite(w_max) and math.isfinite(r_max)):
         raise DomainError("W and R must be finite")
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -399,20 +373,19 @@ def jacobi_flow(W, R, s):
             f"the flow to s = {s[-1]:g} needs about {s[-1] * rate:.3g} steps "
             f"(limit {_MAX_FLOW_STEPS}); coefficients this large are out of range"
         )
-    d = W.shape[-1]
-    K = np.zeros(W.shape[:-2] + (2 * d, 2 * d))
-    K[..., :d, d:] = -(W @ W + R)
-    K[..., d:, :d] = np.eye(d)
-    K[..., d:, d:] = -2.0 * W
-    Y = np.zeros(W.shape[:-2] + (d, 2 * d))
-    Y[..., d:] = np.eye(d)
-    out = np.empty((len(s),) + Y.shape)
+    d = len(W)
+    K = np.zeros((2 * d, 2 * d))
+    K[:d, d:] = -(W @ W + R)
+    K[d:, :d] = np.eye(d)
+    K[d:, d:] = -2.0 * W
+    Y = np.zeros((d, 2 * d))
+    Y[:, d:] = np.eye(d)
+    out = np.empty((len(s), d, 2 * d))
     steps = np.ceil(span * rate).astype(int)
     h = span / np.maximum(steps, 1)
-    powers = _taylor_powers(K)
-    group = max(1, _EXPM_ENTRIES // max(K.size, 1))
+    group = max(1, _EXPM_ENTRIES // K.size)
     for lo in range(0, len(s), group):
-        E = _taylor_expm(powers, h[lo : lo + group])
+        E = _taylor_expm(K, h[lo : lo + group])
         for k in range(lo, min(lo + group, len(s))):
             for _ in range(steps[k]):
                 Y = Y @ E[k - lo]

@@ -373,11 +373,15 @@ def test_overflow_is_usage_error(capsys):
 
 
 def test_contract_at_a_subnormal_radius(capsys):
-    # the quadrature's radial weights leave out radius^(2n), which cancels
-    # in its ratio; with it they underflowed the denominator to 0
-    assert main(["contract", "--t", "0.5", "--radius", "1e-320",
-                 "--samples", "1000"]) == 0
-    assert capsys.readouterr().err == ""
+    # the quadrature's radial weights leave out radius^(2n), and its
+    # momentum weights the momentum's power of two, both of which cancel in
+    # its ratio; with them the weights underflow to 0.  At eps 1e-300 and
+    # 1e-160 the Monte Carlo weights near 1e300 are rescaled by a power of
+    # two before var() squares them
+    for flags in (["--radius", "1e-320"], ["--momentum", "1e-320"],
+                  ["--eps", "1e-300"], ["--eps", "1e-160"]):
+        assert main(["contract", "--t", "0.5", *flags, "--samples", "1000"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_mcp_scan_grid_cap_is_usage_error(capsys):

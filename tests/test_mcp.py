@@ -449,11 +449,12 @@ def test_contract_fails_when_the_reduction_is_wrong(monkeypatch, tmp_path):
     # still agree with it; the exponential map's Jacobian does not move,
     # so contract fails
     import mcplab.mcp as mcp
-    from mcplab.riccati import _model_blocks
+    from mcplab.riccati import build_blocks
 
     monkeypatch.setattr(mcp, "_det_a", lambda b, c, n, s: _det_a(1.2 * b, c, n, s))
-    monkeypatch.setattr(mcp, "_model_blocks",
-                        lambda b, c, n: _model_blocks(1.2 * b, c, n), raising=False)
+    monkeypatch.setattr(mcp, "build_blocks",
+                        lambda p: build_blocks(RiccatiParams(1.2 * p.b, p.c, p.n)),
+                        raising=False)
     for n, t in ((1, "0.5"), (2, "0.3")):
         out = tmp_path / f"contract-{n}.json"
         argv = ["contract", "--n", str(n), "--t", t, "--eps", "2",
@@ -472,3 +473,28 @@ def test_contract_sums_out_of_float_range_raise_domain_error():
             monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=5000)
         with pytest.raises(DomainError, match="quadrature"):
             quadrature_contraction(model, spec, 0.5)
+
+
+def test_monte_carlo_weights_near_float_range_are_rescaled():
+    # var() would square weights near 1e300 past float64 range, an inf
+    # standard error behind a finite ratio.  As eps -> 0, b -> 0 and the
+    # results tend to those at eps = 1e-3 (3.5e-8 relative apart); at eps
+    # 1e160 and 1e300 the Monte Carlo is finite while the quadrature's b^2
+    # overflows
+    spec = VelocitySet(horizontal_radius=1.0, vertical_momentum=5.0)
+
+    def run(eps):
+        model = HeisenbergModel(n=1, eps=eps)
+        return monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=5000)
+
+    near = run(1e-3)
+    for eps in (1e-300, 1e-160):
+        res = run(eps)
+        assert res.ratio == pytest.approx(near.ratio, rel=1e-6)
+        assert res.std_error == pytest.approx(near.std_error, rel=1e-6)
+    far = [run(eps) for eps in (1e160, 1e300)]
+    assert far[0].passes and far[1].passes
+    assert far[0].ratio == pytest.approx(far[1].ratio, rel=1e-14)
+    assert far[0].std_error == pytest.approx(far[1].std_error, rel=1e-14)
+    with pytest.raises(DomainError, match="quadrature"):
+        quadrature_contraction(HeisenbergModel(n=1, eps=1e160), spec, 0.5)

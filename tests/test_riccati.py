@@ -293,8 +293,9 @@ def test_jacobi_flow_against_mpmath(b):
 
 def _jacobi_generator(b, c, n):
     """K = [[0, -(W^2 + R)], [I, -2W]] of the full system, and its step rate."""
-    W, R = rc._model_blocks(b, c, n)
-    d = W.shape[-1]
+    bl = rc.build_blocks(rc.RiccatiParams(b, c, n))
+    W, R = bl.W, bl.R
+    d = len(W)
     K = np.block([[np.zeros((d, d)), -(W @ W + R)], [np.eye(d), -2.0 * W]])
     rate = max(1.0, np.max(np.abs(W)), np.sqrt(np.max(np.abs(R))))
     return K, rate
@@ -334,7 +335,7 @@ def test_expm_against_scipy_on_jacobi_steps():
             for n in (1, 2, 3):
                 K, rate = _jacobi_generator(b, c, n)
                 h = np.array([1.0, 0.37, 1e-3]) / rate
-                E = rc._taylor_expm(rc._taylor_powers(K), h)
+                E = rc._taylor_expm(K, h)
                 assert E.shape == (3,) + K.shape
                 for hk, Ek in zip(h, E):
                     ref = expm(hk * K)
@@ -350,26 +351,26 @@ def test_expm_against_scipy_on_random_stacks():
         norms = np.geomspace(1e-3, 100.0, len(M))
         M *= (norms / np.max(np.sum(np.abs(M), axis=-2), axis=-1))[:, None, None]
         h = np.array([1.0, -0.3, 2.5, 1e-4, 0.0])
-        E = rc._taylor_expm(rc._taylor_powers(M), h)
-        assert E.shape == (len(h),) + M.shape
-        # scipy itself is off by 5e-12 of the largest entry on the 2x2 of
-        # 1-norm 74 here (50-digit mpmath; _taylor_expm is within 1e-15 there)
-        for Mk, Ek in zip(M, E[0]):
+        for Mk in M:
+            E = rc._taylor_expm(Mk, h)
+            assert E.shape == (len(h), m, m)
+            # scipy itself is off by 5e-12 of the largest entry on the 2x2 of
+            # 1-norm 74 here (50-digit mpmath; _taylor_expm is within 1e-15
+            # there)
             ref = expm(Mk)
-            assert np.max(np.abs(Ek - ref)) <= 1e-10 * np.max(np.abs(ref))
-        # each pair (h_i, M_k) takes its own squarings: the stack of mixed
-        # steps and norms gives exactly the per-pair results
-        assert all(np.array_equal(E[i, k],
-                                  rc._taylor_expm(rc._taylor_powers(Mk), [hi])[0])
-                   for i, hi in enumerate(h) for k, Mk in enumerate(M))
+            assert np.max(np.abs(E[0] - ref)) <= 1e-10 * np.max(np.abs(ref))
+            # each step h_i takes its own squarings: the mixed steps give
+            # exactly the single-step results
+            assert all(np.array_equal(E[i], rc._taylor_expm(Mk, [hi])[0])
+                       for i, hi in enumerate(h))
 
 
 def test_expm_of_zero_is_identity():
     for m in (1, 2, 6):
-        E = rc._taylor_expm(rc._taylor_powers(np.zeros((3, m, m))), [1.0, 0.0])
-        np.testing.assert_array_equal(E, np.broadcast_to(np.eye(m), (2, 3, m, m)))
-    E = rc._taylor_expm(rc._taylor_powers(np.ones((2, 5, 5))), [0.0])
-    np.testing.assert_array_equal(E[0], np.broadcast_to(np.eye(5), (2, 5, 5)))
+        E = rc._taylor_expm(np.zeros((m, m)), [1.0, 0.0])
+        np.testing.assert_array_equal(E, np.broadcast_to(np.eye(m), (2, m, m)))
+    E = rc._taylor_expm(np.ones((5, 5)), [0.0])
+    np.testing.assert_array_equal(E[0], np.eye(5))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -378,7 +379,7 @@ def test_expm_of_zero_is_identity():
 def test_expm_inverse_property(m, seed, norm):
     A = np.random.default_rng(seed).standard_normal((m, m))
     A *= norm / np.max(np.sum(np.abs(A), axis=0))
-    E, Einv = rc._taylor_expm(rc._taylor_powers(A), [1.0, -1.0])
+    E, Einv = rc._taylor_expm(A, [1.0, -1.0])
     scale = np.linalg.norm(E, 1) * np.linalg.norm(Einv, 1)
     assert np.max(np.abs(E @ Einv - np.eye(m))) <= 1e-13 * scale
 
@@ -416,32 +417,36 @@ def test_jacobi_flow_step_cap(monkeypatch):
 
 
 def test_jacobi_flow_shapes_and_validation():
-    W = np.zeros((4, 3, 3))
-    R = np.broadcast_to(np.eye(3), (4, 3, 3))
+    W = np.zeros((3, 3))
+    R = np.eye(3)
     A, Ap = rc.jacobi_flow(W, R, [0.0, 0.5])
-    assert A.shape == Ap.shape == (2, 4, 3, 3)
+    assert A.shape == Ap.shape == (2, 3, 3)
     # R = I, W = 0: A(s) = sin(s) I, A'(s) = cos(s) I
     np.testing.assert_array_equal(A[0], 0.0)
-    np.testing.assert_array_equal(Ap[0], np.broadcast_to(np.eye(3), (4, 3, 3)))
-    np.testing.assert_allclose(A[1], np.sin(0.5) * np.broadcast_to(np.eye(3), (4, 3, 3)),
-                               atol=1e-15)
-    np.testing.assert_allclose(Ap[1], np.cos(0.5) * np.broadcast_to(np.eye(3), (4, 3, 3)),
-                               atol=1e-15)
+    np.testing.assert_array_equal(Ap[0], np.eye(3))
+    np.testing.assert_allclose(A[1], np.sin(0.5) * np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(Ap[1], np.cos(0.5) * np.eye(3), atol=1e-15)
     for bad in ([], [-0.1, 0.5], [0.5, 0.5], [0.5, 0.2], [0.1, np.nan]):
         with pytest.raises(DomainError):
             rc.jacobi_flow(W, R, bad)
     with pytest.raises(DomainError):
         rc.jacobi_flow(W, np.full((3, 3), np.nan), [0.5])
-    # one bad entry in W alone or in R alone, in a stack and in a single
-    # matrix: Python's max(1.0, nan) is 1.0, so the step rate must not be
-    # where a NaN is lost
-    for shape, entry in (((4, 3, 3), (2, 1, 2)), ((3, 3), (1, 2))):
-        for bad in (np.nan, np.inf, -np.inf):
-            for which in ("W", "R"):
-                M = {"W": np.zeros(shape), "R": np.zeros(shape) + np.eye(3)}
-                M[which][entry] = bad
-                with pytest.raises(DomainError, match="finite"):
-                    rc.jacobi_flow(M["W"], M["R"], [0.5])
+    # one system only: a stack, a non-square pair, a mismatched pair and
+    # an empty pair are refused
+    for Wb, Rb in ((np.zeros((4, 3, 3)), np.zeros((4, 3, 3)) + np.eye(3)),
+                   (np.zeros((3, 3)), np.zeros((4, 3, 3)) + np.eye(3)),
+                   (np.zeros((3, 4)), np.zeros((3, 4))),
+                   (W, np.eye(2)), (W, 1.0), (np.zeros((0, 0)), np.zeros((0, 0)))):
+        with pytest.raises(DomainError, match="d x d"):
+            rc.jacobi_flow(Wb, Rb, [0.5])
+    # one bad entry in W alone or in R alone: Python's max(1.0, nan) is
+    # 1.0, so the step rate must not be where a NaN is lost
+    for bad in (np.nan, np.inf, -np.inf):
+        for which in ("W", "R"):
+            M = {"W": np.zeros((3, 3)), "R": np.eye(3)}
+            M[which][1, 2] = bad
+            with pytest.raises(DomainError, match="finite"):
+                rc.jacobi_flow(M["W"], M["R"], [0.5])
 
 
 def test_inverse_riccati_euclidean():
