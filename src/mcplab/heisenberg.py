@@ -25,7 +25,8 @@ closed form, the helix is evaluated from the start state at whatever
 times are asked for: geodesic_flow at its sample grid, adapted_frame at
 its off-grid check times.  Its differential in the initial velocity,
 the Jacobian of the exponential map (_helix_det), weights the samples of
-mcp.monte_carlo_contraction.
+mcp.monte_carlo_contraction; it takes one sine and one cosine of
+omega t / 2 per sample and time (_helix_kernels).
 
 Along a geodesic with nonvanishing horizontal velocity the adapted moving
 frame is v0, v1 = u_H/|u_H|, v2 = J v1, completed by J-paired parallel
@@ -51,9 +52,11 @@ import numpy as np
 from .errors import DegenerateDirectionError, DomainError
 from .frame_algebra import build_heisenberg_algebra, levi_civita
 from .riccati import (
+    _SERIES_CUT,
+    _XMS_SERIES,
     RiccatiParams,
+    _series,
     _sinc,
-    _sxc,
     _xms,
     build_blocks,
     jacobi_flow,
@@ -157,20 +160,36 @@ def _helix(eps, pos, vel, ts):
     return np.vstack((p.real, p.imag, z, _helix_velocity(eps, vel, ts)))
 
 
-def _helix_slopes(x, h, S):
-    """The x-derivatives of the helix's two kernels at x = omega t, given
-    h = sinc(x/2) and S = S(x): the real and imaginary parts of
+def _helix_kernels(x):
+    """The helix's kernels at x = omega t: (h, S, h', (x S)'), where
+    h = sinc(x/2), S = S(x), h' is the x-derivative of h and (x S)' that
+    of the lift's x S(x).  g(x) = e^{ix/2} h gives E(t) = t g(x), and
 
-        g'(x) = -x sxc(x) + i (sinc x - h^2 / 2)
+        g'(x) = e^{ix/2} (h' + i h / 2).
 
-    for g(x) = e^{ix/2} h, with E(t) = t g(x), and
+    All four come from one sine-cosine pair (s, c) of y = x/2:
 
-        (x S(x))' = h^2 / 2 - 2 S(x)
+        x - sin x = 2 (y - s + s (1 - c)),
+        h' = x c S - h^2 s / 2,     (x S)' = h^2 / 2 - 2 S,
 
-    for the lift t^2 x S(x).  Neither difference cancels at x = 0, where
-    they are 1/2 and 1/6, so neither needs a series."""
+    with the versine 1 - c taken as s^2 / (1 + c) where c > 0, so that it
+    does not cancel (just above the cut, (x S)' is then within 2.1e-15
+    of 40-digit mpmath, against 3.1e-15 with 1 - c).  y - s is exact
+    wherever it cancels, so S keeps the error of _xms, whose sin x is
+    rounded once; S takes the series of _xms where |x| <= _SERIES_CUT.
+    The two slopes do not cancel at x = 0, where they are 0 and 1/6, so
+    neither needs a series."""
+    x = np.asarray(x, dtype=float)
+    y = 0.5 * x
+    s, c = np.sin(y), np.cos(y)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = np.divide(s, y, out=np.ones_like(y), where=y != 0.0)
+        vers = np.where(c > 0.0, s * s / (1.0 + c), 1.0 - c)
+        S = np.asarray(((y - s) + s * vers) / (4.0 * y * y * y))
+    near = np.abs(x) <= _SERIES_CUT
+    S[near] = _series(_XMS_SERIES, x[near])
     half = 0.5 * h * h
-    return -x * _sxc(x), _sinc(x) - half, half - 2.0 * S
+    return h, S, x * c * S - half * s, half - 2.0 * S
 
 
 def _helix_det(eps, n: int, u0, w2, t):
@@ -180,7 +199,7 @@ def _helix_det(eps, n: int, u0, w2, t):
     a velocity set is the Haar (here Lebesgue) measure of its image.
 
     Differentiating the helix of the module docstring in (w_0, u_0), with
-    x = eps u0 t and D = eps t^2 g'(x) (_helix_slopes):
+    x = eps u0 t and D = eps t^2 g'(x) (_helix_kernels):
 
         d p / d w_0 = E (complex multiplication),   d p / d u_0 = w_0 D,
         d z / d w_0 = t^2 x S(x) w_0,
@@ -190,18 +209,16 @@ def _helix_det(eps, n: int, u0, w2, t):
 
         det = |E|^(2n-2) (|E|^2 alpha - t^2 x S(x) |w_0|^2 Re(D conj E)),
 
-    which depends on w_0 only through |w_0| (the U(n) symmetry) and not
-    on the start point (left translations have unit Jacobian).  eps times
-    it is det A(t) of adapted_params."""
+    with Re(D conj E) = eps t^3 h h'.  It depends on w_0 only through
+    |w_0| (the U(n) symmetry) and not on the start point (left
+    translations have unit Jacobian).  eps times it is det A(t) of
+    adapted_params."""
     x = eps * u0 * t
-    h = _sinc(0.5 * x)
-    S = _xms(x)
-    dg_re, dg_im, dxs = _helix_slopes(x, h, S)
+    h, S, dh, dxs = _helix_kernels(x)
+    t3 = t**3
     E2 = (t * h) ** 2
-    alpha = t / eps + 0.5 * w2 * eps * t**3 * dxs
-    # Re(D conj E) = eps t^3 h Re(g'(x) e^{-ix/2})
-    dce = eps * t**3 * h * (dg_re * np.cos(0.5 * x) + dg_im * np.sin(0.5 * x))
-    det = E2 * alpha - t * t * x * S * w2 * dce
+    alpha = t / eps + 0.5 * w2 * eps * t3 * dxs
+    det = E2 * alpha - t * t * x * S * w2 * (eps * t3 * h * dh)
     if n == 1:
         return det
     return det * E2 ** (n - 1)

@@ -36,6 +36,7 @@ fixed seed and sample count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
@@ -49,14 +50,14 @@ if TYPE_CHECKING:  # annotations only: importing heisenberg loads frame_algebra
 
 _MAX_REJECT_FRACTION = 0.01
 # Samples per heisenberg._helix_det call in monte_carlo_contraction, so
-# that its dozen temporaries (64 KB each for two times) do not grow with
-# the sample count: traced peak of a 30,000-sample call at n = 1, 2.2 MiB
-# chunked and 6.9 MiB in one call.
+# that its dozen temporaries (64 KiB each for two times; a traced call
+# peaks at 11 of them) do not grow with the sample count: traced peak of
+# a 30,000-sample call at n = 1, 2.1 MiB chunked and 6.5 MiB in one call.
 _DET_CHUNK = 4096
-# The most samples monte_carlo_contraction draws.  It peaks near 58 bytes
-# per sample (tracemalloc: 57.6 B at 1e5 samples and 57.0 B at 4e5, the
-# same at n = 1, 2 and 20), so 2e6 caps it near 115 MB, 20 times the
-# CLI's default of 1e5.
+# The most samples monte_carlo_contraction draws.  It peaks near 57 bytes
+# per sample (tracemalloc: 57.0 B at 1e5 and at 4e5 samples, the same at
+# n = 1, 2 and 20), so 2e6 caps it near 115 MB, 20 times the CLI's
+# default of 1e5.
 _MAX_SAMPLES = 2_000_000
 # The most (b, c, t) points mcp_scan evaluates.  It holds about 15 MB per
 # million points, so 10^7 caps it near 150 MB, 80 times the largest grid
@@ -68,6 +69,17 @@ _B_POINTS = 160
 _C_POINTS = 200
 # Gauss-Legendre nodes per axis of quadrature_contraction.
 _QUAD_NODES = 64
+
+
+@functools.cache
+def _gauss_legendre():
+    """The _QUAD_NODES-point Gauss-Legendre rule (nodes, weights) on
+    [-1, 1], built on first use and kept read-only, since every
+    quadrature_contraction call shares it."""
+    rule = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _require_finite(values, what: str) -> None:
@@ -441,10 +453,14 @@ def quadrature_contraction(
 ) -> float:
     """Deterministic cross-check of monte_carlo_contraction: the same
     ratio via Gauss-Legendre quadrature of the closed-form determinant
-    over (|w_H|, vertical momentum), with the sphere factor |w_H|^(2n-1).
+    over (|w_H|, vertical momentum), with the sphere factor |w_H|^(2n-1),
+    on the _QUAD_NODES-point rule of _gauss_legendre in each variable.
 
     Requires the whole set inside the conjugate-time regime
-    (c_max < pi); sums that leave float64 range raise DomainError."""
+    (c_max < pi).  Where b^2 would leave float64 range (|b| from about
+    1.3e154), b is scaled by a power of two and the b-free term of det A
+    by its square, which cancels in the ratio; sums that still leave
+    float64 range raise DomainError."""
     if not (0.0 < t < 1.0):
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
     if spec.c_max >= np.pi:
@@ -452,7 +468,7 @@ def quadrature_contraction(
             "quadrature needs the full set inside |c| < pi"
         )
     n = model.n
-    xr, wr = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    xr, wr = _gauss_legendre()
     # the radial weights leave out radius^(2n), which cancels in the ratio
     # and would underflow den to 0 at small radii
     u = 0.5 * (xr + 1.0)
@@ -471,6 +487,14 @@ def quadrature_contraction(
     with np.errstate(all="ignore"):
         num = np.sum(weight * _det_a(b, c, n, 1.0 - t))
         den = np.sum(weight * _det_a(b, c, n, 1.0))
+        if not (np.isfinite(num) and np.isfinite(den)):
+            # b^2 leaves float64 range from |b| ~ 1.3e154: b times 2^-k
+            # and the b-free term times 2^-2k give det A times 2^-2k,
+            # which cancels in the ratio
+            k = np.frexp(np.max(np.abs(b)))[1]
+            b, free = np.ldexp(b, -k), np.ldexp(1.0, -2 * k)
+            num = np.sum(weight * _det_a(b, c, n, 1.0 - t, free))
+            den = np.sum(weight * _det_a(b, c, n, 1.0, free))
         ratio = num / den
     _require_finite((num, den, ratio), "the quadrature ratio")
     return float(ratio)

@@ -223,13 +223,15 @@ def closed_forms(params: RiccatiParams, t: float):
 # determinant factors of the distortion matrix
 # ---------------------------------------------------------------------------
 
-def _det_a(b, c, n: int, s):
+def _det_a(b, c, n: int, s, free=1.0):
     """Closed-form det A(s) for broadcastable (b, c, s) arrays: the 3x3
     block's s^3 sinc(x)^2 + b^2 s^5 sinc(x) sxc(x), x = cs, times the
-    parallel block's (s sinc x)^(2n-2)."""
+    parallel block's (s sinc x)^(2n-2).  The b-free term s^3 sinc(x)^2
+    is multiplied by free: with b scaled by 2^-k and free = 2^-2k, the
+    result is det A times 2^-2k, for b whose b^2 leaves float64 range."""
     x = c * s
     sc = _sinc(x)
-    d1 = s**3 * sc * sc + b * b * s**5 * sc * _sxc(x)
+    d1 = free * s**3 * sc * sc + b * b * s**5 * sc * _sxc(x)
     if n == 1:
         return d1
     return d1 * (s * sc) ** (2 * n - 2)

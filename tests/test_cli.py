@@ -352,7 +352,7 @@ def test_tol_must_be_finite_and_nonnegative(capsys):
             assert "Traceback" not in err
 
 
-def test_overflow_is_usage_error(capsys):
+def test_overflow_is_usage_error(capsys, tmp_path):
     # finite flags whose ratio leaves float64 range: no NaN verdict and no
     # RuntimeWarning (raised here as an exception) on stderr
     with warnings.catch_warnings():
@@ -361,15 +361,23 @@ def test_overflow_is_usage_error(capsys):
             ["density-profile", "--b", "1e308", "--c", "1", "--t", "0.5"],
             ["sharpness", "--t", "1e-300", "--b-max", "1e300"],
             ["riccati", "--b", "1e154", "--c", "1", "--t", "0.5"],
-            # b^2 = (eps |w_H| / 2)^2 overflows in the quadrature's closed form
-            ["contract", "--t", "0.5", "--eps", "1e155", "--samples", "1000"],
             ["mcp-scan", "--b", "0:1e300:3", "--c", "-1:1:3", "--t", "0.1:0.5:3"],
             ["curvature", "--heisenberg", "--eps", "1e154", "--samples", "10"],
         ):
             _one_line_usage_error(main(argv), capsys)
         # at eps = 1e154 b^2 stays finite, and the exponential map's
-        # Jacobian never forms it
-        assert main(["contract", "--t", "0.5", "--eps", "1e154", "--samples", "1000"]) == 0
+        # Jacobian never forms it; from 1e155 b^2 = (eps |w_H| / 2)^2
+        # overflows, and the quadrature rescales b by a power of two
+        for eps in ("1e154", "1e155", "1e160", "1e300"):
+            out = tmp_path / f"contract-{eps}.json"
+            argv = ["contract", "--t", "0.5", "--eps", eps, "--samples", "1000",
+                    "--output", str(out)]
+            assert main(argv) == 0
+            payload = json.loads(out.read_text())
+            mc = payload["monte_carlo"]
+            assert np.isfinite(payload["quadrature"])
+            assert abs(payload["quadrature"] - mc["ratio"]) <= 3.0 * mc["std_error"]
+        assert capsys.readouterr().err == ""
 
 
 def test_contract_at_a_subnormal_radius(capsys):

@@ -21,7 +21,7 @@ from mcplab.heisenberg import (
     HeisenbergModel,
     _helix,
     _helix_det,
-    _helix_slopes,
+    _helix_kernels,
     adapted_frame,
     adapted_params,
     geodesic_flow,
@@ -34,10 +34,9 @@ from mcplab.frame_algebra import (
     levi_civita,
 )
 from mcplab.riccati import (
+    _SERIES_CUT,
     RiccatiParams,
     _det_a,
-    _sinc,
-    _xms,
     build_blocks,
     closed_forms,
     conjugate_time,
@@ -398,14 +397,13 @@ def test_det_a_is_the_differential_of_the_exponential_map():
 def _helix_jacobian(eps, vel, t):
     """d pos(t) / d vel of the helix from the origin in the direction of
     vel, rows (x, y, z) and columns (u_0, u_X, u_Y), assembled entry by
-    entry from _helix_slopes."""
+    entry from _helix_kernels, with g'(x) = e^{ix/2} (h' + i h / 2)."""
     n = len(vel) // 2
     u0, w = vel[0], vel[1 : 1 + n] + 1j * vel[1 + n :]
     x = eps * u0 * t
-    h, S = _sinc(0.5 * x), _xms(x)
-    dg_re, dg_im, dxs = _helix_slopes(x, h, S)
+    h, S, dh, dxs = _helix_kernels(x)
     E = t * np.exp(0.5j * x) * h
-    wD = w * eps * t * t * (dg_re + 1j * dg_im)
+    wD = w * eps * t * t * np.exp(0.5j * x) * (dh + 0.5j * h)
     eye = np.eye(n)
     M = np.zeros((2 * n + 1, 2 * n + 1))
     M[:n, 1 : 1 + n], M[:n, 1 + n :] = E.real * eye, -E.imag * eye
@@ -448,31 +446,70 @@ def test_helix_det_is_the_determinant_of_the_helix_jacobian():
                     assert np.linalg.det(fd) == pytest.approx(det, rel=1e-8)
 
 
-def test_helix_slopes_against_mpmath():
-    # the two differences _helix_slopes forms, sinc x - sinc(x/2)^2 / 2 and
-    # sinc(x/2)^2 / 2 - 2 S(x), and -x sxc(x), against 40-digit mpmath on
-    # [-2 pi, 2 pi], small |x| and the kernels' series cut included (the
-    # oracle's S(x) takes 3 more digits per decade below 1).  Measured:
-    # 3.3e-16 for g', 1.9e-15 for (x S)', which inherits _xms's 5.4e-15
-    # relative just above the cut
-    xs = np.concatenate((
+def _kernel_points():
+    """x in [-2 pi, 2 pi], small |x|, the series cut and its neighbours
+    one ulp away on either side."""
+    cut = [_SERIES_CUT, np.nextafter(_SERIES_CUT, 0.0), np.nextafter(_SERIES_CUT, 1.0)]
+    return np.concatenate((
         np.linspace(-2 * np.pi, 2 * np.pi, 401),
-        [1e-300, 1e-12, 1e-8, 1e-4, 0.05, 0.2999, 0.3, 0.3001, 1.0],
-        [-1e-12, -1e-4, -0.3, -0.3001],
+        [0.0, 1e-300, 5e-324, 1e-12, 1e-8, 1e-4, 0.05, 0.2999, 0.3001, 1.0],
+        [-1e-12, -1e-4, -0.3001], cut, np.negative(cut),
     ))
-    dg_re, dg_im, dxs = _helix_slopes(xs, _sinc(0.5 * xs), _xms(xs))
+
+
+def test_helix_slopes_against_mpmath():
+    # the slopes of g = e^{ix/2} sinc(x/2) and of x S(x), as
+    # _helix_kernels gives them, against 40-digit mpmath: g' = -x sxc(x) +
+    # i (sinc x - sinc(x/2)^2 / 2), whose parts the test forms from
+    # e^{ix/2} (h' + i h / 2), and (x S)' = sinc(x/2)^2 / 2 - 2 S(x) (the
+    # oracle's S(x) takes 3 more digits per decade below 1).  Measured:
+    # 2.8e-16 for g', 1.7e-15 for (x S)', which inherits the error of S
+    # just above the cut
+    xs = _kernel_points()
+    h, S, dh, dxs = _helix_kernels(xs)
+    dg = np.exp(0.5j * xs) * (dh + 0.5j * h)
     for k, x in enumerate(xs):
         if x == 0.0:
+            assert (h[k], S[k], dh[k], dxs[k]) == (1.0, 1 / 6, 0.0, 0.5 - 1 / 3)
             continue
         with mpmath.workdps(40 + 3 * max(0, -int(np.log10(abs(x))))):
             X = mpmath.mpf(float(x))
             half = (mpmath.sin(X / 2) / (X / 2)) ** 2 / 2
-            S = (X - mpmath.sin(X)) / X**3
+            S_ref = (X - mpmath.sin(X)) / X**3
             re = -(mpmath.sin(X) - X * mpmath.cos(X)) / X**2
             im = mpmath.sin(X) / X - half
-            assert abs(dg_re[k] - float(re)) <= 1e-15, x
-            assert abs(dg_im[k] - float(im)) <= 1e-15, x
-            assert abs(dxs[k] - float(half - 2 * S)) <= 4e-15, x
+            assert abs(dg[k].real - float(re)) <= 1e-15, x
+            assert abs(dg[k].imag - float(im)) <= 1e-15, x
+            assert abs(dxs[k] - float(half - 2 * S_ref)) <= 4e-15, x
+
+
+def test_helix_det_against_mpmath():
+    # _helix_det itself against the determinant of the module docstring
+    # at 40 digits, over x = eps u0 t in [-2 pi, 2 pi], at 0, at the series
+    # cut and one ulp either side of it and at tiny |x|; with eps t = 1,
+    # x is each point exactly.  Measured: 2.9e-15 relative at worst
+    eps, t = 2.0, 0.5
+    xs = _kernel_points()
+    for n in (1, 3):
+        for w2 in (0.3, 4.0):
+            det = _helix_det(eps, n, xs, w2, t)
+            for k, x in enumerate(xs):
+                with mpmath.workdps(40 + 3 * max(0, -int(np.log10(abs(x) or 1.0)))):
+                    X, T, ep, W2 = (mpmath.mpf(float(v)) for v in (x, t, eps, w2))
+                    if X == 0:
+                        h, S, dh, dxs = 1, mpmath.mpf(1) / 6, 0, mpmath.mpf(1) / 6
+                    else:
+                        Y = X / 2
+                        h = mpmath.sin(Y) / Y
+                        S = (X - mpmath.sin(X)) / X**3
+                        dh = (Y * mpmath.cos(Y) - mpmath.sin(Y)) / (2 * Y**2)
+                        dxs = h**2 / 2 - 2 * S
+                    E2 = (T * h) ** 2
+                    alpha = T / ep + W2 * ep * T**3 * dxs / 2
+                    ref = E2 ** (n - 1) * (
+                        E2 * alpha - T**2 * X * S * W2 * ep * T**3 * h * dh
+                    )
+                    assert abs(det[k] - float(ref)) <= 1e-14 * abs(float(ref)), (n, w2, x)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

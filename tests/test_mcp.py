@@ -463,24 +463,42 @@ def test_contract_fails_when_the_reduction_is_wrong(monkeypatch, tmp_path):
         assert json.loads(out.read_text())["consistent_with_quadrature"] is False
 
 
+def test_gauss_legendre_rule_is_built_once_and_read_only():
+    # quadrature_contraction shares one rule between calls: it cannot be
+    # written to, and repeated calls give identical floats
+    import mcplab.mcp as mcp
+
+    nodes, weights = mcp._gauss_legendre()
+    assert mcp._gauss_legendre()[0] is nodes
+    for a in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    model, spec = HeisenbergModel(n=2, eps=2.0), VelocitySet(2.0, 5.0)
+    first = [quadrature_contraction(model, spec, t) for t in (0.2, 0.5)]
+    assert [quadrature_contraction(model, spec, t) for t in (0.2, 0.5)] == first
+
+
 def test_contract_sums_out_of_float_range_raise_domain_error():
-    # a radius whose squared speeds overflow: no NaN ratio, no warning
+    # a radius whose squared speeds overflow: no NaN ratio, no warning.
+    # The quadrature's b^2 overflows too, but it rescales b by a power of
+    # two, and b = -eps |w_H| / 2 is that of eps 1e200 at radius 1
     model = HeisenbergModel(n=1, eps=1.0)
     spec = VelocitySet(horizontal_radius=1e200, vertical_momentum=5.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="Monte Carlo"):
             monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=5000)
-        with pytest.raises(DomainError, match="quadrature"):
-            quadrature_contraction(model, spec, 0.5)
+        quad = quadrature_contraction(model, spec, 0.5)
+    far = quadrature_contraction(HeisenbergModel(n=1, eps=1e200), VelocitySet(1.0, 5.0), 0.5)
+    assert quad == pytest.approx(far, rel=1e-14)
 
 
 def test_monte_carlo_weights_near_float_range_are_rescaled():
     # var() would square weights near 1e300 past float64 range, an inf
     # standard error behind a finite ratio.  As eps -> 0, b -> 0 and the
     # results tend to those at eps = 1e-3 (3.5e-8 relative apart); at eps
-    # 1e160 and 1e300 the Monte Carlo is finite while the quadrature's b^2
-    # overflows
+    # 1e160 and 1e300 the quadrature's b^2 overflows, and it rescales b by
+    # a power of two to agree with the Monte Carlo
     spec = VelocitySet(horizontal_radius=1.0, vertical_momentum=5.0)
 
     def run(eps):
@@ -496,5 +514,6 @@ def test_monte_carlo_weights_near_float_range_are_rescaled():
     assert far[0].passes and far[1].passes
     assert far[0].ratio == pytest.approx(far[1].ratio, rel=1e-14)
     assert far[0].std_error == pytest.approx(far[1].std_error, rel=1e-14)
-    with pytest.raises(DomainError, match="quadrature"):
-        quadrature_contraction(HeisenbergModel(n=1, eps=1e160), spec, 0.5)
+    for eps, res in zip((1e160, 1e300), far):
+        quad = quadrature_contraction(HeisenbergModel(n=1, eps=eps), spec, 0.5)
+        assert np.isfinite(quad) and abs(quad - res.ratio) <= 3.0 * res.std_error
