@@ -38,9 +38,9 @@ _CONTACT_TOL = 1e-10
 # is at least -_HYPOTHESIS_TOL.
 _HYPOTHESIS_TOL = 1e-10
 # The most samples check_main_hypotheses draws.  It loops in Python once
-# per sample, at about 85 us per sample at n = 1 and 3.9 ms at n = 20
-# (2-core Xeon, Python 3.11, numpy 2.4), so 10^5 samples take about 9 s
-# at n = 1 and 6.5 minutes at n = 20, 500 times the CLI's default of 200.
+# per sample, at about 10 us per sample at n = 1 and 1.0 ms at n = 20
+# (2-core Xeon, Python 3.11, numpy 2.4), so 10^5 samples take about 1 s
+# at n = 1 and 1.7 minutes at n = 20, 500 times the CLI's default of 200.
 _MAX_HYPOTHESIS_SAMPLES = 100_000
 # The eps build_heisenberg_algebra accepts: beyond it the identity catalog's
 # residual norms (squares of terms up to eps^3 and 1/eps) leave float64 range.
@@ -324,32 +324,6 @@ def _jacobi_operator(riem, y):
     return _contract2(y, _contract2(y, riem))
 
 
-def _adapted_basis(g, cs, Y, rng):
-    """Rows of a g-orthonormal basis (v1 = Y_H/|Y_H|, v2 = J v1, then
-    J-paired fills) of ker eta; requires |Y_H| > 0."""
-    P = cs.horizontal_projector()
-    Yh = P @ Y
-    h = _norms(g, Yh)
-    if h < 1e-12:
-        raise DomainError("adapted basis needs a direction with nonzero horizontal part")
-    v1 = Yh / h
-    basis = np.array([v1, cs.J @ v1])
-    for _ in range((len(g) - 3) // 2):
-        for _attempt in range(50):
-            w = P @ rng.normal(size=len(g))
-            w = w - (basis @ g @ w) @ basis
-            nw = _norms(g, w)
-            if nw > 1e-8:
-                break
-        else:
-            raise DomainError("could not complete an adapted basis")
-        w = w / nw
-        Jw = cs.J @ w
-        Jw = Jw - (basis @ g @ Jw) @ basis
-        basis = np.vstack([basis, w, Jw / _norms(g, Jw)])
-    return basis
-
-
 def verify_structure_identities(
     alg: FrameAlgebra,
     cs: ContactStructure,
@@ -373,11 +347,16 @@ def verify_structure_identities(
     whole stack at once: with U and W stacks, W @ _contract(U, T) holds
     T(u_a, w_b, ...) at [a, b].
 
-    The Ricci consequence is graded as the direct trace of the sectional
-    values, vertical row included (ricci_matches_trace).  The paper's
-    printed combination n <Y,V>^2 / 2 - 3 eps^2 |Y_H|^2 / 4 + ric_tw(Y, Y)
-    leaves out that row's eps^2 |Y_H|^2 / 4: for a unit horizontal Y at
-    n = 1, eps = 2 it gives -3 where the trace gives -2.
+    The sectional identities are graded as bilinear forms on the
+    horizontal stack: <R(x, y) y, w> = x M w with M[i, l] =
+    <R(e_i, y) y, e_l>, at every pair x, w of it.  The Ricci consequence
+    is graded as the direct trace of the sectional values, vertical row
+    included (ricci_matches_trace).  A trace does not depend on the
+    basis: the sum of <R(b, y) y, b> over any g-orthonormal basis {b} of
+    the frame is tr(g^-1 M).  The paper's printed combination
+    n <Y,V>^2 / 2 - 3 eps^2 |Y_H|^2 / 4 + ric_tw(Y, Y) leaves out that
+    row's eps^2 |Y_H|^2 / 4: for a unit horizontal Y at n = 1, eps = 2 it
+    gives -3 where the trace gives -2.
     """
     d = alg.dim
     if d % 2 != 1 or d < 3:
@@ -397,14 +376,12 @@ def verify_structure_identities(
     if pre:
         return IdentityReport(tol=tol, precondition_failures=pre, identities=[])
 
-    n = (d - 1) // 2
     g, J, V, eta, eps = alg.metric, cs.J, cs.reeb, cs.eta, cs.eps
     P = cs.horizontal_projector()
-    rng = np.random.default_rng(0)
 
     # the frame and three seeded random vectors, and their horizontal
     # projections, as rows; J acts on a stack A as A @ J.T
-    Y = np.vstack([np.eye(d), rng.normal(size=(3, d))])
+    Y = np.vstack([np.eye(d), np.random.default_rng(0).normal(size=(3, d))])
     X = Y @ P.T
     JY, JX, JV = Y @ J.T, X @ J.T, J @ V
     m = len(Y)
@@ -518,31 +495,28 @@ def verify_structure_identities(
     )
     add("canonical_mixed_horizontal_part", _norms(g, X @ _contract(X, Rt_V) @ P.T))
 
-    # sectional consequences in the adapted basis B of each direction y
-    # with a horizontal part; from M[i, l] = <R(e_i, y) y, e_l> every basis
-    # value is B M B^T
-    ys = Y[_norms(g, X) > 1e-6]
-    B = np.array([_adapted_basis(g, cs, y, rng) for y in ys])
-    Bt = B.swapaxes(1, 2)
+    # sectional consequences at each y in Y, as bilinear forms on X: from
+    # M[i, l] = <R(e_i, y) y, e_l>, <R(x, y) y, w> is x M w, and at [a, b]
+    # the stacks below hold y_a's values at x_b (and w = x_c)
     v0 = V / eps
-    M_lc = np.array([_jacobi_operator(curv_lc.riem, y) for y in ys])
-    M_tw = np.array([_jacobi_operator(curv_tw.riem, y) for y in ys])
-    S_lc, S_tw = B @ M_lc @ Bt, B @ M_tw @ Bt
-    h = _norms(g, ys @ P.T)
-    yv = ys @ g @ V
+    M_lc = np.array([_jacobi_operator(curv_lc.riem, y) for y in Y])
+    M_tw = np.array([_jacobi_operator(curv_tw.riem, y) for y in Y])
+    h = _norms(g, X)
     vertical = M_lc @ v0 @ v0
-    # <R(v_i, y) y, v0> is -eps <y, V> |y_H| / 4 at i = 1 and 0 elsewhere
-    mixed = B @ M_lc @ v0
-    mixed[:, 0] += 0.25 * eps * yv * h
-    expected = S_tw + 0.25 * (yv * yv)[:, None, None] * np.eye(2 * n)
-    expected[:, 1, 1] -= 0.75 * eps**2 * h * h
+    # <R(x, y) y, v0> = -eps <y, V> <x, y_H> / 4
+    mixed = M_lc @ v0 @ X.T + 0.25 * eps * Yv[:, None] * (X @ g @ X.T)
+    # <R(x, y) y, w>_lc - <R(x, y) y, w>_tw
+    #     = <y, V>^2 <x, w> / 4 - 3 eps^2 <x, J y_H> <w, J y_H> / 4
+    block = X @ (M_lc - M_tw - 0.25 * (Yv * Yv)[:, None, None] * g) @ X.T
+    block += 0.75 * eps**2 * K[:, :, None] * K[:, None, :]
     add("sectional_mixed_row", np.abs(mixed))
     add("sectional_vertical", np.abs(vertical - c4 * h * h))
-    add("sectional_horizontal_block", np.abs(S_lc - expected))
+    add("sectional_horizontal_block", np.abs(block))
 
-    # ricci array consistency: the stored quadratic form is the direct trace
-    traced = vertical + np.trace(S_lc, axis1=1, axis2=2)
-    ricci_form = np.sum(ys @ curv_lc.ricci * ys, axis=1)
+    # ricci array consistency: the stored quadratic form is the trace of
+    # M_lc over a g-orthonormal basis of the frame, tr(g^-1 M_lc)
+    traced = np.sum(np.linalg.inv(g) * M_lc, axis=(1, 2))
+    ricci_form = np.sum(Y @ curv_lc.ricci * Y, axis=1)
     add("ricci_matches_trace", np.abs(ricci_form - traced))
 
     return IdentityReport(tol=tol, precondition_failures=[], identities=results)
@@ -555,7 +529,7 @@ def verify_structure_identities(
 @dataclass
 class HypothesisReport:
     """Empirical minima of the two curvature hypotheses over random
-    orthonormal bases of ker eta."""
+    unit directions of ker eta."""
 
     samples: int
     seed: int
@@ -576,16 +550,26 @@ def check_main_hypotheses(
     samples: int = 200,
     seed: int = 0,
 ) -> HypothesisReport:
-    """Sample random orthonormal bases {v, Jv, w_1, ..., w_{2n-2}} of
-    ker eta and evaluate the two curvature hypotheses
+    """Sample random unit directions v of ker eta and evaluate the two
+    curvature hypotheses
 
         <R(Jv, v) v, Jv> >= 0,
         sum_i <R(w_i, v) v, w_i> >= 0
 
-    for the canonical-connection curvature.  Returns the minimum of each
-    over the samples; for n = 1 the sum is empty and reported as vacuously
-    true.  metric is the Gram matrix of the frame.  A curvature that is
-    not finite (a model past float64 range) raises DomainError.
+    for the canonical-connection curvature, where {v, Jv, w_1, ...,
+    w_{2n-2}} is a g-orthonormal basis of ker eta.  The sum is a trace, so
+    it does not depend on the completion {w_i}: with M[i, l] =
+    <R(e_i, v) v, e_l> and v0 = V / eps,
+
+        sum_i <R(w_i, v) v, w_i> = tr(H M) - v M v - Jv M Jv,
+
+    where H = g^-1 - v0 v0^T is the sum of b b^T over any g-orthonormal
+    basis {b} of ker eta (V is g-orthogonal to ker eta and |V| = eps),
+    and v M v = <R(v, v) v, v> is zero but for rounding.  Returns the
+    minimum of each over the samples; for n = 1 the sum is empty and
+    reported as vacuously true.  metric is the Gram matrix of the frame.
+    A curvature that is not finite (a model past float64 range) raises
+    DomainError.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -602,23 +586,23 @@ def check_main_hypotheses(
     d = cs.J.shape[0]
     n = (d - 1) // 2
     g = np.asarray(metric, dtype=float)
-    rng = np.random.default_rng(seed)
+    v0 = cs.reeb / cs.eps
+    H = np.linalg.inv(g) - np.outer(v0, v0)
     P = cs.horizontal_projector()
+    vs = np.random.default_rng(seed).normal(size=(samples, d)) @ P.T
 
     min1 = np.inf
     min2 = np.inf if n > 1 else 0.0
-    for _ in range(samples):
-        v = P @ rng.normal(size=d)
-        nv = _norms(g, v)
+    for v, nv in zip(vs, _norms(g, vs)):
         if nv < 1e-12:
             continue
         v = v / nv
-        basis = _adapted_basis(g, cs, v, rng)
-        # <R(w, v) v, w> for each basis row w, from one M_v per sample
-        vals = np.sum(basis @ _jacobi_operator(curv_tw.riem, v) * basis, axis=1)
-        min1 = min(min1, vals[1])
+        Jv = cs.J @ v
+        M = _jacobi_operator(curv_tw.riem, v)
+        sectional = Jv @ M @ Jv
+        min1 = min(min1, sectional)
         if n > 1:
-            min2 = min(min2, vals[2:].sum())
+            min2 = min(min2, np.sum(H * M) - v @ M @ v - sectional)
     holds = bool(min1 >= -_HYPOTHESIS_TOL and (n == 1 or min2 >= -_HYPOTHESIS_TOL))
     return HypothesisReport(
         samples=samples,
@@ -642,16 +626,16 @@ def model_from_dict(data: dict):
          "metric": [[...]], "J": [[...]], "eta": [...],
          "reeb": [...], "eps": real}
 
-    Bracket entries are zero-based, with integer indices and a finite
-    value; for each entry the antisymmetric mirror is filled in
-    automatically, and supplying both with inconsistent values is an
-    error.  Raises ModelValidationError when the description is malformed
-    or not finite, or the assembled model violates any structural
-    invariant (checked with float errors silenced: a value that
-    overflows fails its check).
+    dim is an integer-valued number (not a bool or a string).  Bracket
+    entries are zero-based, with integer indices and a finite value; for
+    each entry the antisymmetric mirror is filled in automatically, and
+    supplying both with inconsistent values is an error.  Raises
+    ModelValidationError when the description is malformed or not finite,
+    or the assembled model violates any structural invariant (checked with
+    float errors silenced: a value that overflows fails its check).
     """
     try:
-        d = int(data["dim"])
+        d = data["dim"]
         entries = list(data["bracket"])
         metric = np.asarray(data["metric"], dtype=float)
         J = np.asarray(data["J"], dtype=float)
@@ -662,6 +646,11 @@ def model_from_dict(data: dict):
         raise ModelValidationError([f"malformed model description: {exc}"]) from exc
     if not all(np.all(np.isfinite(a)) for a in (metric, J, eta, reeb)):
         raise ModelValidationError(["metric, J, eta and reeb must be finite"])
+    if isinstance(d, bool) or not (
+        isinstance(d, int) or isinstance(d, float) and d.is_integer()
+    ):
+        raise ModelValidationError([f"dim must be an integer, got {d!r}"])
+    d = int(d)
     if d < 3 or d % 2 != 1:
         raise ModelValidationError([f"dim must be odd and >= 3, got {d}"])
     if d > 2 * _MAX_N + 1:

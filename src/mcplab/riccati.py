@@ -45,12 +45,13 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 
-# Below this |x| the helpers _k2hat, _sxc and _xms switch to their Taylor
-# series through x^14, whose truncation error at the cut is below 1e-16
-# relative.  The direct expressions lose about 1e-16 / x^2 relative to
-# cancellation, so both sides stay under 1e-14 against 40-digit mpmath
-# (7e-15 at worst on (0, 3.1], 5.4e-15 for _xms just above the cut; a cut
-# of 0.05 left 2e-13 just above it).
+# Below this |x| the helpers _k2hat and _sxc, and the S kernel of
+# heisenberg._helix_kernels, switch to their Taylor series through x^14,
+# whose truncation error at the cut is below 1e-16 relative.  The direct
+# expressions lose about 1e-16 / x^2 relative to cancellation, so both
+# sides stay under 1e-14 against 40-digit mpmath (7e-15 at worst on
+# (0, 3.1], 5.6e-15 for S just above the cut; a cut of 0.05 left 2e-13
+# just above it).
 _SERIES_CUT = 0.3
 # Taylor coefficients in x^2, highest power first (Horner order).
 _K2HAT_SERIES = (-3617 / 162820783125, -4 / 18243225, -1382 / 638512875,
@@ -94,11 +95,6 @@ def _sinc(x):
 def _sxc(x):
     """(sin x - x cos x) / x**3, analytic at 0 with value 1/3."""
     return _analytic(_SXC_SERIES, lambda x: (np.sin(x) - x * np.cos(x)) / (x * x * x), x)
-
-
-def _xms(x):
-    """(x - sin x) / x**3, analytic at 0 with value 1/6."""
-    return _analytic(_XMS_SERIES, lambda x: (x - np.sin(x)) / x / x / x, x)
 
 
 def _check_sin_regular(x):

@@ -423,6 +423,18 @@ def test_curvature_model_dim_cap_is_usage_error(tmp_path, capsys):
         _one_line_usage_error(rc, capsys)
 
 
+def test_curvature_model_dim_that_is_no_integer_is_usage_error(tmp_path, capsys):
+    # "dim": 3.9 and "dim": "3" were read as 3, and the model group
+    # passed (exit 0); an integer-valued float is still a dim
+    model = tmp_path / "m.json"
+    data = model_to_dict(*build_heisenberg_algebra(1, 1.0))
+    for dim in (3.9, 3.5, "3", True, None, float("nan")):
+        model.write_text(json.dumps({**data, "dim": dim}))
+        _one_line_usage_error(main(["curvature", "--model", str(model)]), capsys)
+    model.write_text(json.dumps({**data, "dim": 3.0}))
+    assert main(["curvature", "--model", str(model)]) == 0
+
+
 def test_cli_sizes_are_usage_errors(capsys):
     # range counts, --n, the size of a riccati run and the hypothesis
     # sample count are refused before anything of that size is allocated
@@ -435,7 +447,7 @@ def test_cli_sizes_are_usage_errors(capsys):
         ["riccati", "--b", "1", "--c", "1", "--n", "1000000000", "--t", "0.5"],
         ["curvature", "--heisenberg", "--n", "21"],
         ["riccati", "--b", "1", "--c", "1", "--n", "20", "--t", "0.01:0.9:2000"],
-        # the hypothesis sampler loops in Python, about 85 us per sample
+        # the hypothesis sampler loops in Python, about 10 us per sample
         ["curvature", "--heisenberg", "--samples", "100001"],
         # squared horizontal speeds overflow: a NaN ratio, not a verdict
         ["contract", "--t", "0.5", "--samples", "5000", "--radius", "1e200"],

@@ -12,8 +12,9 @@ from mcplab.errors import DomainError, ModelValidationError
 from mcplab.frame_algebra import (
     _MAX_HYPOTHESIS_SAMPLES,
     ConnectionCoeffs,
+    ContactStructure,
     CurvatureData,
-    _adapted_basis,
+    FrameAlgebra,
     _jacobi_operator,
     build_heisenberg_algebra,
     check_main_hypotheses,
@@ -140,8 +141,6 @@ def _random_two_step_algebra(rng, n_h, n_z):
             c[j, i, n_h:] = -z
     a = rng.normal(size=(d, d))
     g = a @ a.T + d * np.eye(d)
-    from mcplab.frame_algebra import FrameAlgebra
-
     return FrameAlgebra(bracket=c, metric=g)
 
 
@@ -210,8 +209,6 @@ def test_rescale_vertical_roundtrip():
 
 
 def test_curvature_abelian_vanishes():
-    from mcplab.frame_algebra import FrameAlgebra
-
     alg = FrameAlgebra(bracket=np.zeros((3, 3, 3)), metric=np.eye(3))
     curv = curvature(alg, levi_civita(alg))
     assert np.max(np.abs(curv.riem)) == 0.0
@@ -421,8 +418,6 @@ def test_identity_report_ricci_comparison():
 def test_identity_catalog_precondition_failure():
     # an abelian algebra cannot satisfy the compatibility between d eta and
     # the metric, so the catalog must refuse to grade identities
-    from mcplab.frame_algebra import ContactStructure, FrameAlgebra
-
     alg = FrameAlgebra(bracket=np.zeros((3, 3, 3)), metric=np.eye(3))
     _, cs = build_heisenberg_algebra(1, 1.0)
     cs = ContactStructure(eta=cs.eta, reeb=cs.reeb, J=cs.J, eps=1.0)
@@ -462,7 +457,8 @@ def test_main_hypotheses_hold_for_model():
 
 
 def test_main_hypotheses_reject_a_negative_seed_and_too_many_samples():
-    # both before the first sample: the sampler loops in Python per sample
+    # both before any draw: the sampler draws all its directions at once,
+    # then loops in Python, about 10 us per sample at n = 1
     alg, cs = build_heisenberg_algebra(1, 1.0)
     tw_curv = curvature(alg, tanaka_webster(alg, cs, levi_civita(alg)))
     with pytest.raises(DomainError, match="seed"):
@@ -475,25 +471,84 @@ def test_main_hypotheses_reject_a_negative_seed_and_too_many_samples():
     assert time.perf_counter() - start < 0.1
 
 
+def _gram_schmidt_completion(g, cs, v):
+    """Rows of a g-orthonormal basis of ker eta that starts with the unit
+    horizontal v and Jv: Gram-Schmidt on the horizontal parts of the frame
+    vectors, the longest remainder first, each projected twice."""
+    basis = np.array([v, cs.J @ v])
+    W = cs.horizontal_projector().T
+    while len(basis) < len(g) - 1:
+        for _ in range(2):
+            W = W - (W @ g @ basis.T) @ basis
+        norms = np.sqrt(np.einsum("ij,ij->i", W @ g, W))
+        k = np.argmax(norms)
+        basis = np.vstack([basis, W[k] / norms[k]])
+    return basis
+
+
+def _looped_minima(curv, cs, g, samples, seed):
+    """The two hypotheses' minima from _sectional_like in a completed
+    basis of each of the sampler's directions (the same draws)."""
+    P = cs.horizontal_projector()
+    first, rest = [], []
+    for v in np.random.default_rng(seed).normal(size=(samples, len(g))) @ P.T:
+        v = v / np.sqrt(v @ g @ v)
+        basis = _gram_schmidt_completion(g, cs, v)
+        first.append(_sectional_like(curv.riem, basis[1], v, v, basis[1]))
+        rest.append(sum(_sectional_like(curv.riem, w, v, v, w) for w in basis[2:]))
+    return min(first), min(rest)
+
+
 def test_main_hypotheses_match_a_per_sample_loop():
-    # the sampler against _sectional_like on the same random stream, on a
+    # the sampler's trace against a sum over a completed basis, on a
     # curvature with no sign, so both minima are far from zero
     rng = np.random.default_rng(2)
     alg, cs, lc, tw, curv_lc, curv_tw = _full_stack(3, 1.0)
     curv = _perturbed(curv_tw, rng)
     report = check_main_hypotheses(curv, cs, alg.metric, samples=50, seed=8)
-    draw = np.random.default_rng(8)
-    P = cs.horizontal_projector()
-    first, rest = [], []
-    for _ in range(50):
-        v = P @ draw.normal(size=alg.dim)
-        v = v / np.sqrt(v @ v)
-        basis = _adapted_basis(alg.metric, cs, v, draw)
-        first.append(_sectional_like(curv.riem, basis[1], v, v, basis[1]))
-        rest.append(sum(_sectional_like(curv.riem, w, v, v, w) for w in basis[2:]))
-    assert report.min_sectional == pytest.approx(min(first), rel=1e-10)
-    assert report.min_orthogonal_sum == pytest.approx(min(rest), rel=1e-10)
+    first, rest = _looped_minima(curv, cs, alg.metric, 50, 8)
+    assert report.min_sectional == pytest.approx(first, rel=1e-10)
+    assert report.min_orthogonal_sum == pytest.approx(rest, rel=1e-10)
     assert not report.holds
+
+
+def _in_frame(alg, cs, A):
+    """The same model in the frame e'_i = sum_j A[i, j] e_j."""
+    inv = np.linalg.inv(A)
+    bracket = np.einsum("ia,jb,abk,km->ijm", A, A, alg.bracket, inv)
+    return FrameAlgebra(bracket=bracket, metric=A @ alg.metric @ A.T), ContactStructure(
+        eta=A @ cs.eta, reeb=inv.T @ cs.reeb, J=inv.T @ cs.J @ A.T, eps=cs.eps
+    )
+
+
+def test_catalog_and_hypotheses_in_a_frame_that_is_not_orthonormal():
+    # the model group in a random frame: a metric other than g = I, a Reeb
+    # field off the frame and dense brackets
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3):
+        d = 2 * n + 1
+        A = np.eye(d) + 0.3 * rng.normal(size=(d, d))
+        alg, cs = _in_frame(*build_heisenberg_algebra(n, 1.3), A)
+        assert np.max(np.abs(alg.metric - np.eye(d))) > 0.1
+        lc = levi_civita(alg)
+        tw = tanaka_webster(alg, cs, lc)
+        report = verify_structure_identities(
+            alg, cs, lc, tw, curvature(alg, lc), curvature(alg, tw), tol=1e-10
+        )
+        assert report.passed, report.failed_identities()
+        # one bracket entry off by 10 %: a canonical curvature with no sign
+        bracket = alg.bracket.copy()
+        bracket[1, 2, 0] *= 1.1
+        bracket[2, 1, 0] *= 1.1
+        alg2 = FrameAlgebra(bracket=bracket, metric=alg.metric)
+        curv = curvature(alg2, tanaka_webster(alg2, cs, levi_civita(alg2)))
+        hyp = check_main_hypotheses(curv, cs, alg.metric, samples=50, seed=n)
+        first, rest = _looped_minima(curv, cs, alg.metric, 50, n)
+        assert abs(first) > 1e-3
+        assert hyp.min_sectional == pytest.approx(first, rel=1e-10)
+        if n > 1:
+            assert abs(rest) > 1e-4
+            assert hyp.min_orthogonal_sum == pytest.approx(rest, rel=1e-10)
 
 
 def test_main_hypotheses_sign_against_angle_grid():
@@ -505,8 +560,6 @@ def test_main_hypotheses_sign_against_angle_grid():
     bracket = alg.bracket.copy()
     bracket[1, 3, 0] *= 1.1
     bracket[3, 1, 0] *= 1.1
-    from mcplab.frame_algebra import FrameAlgebra
-
     alg2 = FrameAlgebra(bracket=bracket, metric=alg.metric)
     lc = levi_civita(alg2)
     tw_curv = curvature(alg2, tanaka_webster(alg2, cs, lc))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from mcplab import riccati as rc
 from mcplab.errors import DomainError, SingularityError
+from mcplab.heisenberg import _helix_kernels
 
 
 def test_params_validation():
@@ -86,6 +87,11 @@ def test_kernels_against_mpmath():
     assert rc._k2hat(0.0) == -1.0 / 3.0 and rc._sxc(0.0) == 1.0 / 3.0
 
 
+def _xms(x):
+    """S(x) = (x - sin x) / x^3 as the helix's kernels give it."""
+    return _helix_kernels(x)[1]
+
+
 def test_xms_against_mpmath():
     # S(x) = (x - sin x) / x^3 on both sides of the series cut, and far out
     xs = np.concatenate([
@@ -94,12 +100,12 @@ def test_xms_against_mpmath():
     ])
     worst = 0.0
     with mpmath.workdps(40):
-        for x, got in zip(xs, rc._xms(xs)):
+        for x, got in zip(xs, _xms(xs)):
             m = mpmath.mpf(float(x))
             worst = max(worst, float(abs(got / ((m - mpmath.sin(m)) / m**3) - 1)))
     assert worst <= 1e-14
-    np.testing.assert_array_equal(rc._xms(-xs), rc._xms(xs))
-    assert rc._xms(0.0) == 1.0 / 6.0
+    np.testing.assert_array_equal(_xms(-xs), _xms(xs))
+    assert _xms(0.0) == 1.0 / 6.0
 
 
 def test_series_is_polyval_to_the_bit():
@@ -130,7 +136,7 @@ def test_kernels_are_quiet_at_huge_arguments():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         det = rc.det_distortion(rc.RiccatiParams(-1.0, 1e30, 1), [0.5])
-        values = [f(s * xs) for f in (rc._k2hat, rc._sxc, rc._xms) for s in (1, -1)]
+        values = [f(s * xs) for f in (rc._k2hat, rc._sxc, _xms) for s in (1, -1)]
     assert np.all(np.isfinite(det)) and np.all(np.isfinite(values))
 
 
