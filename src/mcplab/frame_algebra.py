@@ -619,6 +619,20 @@ def check_main_hypotheses(
 # JSON model ingestion
 # ---------------------------------------------------------------------------
 
+def _reals(value, what: str):
+    """value, a real number or nested lists of them, with each number as a
+    float.  A bool, a string or None raises TypeError, and an integer past
+    float64 range ValueError, naming what: JSON's true is no 1, nor "1"."""
+    if isinstance(value, list):
+        return [_reals(v, what) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must hold numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer past float64 range") from None
+
+
 def model_from_dict(data: dict):
     """Build a validated model from the sparse description
 
@@ -626,29 +640,28 @@ def model_from_dict(data: dict):
          "metric": [[...]], "J": [[...]], "eta": [...],
          "reeb": [...], "eps": real}
 
-    dim is an integer-valued number (not a bool or a string).  Bracket
-    entries are zero-based, with integer indices and a finite value; for
-    each entry the antisymmetric mirror is filled in automatically, and
-    supplying both with inconsistent values is an error.  Raises
-    ModelValidationError when the description is malformed or not finite,
-    or the assembled model violates any structural invariant (checked with
-    float errors silenced: a value that overflows fails its check).
+    Every field holds numbers, not bools or strings (_reals), and dim is
+    integer-valued.  Bracket entries are zero-based, with integer indices
+    and a finite value; for each entry the antisymmetric mirror is filled
+    in automatically, and supplying both with inconsistent values is an
+    error.  Raises ModelValidationError when the description is malformed
+    or not finite, or the assembled model violates any structural
+    invariant (checked with float errors silenced: a value that overflows
+    fails its check).
     """
     try:
-        d = data["dim"]
+        d = float(_reals(data["dim"], "dim"))
         entries = list(data["bracket"])
-        metric = np.asarray(data["metric"], dtype=float)
-        J = np.asarray(data["J"], dtype=float)
-        eta = np.asarray(data["eta"], dtype=float)
-        reeb = np.asarray(data["reeb"], dtype=float)
-        eps = float(data["eps"])
+        metric, J, eta, reeb = (
+            np.asarray(_reals(data[key], key), dtype=float)
+            for key in ("metric", "J", "eta", "reeb")
+        )
+        eps = float(_reals(data["eps"], "eps"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError([f"malformed model description: {exc}"]) from exc
     if not all(np.all(np.isfinite(a)) for a in (metric, J, eta, reeb)):
         raise ModelValidationError(["metric, J, eta and reeb must be finite"])
-    if isinstance(d, bool) or not (
-        isinstance(d, int) or isinstance(d, float) and d.is_integer()
-    ):
+    if not d.is_integer():
         raise ModelValidationError([f"dim must be an integer, got {d!r}"])
     d = int(d)
     if d < 3 or d % 2 != 1:
@@ -658,8 +671,8 @@ def model_from_dict(data: dict):
     bracket = np.full((d, d, d), np.nan)
     for entry in entries:
         try:
-            *index, value = map(float, entry)
-        except (TypeError, ValueError, OverflowError):
+            *index, value = map(float, _reals(entry, "a bracket entry"))
+        except (TypeError, ValueError):
             raise ModelValidationError([f"bad bracket entry {entry!r}"]) from None
         if len(index) != 3 or not np.isfinite(value):
             raise ModelValidationError([f"bad bracket entry {entry!r}"])

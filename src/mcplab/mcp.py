@@ -63,9 +63,7 @@ _MAX_SAMPLES = 2_000_000
 # million points, so 10^7 caps it near 150 MB, 80 times the largest grid
 # (50^3) that the tests and the benchmark use.
 _MAX_SCAN_POINTS = 10_000_000
-# sharpness_scan's grid: b = 0 and _B_POINTS log-spaced values, times
-# _C_POINTS log-spaced values of c in (0, pi).
-_B_POINTS = 160
+# sharpness_scan's log-spaced values of c in (0, pi).
 _C_POINTS = 200
 # Gauss-Legendre nodes per axis of quadrature_contraction.
 _QUAD_NODES = 64
@@ -287,21 +285,29 @@ def mcp_scan(
 
 
 def sharpness_scan(n: int, t: float, b_max: float = 1e4) -> float:
-    """Infimum estimate of D(t) / (1-t)^(2n+3) over b in [0, b_max]
-    (log-spaced plus zero) and c in (0, pi).
+    """Infimum estimate of D(t) / (1-t)^(2n+3) over b in [0, b_max] and
+    c in (0, pi): the rows b = 0 and b = b_max of _ratio on _C_POINTS
+    log-spaced c.  With s = 1 - t, x = cs and beta = b^2, _ratio is
 
-    The minimum approaches 1 from above as b grows and c shrinks, which is
-    the empirical sharpness of the exponent 2n + 3; on the b = 0 slice
-    alone the ratio never drops below (1-t)^(-2).  A NaN ratio anywhere on
-    the grid raises DomainError; an infinite one (near c = pi for n >= 17)
-    lies above the infimum."""
+        [s^3 sinc(x)^2 + beta s^5 sinc(x) sxc(x)]
+        / [s^5 (sinc(c)^2 + beta sinc(c) sxc(c))] * [sinc(x) / sinc(c)]^(2n-2).
+
+    The last factor is positive and free of b; the first is
+    linear-fractional in beta with a positive denominator (sinc and sxc
+    are positive on |c| < pi), so monotone in beta, and its minimum over
+    b lies at b = 0 or b = b_max.  On the b = 0 row the ratio is
+    [sinc(x) / sinc(c)]^(2n) / s^2 >= (1-t)^(-2), as sinc decreases on
+    [0, pi].  The minimum approaches 1 from above as b grows and c
+    shrinks, the empirical sharpness of the exponent 2n + 3.  A NaN ratio
+    raises DomainError; an infinite one (near c = pi for n >= 17) lies
+    above the infimum."""
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     if not (0.0 < t < 1.0):
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
     if not (0.0 < b_max < np.inf):
         raise DomainError(f"b_max must be positive and finite, got {b_max!r}")
-    b = np.concatenate(([0.0], np.geomspace(1e-2, b_max, _B_POINTS)))[:, None]
+    b = np.array([[0.0], [b_max]])
     c = np.geomspace(1e-4, np.pi - 1e-9, _C_POINTS)[None, :]
     with np.errstate(all="ignore"):
         infimum = np.min(_ratio(b, c, n, t))
@@ -443,7 +449,7 @@ def monte_carlo_contraction(
         t=float(t),
         samples_used=N,
         rejected_fraction=float(frac),
-        bound=float((1.0 - t) ** (2 * n + 3)),
+        bound=float(contraction_bound(n, t)),
         seed=seed,
     )
 

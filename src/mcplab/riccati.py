@@ -30,10 +30,11 @@ points) and its kernels without any change of chart.
 
 Closed forms for F(1 - t) are expressed through the scaled cotangent
 
-    k2hat(x) = (x cot x - 1) / x**2,
+    k2hat(x) = (x cot x - 1) / x**2 = -sxc(x) / sinc(x),
 
-which is analytic at x = 0; this keeps small-|c| evaluation stable without
-case splits.  All scalar helpers accept arrays and broadcast.
+which is analytic at x = 0, as det A's kernels sinc and sxc are; this keeps
+small-|c| evaluation stable without case splits.  All scalar helpers accept
+arrays and broadcast.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 
-# Below this |x| the helpers _k2hat and _sxc, and the S kernel of
+# Below this |x| the helper _sxc, and the S kernel of
 # heisenberg._helix_kernels, switch to their Taylor series through x^14,
 # whose truncation error at the cut is below 1e-16 relative.  The direct
 # expressions lose about 1e-16 / x^2 relative to cancellation, so both
@@ -54,8 +55,6 @@ from .errors import DomainError, SingularityError
 # just above it).
 _SERIES_CUT = 0.3
 # Taylor coefficients in x^2, highest power first (Horner order).
-_K2HAT_SERIES = (-3617 / 162820783125, -4 / 18243225, -1382 / 638512875,
-                 -2 / 93555, -1 / 4725, -2 / 945, -1 / 45, -1 / 3)
 _SXC_SERIES = (-1 / 22230464256000, 1 / 93405312000, -1 / 518918400,
                1 / 3991680, -1 / 45360, 1 / 840, -1 / 30, 1 / 3)
 _XMS_SERIES = (-1 / 355687428096000, 1 / 1307674368000, -1 / 6227020800,
@@ -74,27 +73,19 @@ def _series(coeffs, x):
     return y
 
 
-def _analytic(coeffs, direct, x):
-    """The series in coeffs where |x| <= _SERIES_CUT, else direct(x) unwarned."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        far = direct(x)
-    return np.where(np.abs(x) <= _SERIES_CUT, _series(coeffs, x), far)
-
-
-def _k2hat(x):
-    """(x cot x - 1) / x**2, analytic at 0 with value -1/3."""
-    return _analytic(_K2HAT_SERIES, lambda x: (x * np.cos(x) / np.sin(x) - 1.0) / (x * x), x)
-
-
 def _sinc(x):
-    """sin x / x, analytic at 0 with value 1."""
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+    """sin x / x, 1 at x = 0.  np.sinc(x / pi) rounds x / pi: 3.5e-12 off
+    40-digit mpmath on (2 pi, 40], 10^-3 or more from k pi (2.1e-16 here)."""
+    x = np.asarray(x, dtype=float)
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def _sxc(x):
     """(sin x - x cos x) / x**3, analytic at 0 with value 1/3."""
-    return _analytic(_SXC_SERIES, lambda x: (np.sin(x) - x * np.cos(x)) / (x * x * x), x)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        far = (np.sin(x) - x * np.cos(x)) / (x * x * x)
+    return np.where(np.abs(x) <= _SERIES_CUT, _series(_SXC_SERIES, x), far)
 
 
 def _check_sin_regular(x):
@@ -172,7 +163,7 @@ def _f1_pieces(b, c, t):
     algebraically identical but lose all accuracy as c -> 0.
     """
     x = c * t
-    k2h = _k2hat(x)
+    k2h = -_sxc(x) / _sinc(x)
     k1h = b * b * t * t * k2h - 1.0
     xc = 1.0 + x * x * k2h
     f00 = 1.0 / (t * k1h)

@@ -28,6 +28,7 @@ from mcplab.heisenberg import (
 )
 from mcplab.mcp import (
     VelocitySet,
+    _ratio,
     mcp_scan,
     monte_carlo_contraction,
     quadrature_contraction,
@@ -230,8 +231,13 @@ def test_06_contraction_inequality_and_sharpness(capsys):
         rep = mcp_scan(n)
         mins[n] = rep.min_ratio
         ok &= rep.ok and not rep.violations
-    sharp = {t: sharpness_scan(1, t) for t in (0.3, 0.5, 0.9)}
+    # sharpness_scan reads only the rows b = 0 and b = b_max; a 161 x 200
+    # (b, c) grid checks that reduction without using it
+    b = np.concatenate(([0.0], np.geomspace(1e-2, 1e4, 160)))[:, None]
+    c = np.geomspace(1e-4, np.pi - 1e-9, 200)[None, :]
+    sharp = {t: float(np.min(_ratio(b, c, 1, t))) for t in (0.3, 0.5, 0.9)}
     sharp_ok = all(1.0 - 1e-9 <= v <= 1.02 for v in sharp.values())
+    sharp_ok &= all(sharpness_scan(1, t) == v for t, v in sharp.items())
     elapsed = perf_counter() - start
     ok = ok and sharp_ok and elapsed < 120.0
     _report(

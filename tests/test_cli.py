@@ -435,6 +435,48 @@ def test_curvature_model_dim_that_is_no_integer_is_usage_error(tmp_path, capsys)
     assert main(["curvature", "--model", str(model)]) == 0
 
 
+def _heisenberg_model_with(field, bad):
+    """The n = 1, eps = 1 model with the numbers of field replaced by
+    bad(x): every number for str, each 0 and 1 for bool, so that the model
+    means the same if the replacements are read as numbers (dim, 3, takes
+    "3" or true)."""
+    data = model_to_dict(*build_heisenberg_algebra(1, 1.0))
+    if field == "dim":
+        return {**data, "dim": bad(3) if bad is str else True}
+
+    def swap(x):
+        if isinstance(x, list):
+            return [swap(v) for v in x]
+        return bad(x) if bad is str or x in (0, 1) else x
+
+    return {**data, field: swap(data[field])}
+
+
+@pytest.mark.parametrize("bad", [str, bool])
+@pytest.mark.parametrize("field", ["dim", "bracket", "metric", "J", "eta", "reeb", "eps"])
+def test_curvature_model_numbers_that_are_strings_or_bools_are_usage_errors(
+    field, bad, tmp_path, capsys
+):
+    # "1" and true were read as numbers in every field but dim, and the
+    # model group passed (exit 0)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(_heisenberg_model_with(field, bad)))
+    _one_line_usage_error(main(["curvature", "--model", str(model)]), capsys)
+
+
+def test_curvature_model_numbers_past_float_range_or_nested_are_usage_errors(tmp_path, capsys):
+    # an integer past float64 range in metric or eps was a traceback
+    model = tmp_path / "m.json"
+    data = model_to_dict(*build_heisenberg_algebra(1, 1.0))
+    metric = [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for changes in ({"metric": metric}, {"eps": 10**400}, {"eta": [None, 0, 0]},
+                    {"bracket": [[1, 2, 0, [1.0]]]}, {"bracket": [[1, [2], 0, 1.0]]}):
+        model.write_text(json.dumps({**data, **changes}))
+        _one_line_usage_error(main(["curvature", "--model", str(model)]), capsys)
+    model.write_text(json.dumps({**data, "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    assert main(["curvature", "--model", str(model)]) == 0
+
+
 def test_cli_sizes_are_usage_errors(capsys):
     # range counts, --n, the size of a riccati run and the hypothesis
     # sample count are refused before anything of that size is allocated

@@ -286,6 +286,35 @@ def test_sharpness_scan():
             sharpness_scan(n, 0.5, b_max=b_max)
 
 
+def test_sharpness_scan_below_b_max_of_a_hundredth():
+    # the infimum over b in [0, 1e-3], not the ratio at b = 0.01 (3.9999000)
+    # above b_max
+    b = np.linspace(0.0, 1e-3, 50)[:, None]
+    c = np.geomspace(1e-4, np.pi - 1e-9, 200)[None, :]
+    grid_min = float(np.min(_ratio(b, c, 1, 0.5)))
+    got = sharpness_scan(1, 0.5, b_max=1e-3)
+    assert got == pytest.approx(grid_min, rel=4e-16)
+    assert got == pytest.approx(3.999999010, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 5),
+    t=st.floats(0.01, 0.99),
+    c=st.floats(-np.pi + 1e-6, np.pi - 1e-6),
+    b_frac=st.floats(0.0, 1.0),
+    b_max=st.floats(0.0, 1e6),
+)
+def test_density_over_bound_is_least_at_an_end_of_the_b_range(n, t, c, b_frac, b_max):
+    # the beta reduction of sharpness_scan, checked on density and
+    # contraction_bound, which do not use it
+    def ratio(b):
+        return density(RiccatiParams(b=b, c=c, n=n), t) / contraction_bound(n, t)
+
+    ends = min(ratio(0.0), ratio(b_max))
+    assert ratio(b_frac * b_max) >= ends * (1.0 - 4 * np.finfo(float).eps)
+
+
 def test_out_of_float_range_raises_domain_error():
     # finite inputs whose ratio overflows or underflows to inf or NaN;
     # np.errstate keeps the warnings (raised here as exceptions) quiet

@@ -65,6 +65,16 @@ def test_build_blocks_sign_conjugation():
     assert blb.R[0, 1] == -bl.R[0, 1]
 
 
+def _k2hat(x):
+    """k2hat(x) = (x cot x - 1) / x^2 as the closed forms compose it."""
+    return -rc._sxc(x) / rc._sinc(x)
+
+
+def _off_multiples_of_pi(xs, gap=1e-3):
+    k = np.round(xs / np.pi)
+    return xs[(k == 0) | (np.abs(xs - k * np.pi) > gap)]
+
+
 def test_kernels_against_mpmath():
     # both series branches and both sides of the cut, and the old cut at 0.05
     xs = np.concatenate([
@@ -74,17 +84,42 @@ def test_kernels_against_mpmath():
     ])
     worst_k2, worst_sxc = 0.0, 0.0
     with mpmath.workdps(40):
-        for x, k2, sxc in zip(xs, rc._k2hat(xs), rc._sxc(xs)):
+        for x, k2, sxc in zip(xs, _k2hat(xs), rc._sxc(xs)):
             m = mpmath.mpf(float(x))
             ref_k2 = (m * mpmath.cot(m) - 1) / m**2
             ref_sxc = (mpmath.sin(m) - m * mpmath.cos(m)) / m**3
             worst_k2 = max(worst_k2, float(abs(k2 / ref_k2 - 1)))
             worst_sxc = max(worst_sxc, float(abs(sxc / ref_sxc - 1)))
     assert worst_k2 <= 1e-14 and worst_sxc <= 1e-14
+    # out to 40, where k2hat passes through zeros (tan x = x) and poles
+    # (k pi): absolute where it is small, relative where it is large
+    far = _off_multiples_of_pi(np.linspace(1e-3, 40.0, 4001))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, k2 in zip(far, _k2hat(far)):
+            m = mpmath.mpf(float(x))
+            ref = (m * mpmath.cot(m) - 1) / m**2
+            worst = max(worst, float(abs(k2 - ref) / max(1, abs(ref))))
+    assert worst <= 1e-14
     # both are even, and exact at 0
-    np.testing.assert_array_equal(rc._k2hat(-xs), rc._k2hat(xs))
+    np.testing.assert_array_equal(_k2hat(-xs), _k2hat(xs))
     np.testing.assert_array_equal(rc._sxc(-xs), rc._sxc(xs))
-    assert rc._k2hat(0.0) == -1.0 / 3.0 and rc._sxc(0.0) == 1.0 / 3.0
+    assert _k2hat(0.0) == -1.0 / 3.0 and rc._sxc(0.0) == 1.0 / 3.0
+
+
+def test_sinc_against_mpmath():
+    # one division of the sine; np.sinc(x / pi) was 3.5e-12 off on (2 pi, 40]
+    xs = _off_multiples_of_pi(np.concatenate([
+        np.geomspace(1e-8, 40.0, 1000), np.linspace(2 * np.pi, 40.0, 4001)
+    ]))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, got in zip(xs, rc._sinc(xs)):
+            m = mpmath.mpf(float(x))
+            worst = max(worst, float(abs(got / (mpmath.sin(m) / m) - 1)))
+    assert worst <= 1e-15
+    np.testing.assert_array_equal(rc._sinc(-xs), rc._sinc(xs))
+    assert rc._sinc(0.0) == 1.0
 
 
 def _xms(x):
@@ -121,7 +156,7 @@ def test_series_is_polyval_to_the_bit():
     ])
     stacked = np.stack((xs, xs[::-1]))
     near = np.clip(stacked, -cut, cut)
-    for coeffs in (rc._K2HAT_SERIES, rc._SXC_SERIES, rc._XMS_SERIES):
+    for coeffs in (rc._SXC_SERIES, rc._XMS_SERIES):
         expected = np.polyval(coeffs, near * near)
         assert rc._series(coeffs, stacked).tobytes() == expected.tobytes()
         for x, z in zip(xs[::97], near[0, ::97]):
@@ -136,7 +171,7 @@ def test_kernels_are_quiet_at_huge_arguments():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         det = rc.det_distortion(rc.RiccatiParams(-1.0, 1e30, 1), [0.5])
-        values = [f(s * xs) for f in (rc._k2hat, rc._sxc, _xms) for s in (1, -1)]
+        values = [f(s * xs) for f in (_k2hat, rc._sinc, rc._sxc, _xms) for s in (1, -1)]
     assert np.all(np.isfinite(det)) and np.all(np.isfinite(values))
 
 
@@ -177,7 +212,7 @@ def test_closed_forms_domain_and_singularities():
     assert exc.value.factor == "sin(c*t)"
     # K1 vanishes past the first sin zero; construct b to hit it
     c, t = 4.0, 0.9
-    k2h = float(rc._k2hat(c * t))
+    k2h = float(_k2hat(c * t))
     b = np.sqrt(1.0 / (t * t * k2h))
     with pytest.raises(SingularityError) as exc:
         rc.closed_forms(rc.RiccatiParams(b, c, 1), t)
