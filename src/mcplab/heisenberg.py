@@ -50,7 +50,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDirectionError, DomainError
-from .frame_algebra import build_heisenberg_algebra, levi_civita
 from .riccati import (
     _SERIES_CUT,
     _XMS_SERIES,
@@ -88,12 +87,15 @@ class HeisenbergModel:
     def dim(self) -> int:
         return 2 * self.n + 1
 
+    # frame_algebra loads on first use: the Monte Carlo reads neither
     @cached_property
     def structure(self):
+        from .frame_algebra import build_heisenberg_algebra
         return build_heisenberg_algebra(self.n, self.eps)
 
     @cached_property
     def gamma(self) -> np.ndarray:
+        from .frame_algebra import levi_civita
         alg, _ = self.structure
         return levi_civita(alg).gamma
 
@@ -120,7 +122,7 @@ class GeodesicState:
         d = len(pos)
         if d < 3 or d % 2 == 0:
             raise DomainError(f"state dimension must be odd and >= 3, got {d}")
-        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel))):
+        if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
             raise DomainError("state entries must be finite")
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "vel", vel)
@@ -160,25 +162,19 @@ def _helix(eps, pos, vel, ts):
 
 
 def _helix_kernels(x):
-    """The helix's kernels at x = omega t: (h, S, h', (x S)'), where
-    h = sinc(x/2), S = S(x), h' is the x-derivative of h and (x S)' that
-    of the lift's x S(x).  g(x) = e^{ix/2} h gives E(t) = t g(x), and
-
-        g'(x) = e^{ix/2} (h' + i h / 2).
-
-    All four come from one sine-cosine pair (s, c) of y = x/2:
+    """The helix's kernels at x = omega t and the sine-cosine pair they
+    come from: (h, S, s, c), where h = sinc(x/2), S = S(x) and (s, c) =
+    (sin y, cos y) of y = x/2.  g(x) = e^{ix/2} h gives E(t) = t g(x), and
 
         x - sin x = 2 (y - s + s (1 - c)),
-        h' = x c S - h^2 s / 2,     (x S)' = h^2 / 2 - 2 S,
 
     with the versine 1 - c taken as s^2 / (1 + c) where c > 0, so that it
-    does not cancel (just above the cut, (x S)' is then within 2.1e-15
-    of 40-digit mpmath, against 3.1e-15 with 1 - c).  y - s is exact
-    wherever it cancels, so S keeps the rounding of one sine (5.6e-15 of
-    40-digit mpmath at worst, just above the cut); S takes the series
-    _XMS_SERIES where |x| <= _SERIES_CUT.
-    The two slopes do not cancel at x = 0, where they are 0 and 1/6, so
-    neither needs a series."""
+    does not cancel (just above the cut, (x S)' of _helix_det is then
+    within 2.1e-15 of 40-digit mpmath, against 3.1e-15 with 1 - c).  y - s
+    is exact wherever it cancels, so S keeps the rounding of one sine
+    (5.6e-15 of 40-digit mpmath at worst, just above the cut); S takes the
+    series _XMS_SERIES where |x| <= _SERIES_CUT.  Only _helix_det forms
+    the slopes from (s, c); _helix reads h and S."""
     x = np.asarray(x, dtype=float)
     y = 0.5 * x
     s, c = np.sin(y), np.cos(y)
@@ -188,8 +184,7 @@ def _helix_kernels(x):
         S = np.asarray(((y - s) + s * vers) / (4.0 * y * y * y))
     near = np.abs(x) <= _SERIES_CUT
     S[near] = _series(_XMS_SERIES, x[near])
-    half = 0.5 * h * h
-    return h, S, x * c * S - half * s, half - 2.0 * S
+    return h, S, s, c
 
 
 def _helix_det(eps, n: int, u0, w2, t):
@@ -199,7 +194,9 @@ def _helix_det(eps, n: int, u0, w2, t):
     a velocity set is the Haar (here Lebesgue) measure of its image.
 
     Differentiating the helix of the module docstring in (w_0, u_0), with
-    x = eps u0 t and D = eps t^2 g'(x) (_helix_kernels):
+    x = eps u0 t and D = eps t^2 g'(x) = eps t^2 e^{ix/2} (h' + i h / 2),
+    where the slopes h' = x c S - h^2 s / 2 and (x S)' = h^2 / 2 - 2 S come
+    from _helix_kernels' (h, S, s, c) and need no series (0 and 1/6 at 0):
 
         d p / d w_0 = E (complex multiplication),   d p / d u_0 = w_0 D,
         d z / d w_0 = t^2 x S(x) w_0,
@@ -214,7 +211,9 @@ def _helix_det(eps, n: int, u0, w2, t):
     translations have unit Jacobian).  eps times it is det A(t) of
     adapted_params."""
     x = eps * u0 * t
-    h, S, dh, dxs = _helix_kernels(x)
+    h, S, s, c = _helix_kernels(x)
+    half = 0.5 * h * h
+    dh, dxs = x * c * S - half * s, half - 2.0 * S
     t3 = t**3
     E2 = (t * h) ** 2
     alpha = t / eps + 0.5 * w2 * eps * t3 * dxs
@@ -236,8 +235,8 @@ class Trajectory:
         """Maximum drift of the two first integrals over the sample grid."""
         speed = np.linalg.norm(self.vel, axis=1)
         return {
-            "speed": float(np.max(np.abs(speed - speed[0]))),
-            "vertical": float(np.max(np.abs(self.vel[:, 0] - self.vel[0, 0]))),
+            "speed": float(abs(speed - speed[0]).max()),
+            "vertical": float(abs(self.vel[:, 0] - self.vel[0, 0]).max()),
         }
 
 
@@ -267,7 +266,7 @@ def geodesic_flow(
     t = np.linspace(0.0, float(T), samples)
     with np.errstate(over="ignore", invalid="ignore"):
         y = _helix(model.eps, start.pos, start.vel, t)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise DomainError(f"the geodesic leaves the float range before t = {T!r}")
     return Trajectory(t=t, pos=y[:d].T.copy(), vel=y[d:].T.copy())
 
@@ -332,10 +331,11 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     v1_0 = u0h / np.linalg.norm(u0h)
     comp = []
     basis = [v1_0, J @ v1_0]
+    eye = np.eye(d)
     for k in range(1, d):
         if len(comp) == 2 * model.n - 2:
             break
-        w = np.eye(d)[k]
+        w = eye[k]
         for b_vec in basis:
             w = w - (w @ b_vec) * b_vec
         nw = np.linalg.norm(w)
@@ -349,7 +349,7 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
 
     # The samples, then the check points and their two neighbours, from one
     # evaluation of the exact velocity.
-    lo, hi = float(np.min(traj.t)), float(np.max(traj.t))
+    lo, hi = float(traj.t.min()), float(traj.t.max())
     delta = _FD_STEP * max(hi - lo, 1.0)
     ts = np.linspace(lo + delta, hi - delta, _CHECK_POINTS)
     times = np.concatenate((traj.t, ts, ts + delta, ts - delta))
@@ -358,7 +358,7 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     uh[:, 0] = 0.0
     v1 = uh / np.linalg.norm(uh, axis=1, keepdims=True)
     rows = np.empty((len(times), d, d))
-    rows[:, 0] = np.eye(d)[0]
+    rows[:, 0] = eye[0]
     rows[:, 1] = v1
     rows[:, 2] = v1 @ J.T
     if len(comp):
@@ -372,8 +372,8 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
 
     W = build_blocks(params).W
     dF = (Fp - Fms) / (2.0 * delta)
-    covariant = dF + Fm @ np.tensordot(um, gamma, 1)
-    residual = float(np.max(np.abs(covariant - W @ Fm)))
+    covariant = dF + Fm @ (um @ gamma.reshape(d, d * d)).reshape(-1, d, d)
+    residual = float(abs(covariant - W @ Fm).max())
     return AdaptedFrame(params=params, frames=frames, W=W, max_residual=residual)
 
 

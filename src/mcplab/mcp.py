@@ -43,9 +43,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, OutOfRegimeError, VelocitySpecError
-from .riccati import RiccatiParams, _det_a, _sinc
+from .riccati import RiccatiParams, _block_det, _det_a, _sinc_sxc
 
-if TYPE_CHECKING:  # annotations only: importing heisenberg loads frame_algebra
+if TYPE_CHECKING:  # annotations only: the scans and profiles never load heisenberg
     from .heisenberg import HeisenbergModel
 
 _MAX_REJECT_FRACTION = 0.01
@@ -96,8 +96,17 @@ def _block_ratios(b, c, s):
 
     Neither factor holds a power of s above the fifth or a power of
     sinc(c) above the second, so neither underflows as n grows, where
-    det A(s) and det A(1) both do."""
-    return _det_a(b, c, 1, s) / _det_a(b, c, 1, 1.0), _sinc(c * s) / _sinc(c)
+    det A(s) and det A(1) both do.  Where b^2 leaves float64 range (|b|
+    from 2^512, about 1.3e154), b is scaled by 2^-k and the b-free term
+    by 2^-2k, as in quadrature_contraction: both d1 are then scaled by
+    2^-2k, which cancels in their ratio; elsewhere k = 0 and nothing
+    changes.  The kernels at cs and at c are each taken once."""
+    k = np.where(np.isfinite(b * b), 0, np.frexp(b)[1])
+    b, free = np.ldexp(b, -k), np.ldexp(1.0, -2 * k)
+    sinc_s, sxc_s = _sinc_sxc(c * s)
+    sinc_1, sxc_1 = _sinc_sxc(c)
+    d1_s = _block_det(b, s, sinc_s, sxc_s, free)
+    return d1_s / _block_det(b, 1.0, sinc_1, sxc_1, free), sinc_s / sinc_1
 
 
 def density(params: RiccatiParams, t):

@@ -32,9 +32,11 @@ Closed forms for F(1 - t) are expressed through the scaled cotangent
 
     k2hat(x) = (x cot x - 1) / x**2 = -sxc(x) / sinc(x),
 
-which is analytic at x = 0, as det A's kernels sinc and sxc are; this keeps
-small-|c| evaluation stable without case splits.  All scalar helpers accept
-arrays and broadcast.
+which is analytic at x = 0, as det A's kernels sinc(x) = sin x / x and
+sxc(x) = (sin x - x cos x) / x**3 are, so small |c| needs no case split.
+_sinc_sxc takes both from one sine-cosine pair of x (_helix_kernels of
+heisenberg the helix's from one pair of x / 2).  All scalar helpers
+accept arrays and broadcast.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, SingularityError
 
-# Below this |x| the helper _sxc, and the S kernel of
+# Below this |x| the sxc kernel of _sinc_sxc, and the S kernel of
 # heisenberg._helix_kernels, switch to their Taylor series through x^14,
 # whose truncation error at the cut is below 1e-16 relative.  The direct
 # expressions lose about 1e-16 / x^2 relative to cancellation, so both
@@ -62,30 +64,27 @@ _XMS_SERIES = (-1 / 355687428096000, 1 / 1307674368000, -1 / 6227020800,
 
 
 def _series(coeffs, x):
-    """The Taylor series in x^2 at x clipped to the cut, so that no |x|
-    overflows it; callers take it only where |x| <= _SERIES_CUT.  Horner's
+    """The Taylor series in x^2 at x, for |x| <= _SERIES_CUT, by Horner's
     rule as np.polyval runs it, less its first step 0 * z + c_0 = c_0."""
-    near = np.clip(x, -_SERIES_CUT, _SERIES_CUT)
-    z = near * near
+    z = x * x
     y = coeffs[0]
     for c in coeffs[1:]:
         y = y * z + c
     return y
 
 
-def _sinc(x):
-    """sin x / x, 1 at x = 0.  np.sinc(x / pi) rounds x / pi: 3.5e-12 off
-    40-digit mpmath on (2 pi, 40], 10^-3 or more from k pi (2.1e-16 here)."""
-    x = np.asarray(x, dtype=float)
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
-
-
-def _sxc(x):
-    """(sin x - x cos x) / x**3, analytic at 0 with value 1/3."""
-    x = np.asarray(x, dtype=float)
+def _sinc_sxc(x):
+    """(sinc x, sxc x) from one sine-cosine pair, 1 and 1/3 at x = 0; sxc
+    takes _SXC_SERIES where |x| <= _SERIES_CUT, evaluated at every x (on a
+    scalar, cheaper than a gather) and discarded past it.  A 0-d x becomes
+    a numpy scalar, whose arithmetic skips the ufunc machinery.  np.sinc(x
+    / pi) was 3.5e-12 off 40-digit mpmath on (2 pi, 40] (2.1e-16 here)."""
+    x = np.asarray(x, dtype=float)[()]
+    sn, cs = np.sin(x), np.cos(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        far = (np.sin(x) - x * np.cos(x)) / (x * x * x)
-    return np.where(np.abs(x) <= _SERIES_CUT, _series(_SXC_SERIES, x), far)
+        sinc = np.where(x == 0.0, 1.0, sn / x)
+        sxc = np.where(abs(x) <= _SERIES_CUT, _series(_SXC_SERIES, x), (sn - x * cs) / (x * x * x))
+    return sinc, sxc
 
 
 def _check_sin_regular(x):
@@ -163,7 +162,8 @@ def _f1_pieces(b, c, t):
     algebraically identical but lose all accuracy as c -> 0.
     """
     x = c * t
-    k2h = -_sxc(x) / _sinc(x)
+    sinc, sxc = _sinc_sxc(x)
+    k2h = -sxc / sinc
     k1h = b * b * t * t * k2h - 1.0
     xc = 1.0 + x * x * k2h
     f00 = 1.0 / (t * k1h)
@@ -210,18 +210,18 @@ def closed_forms(params: RiccatiParams, t: float):
 # determinant factors of the distortion matrix
 # ---------------------------------------------------------------------------
 
+def _block_det(b, s, sinc, sxc, free=1.0):
+    """det A(s)'s 3x3 factor s^3 sinc(x)^2 + b^2 s^5 sinc(x) sxc(x) from the kernels
+    of x = cs, its b-free term times free (2^-2k where b^2 overflows and b is scaled by 2^-k)."""
+    return free * s**3 * sinc * sinc + b * b * s**5 * sinc * sxc
+
+
 def _det_a(b, c, n: int, s, free=1.0):
     """Closed-form det A(s) for broadcastable (b, c, s) arrays: the 3x3
-    block's s^3 sinc(x)^2 + b^2 s^5 sinc(x) sxc(x), x = cs, times the
-    parallel block's (s sinc x)^(2n-2).  The b-free term s^3 sinc(x)^2
-    is multiplied by free: with b scaled by 2^-k and free = 2^-2k, the
-    result is det A times 2^-2k, for b whose b^2 leaves float64 range."""
-    x = c * s
-    sc = _sinc(x)
-    d1 = free * s**3 * sc * sc + b * b * s**5 * sc * _sxc(x)
-    if n == 1:
-        return d1
-    return d1 * (s * sc) ** (2 * n - 2)
+    block's factor, x = cs, times the parallel block's (s sinc x)^(2n-2)."""
+    sinc, sxc = _sinc_sxc(c * s)
+    d1 = _block_det(b, s, sinc, sxc, free)
+    return d1 if n == 1 else d1 * (s * sinc) ** (2 * n - 2)
 
 
 def det_distortion(params: RiccatiParams, t):
@@ -304,8 +304,8 @@ def _taylor_expm(K, h):
     P[0], P[1] = np.eye(m), K
     for k, (i, j) in enumerate(((1, 1), (2, 1), (2, 2), (4, 1), (3, 3)), start=2):
         np.matmul(P[i], P[j], out=P[k])
-    d4, d5, d6 = np.max(np.ones(m) @ np.abs(P[4:]), axis=-1) ** (1.0 / np.arange(4.0, 7.0))
-    eta = np.minimum(np.maximum(d4, d5), np.maximum(d5, d6))
+    d4, d5, d6 = (np.ones(m) @ abs(P[4:])).max(axis=-1) ** (1.0 / np.arange(4.0, 7.0))
+    eta = min(max(d4, d5), max(d5, d6))
     h = np.asarray(h, dtype=float)
     s = np.ceil(np.log2(np.maximum(np.abs(h) * eta, _THETA24) / _THETA24)).astype(int)
     ai = (h * np.ldexp(1.0, -s))[:, None] ** np.arange(7.0)
@@ -319,7 +319,7 @@ def _taylor_expm(K, h):
         E = (coef[:, j : j + 1, :] @ Pf).reshape(E.shape) + E
         if j:
             E = X6 @ E
-    for j in range(int(np.max(s, initial=0))):
+    for j in range(s.max()):
         E = np.where((s > j)[:, None, None], E @ E, E)
     return E
 
@@ -347,17 +347,17 @@ def jacobi_flow(W, R, s):
     if W.ndim != 2 or not W.size or W.shape != R.shape or len(W) != W.shape[1]:
         raise DomainError(f"W and R must be two d x d matrices, got {W.shape} and {R.shape}")
     # NaN and inf reach these maxima; Python's max(1.0, nan) is 1.0
-    w_max, r_max = (float(np.max(np.abs(M))) for M in (W, R))
+    w_max, r_max = float(abs(W).max()), float(abs(R).max())
     if not (math.isfinite(w_max) and math.isfinite(r_max)):
         raise DomainError("W and R must be finite")
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.ndim != 1 or not len(s) or not np.all(np.isfinite(s)) or s[0] < 0.0:
+    if s.ndim != 1 or not len(s) or not np.isfinite(s).all() or s[0] < 0.0:
         raise DomainError("flow times must be a nonempty list of finite reals >= 0")
-    span = np.diff(s, prepend=0.0)
-    if not np.all(span[1:] > 0.0):
+    span = s - np.concatenate(([0.0], s[:-1]))
+    if not (span[1:] > 0.0).all():
         raise DomainError("flow times must be strictly increasing")
     rate = max(1.0, w_max, math.sqrt(r_max))
-    if np.ceil(s[-1] * rate) > _MAX_FLOW_STEPS:
+    if math.ceil(s[-1] * rate) > _MAX_FLOW_STEPS:
         raise DomainError(
             f"the flow to s = {s[-1]:g} needs about {s[-1] * rate:.3g} steps "
             f"(limit {_MAX_FLOW_STEPS}); coefficients this large are out of range"
@@ -365,10 +365,9 @@ def jacobi_flow(W, R, s):
     d = len(W)
     K = np.zeros((2 * d, 2 * d))
     K[:d, d:] = -(W @ W + R)
-    K[d:, :d] = np.eye(d)
     K[d:, d:] = -2.0 * W
     Y = np.zeros((d, 2 * d))
-    Y[:, d:] = np.eye(d)
+    K[d:, :d] = Y[:, d:] = np.eye(d)
     out = np.empty((len(s), d, 2 * d))
     steps = np.ceil(span * rate).astype(int)
     h = span / np.maximum(steps, 1)
@@ -405,7 +404,8 @@ def _riccati_branch(W, R, t_grid):
     its poles or kernels.  ok is False, and F NaN, where A is singular
     (always at t = 0, and at conjugate points)."""
     A, Ap = jacobi_flow(-W, R, t_grid)
-    ok = np.linalg.matrix_rank(A) == A.shape[-1]
+    S = np.linalg.svd(A, compute_uv=False)  # np.linalg.matrix_rank's test
+    ok = S.min(axis=-1) > S.max(axis=-1) * (len(W) * np.finfo(float).eps)
     X = np.full(Ap.shape, np.nan)
     X[ok] = np.linalg.solve(A[ok], Ap[ok])
     return W - X, ok
@@ -433,7 +433,7 @@ def integrate_inverse_riccati(
         raise DomainError("t_grid must be a 1-d array with at least 2 points")
     if t_grid[0] != 0.0:
         raise DomainError("t_grid must start at 0")
-    if np.any(np.diff(t_grid) <= 0.0):
+    if (np.diff(t_grid) <= 0.0).any():
         raise DomainError("t_grid must be strictly increasing")
     if t_grid[-1] >= 1.0:
         raise DomainError("t_grid must stay below 1")

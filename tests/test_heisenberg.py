@@ -394,14 +394,23 @@ def test_det_a_is_the_differential_of_the_exponential_map():
                 assert got == pytest.approx(det_a, rel=1e-8), (n, eps)
 
 
+def _kernels_and_slopes(x):
+    """(h, S, h', (x S)'): the helix's kernels and the slopes that
+    _helix_det forms from their sine-cosine pair (s, c) of x / 2,
+    h' = x c S - h^2 s / 2 and (x S)' = h^2 / 2 - 2 S."""
+    h, S, s, c = _helix_kernels(x)
+    half = 0.5 * h * h
+    return h, S, x * c * S - half * s, half - 2.0 * S
+
+
 def _helix_jacobian(eps, vel, t):
     """d pos(t) / d vel of the helix from the origin in the direction of
     vel, rows (x, y, z) and columns (u_0, u_X, u_Y), assembled entry by
-    entry from _helix_kernels, with g'(x) = e^{ix/2} (h' + i h / 2)."""
+    entry from _kernels_and_slopes, with g'(x) = e^{ix/2} (h' + i h / 2)."""
     n = len(vel) // 2
     u0, w = vel[0], vel[1 : 1 + n] + 1j * vel[1 + n :]
     x = eps * u0 * t
-    h, S, dh, dxs = _helix_kernels(x)
+    h, S, dh, dxs = _kernels_and_slopes(x)
     E = t * np.exp(0.5j * x) * h
     wD = w * eps * t * t * np.exp(0.5j * x) * (dh + 0.5j * h)
     eye = np.eye(n)
@@ -458,15 +467,19 @@ def _kernel_points():
 
 
 def test_helix_slopes_against_mpmath():
-    # the slopes of g = e^{ix/2} sinc(x/2) and of x S(x), as
-    # _helix_kernels gives them, against 40-digit mpmath: g' = -x sxc(x) +
+    # the slopes of g = e^{ix/2} sinc(x/2) and of x S(x), as _helix_det
+    # forms them from _helix_kernels, against 40-digit mpmath: g' = -x sxc(x) +
     # i (sinc x - sinc(x/2)^2 / 2), whose parts the test forms from
     # e^{ix/2} (h' + i h / 2), and (x S)' = sinc(x/2)^2 / 2 - 2 S(x) (the
     # oracle's S(x) takes 3 more digits per decade below 1).  Measured:
     # 2.8e-16 for g', 1.7e-15 for (x S)', which inherits the error of S
     # just above the cut
     xs = _kernel_points()
-    h, S, dh, dxs = _helix_kernels(xs)
+    h, S, dh, dxs = _kernels_and_slopes(xs)
+    # the pair the kernels return is the sine and cosine of x / 2
+    _, _, s, c = _helix_kernels(xs)
+    assert s.tobytes() == np.sin(0.5 * xs).tobytes()
+    assert c.tobytes() == np.cos(0.5 * xs).tobytes()
     dg = np.exp(0.5j * xs) * (dh + 0.5j * h)
     for k, x in enumerate(xs):
         if x == 0.0:

@@ -15,6 +15,7 @@ from mcplab.heisenberg import HeisenbergModel, jacobi_determinants_from_params
 from mcplab.mcp import (
     DensityProfile,
     VelocitySet,
+    _block_ratios,
     _ratio,
     contraction_bound,
     density,
@@ -205,9 +206,12 @@ def test_mcp_scan_reports_violations():
     assert not report.ok and 0 < len(expected) < 27
     got = [(v["b"], v["c"], v["t"], v["ratio"]) for v in report.violations]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
-    # a ratio that overflows to NaN is a usage error, never a pass
-    with pytest.raises(DomainError):
-        mcp_scan(1, b_range=(0.0, 1e300), resolution=3)
+    # a NaN ratio is a usage error, never a pass.  Finite b past b^2's
+    # range no longer gives one (test_ratios_past_b_squared_overflow); an
+    # infinite b still does (np.linspace's own warning on the infinite
+    # range is not under test)
+    with pytest.raises(DomainError, match="NaN"), np.errstate(invalid="ignore"):
+        mcp_scan(1, b_range=(0.0, np.inf), resolution=3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -317,21 +321,50 @@ def test_density_over_bound_is_least_at_an_end_of_the_b_range(n, t, c, b_frac, b
 
 def test_out_of_float_range_raises_domain_error():
     # finite inputs whose ratio overflows or underflows to inf or NaN;
-    # np.errstate keeps the warnings (raised here as exceptions) quiet
+    # np.errstate keeps the warnings (raised here as exceptions) quiet.
+    # b^2 past float64 range no longer does (test_ratios_past_b_squared_overflow);
+    # the parallel factor (s sinc(cs) / sinc(c))^(2n-2), here about
+    # (1.7e9)^38, still overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        huge_b = RiccatiParams(b=1e308, c=1.0, n=1)
+        huge_factor = RiccatiParams(b=1.0, c=3.141592653, n=20)
         with pytest.raises(DomainError):
-            density(huge_b, 0.5)
+            density(huge_factor, 0.5)
         with pytest.raises(DomainError):
-            density_profile(huge_b, [0.0, 0.5])
-        with pytest.raises(DomainError):
-            sharpness_scan(1, 1e-300, b_max=1e300)
+            density_profile(huge_factor, [0.0, 0.5])
         # (0.01 sinc)^398 underflows to 0 in both density and bound, but
         # the per-block ratio does not
         prof = density_profile(RiccatiParams(b=1.0, c=0.5, n=200), [0.5, 0.99])
         assert prof.density[1] == 0.0 and prof.bound[1] == 0.0
         np.testing.assert_allclose(prof.ratio, _mp_ratio(1.0, 0.5, 200, prof.t_grid), rtol=1e-12)
+
+
+def test_ratios_past_b_squared_overflow():
+    # from |b| = 2^512 b^2 overflows, and the block ratio used to be
+    # inf / inf = NaN.  Rescaled, it is finite there and tends to its
+    # b -> infinity limit, which |b| = 1e150 (b^2 = 1e300) already reaches
+    # within rounding; below 2^512 it is the unscaled quotient to the bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        limit = sharpness_scan(1, 0.5, b_max=1e150)
+        for b_max in (2.0**512, 1e160):
+            got = sharpness_scan(1, 0.5, b_max=b_max)
+            assert 1.0 - 1e-9 <= got <= limit + 2 * np.spacing(limit), b_max
+        assert sharpness_scan(1, 1e-300, b_max=1e300) == 1.0
+        t = np.linspace(0.0, 0.9, 5)
+        ref = density_profile(RiccatiParams(b=1e150, c=1.0, n=2), t)
+        for b in (2.0**512, 1e160, 1e308):
+            prof = density_profile(RiccatiParams(b=b, c=1.0, n=2), t)
+            np.testing.assert_allclose(prof.density, ref.density, rtol=4e-16, atol=0)
+            np.testing.assert_allclose(prof.ratio, ref.ratio, rtol=4e-16, atol=0)
+        scan = mcp_scan(1, b_range=(0.0, 1e160), c_range=(-1.0, 1.0),
+                        t_range=(0.1, 0.9), resolution=5)
+        assert scan.ok and 1.0 - 1e-9 <= scan.min_ratio
+    c = np.linspace(-3.0, 3.0, 7)[:, None]
+    s = np.linspace(0.05, 1.0, 6)
+    for b in (0.0, -1.0, 1e3, 1e150, np.nextafter(2.0**512, 0.0)):
+        f1, f3 = _block_ratios(b, c, s)
+        assert f1.tobytes() == (_det_a(b, c, 1, s) / _det_a(b, c, 1, 1.0)).tobytes()
 
 
 def test_mcp_scan_grid_cap():

@@ -67,7 +67,8 @@ def test_build_blocks_sign_conjugation():
 
 def _k2hat(x):
     """k2hat(x) = (x cot x - 1) / x^2 as the closed forms compose it."""
-    return -rc._sxc(x) / rc._sinc(x)
+    sinc, sxc = rc._sinc_sxc(x)
+    return -sxc / sinc
 
 
 def _off_multiples_of_pi(xs, gap=1e-3):
@@ -75,22 +76,26 @@ def _off_multiples_of_pi(xs, gap=1e-3):
     return xs[(k == 0) | (np.abs(xs - k * np.pi) > gap)]
 
 
-def test_kernels_against_mpmath():
-    # both series branches and both sides of the cut, and the old cut at 0.05
-    xs = np.concatenate([
+def _kernel_points():
+    """Both series branches and both sides of the cut, and the old cut at
+    0.05."""
+    return np.concatenate([
         np.geomspace(1e-8, 3.1, 300),
         np.linspace(0.04, 0.08, 41),
         np.linspace(rc._SERIES_CUT - 0.02, rc._SERIES_CUT + 0.02, 81),
     ])
-    worst_k2, worst_sxc = 0.0, 0.0
+
+
+def test_kernels_against_mpmath():
+    # k2hat as the closed forms compose it from _sinc_sxc
+    xs = _kernel_points()
+    worst_k2 = 0.0
     with mpmath.workdps(40):
-        for x, k2, sxc in zip(xs, _k2hat(xs), rc._sxc(xs)):
+        for x, k2 in zip(xs, _k2hat(xs)):
             m = mpmath.mpf(float(x))
             ref_k2 = (m * mpmath.cot(m) - 1) / m**2
-            ref_sxc = (mpmath.sin(m) - m * mpmath.cos(m)) / m**3
             worst_k2 = max(worst_k2, float(abs(k2 / ref_k2 - 1)))
-            worst_sxc = max(worst_sxc, float(abs(sxc / ref_sxc - 1)))
-    assert worst_k2 <= 1e-14 and worst_sxc <= 1e-14
+    assert worst_k2 <= 1e-14
     # out to 40, where k2hat passes through zeros (tan x = x) and poles
     # (k pi): absolute where it is small, relative where it is large
     far = _off_multiples_of_pi(np.linspace(1e-3, 40.0, 4001))
@@ -101,25 +106,40 @@ def test_kernels_against_mpmath():
             ref = (m * mpmath.cot(m) - 1) / m**2
             worst = max(worst, float(abs(k2 - ref) / max(1, abs(ref))))
     assert worst <= 1e-14
-    # both are even, and exact at 0
+    # even, and exact at 0
     np.testing.assert_array_equal(_k2hat(-xs), _k2hat(xs))
-    np.testing.assert_array_equal(rc._sxc(-xs), rc._sxc(xs))
-    assert _k2hat(0.0) == -1.0 / 3.0 and rc._sxc(0.0) == 1.0 / 3.0
+    assert _k2hat(0.0) == -1.0 / 3.0
 
 
-def test_sinc_against_mpmath():
-    # one division of the sine; np.sinc(x / pi) was 3.5e-12 off on (2 pi, 40]
+def test_sinc_sxc_against_mpmath():
+    # both kernels of one sine-cosine pair.  sinc is one division of the
+    # sine (np.sinc(x / pi) was 3.5e-12 off on (2 pi, 40]); sxc is taken on
+    # both series branches and both sides of the cut
     xs = _off_multiples_of_pi(np.concatenate([
         np.geomspace(1e-8, 40.0, 1000), np.linspace(2 * np.pi, 40.0, 4001)
     ]))
-    worst = 0.0
+    near = _kernel_points()
+    worst_sinc, worst_sxc = 0.0, 0.0
     with mpmath.workdps(40):
-        for x, got in zip(xs, rc._sinc(xs)):
+        for x, got in zip(xs, rc._sinc_sxc(xs)[0]):
             m = mpmath.mpf(float(x))
-            worst = max(worst, float(abs(got / (mpmath.sin(m) / m) - 1)))
-    assert worst <= 1e-15
-    np.testing.assert_array_equal(rc._sinc(-xs), rc._sinc(xs))
-    assert rc._sinc(0.0) == 1.0
+            worst_sinc = max(worst_sinc, float(abs(got / (mpmath.sin(m) / m) - 1)))
+        for x, got in zip(near, rc._sinc_sxc(near)[1]):
+            m = mpmath.mpf(float(x))
+            ref = (mpmath.sin(m) - m * mpmath.cos(m)) / m**3
+            worst_sxc = max(worst_sxc, float(abs(got / ref - 1)))
+    assert worst_sinc <= 1e-15 and worst_sxc <= 1e-14
+    # a scalar gives the same bits as the array; both are even, and exact
+    # at 0
+    for x in (0.0, 1e-8, 0.2, rc._SERIES_CUT, 0.31, 2.0, 39.0):
+        pair = rc._sinc_sxc(x)
+        for k, got in enumerate(pair):
+            assert np.ndim(got) == 0
+            assert float(got) == rc._sinc_sxc(np.array([x, 1.0]))[k][0]
+    for k in (0, 1):
+        np.testing.assert_array_equal(rc._sinc_sxc(-xs)[k], rc._sinc_sxc(xs)[k])
+        np.testing.assert_array_equal(rc._sinc_sxc(-near)[k], rc._sinc_sxc(near)[k])
+    assert tuple(map(float, rc._sinc_sxc(0.0))) == (1.0, 1.0 / 3.0)
 
 
 def _xms(x):
@@ -144,35 +164,36 @@ def test_xms_against_mpmath():
 
 
 def test_series_is_polyval_to_the_bit():
-    # Horner's rule in np.polyval's operations: a dense grid over the cut,
-    # its ends and 0, and arguments that are clipped to the cut, scalar
-    # and stacked
+    # Horner's rule in np.polyval's operations on the arguments the
+    # kernels take it at, |x| <= the cut: a dense grid over the cut, its
+    # ends and 0, and tiny arguments, scalar and stacked
     cut = rc._SERIES_CUT
     xs = np.concatenate([
         np.linspace(-cut, cut, 20001),
-        [0.0, -0.0, cut, -cut, np.nextafter(cut, 1.0), 1.0, 1e22, 1e300],
-        -np.geomspace(1e-300, 1e300, 601),
-        np.geomspace(1e-300, 1e300, 601),
+        [0.0, -0.0, cut, -cut, np.nextafter(cut, 0.0)],
+        -np.geomspace(1e-300, cut, 601),
+        np.geomspace(1e-300, cut, 601),
     ])
     stacked = np.stack((xs, xs[::-1]))
-    near = np.clip(stacked, -cut, cut)
     for coeffs in (rc._SXC_SERIES, rc._XMS_SERIES):
-        expected = np.polyval(coeffs, near * near)
+        expected = np.polyval(coeffs, stacked * stacked)
         assert rc._series(coeffs, stacked).tobytes() == expected.tobytes()
-        for x, z in zip(xs[::97], near[0, ::97]):
-            got = rc._series(coeffs, x)
-            assert got.tobytes() == np.polyval(coeffs, z * z).tobytes()
+        for x in xs[::97]:
+            got = np.float64(rc._series(coeffs, np.float64(x)))
+            assert got.tobytes() == np.polyval(coeffs, x * x).tobytes()
 
 
 def test_kernels_are_quiet_at_huge_arguments():
-    # each series is taken at |x| clipped to the cut, so no argument
-    # overflows it
+    # a series that overflows past the cut is discarded there without a
+    # warning, so no argument leaks its overflow
     xs = np.array([1e22, 1e30, 1e160, 1e300])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         det = rc.det_distortion(rc.RiccatiParams(-1.0, 1e30, 1), [0.5])
-        values = [f(s * xs) for f in (_k2hat, rc._sinc, rc._sxc, _xms) for s in (1, -1)]
-    assert np.all(np.isfinite(det)) and np.all(np.isfinite(values))
+        values = [f(s * xs) for f in (_k2hat, _xms) for s in (1, -1)]
+        values += [k for s in (1, -1) for k in rc._sinc_sxc(s * xs)]
+        values += [k for s in (1, -1) for k in rc._sinc_sxc(s * xs[2])]
+    assert np.all(np.isfinite(det)) and all(np.all(np.isfinite(v)) for v in values)
 
 
 def test_closed_forms_fixed_values():
@@ -488,6 +509,29 @@ def test_jacobi_flow_shapes_and_validation():
             M[which][1, 2] = bad
             with pytest.raises(DomainError, match="finite"):
                 rc.jacobi_flow(M["W"], M["R"], [0.5])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, 2, 19]),
+    b=st.floats(-50.0, 50.0),
+    c=st.floats(-5.0, 5.0),
+    gaps=st.lists(st.floats(1e-3, 0.2), min_size=2, max_size=30),
+    start=st.floats(0.0, 0.5),
+    cut=st.floats(0.0, 1.0),
+)
+def test_jacobi_flow_prefix_is_bit_identical(n, b, c, gaps, start, cut):
+    # A and A' at s[:k] are, bit for bit, the first k rows of the flow on
+    # s: each interval's exponential does not depend on the other steps
+    # or on where the groups of _EXPM_ENTRIES entries end (at n = 19 a
+    # group is 10 intervals, so 30 times span three groups)
+    bl = rc.build_blocks(rc.RiccatiParams(b, c, n))
+    s = start + np.cumsum(gaps)
+    k = max(1, int(cut * len(s)))
+    A, Ap = rc.jacobi_flow(bl.W, bl.R, s)
+    A_k, Ap_k = rc.jacobi_flow(bl.W, bl.R, s[:k])
+    assert A_k.tobytes() == A[:k].tobytes()
+    assert Ap_k.tobytes() == Ap[:k].tobytes()
 
 
 def test_inverse_riccati_euclidean():
