@@ -100,8 +100,8 @@ _MAX_RICCATI_ENTRIES = 2_000_000
 
 
 def _parse_range(text: str):
-    """Parse 'lo:hi:count' into a linspace, or a single float into a
-    one-point array.  Locale-independent."""
+    """Parse 'lo:hi:count', with finite bounds and width, into a linspace,
+    or a single float into a one-point array.  Locale-independent."""
     _bind("np")
     parts = text.split(":")
     try:
@@ -120,6 +120,10 @@ def _parse_range(text: str):
     if count > _MAX_RANGE_COUNT:
         raise argparse.ArgumentTypeError(
             f"range count must be at most {_MAX_RANGE_COUNT}, got {count}"
+        )
+    if not math.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(
+            f"range bounds and their difference must be finite, got {text!r}"
         )
     return np.linspace(lo, hi, count)
 

@@ -21,16 +21,17 @@ With p = x + i y and w = u_X + i u_Y in C^n,
 
 with S(x) = (x - sin x) / x^3 (_helix_kernels), so vertical velocities
 (w_0 = 0) and horizontal ones (omega = 0) need no case split.  Being
-closed form, the helix is evaluated from the start state at whatever
-times are asked for: geodesic_flow at its sample grid, adapted_frame at
-its off-grid check times.  Its differential in the initial velocity,
-the Jacobian of the exponential map (_helix_det), weights the samples of
-mcp.monte_carlo_contraction; it takes one sine and one cosine of
-omega t / 2 per sample and time (_helix_kernels).
+closed form, the helix is evaluated from the start state at the times
+geodesic_flow samples, with no step.  Its differential in the initial
+velocity, the Jacobian of the exponential map (_helix_det), weights the
+samples of mcp.monte_carlo_contraction; it takes one sine and one cosine
+of omega t / 2 per sample and time (_helix_kernels).
 
 Along a geodesic with nonvanishing horizontal velocity the adapted moving
 frame is v0, v1 = u_H/|u_H|, v2 = J v1, completed by J-paired parallel
-vectors.  Its drift is the constant W of riccati.build_blocks with
+vectors; J is multiplication by i on w, so v1 turns with w at 2c and the
+pairs at c (adapted_frame).  Its drift is the constant W of
+riccati.build_blocks with
 
     b = -eps |u_H| / 2,      c = eps u_0 / 2,
 
@@ -62,10 +63,6 @@ from .riccati import (
 # Horizontal speeds below this fraction of the total speed count as
 # vertical: the adapted frame needs a direction for v1.
 _DEGENERATE_FRACTION = 1e-10
-# adapted_frame checks its drift by central differences of step
-# _FD_STEP * max(T, 1) at _CHECK_POINTS interior times.
-_FD_STEP = 1e-6
-_CHECK_POINTS = 25
 
 
 @dataclass(frozen=True)
@@ -98,10 +95,6 @@ class HeisenbergModel:
         from .frame_algebra import levi_civita
         alg, _ = self.structure
         return levi_civita(alg).gamma
-
-    @property
-    def J(self) -> np.ndarray:
-        return self.structure[1].J
 
 
 @dataclass(frozen=True)
@@ -136,15 +129,6 @@ class GeodesicState:
         return float(np.linalg.norm(self.vel[1:]))
 
 
-def _helix_velocity(eps, vel, ts):
-    """The velocity (u_0, u_X, u_Y) of the geodesic with initial velocity
-    vel at the 1-d times ts, shape (d, len(ts)): u_0 stays constant and
-    w = u_X + i u_Y turns at the rate omega = eps u_0."""
-    n = len(vel) // 2
-    w = (vel[1 : 1 + n] + 1j * vel[1 + n :])[:, None] * np.exp(1j * (eps * vel[0] * ts))
-    return np.vstack((np.full_like(ts, vel[0]), w.real, w.imag))
-
-
 def _helix(eps, pos, vel, ts):
     """The state (pos, vel) of the exact geodesic from (pos, vel) at the
     1-d times ts, shape (2d, len(ts)): the helix of the module docstring."""
@@ -158,7 +142,9 @@ def _helix(eps, pos, vel, ts):
     # omega t^3 S(omega t) as t^2 x S(x): no t^3 to overflow
     lift = np.imag(np.vdot(p0, w0) * E) + np.vdot(w0, w0).real * ts * ts * x * S
     z = pos[2 * n] + vel[0] * ts / eps + 0.5 * lift
-    return np.vstack((p.real, p.imag, z, _helix_velocity(eps, vel, ts)))
+    # u_0 stays constant and w turns at the rate omega
+    w = w0[:, None] * np.exp(1j * x)
+    return np.vstack((p.real, p.imag, z, np.full_like(ts, vel[0]), w.real, w.imag))
 
 
 def _helix_kernels(x):
@@ -294,8 +280,9 @@ class AdaptedFrame:
     """Moving frame along a geodesic: rows of frames[k] are the frame
     coefficients of (v0, v1, v2, ...) at the trajectory's time t[k]; W is
     the constant drift matrix (covariant derivative along the geodesic),
-    nonzero only in its leading 3x3 block; max_residual is the verified
-    bound on |Dv/dt - W v| along the trajectory."""
+    nonzero only in its leading 3x3 block; max_residual is the largest of
+    |Dv/dt - W v| and |v1 - u_H/|u_H||, with u the trajectory's velocity,
+    over every trajectory time (NaN if either is)."""
 
     params: RiccatiParams
     frames: np.ndarray
@@ -312,69 +299,47 @@ class AdaptedFrame:
 
 
 def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
-    """Construct the adapted frame along a trajectory and verify its drift.
-
-    v0 is constant in frame coefficients; v1 tracks the normalized
-    horizontal velocity; v2 = J v1; the remaining rows rotate at rate c in
-    their J-planes, which is exactly parallel transport here.  The drift
-    equation Dv/dt = W v is verified by central finite differences of the
-    frame plus the connection term, at _CHECK_POINTS interior times."""
-    d = model.dim
+    """The model's adapted frame from the trajectory's start.  Its
+    horizontal rows at time t are the columns of Q diag(e^{i rate t}) and
+    i times them: Q is unitary with first column w_0/|w_0|, and rate =
+    (2c, c, ..., c).  So dF/dt = rate J F exactly, and at every time of
+    traj.t, with u = traj.vel, Dv/dt = F' + F Gamma(u) is checked against
+    W F and v1 against u_H/|u_H|."""
+    d, n = model.dim, model.n
     start = GeodesicState(pos=traj.pos[0], vel=traj.vel[0])
     params = adapted_params(model, start)
-    c = params.c
-    J = model.J
-    gamma = model.gamma
-
-    # J-paired orthonormal completion of span{v1, v2} at t = 0
-    u0h = np.concatenate(([0.0], start.vel[1:]))
-    v1_0 = u0h / np.linalg.norm(u0h)
-    comp = []
-    basis = [v1_0, J @ v1_0]
-    eye = np.eye(d)
-    for k in range(1, d):
-        if len(comp) == 2 * model.n - 2:
-            break
-        w = eye[k]
-        for b_vec in basis:
-            w = w - (w @ b_vec) * b_vec
-        nw = np.linalg.norm(w)
-        if nw < 1e-8:
-            continue
-        w = w / nw
-        jw = J @ w
-        comp.extend([w, jw])
-        basis.extend([w, jw])
-    comp = np.array(comp).reshape(2 * model.n - 2, d)
-
-    # The samples, then the check points and their two neighbours, from one
-    # evaluation of the exact velocity.
-    lo, hi = float(traj.t.min()), float(traj.t.max())
-    delta = _FD_STEP * max(hi - lo, 1.0)
-    ts = np.linspace(lo + delta, hi - delta, _CHECK_POINTS)
-    times = np.concatenate((traj.t, ts, ts + delta, ts - delta))
-    u = _helix_velocity(model.eps, start.vel, times).T
-    uh = u.copy()
-    uh[:, 0] = 0.0
-    v1 = uh / np.linalg.norm(uh, axis=1, keepdims=True)
-    rows = np.empty((len(times), d, d))
-    rows[:, 0] = eye[0]
-    rows[:, 1] = v1
-    rows[:, 2] = v1 @ J.T
-    if len(comp):
-        ct = np.cos(c * times)[:, None, None]
-        st = np.sin(c * times)[:, None, None]
-        rows[:, 3:] = ct * comp + st * (comp @ J.T)
-    k = len(traj.t)
-    frames = rows[:k]
-    Fm, Fp, Fms = rows[k:].reshape(3, _CHECK_POINTS, d, d)
-    um = u[k : k + _CHECK_POINTS]
+    # Q's other columns are those of the Householder reflector
+    # I - v v^H / (1 + |q_1|), v = q + (q_1/|q_1|) e_1 (q + e_1 at q_1 = 0),
+    # which maps q to a multiple of e_1
+    w0 = start.vel[1 : 1 + n] + 1j * start.vel[1 + n :]
+    q = w0 / np.linalg.norm(w0)
+    a = abs(q[0])
+    v = q.copy()
+    v[0] += q[0] / a if a else 1.0
+    Q = np.eye(n) - np.outer(v, v.conj()) / (1.0 + a)
+    Q[:, 0] = q
+    rate = np.full(n, params.c)
+    rate[0] *= 2.0
+    Z = Q.T * np.exp(1j * np.outer(traj.t, rate))[:, :, None]  # Z[k, j]: column j
+    frames = np.zeros((len(traj.t), d, d))
+    frames[:, 0, 0] = 1.0
+    frames[:, 1::2, 1 : 1 + n] = Z.real
+    frames[:, 1::2, 1 + n :] = Z.imag
+    frames[:, 2::2, 1 : 1 + n] = -Z.imag
+    frames[:, 2::2, 1 + n :] = Z.real
+    # dF/dt = turn @ F: each row pair (f, i f) moves at its rate to (i f, -f)
+    turn = np.zeros((d, d))
+    turn[range(1, d, 2), range(2, d, 2)] = rate
+    turn[range(2, d, 2), range(1, d, 2)] = -rate
 
     W = build_blocks(params).W
-    dF = (Fp - Fms) / (2.0 * delta)
-    covariant = dF + Fm @ (um @ gamma.reshape(d, d * d)).reshape(-1, d, d)
-    residual = float(abs(covariant - W @ Fm).max())
-    return AdaptedFrame(params=params, frames=frames, W=W, max_residual=residual)
+    u = traj.vel
+    drift = frames @ (u @ model.gamma.reshape(d, d * d)).reshape(-1, d, d)
+    drift -= (W - turn) @ frames
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direction = u[:, 1:] / np.linalg.norm(u[:, 1:], axis=1, keepdims=True)
+    residual = np.maximum(abs(drift).max(), abs(frames[:, 1, 1:] - direction).max())
+    return AdaptedFrame(params=params, frames=frames, W=W, max_residual=float(residual))
 
 
 # ---------------------------------------------------------------------------

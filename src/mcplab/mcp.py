@@ -234,8 +234,9 @@ def mcp_scan(
 ) -> ScanReport:
     """Evaluate ratio = D(t) / (1-t)^(2n+3) on a full (b, c, t) grid.
 
-    The c range must stay strictly inside (-pi, pi) and the t range inside
-    [0, 1), and the grid within _MAX_SCAN_POINTS points.  Violations,
+    Each range's bounds and width must be finite, the c range must stay
+    strictly inside (-pi, pi) and the t range inside [0, 1), and the grid
+    within _MAX_SCAN_POINTS points.  Violations,
     ratios below 1 - tol, are collected with their grid coordinates; the
     expected outcome is an empty list.  A NaN ratio (the density out of
     float64 range) raises DomainError; an infinite one lies above 1."""
@@ -250,6 +251,8 @@ def mcp_scan(
     b_lo, b_hi = map(float, b_range)
     c_lo, c_hi = map(float, c_range)
     t_lo, t_hi = map(float, t_range)
+    if not np.isfinite([b_hi - b_lo, c_hi - c_lo, t_hi - t_lo]).all():
+        raise DomainError("range bounds and their difference must be finite")
     if not (b_lo <= b_hi) or not (c_lo < c_hi) or not (t_lo < t_hi):
         raise DomainError("ranges must be ordered")
     if max(abs(c_lo), abs(c_hi)) >= np.pi:

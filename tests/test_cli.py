@@ -7,6 +7,8 @@ error.  File outputs are checked for byte-level reproducibility.
 
 import argparse
 import ast
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -207,6 +209,22 @@ def test_mcp_scan_usage_errors(capsys):
     assert main(["mcp-scan", "--b", "zebra"]) == 2
     assert main(["mcp-scan", "--b", "0:1", "--c", "-1:1:5",
                  "--t", "0.1:0.9:5"]) == 2
+
+
+def test_non_finite_ranges_are_one_line_usage_errors(capsys):
+    # an infinite bound or a width past float64 range never reaches
+    # np.linspace, whose warning would come before the error line
+    for argv in (
+        ["mcp-scan", "--b", "0:inf:3", "--c", "-1:1:3", "--t", "0.1:0.5:3"],
+        ["mcp-scan", "--b", "nan:1:3", "--c", "-1:1:3", "--t", "0.1:0.5:3"],
+        ["density-profile", "--b", "1", "--c", "1", "--t", "0:inf:3"],
+        ["density-profile", "--b", "1", "--c", "1", "--t", "-1e308:1e308:3"],
+        ["riccati", "--b", "1", "--c", "1", "--t", "0:-inf:3"],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        _one_line_usage_error(rc, capsys)
 
 
 def test_sharpness_near_one(capsys):
@@ -720,8 +738,16 @@ def _fuzz_argv(draw):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(argv=_fuzz_argv())
 def test_fuzzed_argv_exits_0_1_or_2(argv):
-    with np.errstate(all="ignore"):
-        assert main(argv) in (0, 1, 2)
+    # no RuntimeWarning escapes, and a usage error of mcplab's own (not
+    # argparse's, which prints its usage first) is one "error:" line
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    err = err.getvalue()
+    if rc == 2 and not err.startswith("usage:"):
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_curvature_missing_model_file(tmp_path, capsys):

@@ -232,6 +232,12 @@ def test_adapted_params_examples():
         adapted_params(m, _origin_state(m, [1.0, 0.0, 0.0]))
 
 
+def _frame_bound(af):
+    # the frame and its derivative are exact up to rounding, so the
+    # residual is a few ulps of the drift's scale
+    return 1e-13 * max(1.0, np.max(np.abs(af.W)))
+
+
 def test_adapted_frame_drift_and_residual():
     m = HeisenbergModel(n=1, eps=2.0)
     traj = geodesic_flow(m, _origin_state(m, [0.0, 1.0, 0.0]), T=1.0)
@@ -239,42 +245,85 @@ def test_adapted_frame_drift_and_residual():
     assert af.b == -1.0 and af.c == 0.0
     assert np.allclose(af.W[:3, :3], [[0, 0, -1], [0, 0, 0], [1, 0, 0]])
     assert np.max(np.abs(af.W[3:, :]), initial=0.0) == 0.0
-    assert af.max_residual <= 1e-7
+    assert af.max_residual <= _frame_bound(af)
 
     traj = geodesic_flow(m, _origin_state(m, [1.0, 1.0, 0.0]), T=1.0)
     af = adapted_frame(m, traj)
     assert af.c == 1.0
-    assert af.max_residual <= 1e-7
+    assert af.max_residual <= _frame_bound(af)
 
 
 def test_adapted_frame_rows_stay_orthonormal():
     m = HeisenbergModel(n=2, eps=1.0)
     vel = np.array([0.7, 0.5, -0.3, 0.2, 0.4])
-    traj = geodesic_flow(m, _origin_state(m, vel), T=2.0)
-    af = adapted_frame(m, traj)
-    assert af.frames.shape == (len(traj.t), 5, 5)
-    for Fm in af.frames[:: len(traj.t) // 10]:
-        assert np.max(np.abs(Fm @ Fm.T - np.eye(5))) < 1e-9
-    assert af.max_residual <= 1e-7
+    for T in (2.0, -2.0):
+        traj = geodesic_flow(m, _origin_state(m, vel), T=T)
+        af = adapted_frame(m, traj)
+        assert af.frames.shape == (len(traj.t), 5, 5)
+        gram = af.frames @ af.frames.transpose(0, 2, 1)
+        assert np.max(np.abs(gram - np.eye(5))) < 1e-14, T
+        assert af.max_residual <= _frame_bound(af), T
+
+
+def test_adapted_frame_fails_on_a_wrong_trajectory():
+    # the frame is the model's; the trajectory is what it is checked
+    # against.  A geodesic of another eps turns at another rate.
+    m = HeisenbergModel(n=1, eps=1.0)
+    state = _origin_state(m, [1.0, 0.6, -0.8])
+    other = geodesic_flow(HeisenbergModel(n=1, eps=1.5), state, T=1.0)
+    assert adapted_frame(m, other).max_residual > 1e-3
+    af = adapted_frame(m, geodesic_flow(m, state, T=1.0))
+    assert af.max_residual <= _frame_bound(af)
+    # a horizontal velocity that vanishes later has no direction for v1:
+    # the residual is NaN, never small, although at |u_H| = 1e-5 the drift
+    # is off by only |b| = 5e-6 there
+    traj = geodesic_flow(m, _origin_state(m, [1.0, 6e-6, -8e-6]), T=1.0)
+    traj.vel[-1, 1:] = 0.0
+    assert not adapted_frame(m, traj).max_residual <= 1e-3
+
+
+def _flip_c(W):
+    W = W.copy()
+    W[1, 2], W[2, 1] = -W[1, 2], -W[2, 1]
+    return W
+
+
+@pytest.mark.parametrize("mutate", [lambda W: -W, _flip_c, lambda W: 1.01 * W])
+def test_adapted_frame_fails_on_a_wrong_drift(monkeypatch, mutate):
+    import mcplab.heisenberg as heisenberg
+
+    def wrong(params):
+        blocks = build_blocks(params)
+        return type(blocks)(W=mutate(blocks.W), R=blocks.R)
+
+    monkeypatch.setattr(heisenberg, "build_blocks", wrong)
+    m = HeisenbergModel(n=2, eps=2.0)
+    state = _origin_state(m, [0.5, 0.9, -0.4, 0.3, 0.2])  # b = -1.05, c = 0.5
+    assert adapted_frame(m, geodesic_flow(m, state, T=1.0)).max_residual > 1e-3
 
 
 def test_curvature_block_is_the_jacobi_operator_in_the_adapted_frame():
     # R of riccati.build_blocks, from the reduction to (b, c), against the
     # Levi-Civita curvature tensor that frame_algebra builds from the
-    # brackets: F M F^T with F the adapted frame rows at t = 0 and
-    # M[i, l] = <R(e_i, u) u, e_l>
+    # brackets: F M F^T with F the adapted frame rows at a trajectory time
+    # and M[i, l] = <R(e_i, u) u, e_l> at that time's velocity, for
+    # geodesics run both ways
     rng = np.random.default_rng(23)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 5):
         for eps in (0.5, 2.0):
             alg, _ = build_heisenberg_algebra(n, eps)
             riem = curvature(alg, levi_civita(alg)).riem
             m = HeisenbergModel(n=n, eps=eps)
-            for _ in range(24):
+            for T in (1.0, -1.5) * 12:
                 state = GeodesicState(rng.normal(size=m.dim), rng.normal(size=m.dim))
-                F = adapted_frame(m, geodesic_flow(m, state, T=1.0)).frames[0]
-                M = _jacobi_operator(riem, state.vel)
+                traj = geodesic_flow(m, state, T=T)
+                af = adapted_frame(m, traj)
+                assert af.max_residual <= _frame_bound(af), (n, eps, T)
                 R = build_blocks(adapted_params(m, state)).R
-                assert np.max(np.abs(F @ M @ F.T - R)) <= 1e-13 * np.max(np.abs(R))
+                for k in (0, 100, 200):
+                    F = af.frames[k]
+                    M = _jacobi_operator(riem, traj.vel[k])
+                    assert np.max(np.abs(F @ M @ F.T - R)) <= 1e-13 * np.max(np.abs(R))
 
 
 def test_flow_overflow_raises_domain_error():

@@ -206,12 +206,12 @@ def test_mcp_scan_reports_violations():
     assert not report.ok and 0 < len(expected) < 27
     got = [(v["b"], v["c"], v["t"], v["ratio"]) for v in report.violations]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
-    # a NaN ratio is a usage error, never a pass.  Finite b past b^2's
-    # range no longer gives one (test_ratios_past_b_squared_overflow); an
-    # infinite b still does (np.linspace's own warning on the infinite
-    # range is not under test)
-    with pytest.raises(DomainError, match="NaN"), np.errstate(invalid="ignore"):
-        mcp_scan(1, b_range=(0.0, np.inf), resolution=3)
+    # an infinite bound, or a width past float64 range, is refused before
+    # the grid is built; finite b past b^2's range gives no NaN ratio
+    # (test_ratios_past_b_squared_overflow)
+    for b_range in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(DomainError, match="must be finite"):
+            mcp_scan(1, b_range=b_range, resolution=3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
