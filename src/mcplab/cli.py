@@ -16,6 +16,10 @@ is derived from the parsed flags (every flag but --output and
 subcommand.  JSON keys are sorted and floats are serialized via repr, so
 identical flags and seed produce byte-identical files.
 
+A range flag takes lo:hi:count or a single number (_parse_range).
+mcp-scan scans the full grid of its three ranges, so their counts may
+differ and any of them may be a single number.
+
 Exit codes: 0 when every check passes (or there is no verdict), 1 when a
 verification fails, and 2 for usage errors (bad flags, values outside an
 operation's domain, malformed model files) and for output that cannot be
@@ -29,7 +33,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 
 from . import _MAX_N, __version__
@@ -283,19 +286,8 @@ def _cmd_conjugate(args):
 
 def _cmd_mcp_scan(args):
     _bind("mcp_scan")
-    b, c, t = _parse_range(args.b), _parse_range(args.c), _parse_range(args.t)
-    if len(b) < 2 or len(c) < 2 or len(t) < 2:
-        raise McplabError("mcp-scan needs lo:hi:count ranges for --b, --c, --t")
-    if len(b) != len(c) or len(c) != len(t):
-        raise McplabError("mcp-scan ranges must share one count")
-    report = mcp_scan(
-        args.n,
-        b_range=(float(b[0]), float(b[-1])),
-        c_range=(float(c[0]), float(c[-1])),
-        t_range=(float(t[0]), float(t[-1])),
-        resolution=len(b),
-        tol=args.tol,
-    )
+    report = mcp_scan(args.n, _parse_range(args.b), _parse_range(args.c),
+                      _parse_range(args.t), tol=args.tol)
     am = report.argmin
     lines = [f"min ratio {report.min_ratio:.12f} at b={am[0]:g} c={am[1]:g} "
              f"t={am[2]:g}; violations: {len(report.violations)}"]
@@ -409,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=1.0)
 
     p = add("mcp-scan", "contraction inequality over a grid")
-    p.add_argument("--b", default="0:10:50", help="lo:hi:count")
-    p.add_argument("--c", default="-3:3:50", help="lo:hi:count")
-    p.add_argument("--t", default="0.05:0.95:50", help="lo:hi:count")
+    p.add_argument("--b", default="0:10:50", help="value or lo:hi:count")
+    p.add_argument("--c", default="-3:3:50", help="value or lo:hi:count")
+    p.add_argument("--t", default="0.05:0.95:50", help="value or lo:hi:count")
     p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = add("sharpness", "infimum of density/bound at fixed t")
@@ -438,18 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_negative_values(argv):
     """Join '--flag -3:3:50' into '--flag=-3:3:50' so argparse does not
-    mistake a leading-minus value for an option."""
+    mistake a leading-minus value (-1, -inf, -nan:0:3) for an option: a
+    token after a long flag joins it when it starts with a single '-' and
+    is not -h."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and nxt is not None
-            and re.match(r"^-(\d|\.\d)", nxt)
-        ):
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if (tok.startswith("--") and "=" not in tok
+                and nxt.startswith("-") and not nxt.startswith("--") and nxt != "-h"):
             out.append(f"{tok}={nxt}")
             i += 2
         else:
@@ -474,8 +464,8 @@ def _check_flags(args) -> dict:
     """The usage errors that need no numerical module, raised before any
     is loaded.  Returns the subcommand's keyword inputs: the --model
     description, read here."""
-    if args.n > _MAX_N:
-        raise McplabError(f"--n must be at most {_MAX_N}, got {args.n}")
+    if not 1 <= args.n <= _MAX_N:
+        raise McplabError(f"--n must lie in 1..{_MAX_N}, got {args.n}")
     if args.output is not None:
         folder = os.path.dirname(args.output) or "."
         if not os.path.isdir(folder):

@@ -87,6 +87,15 @@ def _require_finite(values, what: str) -> None:
         raise DomainError(f"{what} is not finite in float64 for these inputs")
 
 
+def _scale_b(b, big):
+    """(b 2^-k, 2^-2k) for _block_det: k = 0 where big^2 is finite, else
+    big's binary exponent, so that the scaled b^2 stays in float64 range.
+    big is b itself for a k per entry, or max |b| for one k over an
+    array."""
+    k = np.where(np.isfinite(big * big), 0, np.frexp(big)[1])
+    return np.ldexp(b, -k), np.ldexp(1.0, -2 * k)
+
+
 def _block_ratios(b, c, s):
     """The two per-block factors of det A(s) / det A(1) for broadcastable
     (b, c, s) arrays: d1(s) / d1(1), with d1 the 3x3 block's determinant,
@@ -98,40 +107,63 @@ def _block_ratios(b, c, s):
     sinc(c) above the second, so neither underflows as n grows, where
     det A(s) and det A(1) both do.  Where b^2 leaves float64 range (|b|
     from 2^512, about 1.3e154), b is scaled by 2^-k and the b-free term
-    by 2^-2k, as in quadrature_contraction: both d1 are then scaled by
-    2^-2k, which cancels in their ratio; elsewhere k = 0 and nothing
-    changes.  The kernels at cs and at c are each taken once."""
-    k = np.where(np.isfinite(b * b), 0, np.frexp(b)[1])
-    b, free = np.ldexp(b, -k), np.ldexp(1.0, -2 * k)
+    by 2^-2k (_scale_b): both d1 are then scaled by 2^-2k, which cancels
+    in their ratio; elsewhere k = 0 and nothing changes.  The kernels at
+    cs and at c are each taken once."""
+    b, free = _scale_b(b, b)
     sinc_s, sxc_s = _sinc_sxc(c * s)
     sinc_1, sxc_1 = _sinc_sxc(c)
     d1_s = _block_det(b, s, sinc_s, sxc_s, free)
     return d1_s / _block_det(b, 1.0, sinc_1, sxc_1, free), sinc_s / sinc_1
 
 
-def density(params: RiccatiParams, t):
-    """Contraction density D(t) = det A(1 - t) / det A(1) in closed form,
-    per block (_block_ratios).
+def _density_ratio(b, c, n: int, t):
+    """D(t) and D(t) / (1-t)^(2n+3) for broadcastable (b, c, t) arrays,
+    per block: with s = 1 - t,
 
-    Accepts scalar or array t in [0, 1); requires |c| < pi so that the
-    normalization det A(1) is positive (OutOfRegimeError otherwise).
-    Scalars so large that D leaves float64 range raise DomainError.
-    D(0) = 1 exactly."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= 0.0) & (t_arr < 1.0)):
+        D(t) = [d1(s) / d1(1)] [s sinc(cs) / sinc(c)]^(2n-2),
+        D(t) / s^(2n+3) = [d1(s) / d1(1) / s^5] [sinc(cs) / sinc(c)]^(2n-2).
+
+    Nothing underflows as n grows, where det A and (1-t)^(2n+3) do.  At
+    n = 1 the ratio rounds exactly as D(t) / contraction_bound(t)."""
+    s = 1.0 - t
+    f1, f3 = _block_ratios(b, c, s)
+    ratio = f1 / s**5
+    if n == 1:
+        return f1, ratio
+    return f1 * (s * f3) ** (2 * n - 2), ratio * f3 ** (2 * n - 2)
+
+
+def _ratio(b, c, n: int, t):
+    """D(t) / (1-t)^(2n+3) of _density_ratio, for the scans."""
+    return _density_ratio(b, c, n, t)[1]
+
+
+def _regime_t(params: RiccatiParams, t):
+    """t as an array, after density's checks: t in [0, 1) (DomainError
+    otherwise) and |c| < pi (OutOfRegimeError otherwise).  There sinc(c)
+    and sxc(c) are positive (sharpness_scan), so the normalization det A(1)
+    is positive for every finite b."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((t >= 0.0) & (t < 1.0)):
         raise DomainError("t must lie in [0, 1)")
     if abs(params.c) >= np.pi:
         raise OutOfRegimeError(
             f"density requires |c| < pi, got c = {params.c!r}"
         )
-    b, c, n = params.b, params.c, params.n
+    return t
+
+
+def density(params: RiccatiParams, t):
+    """Contraction density D(t) = det A(1 - t) / det A(1) in closed form,
+    per block (_density_ratio).
+
+    Accepts scalar or array t in [0, 1); requires |c| < pi (_regime_t).
+    Scalars so large that D leaves float64 range raise DomainError.
+    D(0) = 1 exactly."""
+    t = _regime_t(params, t)
     with np.errstate(all="ignore"):
-        if not float(_det_a(b, c, 1, 1.0)) > 0.0:
-            raise OutOfRegimeError("det A(1) is not positive for these scalars")
-        s = 1.0 - t_arr
-        out, f3 = _block_ratios(b, c, s)
-        if n > 1:
-            out = out * (s * f3) ** (2 * n - 2)
+        out = _density_ratio(params.b, params.c, params.n, t)[0]
     _require_finite(out, "density")
     return out if out.ndim else float(out)
 
@@ -139,22 +171,6 @@ def density(params: RiccatiParams, t):
 def contraction_bound(n: int, t):
     """The MCP comparison profile (1 - t)^(2n+3)."""
     return (1.0 - np.asarray(t, dtype=float)) ** (2 * n + 3)
-
-
-def _ratio(b, c, n: int, t):
-    """D(t) / (1-t)^(2n+3) for broadcastable (b, c, t) arrays, per block:
-    with s = 1 - t,
-
-        [d1(s) / d1(1) / s^5] [sinc(cs) / sinc(c)]^(2n-2).
-
-    Nothing underflows as n grows, where (1-t)^(2n+3) does.  At n = 1 it
-    rounds exactly as density(t) / contraction_bound(t)."""
-    s = 1.0 - t
-    f1, f3 = _block_ratios(b, c, s)
-    ratio = f1 / s**5
-    if n == 1:
-        return ratio
-    return ratio * f3 ** (2 * n - 2)
 
 
 @dataclass
@@ -168,13 +184,14 @@ class DensityProfile:
 
 
 def density_profile(params: RiccatiParams, t_grid) -> DensityProfile:
-    """Evaluate density, bound, ratio over a t grid in [0, 1); a ratio
-    that is not finite raises DomainError."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    dens = np.atleast_1d(density(params, t_grid))
+    """Evaluate density, bound, ratio over a t grid in [0, 1), with
+    density's checks; density and ratio come from one _density_ratio
+    call, and a ratio that is not finite raises DomainError."""
+    t_grid = np.atleast_1d(_regime_t(params, t_grid))
     with np.errstate(all="ignore"):
+        dens, ratio = _density_ratio(params.b, params.c, params.n, t_grid)
         bound = contraction_bound(params.n, t_grid)
-        ratio = _ratio(params.b, params.c, params.n, t_grid)
+    _require_finite(dens, "density")
     _require_finite(ratio, "density/bound ratio")
     return DensityProfile(t_grid=t_grid, density=dens, bound=bound, ratio=ratio)
 
@@ -224,45 +241,34 @@ class ScanReport:
         }
 
 
-def mcp_scan(
-    n: int,
-    b_range=(0.0, 10.0),
-    c_range=(-3.0, 3.0),
-    t_range=(0.05, 0.95),
-    resolution: int = 50,
-    tol: float = 1e-9,
-) -> ScanReport:
-    """Evaluate ratio = D(t) / (1-t)^(2n+3) on a full (b, c, t) grid.
+def mcp_scan(n: int, b_values, c_values, t_values, tol: float = 1e-9) -> ScanReport:
+    """Evaluate ratio = D(t) / (1-t)^(2n+3) on the full grid of three 1-d
+    axes, as given: their lengths may differ, and one point is an axis.
 
-    Each range's bounds and width must be finite, the c range must stay
-    strictly inside (-pi, pi) and the t range inside [0, 1), and the grid
-    within _MAX_SCAN_POINTS points.  Violations,
-    ratios below 1 - tol, are collected with their grid coordinates; the
+    Each axis must be non-empty, finite and non-decreasing, every c
+    strictly inside (-pi, pi), every t inside [0, 1), and the grid within
+    _MAX_SCAN_POINTS points; DomainError otherwise.  Violations, ratios
+    below 1 - tol, are collected with their grid coordinates; the
     expected outcome is an empty list.  A NaN ratio (the density out of
     float64 range) raises DomainError; an infinite one lies above 1."""
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    if resolution < 2:
-        raise DomainError("resolution must be >= 2")
-    if resolution**3 > _MAX_SCAN_POINTS:
-        raise DomainError(
-            f"a {resolution}^3 grid has more than {_MAX_SCAN_POINTS} points"
-        )
-    b_lo, b_hi = map(float, b_range)
-    c_lo, c_hi = map(float, c_range)
-    t_lo, t_hi = map(float, t_range)
-    if not np.isfinite([b_hi - b_lo, c_hi - c_lo, t_hi - t_lo]).all():
-        raise DomainError("range bounds and their difference must be finite")
-    if not (b_lo <= b_hi) or not (c_lo < c_hi) or not (t_lo < t_hi):
-        raise DomainError("ranges must be ordered")
-    if max(abs(c_lo), abs(c_hi)) >= np.pi:
-        raise DomainError("c range must stay strictly inside (-pi, pi)")
-    if t_lo < 0.0 or t_hi >= 1.0:
-        raise DomainError("t range must stay inside [0, 1)")
+    axes = [np.asarray(v, dtype=float) for v in (b_values, c_values, t_values)]
+    if any(a.ndim != 1 or a.size == 0 for a in axes):
+        raise DomainError("b, c and t values must be non-empty 1-d arrays")
+    nb, nc, nt = (a.size for a in axes)
+    if nb * nc * nt > _MAX_SCAN_POINTS:
+        raise DomainError(f"a {nb}x{nc}x{nt} grid has more than {_MAX_SCAN_POINTS} points")
+    if not all(np.isfinite(a).all() for a in axes):
+        raise DomainError("b, c and t values must be finite")
+    if any((np.diff(a) < 0.0).any() for a in axes):
+        raise DomainError("b, c and t values must be non-decreasing")
+    b_values, c_values, t_values = axes
+    if max(-c_values[0], c_values[-1]) >= np.pi:
+        raise DomainError("c values must lie strictly inside (-pi, pi)")
+    if t_values[0] < 0.0 or t_values[-1] >= 1.0:
+        raise DomainError("t values must lie inside [0, 1)")
 
-    b_values = np.linspace(b_lo, b_hi, resolution)
-    c_values = np.linspace(c_lo, c_hi, resolution)
-    t_values = np.linspace(t_lo, t_hi, resolution)
     b = b_values[:, None, None]
     c = c_values[None, :, None]
     t = t_values[None, None, :]
@@ -475,10 +481,12 @@ def quadrature_contraction(
     on the _QUAD_NODES-point rule of _gauss_legendre in each variable.
 
     Requires the whole set inside the conjugate-time regime
-    (c_max < pi).  Where b^2 would leave float64 range (|b| from about
-    1.3e154), b is scaled by a power of two and the b-free term of det A
-    by its square, which cancels in the ratio; sums that still leave
-    float64 range raise DomainError."""
+    (c_max < pi).  Where max |b|^2 would leave float64 range (|b| from
+    about 1.3e154), b is scaled by a power of two and the b-free term of
+    det A by its square (_scale_b), which cancels in the ratio.  det A is
+    then evaluated once per time: it is at most free + (b 2^-k)^2 / 3 and
+    the weights sum below 2, so neither sum overflows.  A b past float64
+    range (eps |w_H| / 2) raises DomainError."""
     if not (0.0 < t < 1.0):
         raise DomainError(f"t must lie in (0, 1), got {t!r}")
     if spec.c_max >= np.pi:
@@ -499,20 +507,13 @@ def quadrature_contraction(
     else:
         p = np.zeros(1)
         w_p = np.ones(1)
-    b = -0.5 * model.eps * rho[:, None]
     c = 0.5 * p[None, :]
     weight = (u ** (2 * n - 1))[:, None] * (0.5 * wr)[:, None] * w_p[None, :]
     with np.errstate(all="ignore"):
-        num = np.sum(weight * _det_a(b, c, n, 1.0 - t))
-        den = np.sum(weight * _det_a(b, c, n, 1.0))
-        if not (np.isfinite(num) and np.isfinite(den)):
-            # b^2 leaves float64 range from |b| ~ 1.3e154: b times 2^-k
-            # and the b-free term times 2^-2k give det A times 2^-2k,
-            # which cancels in the ratio
-            k = np.frexp(np.max(np.abs(b)))[1]
-            b, free = np.ldexp(b, -k), np.ldexp(1.0, -2 * k)
-            num = np.sum(weight * _det_a(b, c, n, 1.0 - t, free))
-            den = np.sum(weight * _det_a(b, c, n, 1.0, free))
+        b = -0.5 * model.eps * rho[:, None]
+        b, free = _scale_b(b, np.max(np.abs(b)))
+        num = np.sum(weight * _det_a(b, c, n, 1.0 - t, free))
+        den = np.sum(weight * _det_a(b, c, n, 1.0, free))
         ratio = num / den
     _require_finite((num, den, ratio), "the quadrature ratio")
     return float(ratio)

@@ -228,7 +228,8 @@ def test_06_contraction_inequality_and_sharpness(capsys):
     mins = {}
     ok = True
     for n in (1, 2, 3):
-        rep = mcp_scan(n)
+        rep = mcp_scan(n, np.linspace(0.0, 10.0, 50), np.linspace(-3.0, 3.0, 50),
+                       np.linspace(0.05, 0.95, 50))
         mins[n] = rep.min_ratio
         ok &= rep.ok and not rep.violations
     # sharpness_scan reads only the rows b = 0 and b = b_max; a 161 x 200

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import mcplab.cli as cli
 from mcplab.cli import build_parser, main
 from mcplab.frame_algebra import build_heisenberg_algebra, model_to_dict
+from mcplab.mcp import _ratio, mcp_scan
 
 
 def test_curvature_model_group_passes(tmp_path, capsys):
@@ -201,20 +202,47 @@ def test_mcp_scan_embeds_config(tmp_path):
 
 
 def test_mcp_scan_usage_errors(capsys):
-    # mismatched counts, c outside the regime, malformed range
-    assert main(["mcp-scan", "--b", "0:1:5", "--c", "-1:1:6",
-                 "--t", "0.1:0.9:5"]) == 2
-    assert main(["mcp-scan", "--b", "0:1:5", "--c", "-4:4:5",
-                 "--t", "0.1:0.9:5"]) == 2
-    assert main(["mcp-scan", "--b", "zebra"]) == 2
-    assert main(["mcp-scan", "--b", "0:1", "--c", "-1:1:5",
-                 "--t", "0.1:0.9:5"]) == 2
+    # c outside the regime, t at 1, a decreasing range, malformed ranges
+    for b, c, t in (("0:1:5", "-4:4:5", "0.1:0.9:5"), ("0:1:5", "-1:1:5", "1"),
+                    ("1:0:5", "-1:1:5", "0.1:0.9:5"), ("zebra", "-1:1:5", "0.5"),
+                    ("0:1", "-1:1:5", "0.1:0.9:5")):
+        rc = main(["mcp-scan", "--b", b, "--c", c, "--t", t])
+        _one_line_usage_error(rc, capsys)
+
+
+@pytest.mark.parametrize("b, c, t", [
+    ("0:10:20", "-3:3:30", "0.5"),
+    ("2.5", "-3:3:7", "0.05:0.95:4"),
+])
+def test_mcp_scan_takes_unequal_counts_and_single_values(b, c, t, tmp_path, capsys):
+    # the CLI scans the axes it parsed, whatever their counts, and so
+    # does mcp_scan; both find _ratio's minimum over the same arrays
+    out = tmp_path / "scan.json"
+    assert main(["mcp-scan", "--b", b, "--c", c, "--t", t, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    axes = [cli._parse_range(v) for v in (b, c, t)]
+    ratio = _ratio(axes[0][:, None, None], axes[1][None, :, None], 1,
+                   axes[2][None, None, :])
+    i = np.unravel_index(np.argmin(ratio), ratio.shape)
+    argmin = {k: float(a[j]) for k, a, j in zip("bct", axes, i)}
+    shape = [len(a) for a in axes]
+    scan = mcp_scan(1, *axes)
+    for got in (report, scan.to_dict()):
+        assert got["grid_shape"] == shape
+        assert got["min_ratio"] == float(ratio[i])
+        assert got["argmin"] == argmin
+        assert got["ok"] is True
 
 
 def test_non_finite_ranges_are_one_line_usage_errors(capsys):
     # an infinite bound or a width past float64 range never reaches
-    # np.linspace, whose warning would come before the error line
+    # np.linspace, whose warning would come before the error line; -inf,
+    # -nan and -inf:0:3 join their flag as values, as -1 does, and reach
+    # the same checks instead of argparse's usage lines
     for argv in (
+        ["density-profile", "--b", "-inf", "--c", "1", "--t", "0:0.5:3"],
+        ["density-profile", "--b", "-nan", "--c", "1", "--t", "0:0.5:3"],
+        ["mcp-scan", "--b", "-inf:0:3", "--c", "-1:1:3", "--t", "0.5"],
         ["mcp-scan", "--b", "0:inf:3", "--c", "-1:1:3", "--t", "0.1:0.5:3"],
         ["mcp-scan", "--b", "nan:1:3", "--c", "-1:1:3", "--t", "0.1:0.5:3"],
         ["density-profile", "--b", "1", "--c", "1", "--t", "0:inf:3"],
@@ -304,6 +332,8 @@ def test_usage_errors_exit_2(capsys):
 
 def test_help_and_version_exit_0(capsys):
     assert main(["--help"]) == 0
+    # -h after a long flag stays the help flag
+    assert main(["curvature", "--heisenberg", "-h"]) == 0
     assert main(["--version"]) == 0
     assert "mcplab" in capsys.readouterr().out
 
@@ -611,6 +641,7 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path):
         (["contract", "--t", "0.5", "--seed", "-1"], 2),
         (["curvature", "--heisenberg", "--seed", "-1"], 2),
         (["curvature", "--heisenberg", "--n", "21"], 2),
+        (["conjugate", "--b", "0", "--c", "1", "--n", "0"], 2),
         (["contract", "--t", "0.5", "--output", str(tmp_path / "r.txt")], 2),
         (["mcp-scan", "--b", "0:1:5", "--c", "-1:1:5", "--t", "0.1:0.9:5",
           "--output", str(tmp_path / "s.csv")], 2),

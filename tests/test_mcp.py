@@ -152,8 +152,14 @@ def test_density_profile_and_csv(tmp_path):
         np.testing.assert_array_equal(rows[:, k], column)
 
 
+def _scan_axes(count):
+    """The b, c and t axes of mcp-scan's default ranges, count points each."""
+    return (np.linspace(0.0, 10.0, count), np.linspace(-3.0, 3.0, count),
+            np.linspace(0.05, 0.95, count))
+
+
 def test_mcp_scan_holds_on_grid():
-    report = mcp_scan(1, resolution=20)
+    report = mcp_scan(1, *_scan_axes(20))
     assert report.ok
     assert report.violations == []
     assert report.min_ratio >= 1.0 - 1e-9
@@ -175,27 +181,30 @@ def test_mcp_scan_holds_on_grid():
 
 def test_mcp_scan_higher_n():
     for n in (2, 3):
-        report = mcp_scan(n, resolution=12)
+        report = mcp_scan(n, *_scan_axes(12))
         assert report.violations == []
         assert json.loads(json.dumps(report.to_dict()))["exponent"] == 2 * n + 3
 
 
 def test_mcp_scan_validation():
+    b, c, t = _scan_axes(50)
     with pytest.raises(DomainError):
-        mcp_scan(0)
+        mcp_scan(0, b, c, t)
     with pytest.raises(DomainError):
-        mcp_scan(1, c_range=(-np.pi, 1.0))
+        mcp_scan(1, b, np.linspace(-np.pi, 1.0, 50), t)
     with pytest.raises(DomainError):
-        mcp_scan(1, t_range=(0.5, 1.0))
-    with pytest.raises(DomainError):
-        mcp_scan(1, resolution=1)
-    with pytest.raises(DomainError):
-        mcp_scan(1, t_range=(0.9, 0.1))
+        mcp_scan(1, b, c, np.linspace(0.5, 1.0, 50))
+    with pytest.raises(DomainError, match="non-empty"):
+        mcp_scan(1, b, c, [])
+    with pytest.raises(DomainError, match="non-empty"):
+        mcp_scan(1, b, c, t[None, :])
+    with pytest.raises(DomainError, match="non-decreasing"):
+        mcp_scan(1, b, c, np.linspace(0.9, 0.1, 50))
 
 
 def test_mcp_scan_reports_violations():
     # tol = -1 asks for ratios >= 2, which part of the grid misses
-    report = mcp_scan(1, resolution=3, tol=-1.0)
+    report = mcp_scan(1, *_scan_axes(3), tol=-1.0)
     expected = []
     for b in report.b_values:
         for c in report.c_values:
@@ -206,12 +215,16 @@ def test_mcp_scan_reports_violations():
     assert not report.ok and 0 < len(expected) < 27
     got = [(v["b"], v["c"], v["t"], v["ratio"]) for v in report.violations]
     np.testing.assert_allclose(got, expected, rtol=1e-13)
-    # an infinite bound, or a width past float64 range, is refused before
-    # the grid is built; finite b past b^2's range gives no NaN ratio
+    # an infinite bound, or a width past float64 range, gives an axis with
+    # values that are not finite, refused before the ratio is evaluated;
+    # finite b past b^2's range gives no NaN ratio
     # (test_ratios_past_b_squared_overflow)
+    _, c, t = _scan_axes(3)
     for b_range in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (-1e308, 1e308)):
+        with np.errstate(all="ignore"):
+            b = np.linspace(*b_range, 3)
         with pytest.raises(DomainError, match="must be finite"):
-            mcp_scan(1, b_range=b_range, resolution=3)
+            mcp_scan(1, b, c, t)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -357,8 +370,8 @@ def test_ratios_past_b_squared_overflow():
             prof = density_profile(RiccatiParams(b=b, c=1.0, n=2), t)
             np.testing.assert_allclose(prof.density, ref.density, rtol=4e-16, atol=0)
             np.testing.assert_allclose(prof.ratio, ref.ratio, rtol=4e-16, atol=0)
-        scan = mcp_scan(1, b_range=(0.0, 1e160), c_range=(-1.0, 1.0),
-                        t_range=(0.1, 0.9), resolution=5)
+        scan = mcp_scan(1, np.linspace(0.0, 1e160, 5), np.linspace(-1.0, 1.0, 5),
+                        np.linspace(0.1, 0.9, 5))
         assert scan.ok and 1.0 - 1e-9 <= scan.min_ratio
     c = np.linspace(-3.0, 3.0, 7)[:, None]
     s = np.linspace(0.05, 1.0, 6)
@@ -370,9 +383,9 @@ def test_ratios_past_b_squared_overflow():
 def test_mcp_scan_grid_cap():
     # 216^3 > 10^7 points is refused before the grid is built
     with pytest.raises(DomainError, match="points"):
-        mcp_scan(1, resolution=216)
+        mcp_scan(1, *_scan_axes(216))
     with pytest.raises(DomainError):
-        mcp_scan(1, resolution=10**6)
+        mcp_scan(1, *_scan_axes(10**6))
 
 
 def test_velocity_set_validation():
@@ -513,7 +526,8 @@ def test_contract_fails_when_the_reduction_is_wrong(monkeypatch, tmp_path):
     import mcplab.mcp as mcp
     from mcplab.riccati import build_blocks
 
-    monkeypatch.setattr(mcp, "_det_a", lambda b, c, n, s: _det_a(1.2 * b, c, n, s))
+    monkeypatch.setattr(mcp, "_det_a",
+                        lambda b, c, n, s, free=1.0: _det_a(1.2 * b, c, n, s, free))
     monkeypatch.setattr(mcp, "build_blocks",
                         lambda p: build_blocks(RiccatiParams(1.2 * p.b, p.c, p.n)),
                         raising=False)
@@ -551,8 +565,11 @@ def test_contract_sums_out_of_float_range_raise_domain_error():
         with pytest.raises(DomainError, match="Monte Carlo"):
             monte_carlo_contraction(model, np.zeros(3), spec, 0.5, samples=5000)
         quad = quadrature_contraction(model, spec, 0.5)
-    far = quadrature_contraction(HeisenbergModel(n=1, eps=1e200), VelocitySet(1.0, 5.0), 0.5)
-    assert quad == pytest.approx(far, rel=1e-14)
+        far = quadrature_contraction(HeisenbergModel(n=1, eps=1e200), VelocitySet(1.0, 5.0), 0.5)
+        assert quad == pytest.approx(far, rel=1e-14)
+        # b = -eps |w_H| / 2 past float64 range: no warning from forming it
+        with pytest.raises(DomainError, match="quadrature"):
+            quadrature_contraction(HeisenbergModel(n=1, eps=1e300), VelocitySet(1e10, 5.0), 0.5)
 
 
 def test_monte_carlo_weights_near_float_range_are_rescaled():
