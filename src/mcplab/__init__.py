@@ -13,9 +13,10 @@ Modules:
 __version__ = "0.1.0"
 
 # The largest n, for the model group and for a model file (frame dimension
-# 2n + 1 = 41).  The curvature suite holds four (2n+1)^4-entry tensors,
-# 2.8 million entries (23 MB) each at n = 20, and the identity catalog
-# traces at most 61 MB more while it contracts them with its stacks of
-# vectors.  It lives here, free of numpy, so that the command line can
-# check --n before it loads any numerical module.
+# 2n + 1 = 41).  The curvature suite holds one (2n+1)^4-entry tensor per
+# curvature, two of 2.8 million entries (23 MB) each at n = 20, and the
+# identity catalog traces at most 61 MB more while it contracts them with
+# its stacks of vectors: a traced peak of 107 MB (numpy 2.4).  It lives
+# here, free of numpy, so that the command line can check --n before it
+# loads any numerical module.
 _MAX_N = 20

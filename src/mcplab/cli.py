@@ -13,8 +13,9 @@ or .csv for the _CSV_COMMANDS), prints the summary, then PASS or FAIL
 unless ok is None, and maps the verdict to the exit code.  The config
 is derived from the parsed flags (every flag but --output and
 --heisenberg, under its flag name), so a report lists each flag of its
-subcommand.  JSON keys are sorted and floats are serialized via repr, so
-identical flags and seed produce byte-identical files.
+subcommand but the --n and --eps that a --model file replaces.  JSON
+keys are sorted and floats are serialized via repr, so identical flags
+and seed produce byte-identical files.
 
 A range flag takes lo:hi:count or a single number (_parse_range).
 mcp-scan scans the full grid of its three ranges, so their counts may
@@ -203,7 +204,7 @@ def _cmd_curvature(args, model=None):
     hyp = check_main_hypotheses(
         curv_tw, cs, alg.metric, samples=args.samples, seed=args.seed
     )
-    tw_max = float(np.max(np.abs(curv_tw.riem)))
+    tw_max = float(np.max(np.abs(curv_tw.operator @ alg.metric)))
     payload = {
         "identities": report.to_dict(),
         "hypotheses": hyp.to_dict(),
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mcplab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=1)
+    common.add_argument("--n", type=int)
     common.add_argument("--output", help="write a report (.json or .csv)")
 
     def add(name, summary):
@@ -384,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("curvature", "verify structure identities and hypotheses")
     p.add_argument("--heisenberg", action="store_true", help="use the model group")
     p.add_argument("--model", help="load a model from a JSON file")
-    p.add_argument("--eps", type=float, default=1.0)
+    p.add_argument("--eps", type=float)
     p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -462,9 +463,20 @@ def _read_model(path) -> dict:
 
 def _check_flags(args) -> dict:
     """The usage errors that need no numerical module, raised before any
-    is loaded.  Returns the subcommand's keyword inputs: the --model
-    description, read here."""
-    if not 1 <= args.n <= _MAX_N:
+    is loaded.  --n and curvature's --eps parse to None, so that a given
+    one can be told from a default one.  A --model file sets both: with
+    --model a given one is a usage error, and both leave args, so the
+    config lists neither; otherwise each takes its default here.  Returns
+    the subcommand's keyword inputs: the --model description, read here."""
+    model = getattr(args, "model", None)
+    if model and args.heisenberg:
+        raise McplabError("--model and --heisenberg are mutually exclusive")
+    for name, default in (("n", 1), ("eps", 1.0)):
+        if model and vars(args).pop(name) is not None:
+            raise McplabError(f"--{name} does not apply to --model, whose file sets it")
+        if getattr(args, name, default) is None:
+            setattr(args, name, default)
+    if not 1 <= getattr(args, "n", 1) <= _MAX_N:
         raise McplabError(f"--n must lie in 1..{_MAX_N}, got {args.n}")
     if args.output is not None:
         folder = os.path.dirname(args.output) or "."
@@ -478,11 +490,7 @@ def _check_flags(args) -> dict:
         raise McplabError(f"--seed must be >= 0, got {args.seed}")
     if not 0.0 < getattr(args, "t_max", 1.0) < math.inf:
         raise McplabError(f"--t-max must be positive and finite, got {args.t_max!r}")
-    if getattr(args, "model", None):
-        if args.heisenberg:
-            raise McplabError("--model and --heisenberg are mutually exclusive")
-        return {"model": _read_model(args.model)}
-    return {}
+    return {"model": _read_model(model)} if model else {}
 
 
 def main(argv=None) -> int:

@@ -38,9 +38,9 @@ _CONTACT_TOL = 1e-10
 # is at least -_HYPOTHESIS_TOL.
 _HYPOTHESIS_TOL = 1e-10
 # The most samples check_main_hypotheses draws.  It loops in Python once
-# per sample, at about 10 us per sample at n = 1 and 1.0 ms at n = 20
-# (2-core Xeon, Python 3.11, numpy 2.4), so 10^5 samples take about 1 s
-# at n = 1 and 1.7 minutes at n = 20, 500 times the CLI's default of 200.
+# per sample, at about 12 us per sample at n = 1 and 1.3 ms at n = 20
+# (2-core Xeon, Python 3.11, numpy 2.4), so 10^5 samples take about 1.2 s
+# at n = 1 and 2.2 minutes at n = 20, 500 times the CLI's default of 200.
 _MAX_HYPOTHESIS_SAMPLES = 100_000
 # The eps build_heisenberg_algebra accepts: beyond it the identity catalog's
 # residual norms (squares of terms up to eps^3 and 1/eps) leave float64 range.
@@ -82,9 +82,6 @@ class FrameAlgebra:
     @property
     def dim(self) -> int:
         return self.metric.shape[0]
-
-    def inner(self, u, v) -> float:
-        return float(u @ self.metric @ v)
 
     def validate(self) -> list[str]:
         """Names of violated algebra invariants (empty when valid)."""
@@ -147,7 +144,7 @@ class ContactStructure:
         # columns of P: d eta(h_i, h_j) = -(P^T (bracket . eta) P)[i, j]
         if _exceeds(P.T @ (alg.bracket @ eta + alg.metric @ J) @ P, _CONTACT_TOL):
             out.append("d eta and the metric are incompatible on ker eta")
-        if _exceeds(alg.inner(V, V) - eps * eps, _CONTACT_TOL * max(1.0, eps * eps)):
+        if _exceeds(V @ alg.metric @ V - eps * eps, _CONTACT_TOL * max(1.0, eps * eps)):
             out.append("|V| != eps")
         if _exceeds((alg.metric @ V) @ P, _CONTACT_TOL):
             out.append("V is not orthogonal to ker eta")
@@ -155,25 +152,13 @@ class ContactStructure:
 
 
 @dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Connection coefficients: gamma[i, j, k] is the e_k coefficient of
-    the derivative of e_j along e_i."""
-
-    gamma: np.ndarray
-
-
-@dataclass(frozen=True)
 class CurvatureData:
-    """Curvature of a connection on a left-invariant frame.
+    """Curvature of a connection on a left-invariant frame: operator[i, j,
+    k, m] is the e_m coefficient of R(e_i, e_j) e_k, and ricci[a, b] the
+    trace of v -> R(v, e_a) e_b.  Neither depends on the metric."""
 
-    riem[i, j, k, l] = <R(e_i, e_j) e_k, e_l>; operator[i, j, k, m] is the
-    e_m coefficient of R(e_i, e_j) e_k; ricci[a, b] is the trace of
-    v -> <R(v, e_a) e_b, v> over a metric-orthonormal frame.
-    """
-
-    riem: np.ndarray
-    ricci: np.ndarray
     operator: np.ndarray
+    ricci: np.ndarray
 
 
 def build_heisenberg_algebra(n: int, eps: float):
@@ -208,8 +193,9 @@ def build_heisenberg_algebra(n: int, eps: float):
     )
 
 
-def levi_civita(alg: FrameAlgebra) -> ConnectionCoeffs:
-    """Koszul's formula on left-invariant fields:
+def levi_civita(alg: FrameAlgebra) -> np.ndarray:
+    """Connection coefficients gamma[i, j, k], the e_k coefficient of
+    grad_i e_j, from Koszul's formula on left-invariant fields:
 
         2 <grad_i e_j, e_k> =
             <[e_i,e_j],e_k> - <[e_j,e_k],e_i> + <[e_k,e_i],e_j>.
@@ -217,51 +203,48 @@ def levi_civita(alg: FrameAlgebra) -> ConnectionCoeffs:
     cg = np.einsum("ijm,mk->ijk", alg.bracket, alg.metric)
     # cg.transpose(2,0,1)[i,j,k] = <[e_j,e_k],e_i>; (1,2,0) gives <[e_k,e_i],e_j>
     K = cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("ijk,km->ijm", K, np.linalg.inv(alg.metric))
-    return ConnectionCoeffs(gamma=gamma)
+    return 0.5 * np.einsum("ijk,km->ijm", K, np.linalg.inv(alg.metric))
 
 
-def tanaka_webster(
-    alg: FrameAlgebra, cs: ContactStructure, lc: ConnectionCoeffs
-) -> ConnectionCoeffs:
-    """The canonical connection
+def tanaka_webster(alg: FrameAlgebra, cs: ContactStructure, lc: np.ndarray) -> np.ndarray:
+    """The coefficients of the canonical connection
 
         D_Y1 Y2 = grad_Y1 Y2 + (<V,Y2>/2) J Y1 - (1/2) <J Y1, Y2> V
                   + (<V,Y1>/2) J Y2,
 
-    evaluated on the frame.  Not torsion-free; independent of eps."""
+    evaluated on the frame from the Levi-Civita coefficients lc.  Not
+    torsion-free; independent of eps."""
     g, V = alg.metric, cs.reeb
     gV = g @ V
     Je = cs.J.T  # row i is J e_i
-    gamma = (
-        lc.gamma
+    return (
+        lc
         + 0.5 * gV[None, :, None] * Je[:, None, :]
         - 0.5 * (Je @ g)[:, :, None] * V
         + 0.5 * gV[:, None, None] * Je[None, :, :]
     )
-    return ConnectionCoeffs(gamma=gamma)
 
 
-def curvature(alg: FrameAlgebra, conn: ConnectionCoeffs) -> CurvatureData:
-    """Frame curvature R(e_i, e_j) e_k with the sign convention
+def curvature(alg: FrameAlgebra, gm: np.ndarray) -> CurvatureData:
+    """Curvature R(e_i, e_j) e_k of the connection with coefficients gm,
+    and its Ricci form, with the sign convention
 
         R(X, Y)Z = grad_X grad_Y Z - grad_Y grad_X Z - grad_[X,Y] Z.
     """
-    # order="C" lays the tensors out row-major, so that the catalog's
-    # reshapes of them are views, not 23 MB copies at n = 20
-    gm = conn.gamma
-    ginv = np.linalg.inv(alg.metric)
-    # an entry past float64 range is left for the catalog and the
-    # hypothesis sampler to refuse
+    # order="C" lays the tensor out row-major, so that the catalog's
+    # reshapes of it are views, not 23 MB copies at n = 20; an entry past
+    # float64 range is left for the catalog and the hypothesis sampler to
+    # refuse
     with np.errstate(all="ignore"):
         op = (
             np.einsum("jkl,ilm->ijkm", gm, gm, order="C")
             - np.einsum("ikl,jlm->ijkm", gm, gm, order="C")
             - np.einsum("ijl,lkm->ijkm", alg.bracket, gm, order="C")
         )
-        riem = np.einsum("ijkm,ml->ijkl", op, alg.metric, order="C")
-        ricci = np.einsum("vw,vabw->ab", ginv, riem)
-    return CurvatureData(riem=riem, ricci=ricci, operator=op)
+        # ricci[a, b] = g^{vw} <R(e_v, e_a) e_b, e_w> = g^{vw} op[v, a, b, m] g_{mw}
+        # = op[v, a, b, v] (sums over repeated indices): the metric and its
+        # inverse cancel, leaving the trace of v -> R(v, e_a) e_b
+        return CurvatureData(operator=op, ricci=np.einsum("vabv->ab", op))
 
 
 def rescale_vertical(alg: FrameAlgebra, cs: ContactStructure, new_eps: float):
@@ -318,17 +301,18 @@ class IdentityReport:
         }
 
 
-def _jacobi_operator(riem, y):
-    """M[i, l] = <R(e_i, y) y, e_l>, so that <R(u, y) y, w> = u M w: one
-    pass over riem, then one over a d^3 array."""
-    return _contract2(y, _contract2(y, riem))
+def _jacobi_operator(op, g, y):
+    """M[i, l] = <R(e_i, y) y, e_l> for the curvature operator op and the
+    metric g, so that <R(u, y) y, w> = u M w: one pass over op, one over
+    a d^3 array, and the last slot lowered on the d x d result."""
+    return _contract2(y, _contract2(y, op)) @ g
 
 
 def verify_structure_identities(
     alg: FrameAlgebra,
     cs: ContactStructure,
-    lc: ConnectionCoeffs,
-    tw: ConnectionCoeffs,
+    lc: np.ndarray,
+    tw: np.ndarray,
     curv_lc: CurvatureData,
     curv_tw: CurvatureData,
     tol: float = 1e-10,
@@ -338,7 +322,9 @@ def verify_structure_identities(
     Identities are evaluated on frame vectors (enough by multilinearity),
     on horizontal projections of frame vectors where an argument must lie
     in ker eta, and additionally on a few seeded random constant
-    combinations as redundancy.  Each entry records the maximum absolute
+    combinations as redundancy.  lc and tw are the coefficients of the
+    Levi-Civita and the canonical connection, and curv_lc and curv_tw
+    their curvatures.  Each entry records the maximum absolute
     residual found; it passes iff that residual is <= tol.  A connection
     or curvature that is not finite (a model past float64 range) raises
     DomainError.
@@ -362,10 +348,10 @@ def verify_structure_identities(
     if d % 2 != 1 or d < 3:
         raise DomainError(f"frame dimension must be odd and >= 3, got {d}")
     for arr, shape, what in (
-        (lc.gamma, (d, d, d), "levi_civita gamma"),
-        (tw.gamma, (d, d, d), "tanaka_webster gamma"),
-        (curv_lc.riem, (d, d, d, d), "metric curvature"),
-        (curv_tw.riem, (d, d, d, d), "canonical-connection curvature"),
+        (lc, (d, d, d), "levi_civita gamma"),
+        (tw, (d, d, d), "tanaka_webster gamma"),
+        (curv_lc.operator, (d, d, d, d), "metric curvature"),
+        (curv_tw.operator, (d, d, d, d), "canonical-connection curvature"),
     ):
         if arr.shape != shape:
             raise DomainError(f"{what} has shape {arr.shape}, expected {shape}")
@@ -406,9 +392,9 @@ def verify_structure_identities(
 
     # gradient of the vertical field: grad_Y V = -(eps^2/2) J Y, where
     # grad_u V = u @ grad_V, grad_V w = w @ along_V, grad_{x_a} w = w @ along_X[a]
-    grad_V = V @ lc.gamma
-    along_V = _contract(V, lc.gamma)
-    along_X = _contract(X, lc.gamma)
+    grad_V = V @ lc
+    along_V = _contract(V, lc)
+    along_X = _contract(X, lc)
     gradX_V = X @ grad_V
     add("reeb_gradient", _norms(g, Y @ grad_V + 0.5 * eps**2 * JY))
     skew = gradX_V @ g @ X.T
@@ -450,9 +436,9 @@ def verify_structure_identities(
     tw2 = tanaka_webster(alg2, cs2, lc2)
     add(
         "horizontal_derivative_eps_independent",
-        _norms(g, (covXX - X @ _contract(X, lc2.gamma)) @ P.T),
+        _norms(g, (covXX - X @ _contract(X, lc2)) @ P.T),
     )
-    add("canonical_connection_eps_independent", np.abs(tw.gamma - tw2.gamma))
+    add("canonical_connection_eps_independent", np.abs(tw - tw2))
 
     # integrability of the pair (J, eta), with [u_a, w_b] = (W @ ad_U)[a, b]
     ad_Y, ad_JY = _contract(Y, alg.bracket), _contract(JY, alg.bracket)
@@ -499,8 +485,8 @@ def verify_structure_identities(
     # M[i, l] = <R(e_i, y) y, e_l>, <R(x, y) y, w> is x M w, and at [a, b]
     # the stacks below hold y_a's values at x_b (and w = x_c)
     v0 = V / eps
-    M_lc = np.array([_jacobi_operator(curv_lc.riem, y) for y in Y])
-    M_tw = np.array([_jacobi_operator(curv_tw.riem, y) for y in Y])
+    M_lc = np.array([_jacobi_operator(Rm, g, y) for y in Y])
+    M_tw = np.array([_jacobi_operator(Rt, g, y) for y in Y])
     h = _norms(g, X)
     vertical = M_lc @ v0 @ v0
     # <R(x, y) y, v0> = -eps <y, V> <x, y_H> / 4
@@ -579,7 +565,7 @@ def check_main_hypotheses(
         )
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    if not np.all(np.isfinite(curv_tw.riem)):
+    if not np.all(np.isfinite(curv_tw.operator)):
         raise DomainError(
             "canonical-connection curvature is not finite in float64 for this model"
         )
@@ -598,7 +584,7 @@ def check_main_hypotheses(
             continue
         v = v / nv
         Jv = cs.J @ v
-        M = _jacobi_operator(curv_tw.riem, v)
+        M = _jacobi_operator(curv_tw.operator, g, v)
         sectional = Jv @ M @ Jv
         min1 = min(min1, sectional)
         if n > 1:

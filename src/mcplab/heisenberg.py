@@ -63,6 +63,9 @@ from .riccati import (
 # Horizontal speeds below this fraction of the total speed count as
 # vertical: the adapted frame needs a direction for v1.
 _DEGENERATE_FRACTION = 1e-10
+# The number of equally spaced times, 0 and T included, at which
+# geodesic_flow samples a geodesic.
+_FLOW_SAMPLES = 201
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class HeisenbergModel:
     def gamma(self) -> np.ndarray:
         from .frame_algebra import levi_civita
         alg, _ = self.structure
-        return levi_civita(alg).gamma
+        return levi_civita(alg)
 
 
 @dataclass(frozen=True)
@@ -226,14 +229,9 @@ class Trajectory:
         }
 
 
-def geodesic_flow(
-    model: HeisenbergModel,
-    start: GeodesicState,
-    T: float,
-    samples: int = 201,
-) -> Trajectory:
+def geodesic_flow(model: HeisenbergModel, start: GeodesicState, T: float) -> Trajectory:
     """The geodesic through start for time T (either sign), sampled at
-    samples equally spaced times from 0 to T.
+    _FLOW_SAMPLES equally spaced times from 0 to T.
 
     The solution is the closed-form helix of the module docstring, exact
     up to rounding; it solves the velocity subsystem u'_k = -Gamma^k(u, u)
@@ -247,9 +245,7 @@ def geodesic_flow(
         )
     if not (np.isfinite(T) and T != 0.0):
         raise DomainError(f"T must be finite and nonzero, got {T!r}")
-    if samples < 2:
-        raise DomainError("samples must be >= 2")
-    t = np.linspace(0.0, float(T), samples)
+    t = np.linspace(0.0, float(T), _FLOW_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
         y = _helix(model.eps, start.pos, start.vel, t)
     if not np.isfinite(y).all():

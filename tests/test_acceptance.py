@@ -71,7 +71,7 @@ def test_01_structure_identity_suite(capsys):
             )
             all_passed &= rep.passed and not rep.precondition_failures
             worst = max(worst, max(r.residual for r in rep.identities))
-            flat = max(flat, float(np.max(np.abs(curv_tw.riem))))
+            flat = max(flat, float(np.max(np.abs(curv_tw.operator @ alg.metric))))
             count = len(rep.identities)
     elapsed = perf_counter() - start
     ok = (

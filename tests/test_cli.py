@@ -80,6 +80,20 @@ def test_curvature_loads_model_file(tmp_path):
     assert main(["curvature", "--model", str(model)]) == 0
 
 
+def test_curvature_model_refuses_n_and_eps(tmp_path, capsys):
+    # a model file sets its own dimension and eps: --eps 7 on a dim-5,
+    # eps-3 model used to pass, with eps 7.0 and n 1 in the report's config
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(model_to_dict(*build_heisenberg_algebra(2, 3.0))))
+    for flags in (["--eps", "7"], ["--n", "2"], ["--n", "1", "--eps", "1"]):
+        _one_line_usage_error(main(["curvature", "--model", str(model), *flags]), capsys)
+    out = tmp_path / "report.json"
+    assert main(["curvature", "--model", str(model), "--output", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["model"] == str(model)
+    assert "n" not in config and "eps" not in config
+
+
 def test_curvature_rejects_broken_model_file(tmp_path, capsys):
     model = tmp_path / "m.json"
     alg, cs = build_heisenberg_algebra(1, 1.0)
@@ -641,6 +655,7 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path):
         (["contract", "--t", "0.5", "--seed", "-1"], 2),
         (["curvature", "--heisenberg", "--seed", "-1"], 2),
         (["curvature", "--heisenberg", "--n", "21"], 2),
+        (["curvature", "--model", str(tmp_path / "m.json"), "--eps", "7"], 2),
         (["conjugate", "--b", "0", "--c", "1", "--n", "0"], 2),
         (["contract", "--t", "0.5", "--output", str(tmp_path / "r.txt")], 2),
         (["mcp-scan", "--b", "0:1:5", "--c", "-1:1:5", "--t", "0.1:0.9:5",

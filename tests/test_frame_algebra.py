@@ -2,16 +2,18 @@
 
 import json
 import time
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcplab import _MAX_N
 from mcplab.errors import DomainError, ModelValidationError
 from mcplab.frame_algebra import (
     _MAX_HYPOTHESIS_SAMPLES,
-    ConnectionCoeffs,
     ContactStructure,
     CurvatureData,
     FrameAlgebra,
@@ -32,6 +34,12 @@ def _bilinear(T, u, w):
     """sum_ij u_i w_j T[i, j, :]: [u, w] for T the structure constants,
     and the derivative of w along u for T the connection coefficients."""
     return np.einsum("i,j,ijk->k", u, w, T)
+
+
+def _riem(curv, g):
+    """riem[i, j, k, l] = <R(e_i, e_j) e_k, e_l>: the curvature operator
+    with its last slot lowered by the metric g."""
+    return np.einsum("ijkm,ml->ijkl", curv.operator, g)
 
 
 def _sectional_like(riem, u, w, z, x):
@@ -110,23 +118,23 @@ def test_levi_civita_heisenberg_values():
     alg, cs = build_heisenberg_algebra(1, 1.0)
     lc = levi_civita(alg)
     v0, x1, y1 = np.eye(3)
-    assert np.allclose(_bilinear(lc.gamma, x1, cs.reeb), -0.5 * y1)
-    assert np.allclose(_bilinear(lc.gamma, x1, y1), 0.5 * cs.reeb)
-    assert np.allclose(_bilinear(lc.gamma, y1, x1), -0.5 * cs.reeb)
-    assert np.allclose(_bilinear(lc.gamma, v0, x1), -0.5 * y1)
-    assert np.allclose(_bilinear(lc.gamma, v0, cs.reeb), 0.0)
+    assert np.allclose(_bilinear(lc, x1, cs.reeb), -0.5 * y1)
+    assert np.allclose(_bilinear(lc, x1, y1), 0.5 * cs.reeb)
+    assert np.allclose(_bilinear(lc, y1, x1), -0.5 * cs.reeb)
+    assert np.allclose(_bilinear(lc, v0, x1), -0.5 * y1)
+    assert np.allclose(_bilinear(lc, v0, cs.reeb), 0.0)
     # general eps scaling of the same entries
     alg2, cs2 = build_heisenberg_algebra(1, 2.0)
     lc2 = levi_civita(alg2)
-    assert np.allclose(lc2.gamma[1, 2], np.array([1.0, 0.0, 0.0]))  # eps/2 v0
-    assert np.allclose(lc2.gamma[1, 0], np.array([0.0, 0.0, -1.0]))  # -eps/2 Y1
+    assert np.allclose(lc2[1, 2], np.array([1.0, 0.0, 0.0]))  # eps/2 v0
+    assert np.allclose(lc2[1, 0], np.array([0.0, 0.0, -1.0]))  # -eps/2 Y1
 
 
 def connection_in_scaled_frame(conn, scales):
     """Coefficients of the same connection in the rescaled frame
     e_i' = scales[i] e_i."""
     s = np.asarray(scales, dtype=float)
-    return np.einsum("i,j,ijk,k->ijk", s, s, conn.gamma, 1.0 / s)
+    return np.einsum("i,j,ijk,k->ijk", s, s, conn, 1.0 / s)
 
 
 def _random_two_step_algebra(rng, n_h, n_z):
@@ -156,14 +164,13 @@ def test_levi_civita_is_metric_and_torsion_free():
         e = np.eye(d)
         for i in range(d):
             for j in range(d):
-                tors = _bilinear(lc.gamma, e[i], e[j]) - _bilinear(lc.gamma, e[j], e[i])
+                tors = _bilinear(lc, e[i], e[j]) - _bilinear(lc, e[j], e[i])
                 assert np.allclose(tors, _bilinear(alg.bracket, e[i], e[j]), atol=1e-12)
                 for k in range(d):
                     # metric compatibility on constant fields:
                     # 0 = <grad_i e_j, e_k> + <e_j, grad_i e_k>
-                    val = alg.inner(_bilinear(lc.gamma, e[i], e[j]), e[k]) + alg.inner(
-                        e[j], _bilinear(lc.gamma, e[i], e[k])
-                    )
+                    val = (_bilinear(lc, e[i], e[j]) @ alg.metric @ e[k]
+                           + e[j] @ alg.metric @ _bilinear(lc, e[i], e[k]))
                     assert abs(val) < 1e-12
 
 
@@ -172,13 +179,13 @@ def test_tanaka_webster_heisenberg_vanishes_and_matches_lc_on_reeb():
         alg, cs = build_heisenberg_algebra(2, eps)
         lc = levi_civita(alg)
         tw = tanaka_webster(alg, cs, lc)
-        assert np.max(np.abs(tw.gamma)) < 1e-14
+        assert np.max(np.abs(tw)) < 1e-14
         v0 = np.eye(5)[0]
         assert np.allclose(
-            _bilinear(tw.gamma, v0, v0), _bilinear(lc.gamma, v0, v0), atol=1e-14
+            _bilinear(tw, v0, v0), _bilinear(lc, v0, v0), atol=1e-14
         )
         x1, y1 = np.eye(5)[1], np.eye(5)[3]
-        assert np.allclose(_bilinear(tw.gamma, x1, y1), 0.0, atol=1e-14)
+        assert np.allclose(_bilinear(tw, x1, y1), 0.0, atol=1e-14)
 
 
 def test_tanaka_webster_eps_independent_across_builds():
@@ -201,7 +208,7 @@ def test_rescale_vertical_roundtrip():
     alg2, cs2 = rescale_vertical(alg, cs, 2.0)
     assert cs2.eps == 2.0
     assert alg2.validate() == [] and cs2.validate(alg2) == []
-    assert abs(alg2.inner(cs2.reeb, cs2.reeb) - 4.0) < 1e-14
+    assert abs(cs2.reeb @ alg2.metric @ cs2.reeb - 4.0) < 1e-14
     alg3, _ = rescale_vertical(alg2, cs2, 1.0)
     assert np.allclose(alg3.metric, alg.metric)
     with pytest.raises(DomainError):
@@ -211,7 +218,7 @@ def test_rescale_vertical_roundtrip():
 def test_curvature_abelian_vanishes():
     alg = FrameAlgebra(bracket=np.zeros((3, 3, 3)), metric=np.eye(3))
     curv = curvature(alg, levi_civita(alg))
-    assert np.max(np.abs(curv.riem)) == 0.0
+    assert np.max(np.abs(curv.operator)) == 0.0
     assert np.max(np.abs(curv.ricci)) == 0.0
 
 
@@ -219,17 +226,15 @@ def test_curvature_heisenberg_values():
     for eps in (1.0, 2.0):
         alg, cs = build_heisenberg_algebra(1, eps)
         lc = levi_civita(alg)
-        curv = curvature(alg, lc)
+        riem = _riem(curvature(alg, lc), alg.metric)
         v0, x1, y1 = np.eye(3)
         # vertical-horizontal plane
-        assert _sectional_like(curv.riem, v0, x1, x1, v0) == pytest.approx(eps**2 / 4)
+        assert _sectional_like(riem, v0, x1, x1, v0) == pytest.approx(eps**2 / 4)
         # horizontal plane
-        assert _sectional_like(curv.riem, x1, y1, y1, x1) == pytest.approx(
-            -3 * eps**2 / 4
-        )
+        assert _sectional_like(riem, x1, y1, y1, x1) == pytest.approx(-3 * eps**2 / 4)
         # canonical connection is flat here
         tw_curv = curvature(alg, tanaka_webster(alg, cs, lc))
-        assert np.max(np.abs(tw_curv.riem)) < 1e-14
+        assert np.max(np.abs(tw_curv.operator)) < 1e-14
 
 
 def test_ricci_values_and_blowup():
@@ -243,10 +248,11 @@ def test_ricci_values_and_blowup():
             assert float(v0 @ curv.ricci @ v0) == pytest.approx(n * eps**2 / 2)
             # brute-force trace cross-check
             e = np.eye(d)
+            riem = _riem(curv, alg.metric)
             for a in range(d):
                 for b in range(d):
                     brute = sum(
-                        _sectional_like(curv.riem, e[v], e[a], e[b], e[v])
+                        _sectional_like(riem, e[v], e[a], e[b], e[v])
                         for v in range(d)
                     )
                     assert curv.ricci[a, b] == pytest.approx(brute, abs=1e-12)
@@ -306,15 +312,11 @@ _READERS = {
 
 
 def _perturbed(arg, rng):
-    """The same connection or curvature with 1e-3 noise on its tensors
-    (the stored Ricci form is kept)."""
-    def noisy(a):
-        return a + 1e-3 * rng.normal(size=a.shape)
-
-    if isinstance(arg, ConnectionCoeffs):
-        return ConnectionCoeffs(gamma=noisy(arg.gamma))
-    return CurvatureData(riem=noisy(arg.riem), ricci=arg.ricci,
-                         operator=noisy(arg.operator))
+    """The same connection coefficients, or curvature, with 1e-3 noise on
+    the array, or on the operator (the stored Ricci form is kept)."""
+    if isinstance(arg, np.ndarray):
+        return arg + 1e-3 * rng.normal(size=arg.shape)
+    return CurvatureData(operator=_perturbed(arg.operator, rng), ricci=arg.ricci)
 
 
 def test_identity_catalog_detects_each_perturbed_argument():
@@ -357,12 +359,12 @@ def test_catalog_matches_per_vector_loops():
         return np.einsum("i,j,k,ijkm->m", u, w, z, R)
 
     def cov_j(u, w):
-        return _bilinear(lc.gamma, u, J @ w) - J @ _bilinear(lc.gamma, u, w)
+        return _bilinear(lc, u, J @ w) - J @ _bilinear(lc, u, w)
 
     c4 = 0.25 * eps**2
     want = {
         "covJ_horizontal_via_gradient": max(
-            norm(cov_j(x1, x2) - (x2 @ g @ J @ _bilinear(lc.gamma, x1, V)) / eps**2 * V)
+            norm(cov_j(x1, x2) - (x2 @ g @ J @ _bilinear(lc, x1, V)) / eps**2 * V)
             for x1 in xs for x2 in xs),
         "curvature_reeb_slot": max(
             norm(rop(Rm, y1, y2, V) - c4 * (y2 @ g @ V) * (P @ y1)
@@ -387,12 +389,11 @@ def test_jacobi_operator_matches_sectional_like():
     rng = np.random.default_rng(4)
     alg, cs, lc, tw, curv_lc, curv_tw = _full_stack(3, 0.7)
     curv = _perturbed(curv_lc, rng)
+    riem = _riem(curv, alg.metric)
     for _ in range(5):
         y, u, w = rng.normal(size=(3, alg.dim))
-        M = _jacobi_operator(curv.riem, y)
-        assert u @ M @ w == pytest.approx(
-            _sectional_like(curv.riem, u, y, y, w), rel=1e-12
-        )
+        M = _jacobi_operator(curv.operator, alg.metric, y)
+        assert u @ M @ w == pytest.approx(_sectional_like(riem, u, y, y, w), rel=1e-12)
 
 
 def test_identity_report_ricci_comparison():
@@ -490,12 +491,13 @@ def _looped_minima(curv, cs, g, samples, seed):
     """The two hypotheses' minima from _sectional_like in a completed
     basis of each of the sampler's directions (the same draws)."""
     P = cs.horizontal_projector()
+    riem = _riem(curv, g)
     first, rest = [], []
     for v in np.random.default_rng(seed).normal(size=(samples, len(g))) @ P.T:
         v = v / np.sqrt(v @ g @ v)
         basis = _gram_schmidt_completion(g, cs, v)
-        first.append(_sectional_like(curv.riem, basis[1], v, v, basis[1]))
-        rest.append(sum(_sectional_like(curv.riem, w, v, v, w) for w in basis[2:]))
+        first.append(_sectional_like(riem, basis[1], v, v, basis[1]))
+        rest.append(sum(_sectional_like(riem, w, v, v, w) for w in basis[2:]))
     return min(first), min(rest)
 
 
@@ -521,6 +523,19 @@ def _in_frame(alg, cs, A):
     )
 
 
+def _assert_lowered_forms(curv, g, ys):
+    """The stored Ricci form and _jacobi_operator against the lowered
+    tensor riem = op g: ricci[a, b] = g^{vw} riem[v, a, b, w], and
+    M[i, l] = riem[i, j, k, l] y_j y_k, each to 1e-13 relative."""
+    riem = _riem(curv, g)
+    ricci = np.einsum("vw,vabw->ab", np.linalg.inv(g), riem)
+    assert np.max(np.abs(curv.ricci - ricci)) <= 1e-13 * np.max(np.abs(ricci))
+    for y in ys:
+        M = np.einsum("j,k,ijkl->il", y, y, riem)
+        got = _jacobi_operator(curv.operator, g, y)
+        assert np.max(np.abs(got - M)) <= 1e-13 * np.max(np.abs(M))
+
+
 def test_catalog_and_hypotheses_in_a_frame_that_is_not_orthonormal():
     # the model group in a random frame: a metric other than g = I, a Reeb
     # field off the frame and dense brackets
@@ -532,8 +547,9 @@ def test_catalog_and_hypotheses_in_a_frame_that_is_not_orthonormal():
         assert np.max(np.abs(alg.metric - np.eye(d))) > 0.1
         lc = levi_civita(alg)
         tw = tanaka_webster(alg, cs, lc)
+        curv_lc = curvature(alg, lc)
         report = verify_structure_identities(
-            alg, cs, lc, tw, curvature(alg, lc), curvature(alg, tw), tol=1e-10
+            alg, cs, lc, tw, curv_lc, curvature(alg, tw), tol=1e-10
         )
         assert report.passed, report.failed_identities()
         # one bracket entry off by 10 %: a canonical curvature with no sign
@@ -542,6 +558,10 @@ def test_catalog_and_hypotheses_in_a_frame_that_is_not_orthonormal():
         bracket[2, 1, 0] *= 1.1
         alg2 = FrameAlgebra(bracket=bracket, metric=alg.metric)
         curv = curvature(alg2, tanaka_webster(alg2, cs, levi_civita(alg2)))
+        # directions of their own generator, so the frames stay those above
+        ys = np.random.default_rng(100 + n).normal(size=(3, d))
+        for c in (curv_lc, curv):
+            _assert_lowered_forms(c, alg.metric, ys)
         hyp = check_main_hypotheses(curv, cs, alg.metric, samples=50, seed=n)
         first, rest = _looped_minima(curv, cs, alg.metric, 50, n)
         assert abs(first) > 1e-3
@@ -568,10 +588,11 @@ def test_main_hypotheses_sign_against_angle_grid():
     d = 5
     best = np.inf
     e = np.eye(d)
+    riem = _riem(tw_curv, alg2.metric)
     for th in angles:
         v = np.cos(th) * e[1] + np.sin(th) * e[2]
         jv = cs.J @ v
-        best = min(best, _sectional_like(tw_curv.riem, jv, v, v, jv))
+        best = min(best, _sectional_like(riem, jv, v, v, jv))
     report = check_main_hypotheses(tw_curv, cs, alg2.metric, samples=4000, seed=11)
     assert report.min_sectional >= best - 1e-12
     assert report.min_sectional <= best + 0.05 * abs(best) + 1e-9
@@ -622,6 +643,29 @@ def test_model_json_roundtrip_and_validation():
         model_from_dict(bad)
 
 
+def test_curvature_suite_memory_at_the_n_cap():
+    # a curvature is one (2n+1)^4-entry tensor, 2.8 million entries
+    # (22 MiB) at n = 20: a lowered copy of each would take the suite's
+    # traced peak from 103 to 146 MiB
+    alg, cs = build_heisenberg_algebra(_MAX_N, 1.0)
+    tracemalloc.start()
+    try:
+        lc = levi_civita(alg)
+        tw = tanaka_webster(alg, cs, lc)
+        curv_lc, curv_tw = curvature(alg, lc), curvature(alg, tw)
+        assert verify_structure_identities(alg, cs, lc, tw, curv_lc, curv_tw).passed
+        assert check_main_hypotheses(curv_tw, cs, alg.metric, samples=50).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * 2**20
+    d4 = alg.dim**4
+    for curv in (curv_lc, curv_tw):
+        sizes = {f.name: getattr(curv, f.name).size for f in fields(CurvatureData)}
+        assert [name for name, size in sizes.items() if size == d4] == ["operator"]
+        assert sum(sizes.values()) < d4 + alg.dim**3
+
+
 def test_curvature_past_float_range_raises_domain_error():
     # a model that passes its checks but whose curvature overflows to NaN:
     # neither the catalog nor the hypothesis sampler reads a verdict off it
@@ -631,7 +675,7 @@ def test_curvature_past_float_range_raises_domain_error():
     lc = levi_civita(alg)
     tw = tanaka_webster(alg, cs, lc)
     curv_lc, curv_tw = curvature(alg, lc), curvature(alg, tw)
-    assert not np.all(np.isfinite(curv_tw.riem))
+    assert not np.all(np.isfinite(curv_tw.operator))
     with pytest.raises(DomainError, match="not finite"):
         verify_structure_identities(alg, cs, lc, tw, curv_lc, curv_tw)
     with pytest.raises(DomainError, match="not finite"):

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from mcplab.errors import DegenerateDirectionError, DomainError
 from mcplab.heisenberg import (
+    _FLOW_SAMPLES,
     GeodesicState,
     HeisenbergModel,
     _helix,
@@ -212,10 +213,12 @@ def test_flow_against_mpmath_odefun():
 def test_flow_argument_validation():
     m = HeisenbergModel(n=1, eps=1.0)
     s = _origin_state(m, [0.0, 1.0, 0.0])
-    with pytest.raises(DomainError):
-        geodesic_flow(m, s, T=0.0)
-    with pytest.raises(DomainError):
-        geodesic_flow(m, s, T=1.0, samples=1)
+    for T in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            geodesic_flow(m, s, T=T)
+    traj = geodesic_flow(m, s, T=-2.0)
+    assert len(traj.t) == _FLOW_SAMPLES
+    assert traj.t[0] == 0.0 and traj.t[-1] == -2.0
     s5 = GeodesicState(pos=np.zeros(5), vel=np.ones(5))
     with pytest.raises(DomainError):
         geodesic_flow(m, s5, T=1.0)
@@ -312,7 +315,7 @@ def test_curvature_block_is_the_jacobi_operator_in_the_adapted_frame():
     for n in (1, 2, 3, 5):
         for eps in (0.5, 2.0):
             alg, _ = build_heisenberg_algebra(n, eps)
-            riem = curvature(alg, levi_civita(alg)).riem
+            op = curvature(alg, levi_civita(alg)).operator
             m = HeisenbergModel(n=n, eps=eps)
             for T in (1.0, -1.5) * 12:
                 state = GeodesicState(rng.normal(size=m.dim), rng.normal(size=m.dim))
@@ -322,7 +325,7 @@ def test_curvature_block_is_the_jacobi_operator_in_the_adapted_frame():
                 R = build_blocks(adapted_params(m, state)).R
                 for k in (0, 100, 200):
                     F = af.frames[k]
-                    M = _jacobi_operator(riem, traj.vel[k])
+                    M = _jacobi_operator(op, alg.metric, traj.vel[k])
                     assert np.max(np.abs(F @ M @ F.T - R)) <= 1e-13 * np.max(np.abs(R))
 
 
@@ -336,7 +339,7 @@ def test_flow_overflow_raises_domain_error():
         ([0.0, 0.0, 0.0], [1e300, 1.0, 0.0], -1e10),   # omega t
     ):
         with pytest.raises(DomainError, match="float range"):
-            geodesic_flow(m, GeodesicState(pos, vel), T=T, samples=11)
+            geodesic_flow(m, GeodesicState(pos, vel), T=T)
 
 
 def test_jacobi_euclidean_powers():
