@@ -45,6 +45,7 @@ closed-form determinant and trace profiles in the riccati module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,11 +126,12 @@ class GeodesicState:
 
     @property
     def speed(self) -> float:
-        return float(np.linalg.norm(self.vel))
+        return math.sqrt(self.vel @ self.vel)
 
     @property
     def horizontal_speed(self) -> float:
-        return float(np.linalg.norm(self.vel[1:]))
+        h = self.vel[1:]
+        return math.sqrt(h @ h)
 
 
 def _helix(eps, pos, vel, ts):
@@ -222,7 +224,7 @@ class Trajectory:
 
     def conservation_drift(self) -> dict:
         """Maximum drift of the two first integrals over the sample grid."""
-        speed = np.linalg.norm(self.vel, axis=1)
+        speed = np.sqrt((self.vel * self.vel).sum(axis=1))
         return {
             "speed": float(abs(speed - speed[0]).max()),
             "vertical": float(abs(self.vel[:, 0] - self.vel[0, 0]).max()),
@@ -324,16 +326,19 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     frames[:, 2::2, 1 : 1 + n] = -Z.imag
     frames[:, 2::2, 1 + n :] = Z.real
     # dF/dt = turn @ F: each row pair (f, i f) moves at its rate to (i f, -f)
+    # (1, 2), (3, 4), ... and their mirrors: every other entry of the
+    # super- and subdiagonal, strided in the flat array
     turn = np.zeros((d, d))
-    turn[range(1, d, 2), range(2, d, 2)] = rate
-    turn[range(2, d, 2), range(1, d, 2)] = -rate
+    turn.reshape(-1)[d + 2 :: 2 * d + 2] = rate
+    turn.reshape(-1)[2 * d + 1 :: 2 * d + 2] = -rate
 
     W = build_blocks(params).W
     u = traj.vel
     drift = frames @ (u @ model.gamma.reshape(d, d * d)).reshape(-1, d, d)
     drift -= (W - turn) @ frames
     with np.errstate(divide="ignore", invalid="ignore"):
-        direction = u[:, 1:] / np.linalg.norm(u[:, 1:], axis=1, keepdims=True)
+        uh = u[:, 1:]
+        direction = uh / np.sqrt((uh * uh).sum(axis=1, keepdims=True))
     residual = np.maximum(abs(drift).max(), abs(frames[:, 1, 1:] - direction).max())
     return AdaptedFrame(params=params, frames=frames, W=W, max_residual=float(residual))
 

@@ -35,8 +35,9 @@ Closed forms for F(1 - t) are expressed through the scaled cotangent
 which is analytic at x = 0, as det A's kernels sinc(x) = sin x / x and
 sxc(x) = (sin x - x cos x) / x**3 are, so small |c| needs no case split.
 _sinc_sxc takes both from one sine-cosine pair of x (_helix_kernels of
-heisenberg the helix's from one pair of x / 2).  All scalar helpers
-accept arrays and broadcast.
+heisenberg the helix's from one pair of x / 2).  The kernel helpers accept
+arrays and broadcast; _sinc_sxc also has a path for one Python float,
+which closed_forms takes, and which rounds as the array path does.
 """
 
 from __future__ import annotations
@@ -75,16 +76,38 @@ def _series(coeffs, x):
 
 def _sinc_sxc(x):
     """(sinc x, sxc x) from one sine-cosine pair, 1 and 1/3 at x = 0; sxc
-    takes _SXC_SERIES where |x| <= _SERIES_CUT, evaluated at every x (on a
-    scalar, cheaper than a gather) and discarded past it.  A 0-d x becomes
-    a numpy scalar, whose arithmetic skips the ufunc machinery.  np.sinc(x
-    / pi) was 3.5e-12 off 40-digit mpmath on (2 pi, 40] (2.1e-16 here)."""
+    takes _SXC_SERIES where |x| <= _SERIES_CUT.
+
+    A Python float (type float exactly: np.float64 subclasses it) takes
+    math.sin, math.cos and Python branches, and gives two floats; it must
+    be finite, as math.sin raises at inf.  Any other x goes to numpy,
+    which evaluates the series at every x and discards it past the cut
+    (np.where), and gives arrays, 0-d for a scalar.  Both paths run the
+    same expressions, and math.sin/cos round as np.sin/cos, so they agree
+    to the bit.  np.sinc(x / pi) was 3.5e-12 off 40-digit mpmath on
+    (2 pi, 40] (2.1e-16 here)."""
+    if type(x) is float:
+        sn, cs = math.sin(x), math.cos(x)
+        sinc = sn / x if x else 1.0
+        if abs(x) <= _SERIES_CUT:
+            return sinc, _series(_SXC_SERIES, x)
+        return sinc, (sn - x * cs) / (x * x * x)
     x = np.asarray(x, dtype=float)[()]
     sn, cs = np.sin(x), np.cos(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sinc = np.where(x == 0.0, 1.0, sn / x)
         sxc = np.where(abs(x) <= _SERIES_CUT, _series(_SXC_SERIES, x), (sn - x * cs) / (x * x * x))
     return sinc, sxc
+
+
+def _finite_real(value) -> bool:
+    """Whether value is one finite real number: math.isfinite's verdict,
+    and False where it refuses the type (a string, None, an array of
+    several numbers, an integer past float64 range)."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _check_sin_regular(x):
@@ -108,9 +131,11 @@ class RiccatiParams:
     n: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.b) and np.isfinite(self.c)):
-            raise DomainError("b and c must be finite")
-        if int(self.n) != self.n or self.n < 1:
+        if not (_finite_real(self.b) and _finite_real(self.c)):
+            raise DomainError(
+                f"b and c must be finite real numbers, got {self.b!r} and {self.c!r}"
+            )
+        if not (_finite_real(self.n) and int(self.n) == self.n and self.n >= 1):
             raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
@@ -186,15 +211,24 @@ def closed_forms(params: RiccatiParams, t: float):
     Riccati branch evaluated at time 1 - t.  Requires 0 < t < 1 and
     c*t away from nonzero multiples of pi (SingularityError naming the
     offending factor otherwise; the factor "K1" can only vanish past the
-    first such multiple).  Entries outside float64 range raise DomainError.
+    first such multiple).  Entries outside float64 range raise DomainError,
+    as does a t that is not one real number.
+
+    The entries are evaluated on Python floats (_sinc_sxc's float path),
+    and round as on numpy scalars.  Where Python raises and numpy gives
+    inf or NaN (b ** 3 past float64 range, a divisor that is 0), they are
+    evaluated on numpy scalars, so the checks below see numpy's values.
     """
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"t must lie in (0, 1), got {t!r}")
-    # numpy scalars, so that overflow gives inf (Python's b ** 3 raises)
-    b, c = np.float64(params.b), np.float64(params.c)
+    # the range check comes first, so that float() takes no string
+    if not (_finite_real(t) and 0.0 < t < 1.0):
+        raise DomainError(f"t must be a real number in (0, 1), got {t!r}")
+    b, c, t = params.b, params.c, float(t)
     _check_sin_regular(c * t)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pieces = [float(v) for v in _f1_pieces(b, c, t)]
+    try:
+        pieces = _f1_pieces(b, c, t)
+    except (OverflowError, ZeroDivisionError):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            pieces = [float(v) for v in _f1_pieces(np.float64(b), np.float64(c), t)]
     f00, f01, f02, f11, f12, f22, xc, k1h = pieces
     if abs(k1h) < 1e-14:
         raise SingularityError("K1")
@@ -202,8 +236,8 @@ def closed_forms(params: RiccatiParams, t: float):
         raise DomainError(
             f"closed forms leave float64 range at b = {params.b!r}, c = {params.c!r}"
         )
-    F1 = np.array([[f00, f01, f02], [f01, f11, f12], [f02, f12, f22]])
-    return F1, float(-xc / t)
+    F1 = np.array([f00, f01, f02, f01, f11, f12, f02, f12, f22]).reshape(3, 3)
+    return F1, -xc / t
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +261,11 @@ def _det_a(b, c, n: int, s, free=1.0):
 def det_distortion(params: RiccatiParams, t):
     """det A(t) = det A1(t) * (t sinc(ct))^(2n-2), where det A1 is the 3x3
     block's factor t^3 (1 + b^2 t^2 / 3) at c = 0; equals t^{2n+1} at
-    b = c = 0."""
-    return _det_a(params.b, params.c, params.n, np.asarray(t, dtype=float))
+    b = c = 0.  A t that is not finite raises DomainError."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise DomainError("t must be finite")
+    return _det_a(params.b, params.c, params.n, t)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +289,12 @@ def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
     zero of sinc.  So the first zero of det A is t = pi/|c| for every b.
     At c = 0, det A = t^{2n+1} (1 + b^2 t^2 / 3) has no positive zero.
     """
-    if not (np.isfinite(t_max) and t_max > 0.0):
+    if not (_finite_real(t_max) and t_max > 0.0):
         raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
     if params.c == 0.0:
         return None
-    t_star = np.pi / abs(params.c)
-    return float(t_star) if t_star <= t_max else None
+    t_star = math.pi / abs(params.c)
+    return t_star if t_star <= t_max else None
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +319,10 @@ _THETA24 = 2.219048869
 # 1/24!, the last coefficient of T_24.
 _TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(24)]).reshape(4, 6)
 _TAYLOR_LAST = 1.0 / math.factorial(24)
+# The exponents 1/k of the d_k = ||K^k||_1^(1/k), k = 4, 5, 6, and the
+# powers 0..6 of each step's scale a.
+_D_ROOTS = 1.0 / np.arange(4.0, 7.0)
+_POWERS = np.arange(7.0)
 
 
 def _taylor_expm(K, h):
@@ -304,11 +345,11 @@ def _taylor_expm(K, h):
     P[0], P[1] = np.eye(m), K
     for k, (i, j) in enumerate(((1, 1), (2, 1), (2, 2), (4, 1), (3, 3)), start=2):
         np.matmul(P[i], P[j], out=P[k])
-    d4, d5, d6 = (np.ones(m) @ abs(P[4:])).max(axis=-1) ** (1.0 / np.arange(4.0, 7.0))
+    d4, d5, d6 = (np.ones(m) @ abs(P[4:])).max(axis=-1) ** _D_ROOTS
     eta = min(max(d4, d5), max(d5, d6))
     h = np.asarray(h, dtype=float)
     s = np.ceil(np.log2(np.maximum(np.abs(h) * eta, _THETA24) / _THETA24)).astype(int)
-    ai = (h * np.ldexp(1.0, -s))[:, None] ** np.arange(7.0)
+    ai = (h * np.ldexp(1.0, -s))[:, None] ** _POWERS
     # the coefficients of B_j per step, so that B_j is one product with
     # the stacked powers and X^i is never formed
     coef = ai[:, None, :6] * _TAYLOR_BLOCKS
@@ -374,9 +415,9 @@ def jacobi_flow(W, R, s):
     group = max(1, _EXPM_ENTRIES // K.size)
     for lo in range(0, len(s), group):
         E = _taylor_expm(K, h[lo : lo + group])
-        for k in range(lo, min(lo + group, len(s))):
-            for _ in range(steps[k]):
-                Y = Y @ E[k - lo]
+        for k, (count, Ek) in enumerate(zip(steps[lo : lo + group].tolist(), E), start=lo):
+            for _ in range(count):
+                Y = Y @ Ek
             out[k] = Y
     return out[..., :d], out[..., d:]
 
@@ -394,6 +435,10 @@ class RiccatiSolution:
     singular: np.ndarray
 
 
+# float64's machine epsilon, for the rank test of _riccati_branch
+_EPS = np.finfo(float).eps
+
+
 def _riccati_branch(W, R, t_grid):
     """(F(1 - t), ok) of the blow-up-at-1 Riccati branch of drift W and
     curvature R, on t_grid.
@@ -405,7 +450,7 @@ def _riccati_branch(W, R, t_grid):
     (always at t = 0, and at conjugate points)."""
     A, Ap = jacobi_flow(-W, R, t_grid)
     S = np.linalg.svd(A, compute_uv=False)  # np.linalg.matrix_rank's test
-    ok = S.min(axis=-1) > S.max(axis=-1) * (len(W) * np.finfo(float).eps)
+    ok = S.min(axis=-1) > S.max(axis=-1) * (len(W) * _EPS)
     X = np.full(Ap.shape, np.nan)
     X[ok] = np.linalg.solve(A[ok], Ap[ok])
     return W - X, ok

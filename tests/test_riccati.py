@@ -6,16 +6,18 @@ determinant factor, the matrix-exponential Jacobi flow, and the determinant
 written out in 40-digit mpmath.
 """
 
+import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcplab import riccati as rc
-from mcplab.errors import DomainError, SingularityError
+from mcplab.errors import DomainError, McplabError, SingularityError
 from mcplab.heisenberg import _helix_kernels
 
 
@@ -129,17 +131,47 @@ def test_sinc_sxc_against_mpmath():
             ref = (mpmath.sin(m) - m * mpmath.cos(m)) / m**3
             worst_sxc = max(worst_sxc, float(abs(got / ref - 1)))
     assert worst_sinc <= 1e-15 and worst_sxc <= 1e-14
-    # a scalar gives the same bits as the array; both are even, and exact
-    # at 0
-    for x in (0.0, 1e-8, 0.2, rc._SERIES_CUT, 0.31, 2.0, 39.0):
-        pair = rc._sinc_sxc(x)
-        for k, got in enumerate(pair):
-            assert np.ndim(got) == 0
-            assert float(got) == rc._sinc_sxc(np.array([x, 1.0]))[k][0]
+    # both are even, and exact at 0 (the float path against the array
+    # path: test_sinc_sxc_float_path_matches_the_array_path)
     for k in (0, 1):
         np.testing.assert_array_equal(rc._sinc_sxc(-xs)[k], rc._sinc_sxc(xs)[k])
         np.testing.assert_array_equal(rc._sinc_sxc(-near)[k], rc._sinc_sxc(near)[k])
     assert tuple(map(float, rc._sinc_sxc(0.0))) == (1.0, 1.0 / 3.0)
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+_CUT_NEIGHBOURS = (
+    math.nextafter(rc._SERIES_CUT, 0.0), rc._SERIES_CUT, math.nextafter(rc._SERIES_CUT, 1.0)
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    x=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-40.0, 40.0),
+        st.floats(-1.0, 1.0),
+        st.sampled_from(_CUT_NEIGHBOURS + (0.0, -0.0, 5e-324, 1e300)),
+    ),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+def test_sinc_sxc_float_path_matches_the_array_path(x, sign):
+    # a Python float takes math.sin/cos and Python branches and gives two
+    # floats; a numpy scalar and an array take np.where.  All three give
+    # the same bits, and the numpy path stays quiet where x^3 overflows
+    x = sign * x
+    pair = rc._sinc_sxc(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = rc._sinc_sxc(np.array([x, 1.0]))
+        scalar = rc._sinc_sxc(np.float64(x))
+    for k in (0, 1):
+        assert type(pair[k]) is float
+        assert isinstance(scalar[k], np.ndarray) and scalar[k].ndim == 0
+        assert _bits(pair[k]) == _bits(stacked[k][0]) == _bits(scalar[k])
 
 
 def _xms(x):
@@ -243,6 +275,103 @@ def test_closed_forms_domain_and_singularities():
     for b in (1e154, -1e300):
         with pytest.raises(DomainError, match="float64 range"):
             rc.closed_forms(rc.RiccatiParams(b, 1.0, 1), 0.5)
+
+
+def _closed_forms_on_numpy(params, t):
+    """closed_forms' steps with every entry evaluated on numpy scalars:
+    (F1, f3), or the class of the McplabError its checks raise.  Numpy
+    scalars, not 1-element arrays: numpy's array power rounds b ** 3 apart
+    from libm's pow (which Python floats and numpy scalars both call) in
+    about 3 % of draws on AVX-512 hosts."""
+    try:
+        rc._check_sin_regular(params.c * t)
+        with np.errstate(all="ignore"):
+            pieces = [
+                float(v) for v in rc._f1_pieces(np.float64(params.b), np.float64(params.c), t)
+            ]
+    except McplabError as exc:
+        return type(exc)
+    f00, f01, f02, f11, f12, f22, xc, k1h = pieces
+    if abs(k1h) < 1e-14:
+        return SingularityError
+    if not all(map(math.isfinite, pieces)):
+        return DomainError
+    return np.array([[f00, f01, f02], [f01, f11, f12], [f02, f12, f22]]), -xc / t
+
+
+@st.composite
+def _closed_form_inputs(draw):
+    """(b, c, t) over closed_forms' branches: c = 0, x = ct at the series
+    cut and one ulp either side, subnormal t, |b| up to 1e120 (b ** 3
+    overflows from about 5.6e102), and ct within 1e-12 of a nonzero
+    multiple of pi.  The last three take t a power of 2, so that ct = x
+    exactly."""
+    b = draw(st.one_of(
+        st.just(0.0), st.floats(-10.0, 10.0), st.floats(-1e120, 1e120),
+        st.floats(5e102, 6e102),
+    ))
+    kind = draw(st.sampled_from(("plain", "c_zero", "cut", "subnormal_t", "near_pi")))
+    if kind == "plain":
+        return b, draw(st.floats(-50.0, 50.0)), draw(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        )
+    if kind == "c_zero":
+        return b, 0.0, draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    if kind == "subnormal_t":
+        return b, draw(st.floats(-50.0, 50.0)), draw(st.floats(5e-324, 2.2e-308))
+    t = 2.0 ** -draw(st.integers(1, 8))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    if kind == "cut":
+        return b, sign * draw(st.sampled_from(_CUT_NEIGHBOURS)) / t, t
+    x = draw(st.integers(1, 6)) * math.pi + draw(st.floats(-1e-12, 1e-12))
+    return b, sign * x / t, t
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(bct=_closed_form_inputs())
+@example(bct=(1.5942298095231322, 4.0, 0.9))  # K1 = 0 exactly: 1 / (t K1) divides by 0
+def test_closed_forms_match_numpy_scalars_to_the_bit(bct):
+    # the float path gives numpy's bits wherever numpy's checks pass, and
+    # the class they raise where they fail (b ** 3 past float64 range,
+    # a divisor that is 0, K1, sin(ct))
+    b, c, t = bct
+    params = rc.RiccatiParams(b, c, 1)
+    expected = _closed_forms_on_numpy(params, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            F1, f3 = rc.closed_forms(params, t)
+        except McplabError as exc:
+            assert type(exc) is expected
+            return
+    assert not isinstance(expected, type), expected
+    assert F1.tobytes() == expected[0].tobytes()
+    assert type(f3) is float and _bits(f3) == _bits(expected[1])
+
+
+def test_non_real_input_is_a_domain_error():
+    # a string, None, an array of one or several numbers, a complex or an
+    # integer past float64 range is refused with DomainError, never
+    # converted: float('0.5') would accept a string
+    for bad in ("1", None, np.array([1.0, 2.0]), np.array([1.0]), 1j, 10**400):
+        for b, c in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(DomainError):
+                rc.RiccatiParams(b, c, 1)
+    for n in (None, "1", np.inf, np.nan, 1.5, 0, np.array([1, 2])):
+        with pytest.raises(DomainError):
+            rc.RiccatiParams(0.0, 0.0, n)
+    p = rc.RiccatiParams(1.0, 1.0, 1)
+    for t in ("0.5", b"0.5", None, np.array([0.5]), np.array([0.2, 0.5]), 0.5j, np.nan):
+        with pytest.raises(DomainError):
+            rc.closed_forms(p, t)
+    for t_max in ("1", None, np.array([1.0, 2.0])):
+        with pytest.raises(DomainError):
+            rc.conjugate_time(p, t_max)
+    # every real scalar type gives the float's bits
+    F1, f3 = rc.closed_forms(p, 0.5)
+    for t in (np.float64(0.5), np.array(0.5), np.float32(0.5), Fraction(1, 2)):
+        F1t, f3t = rc.closed_forms(p, t)
+        assert F1t.tobytes() == F1.tobytes() and _bits(f3t) == _bits(f3)
 
 
 def test_closed_vs_ode_point():
@@ -628,6 +757,18 @@ def test_det_distortion_limits():
     # vanishes at the conjugate time
     p = rc.RiccatiParams(0.0, np.pi, 1)
     assert abs(float(rc._det_a(p.b, p.c, 1, 1.0))) < 1e-15
+
+
+def test_det_distortion_refuses_non_finite_times():
+    # np.sin(inf) is NaN with a RuntimeWarning: a time that is not finite
+    # is refused before the kernels see it
+    p = rc.RiccatiParams(-1.0, 1.0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (np.inf, -np.inf, np.nan, [0.5, np.inf], [np.nan, 0.5]):
+            with pytest.raises(DomainError, match="finite"):
+                rc.det_distortion(p, t)
+        assert rc.det_distortion(p, [0.5]).shape == (1,)
 
 
 def test_trace_bounds_values_and_flags():
