@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _MAX_N
-from .errors import DomainError, ModelValidationError
+from .errors import DomainError, ModelValidationError, _count, _real, _reals, _require_finite
 
 # The largest violation of an algebra invariant (FrameAlgebra.validate)
 # and of a contact invariant (ContactStructure.validate) that passes.
@@ -79,6 +79,10 @@ class FrameAlgebra:
     bracket: np.ndarray
     metric: np.ndarray
 
+    def __post_init__(self):
+        for name in ("bracket", "metric"):
+            object.__setattr__(self, name, _reals(getattr(self, name), name))
+
     @property
     def dim(self) -> int:
         return self.metric.shape[0]
@@ -117,6 +121,11 @@ class ContactStructure:
     J: np.ndarray
     eps: float
 
+    def __post_init__(self):
+        for name in ("eta", "reeb", "J"):
+            object.__setattr__(self, name, _reals(getattr(self, name), name))
+        object.__setattr__(self, "eps", _real(self.eps, "eps", 0.0))
+
     def horizontal_projector(self) -> np.ndarray:
         """Projection onto ker eta along V (acts on coefficient vectors)."""
         return np.eye(len(self.eta)) - np.outer(self.reeb, self.eta)
@@ -128,8 +137,6 @@ class ContactStructure:
         eta, V, J, eps = self.eta, self.reeb, self.J, self.eps
         if eta.shape != (d,) or V.shape != (d,) or J.shape != (d, d):
             return ["contact data shapes do not match the algebra dimension"]
-        if not (eps > 0.0 and np.isfinite(eps)):
-            return ["eps must be a positive real"]
         if _exceeds(eta @ V - 1.0, _CONTACT_TOL):
             out.append("eta(V) != 1")
         # d eta(V, e_j) = -eta([V, e_j])
@@ -168,12 +175,7 @@ def build_heisenberg_algebra(n: int, eps: float):
 
     Returns (FrameAlgebra, ContactStructure).
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not (_EPS_RANGE[0] <= eps <= _EPS_RANGE[1]):
-        raise DomainError(f"eps must lie in {list(_EPS_RANGE)}, got {eps!r}")
-    n = int(n)
-    eps = float(eps)
+    n, eps = _count(n, "n", 1), _real(eps, "eps", *_EPS_RANGE, closed=True)
     d = 2 * n + 1
     bracket = np.zeros((d, d, d))
     for i in range(1, n + 1):
@@ -214,7 +216,7 @@ def tanaka_webster(alg: FrameAlgebra, cs: ContactStructure, lc: np.ndarray) -> n
 
     evaluated on the frame from the Levi-Civita coefficients lc.  Not
     torsion-free; independent of eps."""
-    g, V = alg.metric, cs.reeb
+    lc, g, V = _reals(lc, "lc"), alg.metric, cs.reeb
     gV = g @ V
     Je = cs.J.T  # row i is J e_i
     return (
@@ -231,6 +233,7 @@ def curvature(alg: FrameAlgebra, gm: np.ndarray) -> CurvatureData:
 
         R(X, Y)Z = grad_X grad_Y Z - grad_Y grad_X Z - grad_[X,Y] Z.
     """
+    gm = _reals(gm, "gm")
     # order="C" lays the tensor out row-major, so that the catalog's
     # reshapes of it are views, not 23 MB copies at n = 20; an entry past
     # float64 range is left for the catalog and the hypothesis sampler to
@@ -251,12 +254,11 @@ def rescale_vertical(alg: FrameAlgebra, cs: ContactStructure, new_eps: float):
     """Same structure with the vertical length changed to new_eps: the
     metric on ker eta, the frame, eta, V and J are all kept, only
     <V, V> becomes new_eps^2.  Used for eps-independence checks."""
-    if not (new_eps > 0.0 and np.isfinite(new_eps)):
-        raise DomainError(f"new_eps must be a positive real, got {new_eps!r}")
+    new_eps = _real(new_eps, "new_eps", 0.0)
     P = cs.horizontal_projector()
     g2 = P.T @ alg.metric @ P + new_eps**2 * np.outer(cs.eta, cs.eta)
     return FrameAlgebra(bracket=alg.bracket, metric=g2), ContactStructure(
-        eta=cs.eta, reeb=cs.reeb, J=cs.J, eps=float(new_eps)
+        eta=cs.eta, reeb=cs.reeb, J=cs.J, eps=new_eps
     )
 
 
@@ -344,7 +346,7 @@ def verify_structure_identities(
     row's eps^2 |Y_H|^2 / 4: for a unit horizontal Y at n = 1, eps = 2 it
     gives -3 where the trace gives -2.
     """
-    d = alg.dim
+    d, tol = alg.dim, _real(tol, "tol")
     if d % 2 != 1 or d < 3:
         raise DomainError(f"frame dimension must be odd and >= 3, got {d}")
     for arr, shape, what in (
@@ -355,8 +357,7 @@ def verify_structure_identities(
     ):
         if arr.shape != shape:
             raise DomainError(f"{what} has shape {arr.shape}, expected {shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"{what} is not finite in float64 for this model")
+        _require_finite(arr, what)
 
     pre = alg.validate() + cs.validate(alg)
     if pre:
@@ -557,21 +558,11 @@ def check_main_hypotheses(
     A curvature that is not finite (a model past float64 range) raises
     DomainError.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    if samples > _MAX_HYPOTHESIS_SAMPLES:
-        raise DomainError(
-            f"samples must be at most {_MAX_HYPOTHESIS_SAMPLES}, got {samples}"
-        )
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    if not np.all(np.isfinite(curv_tw.operator)):
-        raise DomainError(
-            "canonical-connection curvature is not finite in float64 for this model"
-        )
+    samples, seed = _count(samples, "samples", 1, _MAX_HYPOTHESIS_SAMPLES), _count(seed, "seed", 0)
+    _require_finite(curv_tw.operator, "canonical-connection curvature")
     d = cs.J.shape[0]
     n = (d - 1) // 2
-    g = np.asarray(metric, dtype=float)
+    g = _reals(metric, "metric")
     v0 = cs.reeb / cs.eps
     H = np.linalg.inv(g) - np.outer(v0, v0)
     P = cs.horizontal_projector()
@@ -605,20 +596,6 @@ def check_main_hypotheses(
 # JSON model ingestion
 # ---------------------------------------------------------------------------
 
-def _reals(value, what: str):
-    """value, a real number or nested lists of them, with each number as a
-    float.  A bool, a string or None raises TypeError, and an integer past
-    float64 range ValueError, naming what: JSON's true is no 1, nor "1"."""
-    if isinstance(value, list):
-        return [_reals(v, what) for v in value]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{what} must hold numbers, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} holds an integer past float64 range") from None
-
-
 def model_from_dict(data: dict):
     """Build a validated model from the sparse description
 
@@ -626,42 +603,33 @@ def model_from_dict(data: dict):
          "metric": [[...]], "J": [[...]], "eta": [...],
          "reeb": [...], "eps": real}
 
-    Every field holds numbers, not bools or strings (_reals), and dim is
-    integer-valued.  Bracket entries are zero-based, with integer indices
-    and a finite value; for each entry the antisymmetric mirror is filled
-    in automatically, and supplying both with inconsistent values is an
-    error.  Raises ModelValidationError when the description is malformed
-    or not finite, or the assembled model violates any structural
-    invariant (checked with float errors silenced: a value that overflows
-    fails its check).
+    Every field holds finite numbers, not bools or strings (errors'
+    readers), and dim is integer-valued.  Bracket entries are zero-based,
+    with integer indices and a value; for each entry the antisymmetric
+    mirror is filled in automatically, and supplying both with
+    inconsistent values is an error.  Raises ModelValidationError when the
+    description is malformed, or the assembled model violates any
+    structural invariant (checked with float errors silenced: a value that
+    overflows fails its check).
     """
     try:
-        d = float(_reals(data["dim"], "dim"))
+        d = _count(data["dim"], "dim", 3, 2 * _MAX_N + 1)
         entries = list(data["bracket"])
-        metric, J, eta, reeb = (
-            np.asarray(_reals(data[key], key), dtype=float)
-            for key in ("metric", "J", "eta", "reeb")
-        )
-        eps = float(_reals(data["eps"], "eps"))
+        metric = _reals(data["metric"], "metric")
+        cs = ContactStructure(**{key: data[key] for key in ("eta", "reeb", "J", "eps")})
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelValidationError([f"malformed model description: {exc}"]) from exc
-    if not all(np.all(np.isfinite(a)) for a in (metric, J, eta, reeb)):
-        raise ModelValidationError(["metric, J, eta and reeb must be finite"])
-    if not d.is_integer():
-        raise ModelValidationError([f"dim must be an integer, got {d!r}"])
-    d = int(d)
-    if d < 3 or d % 2 != 1:
-        raise ModelValidationError([f"dim must be odd and >= 3, got {d}"])
-    if d > 2 * _MAX_N + 1:
-        raise ModelValidationError([f"dim must be at most {2 * _MAX_N + 1}, got {d}"])
+    if d % 2 != 1:
+        raise ModelValidationError([f"dim must be odd, got {d}"])
     bracket = np.full((d, d, d), np.nan)
     for entry in entries:
         try:
-            *index, value = map(float, _reals(entry, "a bracket entry"))
-        except (TypeError, ValueError):
-            raise ModelValidationError([f"bad bracket entry {entry!r}"]) from None
-        if len(index) != 3 or not np.isfinite(value):
+            values = _reals(entry, "a bracket entry")
+        except DomainError:
+            values = None
+        if values is None or values.shape != (4,):
             raise ModelValidationError([f"bad bracket entry {entry!r}"])
+        *index, value = values.tolist()
         if not all(x.is_integer() and 0 <= x < d for x in index):
             raise ModelValidationError(
                 [f"bracket indices must be integers in [0, {d}) in {entry!r}"]
@@ -675,7 +643,6 @@ def model_from_dict(data: dict):
             bracket[a, b, k] = val
     bracket = np.nan_to_num(bracket, nan=0.0)
     alg = FrameAlgebra(bracket=bracket, metric=metric)
-    cs = ContactStructure(eta=eta, reeb=reeb, J=J, eps=eps)
     with np.errstate(all="ignore"):
         violations = alg.validate() + cs.validate(alg)
     if violations:

@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateDirectionError, DomainError
+from .errors import DegenerateDirectionError, DomainError, _count, _real, _reals
 from .riccati import (
     _SERIES_CUT,
     _XMS_SERIES,
@@ -77,12 +77,8 @@ class HeisenbergModel:
     eps: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
-        if not (self.eps > 0.0 and np.isfinite(self.eps)):
-            raise DomainError(f"eps must be a positive real, got {self.eps!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "eps", float(self.eps))
+        object.__setattr__(self, "n", _count(self.n, "n", 1))
+        object.__setattr__(self, "eps", _real(self.eps, "eps", 0.0))
 
     @property
     def dim(self) -> int:
@@ -112,15 +108,9 @@ class GeodesicState:
     vel: np.ndarray
 
     def __post_init__(self):
-        pos = np.array(self.pos, dtype=float)
-        vel = np.array(self.vel, dtype=float)
-        if pos.shape != vel.shape or pos.ndim != 1:
-            raise DomainError("pos and vel must be 1-d arrays of equal length")
-        d = len(pos)
-        if d < 3 or d % 2 == 0:
-            raise DomainError(f"state dimension must be odd and >= 3, got {d}")
-        if not (np.isfinite(pos).all() and np.isfinite(vel).all()):
-            raise DomainError("state entries must be finite")
+        pos, vel = _reals(self.pos, "pos").copy(), _reals(self.vel, "vel").copy()
+        if pos.shape != vel.shape or pos.ndim != 1 or len(pos) < 3 or len(pos) % 2 == 0:
+            raise DomainError(f"pos and vel need one odd length >= 3: {pos.shape}, {vel.shape}")
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "vel", vel)
 
@@ -245,9 +235,10 @@ def geodesic_flow(model: HeisenbergModel, start: GeodesicState, T: float) -> Tra
         raise DomainError(
             f"state dimension {len(start.pos)} does not match the model ({d})"
         )
-    if not (np.isfinite(T) and T != 0.0):
-        raise DomainError(f"T must be finite and nonzero, got {T!r}")
-    t = np.linspace(0.0, float(T), _FLOW_SAMPLES)
+    T = _real(T, "T")
+    if T == 0.0:
+        raise DomainError("T must be nonzero")
+    t = np.linspace(0.0, T, _FLOW_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
         y = _helix(model.eps, start.pos, start.vel, t)
     if not np.isfinite(y).all():
@@ -352,12 +343,12 @@ def jacobi_determinants_from_params(b, c, ts, n: int = 1):
     A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0, A'(0) = I, where W, R are
     the constant matrices built from (b, c, n) with zero ambient curvature.
     Propagated by riccati.jacobi_flow, which never evaluates the closed
-    forms and checks that the times are finite and increasing; the
-    flow-level oracle for the closed-form determinant profile."""
+    forms and checks that the times are a nonempty, finite and increasing
+    list; the flow-level oracle for the closed-form determinant profile."""
     params = RiccatiParams(b=b, c=c, n=n)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.ndim != 1 or len(ts) == 0 or not ts[0] > 0.0:
-        raise DomainError("evaluation times must be a nonempty list of positive reals")
+    ts = _reals(ts, "evaluation times")
+    if ts.size and not ts.flat[0] > 0.0:
+        raise DomainError("evaluation times must start above 0")
     blocks = build_blocks(params)
     A, _ = jacobi_flow(blocks.W, blocks.R, ts)
     return np.linalg.det(A)

@@ -42,7 +42,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, OutOfRegimeError, VelocitySpecError
+from .errors import (
+    DomainError, OutOfRegimeError, VelocitySpecError, _count, _real, _reals, _require_finite,
+)
 from .riccati import RiccatiParams, _block_det, _det_a, _sinc_sxc
 
 if TYPE_CHECKING:  # annotations only: the scans and profiles never load heisenberg
@@ -78,13 +80,6 @@ def _gauss_legendre():
     for a in rule:
         a.flags.writeable = False
     return rule
-
-
-def _require_finite(values, what: str) -> None:
-    """DomainError unless every value is finite: finite inputs that give
-    an infinite or NaN value lie outside float range, not in a verdict."""
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{what} is not finite in float64 for these inputs")
 
 
 def _scale_b(b, big):
@@ -144,7 +139,7 @@ def _regime_t(params: RiccatiParams, t):
     otherwise) and |c| < pi (OutOfRegimeError otherwise).  There sinc(c)
     and sxc(c) are positive (sharpness_scan), so the normalization det A(1)
     is positive for every finite b."""
-    t = np.asarray(t, dtype=float)
+    t = _reals(t, "t")
     if not np.all((t >= 0.0) & (t < 1.0)):
         raise DomainError("t must lie in [0, 1)")
     if abs(params.c) >= np.pi:
@@ -170,7 +165,7 @@ def density(params: RiccatiParams, t):
 
 def contraction_bound(n: int, t):
     """The MCP comparison profile (1 - t)^(2n+3)."""
-    return (1.0 - np.asarray(t, dtype=float)) ** (2 * n + 3)
+    return (1.0 - _reals(t, "t")) ** (2 * _count(n, "n", 1) + 3)
 
 
 @dataclass
@@ -251,16 +246,13 @@ def mcp_scan(n: int, b_values, c_values, t_values, tol: float = 1e-9) -> ScanRep
     below 1 - tol, are collected with their grid coordinates; the
     expected outcome is an empty list.  A NaN ratio (the density out of
     float64 range) raises DomainError; an infinite one lies above 1."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    axes = [np.asarray(v, dtype=float) for v in (b_values, c_values, t_values)]
+    n, tol = _count(n, "n", 1), _real(tol, "tol")
+    axes = [_reals(v, f"{x} values") for x, v in zip("bct", (b_values, c_values, t_values))]
     if any(a.ndim != 1 or a.size == 0 for a in axes):
         raise DomainError("b, c and t values must be non-empty 1-d arrays")
     nb, nc, nt = (a.size for a in axes)
     if nb * nc * nt > _MAX_SCAN_POINTS:
         raise DomainError(f"a {nb}x{nc}x{nt} grid has more than {_MAX_SCAN_POINTS} points")
-    if not all(np.isfinite(a).all() for a in axes):
-        raise DomainError("b, c and t values must be finite")
     if any((np.diff(a) < 0.0).any() for a in axes):
         raise DomainError("b, c and t values must be non-decreasing")
     b_values, c_values, t_values = axes
@@ -319,12 +311,7 @@ def sharpness_scan(n: int, t: float, b_max: float = 1e4) -> float:
     shrinks, the empirical sharpness of the exponent 2n + 3.  A NaN ratio
     raises DomainError; an infinite one (near c = pi for n >= 17) lies
     above the infimum."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"t must lie in (0, 1), got {t!r}")
-    if not (0.0 < b_max < np.inf):
-        raise DomainError(f"b_max must be positive and finite, got {b_max!r}")
+    n, t, b_max = _count(n, "n", 1), _real(t, "t", 0.0, 1.0), _real(b_max, "b_max", 0.0)
     b = np.array([[0.0], [b_max]])
     c = np.geomspace(1e-4, np.pi - 1e-9, _C_POINTS)[None, :]
     with np.errstate(all="ignore"):
@@ -348,10 +335,9 @@ class VelocitySet:
     vertical_momentum: float
 
     def __post_init__(self):
-        if not (self.horizontal_radius > 0.0 and np.isfinite(self.horizontal_radius)):
-            raise VelocitySpecError("horizontal_radius must be a positive real")
-        if not (self.vertical_momentum >= 0.0 and np.isfinite(self.vertical_momentum)):
-            raise VelocitySpecError("vertical_momentum must be >= 0")
+        for name, closed in (("horizontal_radius", False), ("vertical_momentum", True)):
+            value = _real(getattr(self, name), name, 0.0, closed=closed, error=VelocitySpecError)
+            object.__setattr__(self, name, value)
 
     @property
     def c_max(self) -> float:
@@ -421,17 +407,10 @@ def monte_carlo_contraction(
     and y = J(1) per sample and R the ratio, the standard error is the
     delta method's sqrt(var(x - R y) / N) / mean(y) (Cochran, Sampling
     Techniques, 1977, ch. 6)."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.dim,) or not np.all(np.isfinite(x0)):
-        raise DomainError(f"x0 must be {model.dim} finite coordinates")
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"t must lie in (0, 1), got {t!r}")
-    if samples < 1000:
-        raise DomainError("samples must be >= 1000")
-    if samples > _MAX_SAMPLES:
-        raise DomainError(f"samples must be at most {_MAX_SAMPLES}, got {samples}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    if _reals(x0, "x0").shape != (model.dim,):
+        raise DomainError(f"x0 must be {model.dim} coordinates")
+    t = _real(t, "t", 0.0, 1.0)
+    samples, seed = _count(samples, "samples", 1000, _MAX_SAMPLES), _count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
 
     n = model.n
@@ -464,7 +443,7 @@ def monte_carlo_contraction(
     return MonteCarloResult(
         ratio=float(ratio),
         std_error=float(std_error),
-        t=float(t),
+        t=t,
         samples_used=N,
         rejected_fraction=float(frac),
         bound=float(contraction_bound(n, t)),
@@ -487,8 +466,7 @@ def quadrature_contraction(
     then evaluated once per time: it is at most free + (b 2^-k)^2 / 3 and
     the weights sum below 2, so neither sum overflows.  A b past float64
     range (eps |w_H| / 2) raises DomainError."""
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"t must lie in (0, 1), got {t!r}")
+    t = _real(t, "t", 0.0, 1.0)
     if spec.c_max >= np.pi:
         raise VelocitySpecError(
             "quadrature needs the full set inside |c| < pi"

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, _count, _real, _reals, _require_finite
 
 # Below this |x| the sxc kernel of _sinc_sxc, and the S kernel of
 # heisenberg._helix_kernels, switch to their Taylor series through x^14,
@@ -100,16 +100,6 @@ def _sinc_sxc(x):
     return sinc, sxc
 
 
-def _finite_real(value) -> bool:
-    """Whether value is one finite real number: math.isfinite's verdict,
-    and False where it refuses the type (a string, None, an array of
-    several numbers, an integer past float64 range)."""
-    try:
-        return math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
-
-
 def _check_sin_regular(x):
     """Raise if x = c t is (numerically) a nonzero multiple of pi."""
     k = round(float(x) / math.pi)
@@ -131,15 +121,9 @@ class RiccatiParams:
     n: int = 1
 
     def __post_init__(self):
-        if not (_finite_real(self.b) and _finite_real(self.c)):
-            raise DomainError(
-                f"b and c must be finite real numbers, got {self.b!r} and {self.c!r}"
-            )
-        if not (_finite_real(self.n) and int(self.n) == self.n and self.n >= 1):
-            raise DomainError(f"n must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "b", _real(self.b, "b"))
+        object.__setattr__(self, "c", _real(self.c, "c"))
+        object.__setattr__(self, "n", _count(self.n, "n", 1))
 
 
 @dataclass(frozen=True)
@@ -219,10 +203,7 @@ def closed_forms(params: RiccatiParams, t: float):
     inf or NaN (b ** 3 past float64 range, a divisor that is 0), they are
     evaluated on numpy scalars, so the checks below see numpy's values.
     """
-    # the range check comes first, so that float() takes no string
-    if not (_finite_real(t) and 0.0 < t < 1.0):
-        raise DomainError(f"t must be a real number in (0, 1), got {t!r}")
-    b, c, t = params.b, params.c, float(t)
+    b, c, t = params.b, params.c, _real(t, "t", 0.0, 1.0)
     _check_sin_regular(c * t)
     try:
         pieces = _f1_pieces(b, c, t)
@@ -261,11 +242,13 @@ def _det_a(b, c, n: int, s, free=1.0):
 def det_distortion(params: RiccatiParams, t):
     """det A(t) = det A1(t) * (t sinc(ct))^(2n-2), where det A1 is the 3x3
     block's factor t^3 (1 + b^2 t^2 / 3) at c = 0; equals t^{2n+1} at
-    b = c = 0.  A t that is not finite raises DomainError."""
-    t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise DomainError("t must be finite")
-    return _det_a(params.b, params.c, params.n, t)
+    b = c = 0.  A t that is not finite, or a det A past float64 range (as
+    where c t is), raises DomainError."""
+    t = _reals(t, "t")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _det_a(params.b, params.c, params.n, t)
+    _require_finite(out, "det A")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +272,7 @@ def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
     zero of sinc.  So the first zero of det A is t = pi/|c| for every b.
     At c = 0, det A = t^{2n+1} (1 + b^2 t^2 / 3) has no positive zero.
     """
-    if not (_finite_real(t_max) and t_max > 0.0):
-        raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
+    t_max = _real(t_max, "t_max", 0.0)
     if params.c == 0.0:
         return None
     t_star = math.pi / abs(params.c)
@@ -384,20 +366,16 @@ def jacobi_flow(W, R, s):
     most _EXPM_ENTRIES entries of output each.  More than _MAX_FLOW_STEPS
     steps up to the last time raise DomainError before any is taken.
     """
-    W, R = np.asarray(W, dtype=float), np.asarray(R, dtype=float)
+    W, R = _reals(W, "W"), _reals(R, "R")
     if W.ndim != 2 or not W.size or W.shape != R.shape or len(W) != W.shape[1]:
         raise DomainError(f"W and R must be two d x d matrices, got {W.shape} and {R.shape}")
-    # NaN and inf reach these maxima; Python's max(1.0, nan) is 1.0
-    w_max, r_max = float(abs(W).max()), float(abs(R).max())
-    if not (math.isfinite(w_max) and math.isfinite(r_max)):
-        raise DomainError("W and R must be finite")
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.ndim != 1 or not len(s) or not np.isfinite(s).all() or s[0] < 0.0:
+    s = np.atleast_1d(_reals(s, "flow times"))
+    if s.ndim != 1 or not len(s) or s[0] < 0.0:
         raise DomainError("flow times must be a nonempty list of finite reals >= 0")
     span = s - np.concatenate(([0.0], s[:-1]))
     if not (span[1:] > 0.0).all():
         raise DomainError("flow times must be strictly increasing")
-    rate = max(1.0, w_max, math.sqrt(r_max))
+    rate = max(1.0, float(abs(W).max()), math.sqrt(abs(R).max()))
     if math.ceil(s[-1] * rate) > _MAX_FLOW_STEPS:
         raise DomainError(
             f"the flow to s = {s[-1]:g} needs about {s[-1] * rate:.3g} steps "
@@ -473,15 +451,11 @@ def integrate_inverse_riccati(
     Grid points where F is not representable (always the start) are
     flagged in ``singular`` and carry NaN in F1/F3.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _reals(t_grid, "t_grid")
     if t_grid.ndim != 1 or len(t_grid) < 2:
         raise DomainError("t_grid must be a 1-d array with at least 2 points")
-    if t_grid[0] != 0.0:
-        raise DomainError("t_grid must start at 0")
-    if (np.diff(t_grid) <= 0.0).any():
-        raise DomainError("t_grid must be strictly increasing")
-    if t_grid[-1] >= 1.0:
-        raise DomainError("t_grid must stay below 1")
+    if t_grid[0] != 0.0 or t_grid[-1] >= 1.0:
+        raise DomainError("t_grid must start at 0 and stay below 1")
     d = 2 * params.n + 1
     if blocks.W.shape != (d, d) or blocks.R.shape != (d, d):
         raise DomainError(f"the blocks must be {d}x{d} for n = {params.n}")

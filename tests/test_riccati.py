@@ -6,9 +6,12 @@ determinant factor, the matrix-exponential Jacobi flow, and the determinant
 written out in 40-digit mpmath.
 """
 
+import ast
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,7 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcplab import riccati as rc
-from mcplab.errors import DomainError, McplabError, SingularityError
+from mcplab.errors import (
+    DomainError, McplabError, ModelValidationError, SingularityError, VelocitySpecError,
+)
 from mcplab.heisenberg import _helix_kernels
 
 
@@ -349,29 +354,221 @@ def test_closed_forms_match_numpy_scalars_to_the_bit(bct):
     assert type(f3) is float and _bits(f3) == _bits(expected[1])
 
 
+# The numbers that no slot takes: a bool (numpy's too), a string, bytes,
+# None, a complex, an integer past float64 range, NaN and infinity.  A
+# scalar slot also refuses arrays of one or more numbers, a count slot a
+# non-integer, and an array slot lists that hold any of these or that do
+# not stack.
+_NOT_REAL = ("0.5", b"0.5", None, True, np.True_, 1j, 10**400, np.nan, np.inf)
+_REFUSED = {
+    "real": _NOT_REAL + (np.array([0.5]), np.array([0.2, 0.5])),
+    "count": _NOT_REAL + (np.array([1]), 1.5),
+    "reals": _NOT_REAL + (["0.5"], [True], [None], [1j], [10**400], [np.nan],
+                          np.array([True]), np.array(["0.5"]), [[0.5], [0.5, 0.6]]),
+}
+
+# Public classes and functions with no row in _input_table, and why.
+EXEMPT = {
+    "BlockMatrices": "a result of build_blocks",
+    "RiccatiSolution": "a result of integrate_inverse_riccati",
+    "Trajectory": "a result of geodesic_flow",
+    "AdaptedFrame": "a result of adapted_frame",
+    "DensityProfile": "a result of density_profile",
+    "ScanReport": "a result of mcp_scan",
+    "MonteCarloResult": "a result of monte_carlo_contraction",
+    "CurvatureData": "a result of curvature",
+    "IdentityResult": "a result of verify_structure_identities",
+    "IdentityReport": "a result of verify_structure_identities",
+    "HypothesisReport": "a result of check_main_hypotheses",
+    "build_blocks": "takes a RiccatiParams, whose constructor reads b, c and n",
+    "adapted_params": "takes a HeisenbergModel and a GeodesicState, which read their numbers",
+    "adapted_frame": "takes a model and a trajectory, whose start it reads as a GeodesicState",
+    "levi_civita": "takes a FrameAlgebra, whose constructor reads its arrays",
+    "model_to_dict": "writes a model that FrameAlgebra and ContactStructure have read",
+}
+_NUMERICAL_MODULES = ("riccati", "heisenberg", "mcp", "frame_algebra")
+
+
+def _input_table():
+    """(name, what, kind, good, call, error) per numeric slot of each
+    public function and constructor: call(x) calls name with x in that
+    slot and valid values elsewhere, good is a valid x of the kind
+    ("real", "count" or "reals"), and a refused x raises error naming
+    what."""
+    from mcplab import frame_algebra as fa
+    from mcplab import heisenberg as hz
+    from mcplab import mcp
+
+    # conjugate_time's first zero, pi / 4, lies below its t_max of 1
+    p, p4 = rc.RiccatiParams(-0.7, 1.1, 2), rc.RiccatiParams(-0.7, 4.0, 2)
+    blocks = rc.build_blocks(p)
+    W, R = blocks.W.tolist(), blocks.R.tolist()
+    model = hz.HeisenbergModel(1, 2.0)
+    state = hz.GeodesicState([0.0, 0.0, 0.0], [1.0, 0.5, 0.0])
+    spec = mcp.VelocitySet(1.0, 1.0)
+    alg, cs = fa.build_heisenberg_algebra(1, 2.0)
+    lc = fa.levi_civita(alg)
+    tw = fa.tanaka_webster(alg, cs, lc)
+    curv_lc, curv_tw = fa.curvature(alg, lc), fa.curvature(alg, tw)
+    data = fa.model_to_dict(alg, cs)
+    mc = mcp.monte_carlo_contraction
+    axes = {"b": [0.0, 1.0], "c": [-1.0, 1.0], "t": [0.2, 0.5]}
+
+    def scan(slot, x):
+        return mcp.mcp_scan(1, *(x if key == slot else axes[key] for key in "bct"))
+
+    rows = [
+        ("RiccatiParams", "b", "real", -0.7, lambda x: rc.RiccatiParams(x, 1.1, 2)),
+        ("RiccatiParams", "c", "real", 2.0, lambda x: rc.RiccatiParams(-0.7, x, 2)),
+        ("RiccatiParams", "n", "count", 2, lambda x: rc.RiccatiParams(-0.7, 1.1, x)),
+        ("closed_forms", "t", "real", 0.5, lambda x: rc.closed_forms(p, x)),
+        ("det_distortion", "t", "reals", [0.25, 0.5], lambda x: rc.det_distortion(p, x)),
+        ("conjugate_time", "t_max", "real", 1.0, lambda x: rc.conjugate_time(p4, x)),
+        ("jacobi_flow", "W", "reals", W, lambda x: rc.jacobi_flow(x, R, [0.5])),
+        ("jacobi_flow", "R", "reals", R, lambda x: rc.jacobi_flow(W, x, [0.5])),
+        ("jacobi_flow", "flow times", "reals", [0.25, 0.5], lambda x: rc.jacobi_flow(W, R, x)),
+        ("integrate_inverse_riccati", "t_grid", "reals", [0.0, 0.5],
+         lambda x: rc.integrate_inverse_riccati(p, blocks, x)),
+        ("HeisenbergModel", "n", "count", 2, lambda x: hz.HeisenbergModel(x, 2.0)),
+        ("HeisenbergModel", "eps", "real", 2.0, lambda x: hz.HeisenbergModel(1, x)),
+        ("GeodesicState", "pos", "reals", [0.0, 1.0, 0.5],
+         lambda x: hz.GeodesicState(x, [1.0, 0.5, 0.0])),
+        ("GeodesicState", "vel", "reals", [1.0, 0.5, 0.0],
+         lambda x: hz.GeodesicState([0.0, 0.0, 0.0], x)),
+        ("geodesic_flow", "T", "real", 1.0, lambda x: hz.geodesic_flow(model, state, x)),
+        ("jacobi_determinants_from_params", "b", "real", -0.7,
+         lambda x: hz.jacobi_determinants_from_params(x, 1.1, [0.5])),
+        ("jacobi_determinants_from_params", "c", "real", 1.0,
+         lambda x: hz.jacobi_determinants_from_params(-0.7, x, [0.5])),
+        ("jacobi_determinants_from_params", "evaluation times", "reals", [0.25, 0.5],
+         lambda x: hz.jacobi_determinants_from_params(-0.7, 1.1, x)),
+        ("jacobi_determinants_from_params", "n", "count", 2,
+         lambda x: hz.jacobi_determinants_from_params(-0.7, 1.1, [0.5], n=x)),
+        ("density", "t", "reals", [0.25, 0.5], lambda x: mcp.density(p, x)),
+        ("contraction_bound", "n", "count", 2, lambda x: mcp.contraction_bound(x, 0.5)),
+        ("contraction_bound", "t", "reals", [0.25, 0.5], lambda x: mcp.contraction_bound(2, x)),
+        ("density_profile", "t", "reals", [0.0, 0.5], lambda x: mcp.density_profile(p, x)),
+        ("mcp_scan", "n", "count", 1, lambda x: mcp.mcp_scan(x, *axes.values())),
+        ("mcp_scan", "b values", "reals", axes["b"], lambda x: scan("b", x)),
+        ("mcp_scan", "c values", "reals", axes["c"], lambda x: scan("c", x)),
+        ("mcp_scan", "t values", "reals", axes["t"], lambda x: scan("t", x)),
+        ("mcp_scan", "tol", "real", 0.5, lambda x: mcp.mcp_scan(1, *axes.values(), tol=x)),
+        ("sharpness_scan", "n", "count", 1, lambda x: mcp.sharpness_scan(x, 0.5)),
+        ("sharpness_scan", "t", "real", 0.5, lambda x: mcp.sharpness_scan(1, x)),
+        ("sharpness_scan", "b_max", "real", 2.0, lambda x: mcp.sharpness_scan(1, 0.5, b_max=x)),
+        ("VelocitySet", "horizontal_radius", "real", 2.0, lambda x: mcp.VelocitySet(x, 1.0)),
+        ("VelocitySet", "vertical_momentum", "real", 1.0, lambda x: mcp.VelocitySet(2.0, x)),
+        ("monte_carlo_contraction", "x0", "reals", [0.0, 1.0, 0.5],
+         lambda x: mc(model, x, spec, 0.5, samples=1000)),
+        ("monte_carlo_contraction", "t", "real", 0.5,
+         lambda x: mc(model, [0.0, 0.0, 0.0], spec, x, samples=1000)),
+        ("monte_carlo_contraction", "samples", "count", 1000,
+         lambda x: mc(model, [0.0, 0.0, 0.0], spec, 0.5, samples=x)),
+        ("monte_carlo_contraction", "seed", "count", 3,
+         lambda x: mc(model, [0.0, 0.0, 0.0], spec, 0.5, samples=1000, seed=x)),
+        ("quadrature_contraction", "t", "real", 0.5,
+         lambda x: mcp.quadrature_contraction(model, spec, x)),
+        ("FrameAlgebra", "bracket", "reals", alg.bracket.tolist(),
+         lambda x: fa.FrameAlgebra(x, alg.metric)),
+        ("FrameAlgebra", "metric", "reals", alg.metric.tolist(),
+         lambda x: fa.FrameAlgebra(alg.bracket, x)),
+        ("ContactStructure", "eta", "reals", cs.eta.tolist(),
+         lambda x: fa.ContactStructure(x, cs.reeb, cs.J, cs.eps)),
+        ("ContactStructure", "reeb", "reals", cs.reeb.tolist(),
+         lambda x: fa.ContactStructure(cs.eta, x, cs.J, cs.eps)),
+        ("ContactStructure", "J", "reals", cs.J.tolist(),
+         lambda x: fa.ContactStructure(cs.eta, cs.reeb, x, cs.eps)),
+        ("ContactStructure", "eps", "real", 2.0,
+         lambda x: fa.ContactStructure(cs.eta, cs.reeb, cs.J, x)),
+        ("build_heisenberg_algebra", "n", "count", 2,
+         lambda x: fa.build_heisenberg_algebra(x, 2.0)),
+        ("build_heisenberg_algebra", "eps", "real", 2.0,
+         lambda x: fa.build_heisenberg_algebra(1, x)),
+        ("tanaka_webster", "lc", "reals", lc.tolist(), lambda x: fa.tanaka_webster(alg, cs, x)),
+        ("curvature", "gm", "reals", tw.tolist(), lambda x: fa.curvature(alg, x)),
+        ("rescale_vertical", "new_eps", "real", 3.0, lambda x: fa.rescale_vertical(alg, cs, x)),
+        ("verify_structure_identities", "tol", "real", 1e-10,
+         lambda x: fa.verify_structure_identities(alg, cs, lc, tw, curv_lc, curv_tw, tol=x)),
+        ("check_main_hypotheses", "samples", "count", 10,
+         lambda x: fa.check_main_hypotheses(curv_tw, cs, alg.metric, samples=x)),
+        ("check_main_hypotheses", "seed", "count", 3,
+         lambda x: fa.check_main_hypotheses(curv_tw, cs, alg.metric, samples=10, seed=x)),
+        ("check_main_hypotheses", "metric", "reals", alg.metric.tolist(),
+         lambda x: fa.check_main_hypotheses(curv_tw, cs, x, samples=10)),
+    ]
+    errors = {"VelocitySet": VelocitySpecError}
+    rows = [row + (errors.get(row[0], DomainError),) for row in rows]
+    for key, kind in (("dim", "count"), ("metric", "reals"), ("eps", "real")):
+        rows.append(("model_from_dict", key, kind, data[key],
+                     lambda x, key=key: fa.model_from_dict({**data, key: x}),
+                     ModelValidationError))
+    return rows
+
+
+def _same_kind(kind, good):
+    """The other spellings of good that a slot of the kind takes: numpy
+    scalars and 0-d arrays, Fractions, and int for an integer value, or
+    an ndarray, a tuple and lists of numpy scalars or Fractions."""
+    if kind == "reals":
+        def each(f, v):
+            return [each(f, u) for u in v] if isinstance(v, list) else f(v)
+        return [np.array(good), tuple(good), each(np.float64, good), each(Fraction, good)]
+    out = [np.float64(good), np.array(good), Fraction(good), float(good)]
+    if float(good).is_integer():
+        out += [int(good), np.int64(good), np.array(int(good))]
+    if float(np.float32(good)) == good:
+        out.append(np.float32(good))
+    return out
+
+
+def _fingerprint(value):
+    """value's numbers as float64 bytes with their shapes, whatever their
+    Python or numpy type, through dataclasses, dicts and sequences."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return {k: _fingerprint(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_fingerprint(v) for v in value]
+    if value is None or isinstance(value, (str, bool, np.bool_)):
+        return value
+    a = np.asarray(value, dtype=float)
+    return a.shape, a.tobytes()
+
+
 def test_non_real_input_is_a_domain_error():
-    # a string, None, an array of one or several numbers, a complex or an
-    # integer past float64 range is refused with DomainError, never
-    # converted: float('0.5') would accept a string
-    for bad in ("1", None, np.array([1.0, 2.0]), np.array([1.0]), 1j, 10**400):
-        for b, c in ((bad, 0.0), (0.0, bad)):
-            with pytest.raises(DomainError):
-                rc.RiccatiParams(b, c, 1)
-    for n in (None, "1", np.inf, np.nan, 1.5, 0, np.array([1, 2])):
-        with pytest.raises(DomainError):
-            rc.RiccatiParams(0.0, 0.0, n)
-    p = rc.RiccatiParams(1.0, 1.0, 1)
-    for t in ("0.5", b"0.5", None, np.array([0.5]), np.array([0.2, 0.5]), 0.5j, np.nan):
-        with pytest.raises(DomainError):
-            rc.closed_forms(p, t)
-    for t_max in ("1", None, np.array([1.0, 2.0])):
-        with pytest.raises(DomainError):
-            rc.conjugate_time(p, t_max)
-    # every real scalar type gives the float's bits
-    F1, f3 = rc.closed_forms(p, 0.5)
-    for t in (np.float64(0.5), np.array(0.5), np.float32(0.5), Fraction(1, 2)):
-        F1t, f3t = rc.closed_forms(p, t)
-        assert F1t.tobytes() == F1.tobytes() and _bits(f3t) == _bits(f3)
+    # every numeric slot of every public function and constructor of the
+    # four numerical modules refuses what is no number of its kind with
+    # the documented class, naming the slot, with no warning; and every
+    # spelling of a valid number gives the bits of the plain float or int
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, what, kind, good, call, error in _input_table():
+            for bad in _REFUSED[kind]:
+                with pytest.raises(error) as err:
+                    call(bad)
+                assert type(err.value) is error, (name, what, bad)
+                assert what in str(err.value), (name, what, bad)
+            expected = _fingerprint(call(good))
+            for same in _same_kind(kind, good):
+                assert _fingerprint(call(same)) == expected, (name, what, same)
+
+
+def test_the_input_table_covers_every_public_name():
+    # a public class or function of the numerical modules that is in
+    # neither the table nor EXEMPT has skipped the input contract
+    root = Path(rc.__file__).parent
+    public = set()
+    for module in _NUMERICAL_MODULES:
+        tree = ast.parse((root / f"{module}.py").read_text())
+        public |= {
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+    tabled = {row[0] for row in _input_table()}
+    assert not tabled & set(EXEMPT)
+    assert sorted(public - tabled - set(EXEMPT)) == []
+    assert sorted((tabled | set(EXEMPT)) - public) == []
 
 
 def test_closed_vs_ode_point():
@@ -761,13 +958,16 @@ def test_det_distortion_limits():
 
 def test_det_distortion_refuses_non_finite_times():
     # np.sin(inf) is NaN with a RuntimeWarning: a time that is not finite
-    # is refused before the kernels see it
+    # is refused before the kernels see it, and a finite time whose c t
+    # leaves float64 range (1e310) gives a det A that is refused after
     p = rc.RiccatiParams(-1.0, 1.0, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for t in (np.inf, -np.inf, np.nan, [0.5, np.inf], [np.nan, 0.5]):
             with pytest.raises(DomainError, match="finite"):
                 rc.det_distortion(p, t)
+        with pytest.raises(DomainError, match="finite"):
+            rc.det_distortion(rc.RiccatiParams(0.0, 1e300), [1e10])
         assert rc.det_distortion(p, [0.5]).shape == (1,)
 
 
