@@ -117,18 +117,22 @@ def _all_real(value):
 
 def _reals(value, what):
     """value as a float ndarray, not copied if it is one, if _all_real takes
-    it and it stacks and is finite; DomainError naming what otherwise."""
+    it (a float64 ndarray is taken as it is, without the walk) and it
+    stacks and is finite; DomainError naming what otherwise."""
     import numpy as np
 
-    if _all_real(value):
-        try:
-            a = np.asarray(value, dtype=float)
-            # count_nonzero takes half the time of ndarray.all on small arrays
-            if np.count_nonzero(np.isfinite(a)) == a.size:
-                return a
-        except ValueError:  # ragged lists
-            pass
-    raise DomainError(f"{what} must be finite real numbers")
+    a = value
+    if type(a) is not np.ndarray or a.dtype != float:
+        a = None
+        if _all_real(value):
+            try:
+                a = np.asarray(value, dtype=float)
+            except ValueError:  # ragged lists
+                pass
+    # count_nonzero takes half the time of ndarray.all on small arrays
+    if a is None or np.count_nonzero(np.isfinite(a)) != a.size:
+        raise DomainError(f"{what} must be finite real numbers")
+    return a
 
 
 def _require_finite(values, what: str) -> None:

@@ -41,6 +41,12 @@ Jacobi operator of the Levi-Civita curvature in this frame.  Its
 determinant comes from riccati.jacobi_flow, which never evaluates a sinc
 or cot closed form, so it serves as the independent oracle for the
 closed-form determinant and trace profiles in the riccati module.
+
+No subcommand calls geodesic_flow, adapted_frame (with GeodesicState,
+Trajectory and adapted_params) or jacobi_determinants_from_params.  They
+are kept as oracles: of acceptance test 08 (conservation along the
+helix), and of the per-geodesic checks of the benchmark's ``library``
+workload, which run all three on every geodesic.
 """
 
 from __future__ import annotations
@@ -125,21 +131,29 @@ class GeodesicState:
 
 
 def _helix(eps, pos, vel, ts):
-    """The state (pos, vel) of the exact geodesic from (pos, vel) at the
-    1-d times ts, shape (2d, len(ts)): the helix of the module docstring."""
+    """The state of the exact geodesic from (pos, vel) at the 1-d times
+    ts, shape (2, len(ts), d): positions in [0], velocities in [1], each a
+    C-contiguous block of one row per time (the helix of the module
+    docstring)."""
     n = len(vel) // 2
     p0 = pos[:n] + 1j * pos[n : 2 * n]
     w0 = vel[1 : 1 + n] + 1j * vel[1 + n :]
     x = eps * vel[0] * ts  # omega t
     h, S = _helix_kernels(x)[:2]
     E = ts * np.exp(0.5j * x) * h
+    # one row per coordinate, so that each one is a contiguous run of the
+    # times, turned into one row per time by the single copy at the end
+    y = np.empty((2, 2 * n + 1, len(ts)))
     p = p0[:, None] + w0[:, None] * E
+    y[0, :n], y[0, n : 2 * n] = p.real, p.imag
     # omega t^3 S(omega t) as t^2 x S(x): no t^3 to overflow
     lift = np.imag(np.vdot(p0, w0) * E) + np.vdot(w0, w0).real * ts * ts * x * S
-    z = pos[2 * n] + vel[0] * ts / eps + 0.5 * lift
+    y[0, 2 * n] = pos[2 * n] + vel[0] * ts / eps + 0.5 * lift
     # u_0 stays constant and w turns at the rate omega
     w = w0[:, None] * np.exp(1j * x)
-    return np.vstack((p.real, p.imag, z, np.full_like(ts, vel[0]), w.real, w.imag))
+    y[1, 0] = vel[0]
+    y[1, 1 : 1 + n], y[1, 1 + n :] = w.real, w.imag
+    return y.transpose(0, 2, 1).copy()
 
 
 def _helix_kernels(x):
@@ -162,7 +176,9 @@ def _helix_kernels(x):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = np.divide(s, y, out=np.ones_like(y), where=y != 0.0)
         vers = np.where(c > 0.0, s * s / (1.0 + c), 1.0 - c)
-        S = np.asarray(((y - s) + s * vers) / (4.0 * y * y * y))
+        S = np.asarray(y - s)
+        S += np.multiply(s, vers, out=vers)
+        S /= 4.0 * y * y * y
     near = np.abs(x) <= _SERIES_CUT
     S[near] = _series(_XMS_SERIES, x[near])
     return h, S, s, c
@@ -243,7 +259,7 @@ def geodesic_flow(model: HeisenbergModel, start: GeodesicState, T: float) -> Tra
         y = _helix(model.eps, start.pos, start.vel, t)
     if not np.isfinite(y).all():
         raise DomainError(f"the geodesic leaves the float range before t = {T!r}")
-    return Trajectory(t=t, pos=y[:d].T.copy(), vel=y[d:].T.copy())
+    return Trajectory(t=t, pos=y[0], vel=y[1])
 
 
 def adapted_params(model: HeisenbergModel, state: GeodesicState) -> RiccatiParams:
@@ -251,11 +267,16 @@ def adapted_params(model: HeisenbergModel, state: GeodesicState) -> RiccatiParam
     state: b = -eps |u_H| / 2, c = eps u_0 / 2.
 
     Raises DegenerateDirectionError for (numerically) vertical velocities,
-    where the adapted frame has no v1."""
+    where the adapted frame has no v1, and DomainError for a velocity
+    whose squared speed leaves float64 range."""
     if len(state.pos) != model.dim:
         raise DomainError("state dimension does not match the model")
-    h = state.horizontal_speed
-    if h <= _DEGENERATE_FRACTION * max(state.speed, 1.0):
+    # |u|^2 leaves float64 range for some finite u: refused, with no warning
+    with np.errstate(over="ignore"):
+        h, speed = state.horizontal_speed, state.speed
+    if not math.isfinite(speed):
+        raise DomainError("the speed |u| of the state leaves float64 range")
+    if h <= _DEGENERATE_FRACTION * max(speed, 1.0):
         raise DegenerateDirectionError(
             "adapted frame undefined for vertical velocity (|u_H| = 0)"
         )
@@ -301,15 +322,15 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     # I - v v^H / (1 + |q_1|), v = q + (q_1/|q_1|) e_1 (q + e_1 at q_1 = 0),
     # which maps q to a multiple of e_1
     w0 = start.vel[1 : 1 + n] + 1j * start.vel[1 + n :]
-    q = w0 / np.linalg.norm(w0)
+    # |w_0| as np.linalg.norm takes it
+    q = w0 / math.sqrt(w0.real @ w0.real + w0.imag @ w0.imag)
     a = abs(q[0])
     v = q.copy()
     v[0] += q[0] / a if a else 1.0
-    Q = np.eye(n) - np.outer(v, v.conj()) / (1.0 + a)
+    Q = np.eye(n) - v[:, None] * v.conj() / (1.0 + a)
     Q[:, 0] = q
-    rate = np.full(n, params.c)
-    rate[0] *= 2.0
-    Z = Q.T * np.exp(1j * np.outer(traj.t, rate))[:, :, None]  # Z[k, j]: column j
+    rate = np.array([2.0 * params.c] + [params.c] * (n - 1))
+    Z = Q.T * np.exp(1j * (traj.t[:, None] * rate))[:, :, None]  # Z[k, j]: column j
     frames = np.zeros((len(traj.t), d, d))
     frames[:, 0, 0] = 1.0
     frames[:, 1::2, 1 : 1 + n] = Z.real
@@ -325,12 +346,15 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
 
     W = build_blocks(params).W
     u = traj.vel
-    drift = frames @ (u @ model.gamma.reshape(d, d * d)).reshape(-1, d, d)
-    drift -= (W - turn) @ frames
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a finite trajectory whose velocity is large enough can overflow here:
+    # its residual is then not finite, as documented, with no warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        drift = frames @ (u @ model.gamma.reshape(d, d * d)).reshape(-1, d, d)
+        drift -= (W - turn) @ frames
         uh = u[:, 1:]
-        direction = uh / np.sqrt((uh * uh).sum(axis=1, keepdims=True))
-    residual = np.maximum(abs(drift).max(), abs(frames[:, 1, 1:] - direction).max())
+        off = uh / np.sqrt((uh * uh).sum(axis=1, keepdims=True))
+        off -= frames[:, 1, 1:]
+        residual = np.maximum(np.abs(drift, out=drift).max(), np.abs(off, out=off).max())
     return AdaptedFrame(params=params, frames=frames, W=W, max_residual=float(residual))
 
 

@@ -80,11 +80,12 @@ def _sinc_sxc(x):
 
     A Python float (type float exactly: np.float64 subclasses it) takes
     math.sin, math.cos and Python branches, and gives two floats; it must
-    be finite, as math.sin raises at inf.  Any other x goes to numpy,
-    which evaluates the series at every x and discards it past the cut
-    (np.where), and gives arrays, 0-d for a scalar.  Both paths run the
-    same expressions, and math.sin/cos round as np.sin/cos, so they agree
-    to the bit.  np.sinc(x / pi) was 3.5e-12 off 40-digit mpmath on
+    be finite, as math.sin raises at inf.  Any other x goes to numpy and
+    gives arrays, 0-d for a scalar: the direct sxc everywhere, with the
+    series evaluated on the elements inside the cut alone and written over
+    it there (not at all when none is).  Both paths run the same
+    expressions, and math.sin/cos round as np.sin/cos, so they agree to
+    the bit.  np.sinc(x / pi) was 3.5e-12 off 40-digit mpmath on
     (2 pi, 40] (2.1e-16 here)."""
     if type(x) is float:
         sn, cs = math.sin(x), math.cos(x)
@@ -92,11 +93,14 @@ def _sinc_sxc(x):
         if abs(x) <= _SERIES_CUT:
             return sinc, _series(_SXC_SERIES, x)
         return sinc, (sn - x * cs) / (x * x * x)
-    x = np.asarray(x, dtype=float)[()]
+    x = np.asarray(x, dtype=float)
     sn, cs = np.sin(x), np.cos(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sinc = np.where(x == 0.0, 1.0, sn / x)
-        sxc = np.where(abs(x) <= _SERIES_CUT, _series(_SXC_SERIES, x), (sn - x * cs) / (x * x * x))
+        sxc = np.asarray((sn - x * cs) / (x * x * x))
+    near = abs(x) <= _SERIES_CUT
+    if near.any():
+        sxc[near] = _series(_SXC_SERIES, x[near])
     return sinc, sxc
 
 
@@ -315,7 +319,12 @@ def _taylor_expm(K, h):
     B_j = sum_{i<6} a^i K^i / (6j + i)!, and squared s times.  Each h_i
     takes its own s = max(0, ceil(log2(|h_i| eta / theta_24))), since
     d_k(hK) = |h| d_k(K), and stops squaring once its own s is reached, so
-    its result does not depend on the other steps.
+    its result does not depend on the other steps.  Where max|h_i| eta <=
+    theta_24 every s is 0: a = h_i exactly (2^0 = 1), and the scaling and
+    squaring are skipped.  Every flow of the benchmark's geodesic sweep is
+    in that case (max|h_i| eta is 1.57 at most over its seeds 1, 7 and
+    42); a few of the tests' flows, with |h| eta just above theta_24, are
+    not.
 
     The scaling takes eta = min(max(d4, d5), max(d5, d6)), d_k =
     ||K^k||_1^(1/k), not ||hK||_1 (Al-Mohy & Higham 2009): the Jacobi
@@ -325,51 +334,41 @@ def _taylor_expm(K, h):
     m = K.shape[-1]
     P = np.empty((7, m, m))
     P[0], P[1] = np.eye(m), K
-    for k, (i, j) in enumerate(((1, 1), (2, 1), (2, 2), (4, 1), (3, 3)), start=2):
-        np.matmul(P[i], P[j], out=P[k])
+    np.matmul(K, K, out=P[2])
+    # K^3 = K^2 K with K^4 = K^2 K^2, then K^5 = K^4 K with K^6 = K^3 K^3
+    np.matmul(P[2], P[1:3], out=P[3:5])
+    np.matmul(P[4:2:-1], P[1:4:2], out=P[5:7])
     d4, d5, d6 = (np.ones(m) @ abs(P[4:])).max(axis=-1) ** _D_ROOTS
     eta = min(max(d4, d5), max(d5, d6))
     h = np.asarray(h, dtype=float)
-    s = np.ceil(np.log2(np.maximum(np.abs(h) * eta, _THETA24) / _THETA24)).astype(int)
-    ai = (h * np.ldexp(1.0, -s))[:, None] ** _POWERS
-    # the coefficients of B_j per step, so that B_j is one product with
-    # the stacked powers and X^i is never formed
-    coef = ai[:, None, :6] * _TAYLOR_BLOCKS
-    Pf = P.reshape(7, m * m)[:6]
+    s = None
+    if float(abs(h).max()) * eta > _THETA24:
+        s = np.ceil(np.log2(np.maximum(np.abs(h) * eta, _THETA24) / _THETA24)).astype(int)
+        h = h * np.ldexp(1.0, -s)
+    ai = h[:, None] ** _POWERS
+    # every B_j of every step in one call, each a product of one row of
+    # coefficients with the stacked powers, so that X^i is never formed
+    # (one row each: BLAS rounds a block of rows unlike a single row)
+    coef = (ai[:, :6] * _TAYLOR_BLOCKS[:, None])[:, :, None, :]
+    B = (coef @ P.reshape(7, m * m)[:6]).reshape(4, -1, m, m)
     X6 = ai[:, 6, None, None] * P[6]
     E = _TAYLOR_LAST * X6
     for j in (3, 2, 1, 0):
-        E = (coef[:, j : j + 1, :] @ Pf).reshape(E.shape) + E
+        E += B[j]
         if j:
             E = X6 @ E
-    for j in range(s.max()):
-        E = np.where((s > j)[:, None, None], E @ E, E)
+    if s is not None:
+        for j in range(s.max()):
+            E = np.where((s > j)[:, None, None], E @ E, E)
     return E
 
 
-def jacobi_flow(W, R, s):
-    """(A(s), A'(s)) for A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0,
-    A'(0) = I, with constant coefficients.
-
-    W and R are one pair of finite d x d matrices; s is a nonempty 1-d
-    array of increasing times >= 0.  Returns A and A', each of shape
-    (len(s), d, d).
-
-    The row state Y = [A, A'] satisfies Y' = Y K with
-    K = [[0, -(W^2 + R)], [I, -2W]], so Y(s + h) = Y(s) expm(hK) exactly.
-    Each interval between consecutive times is split into equal steps
-    with h * max(1, max|W|, sqrt(max|R|)) <= 1: |K| grows like b^2, and
-    one exponential over the whole span loses digits in its squaring
-    phase as it does (with one step per interval, det A is off by 4e-8
-    relative at |b| = 100 and 6e-2 at |b| = 1e3 against mpmath).  The
-    step exponentials of all intervals come from _taylor_expm calls of at
-    most _EXPM_ENTRIES entries of output each.  More than _MAX_FLOW_STEPS
-    steps up to the last time raise DomainError before any is taken.
-    """
-    W, R = _reals(W, "W"), _reals(R, "R")
-    if W.ndim != 2 or not W.size or W.shape != R.shape or len(W) != W.shape[1]:
-        raise DomainError(f"W and R must be two d x d matrices, got {W.shape} and {R.shape}")
-    s = np.atleast_1d(_reals(s, "flow times"))
+def _flow(W, R, s):
+    """The rows Y = [A, A'] of jacobi_flow at the times s, shape (len(s),
+    d, 2d), for finite float arrays W and R of one shape d x d and float
+    times s, all read by the caller (errors._reals); checks the times and
+    the step count before any step."""
+    s = np.atleast_1d(s)
     if s.ndim != 1 or not len(s) or s[0] < 0.0:
         raise DomainError("flow times must be a nonempty list of finite reals >= 0")
     span = s - np.concatenate(([0.0], s[:-1]))
@@ -394,10 +393,44 @@ def jacobi_flow(W, R, s):
     for lo in range(0, len(s), group):
         E = _taylor_expm(K, h[lo : lo + group])
         for k, (count, Ek) in enumerate(zip(steps[lo : lo + group].tolist(), E), start=lo):
-            for _ in range(count):
+            if not count:  # s[0] = 0
+                out[k] = Y
+                continue
+            for _ in range(count - 1):
                 Y = Y @ Ek
-            out[k] = Y
-    return out[..., :d], out[..., d:]
+            # the interval's last step lands in its row of out
+            Y = np.matmul(Y, Ek, out=out[k])
+    return out
+
+
+def jacobi_flow(W, R, s):
+    """(A(s), A'(s)) for A'' + 2 A' W + A (W^2 + R) = 0, A(0) = 0,
+    A'(0) = I, with constant coefficients.
+
+    W and R are one pair of finite d x d matrices; s is a nonempty 1-d
+    array of increasing times >= 0.  Returns A and A', each of shape
+    (len(s), d, d).  W, R and s are read here (errors._reals), which
+    refuses the inf entries build_blocks leaves past float64 range; the
+    core, _flow, reads nothing, so integrate_inverse_riccati reads its
+    grid and blocks once and steps through _flow directly.
+
+    The row state Y = [A, A'] satisfies Y' = Y K with
+    K = [[0, -(W^2 + R)], [I, -2W]], so Y(s + h) = Y(s) expm(hK) exactly.
+    Each interval between consecutive times is split into equal steps
+    with h * max(1, max|W|, sqrt(max|R|)) <= 1: |K| grows like b^2, and
+    one exponential over the whole span loses digits in its squaring
+    phase as it does (with one step per interval, det A is off by 4e-8
+    relative at |b| = 100 and 6e-2 at |b| = 1e3 against mpmath).  The
+    step exponentials of all intervals come from _taylor_expm calls of at
+    most _EXPM_ENTRIES entries of output each.  More than _MAX_FLOW_STEPS
+    steps up to the last time raise DomainError before any is taken.
+    """
+    W, R = _reals(W, "W"), _reals(R, "R")
+    if W.ndim != 2 or not W.size or W.shape != R.shape or len(W) != W.shape[1]:
+        raise DomainError(f"W and R must be two d x d matrices, got {W.shape} and {R.shape}")
+    Y = _flow(W, R, _reals(s, "flow times"))
+    d = len(W)
+    return Y[..., :d], Y[..., d:]
 
 
 @dataclass
@@ -426,11 +459,16 @@ def _riccati_branch(W, R, t_grid):
     linearisation, F(1 - t) = W - A^{-1} A', with no change of chart at
     its poles or kernels.  ok is False, and F NaN, where A is singular
     (always at t = 0, and at conjugate points)."""
-    A, Ap = jacobi_flow(-W, R, t_grid)
-    S = np.linalg.svd(A, compute_uv=False)  # np.linalg.matrix_rank's test
-    ok = S.min(axis=-1) > S.max(axis=-1) * (len(W) * _EPS)
-    X = np.full(Ap.shape, np.nan)
-    X[ok] = np.linalg.solve(A[ok], Ap[ok])
+    d = len(W)
+    Y = _flow(-W, R, t_grid)
+    A, Ap = Y[..., :d], Y[..., d:]
+    # np.linalg.matrix_rank's test; LAPACK returns S in descending order
+    S = np.linalg.svd(A, compute_uv=False)
+    ok = S[:, -1] > S[:, 0] * (d * _EPS)
+    # each matrix is solved on its own, so the singular ones are swapped
+    # for I, and their rows set to NaN, instead of gathering the others
+    X = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(d)), Ap)
+    X[~ok] = np.nan
     return W - X, ok
 
 
@@ -457,7 +495,8 @@ def integrate_inverse_riccati(
     if t_grid[0] != 0.0 or t_grid[-1] >= 1.0:
         raise DomainError("t_grid must start at 0 and stay below 1")
     d = 2 * params.n + 1
-    if blocks.W.shape != (d, d) or blocks.R.shape != (d, d):
+    W, R = _reals(blocks.W, "W"), _reals(blocks.R, "R")
+    if W.shape != (d, d) or R.shape != (d, d):
         raise DomainError(f"the blocks must be {d}x{d} for n = {params.n}")
-    F, ok = _riccati_branch(blocks.W, blocks.R, t_grid)
+    F, ok = _riccati_branch(W, R, t_grid)
     return RiccatiSolution(F1=F[:, :3, :3], F3=F[:, 3:, 3:], singular=~ok)

@@ -7,6 +7,8 @@ closed-form det A is checked against central differences of the flow's
 exponential map.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from mcplab.heisenberg import (
     _FLOW_SAMPLES,
     GeodesicState,
     HeisenbergModel,
+    Trajectory,
     _helix,
     _helix_det,
     _helix_kernels,
@@ -204,7 +207,7 @@ def test_flow_against_mpmath_odefun():
         traj = geodesic_flow(m, start, T=T)
         times = np.array([0.137, 0.5003, 0.861, 1.0]) * T
         ref = _mpmath_geodesic(m, start, times)
-        off_grid = _helix(m.eps, start.pos, start.vel, times[:3]).T
+        off_grid = np.hstack(_helix(m.eps, start.pos, start.vel, times[:3]))
         got = np.vstack((off_grid, np.concatenate((traj.pos[-1], traj.vel[-1]))))
         scale = np.max(np.abs(ref), axis=1, keepdims=True)
         assert np.max(np.abs(got - ref) / scale) <= 1e-12, (n, T)
@@ -283,6 +286,23 @@ def test_adapted_frame_fails_on_a_wrong_trajectory():
     traj = geodesic_flow(m, _origin_state(m, [1.0, 6e-6, -8e-6]), T=1.0)
     traj.vel[-1, 1:] = 0.0
     assert not adapted_frame(m, traj).max_residual <= 1e-3
+
+
+def test_adapted_frame_past_float64_range_warns_nothing():
+    # a finite trajectory whose drift leaves float64 range has a NaN
+    # residual, and a start whose squared speed does is refused with
+    # DomainError (it is no vertical velocity), neither with a warning
+    t, pos = np.linspace(0.0, 1.0, 5), np.zeros((5, 3))
+    vel = np.tile([0.0, 1.0, 1.0], (5, 1))
+    vel[1:] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        af = adapted_frame(HeisenbergModel(1, 1e50), Trajectory(t=t, pos=pos, vel=vel))
+        assert np.isnan(af.max_residual)
+        fast = Trajectory(t=t, pos=pos, vel=np.tile([0.0, 1e200, 1e200], (5, 1)))
+        with pytest.raises(DomainError) as err:
+            adapted_frame(HeisenbergModel(1, 1.0), fast)
+        assert type(err.value) is DomainError
 
 
 def _flip_c(W):
@@ -498,8 +518,8 @@ def test_helix_det_is_the_determinant_of_the_helix_jacobian():
                 assert np.linalg.det(M) == pytest.approx(det, rel=1e-12), (n, eps)
                 for pos, check in ((np.zeros(d), True), (rng.normal(size=d), False)):
                     fd = np.array([
-                        _helix(eps, pos, vel + step * e, np.array([t]))[:d, 0]
-                        - _helix(eps, pos, vel - step * e, np.array([t]))[:d, 0]
+                        _helix(eps, pos, vel + step * e, np.array([t]))[0, 0]
+                        - _helix(eps, pos, vel - step * e, np.array([t]))[0, 0]
                         for e in np.eye(d)
                     ]).T / (2 * step)
                     if check:

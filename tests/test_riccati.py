@@ -23,7 +23,7 @@ from mcplab import riccati as rc
 from mcplab.errors import (
     DomainError, McplabError, ModelValidationError, SingularityError, VelocitySpecError,
 )
-from mcplab.heisenberg import _helix_kernels
+from mcplab.heisenberg import _helix_kernels, jacobi_determinants_from_params
 
 
 def test_params_validation():
@@ -165,18 +165,24 @@ _CUT_NEIGHBOURS = (
 )
 def test_sinc_sxc_float_path_matches_the_array_path(x, sign):
     # a Python float takes math.sin/cos and Python branches and gives two
-    # floats; a numpy scalar and an array take np.where.  All three give
-    # the same bits, and the numpy path stays quiet where x^3 overflows
+    # floats; a numpy scalar and an array take numpy, which writes the
+    # series over the elements inside the cut.  All three give the same
+    # bits, and the numpy path stays quiet where x^3 overflows
     x = sign * x
     pair = rc._sinc_sxc(x)
+    # a one-element array, and x, x/2, -x/4, which lie wholly inside the
+    # cut when x does
+    arrays = (np.array([x, 1.0]), np.array([x]), x * np.array([1.0, 0.5, -0.25]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = rc._sinc_sxc(np.array([x, 1.0]))
+        stacked = [rc._sinc_sxc(xs) for xs in arrays]
         scalar = rc._sinc_sxc(np.float64(x))
     for k in (0, 1):
         assert type(pair[k]) is float
         assert isinstance(scalar[k], np.ndarray) and scalar[k].ndim == 0
-        assert _bits(pair[k]) == _bits(stacked[k][0]) == _bits(scalar[k])
+        assert _bits(pair[k]) == _bits(scalar[k])
+        for xs, got in zip(arrays, stacked):
+            assert [_bits(v) for v in got[k]] == [_bits(rc._sinc_sxc(v)[k]) for v in xs.tolist()]
 
 
 def _xms(x):
@@ -753,6 +759,46 @@ def test_expm_against_scipy_on_random_stacks():
                        for i, hi in enumerate(h))
 
 
+def _taylor_one_by_one(K, h):
+    """_taylor_expm's arithmetic one step at a time: each B_j its own
+    vector-matrix product, X^6 products and squarings of one matrix."""
+    m = len(K)
+    P = [np.eye(m), K]
+    for i, j in ((1, 1), (2, 1), (2, 2), (4, 1), (3, 3)):
+        P.append(P[i] @ P[j])
+    d4, d5, d6 = (np.ones(m) @ abs(np.array(P[4:]))).max(axis=-1) ** rc._D_ROOTS
+    eta = min(max(d4, d5), max(d5, d6))
+    s = np.ceil(np.log2(np.maximum(np.abs(h) * eta, rc._THETA24) / rc._THETA24)).astype(int)
+    ai = (h * np.ldexp(1.0, -s))[:, None] ** rc._POWERS
+    Pf = np.array(P[:6]).reshape(6, m * m)
+    out = []
+    for a, sk in zip(ai, s):
+        X6 = a[6] * P[6]
+        E = rc._TAYLOR_LAST * X6
+        for j in (3, 2, 1, 0):
+            E = ((a[:6] * rc._TAYLOR_BLOCKS[j]) @ Pf).reshape(m, m) + E
+            if j:
+                E = X6 @ E
+        for _ in range(sk):
+            E = E @ E
+        out.append(E)
+    return np.array(out)
+
+
+def test_taylor_expm_rounds_as_one_step_at_a_time():
+    # the stacked products of _taylor_expm give the bits of the same
+    # arithmetic one step and one block at a time, with and without the
+    # scaling (BLAS rounds a block of rows unlike a row, so the B_j must
+    # stay row products)
+    rng = np.random.default_rng(9)
+    for m in (2, 6, 10):
+        for norm in (0.5, 3.0, 40.0):
+            K = rng.standard_normal((m, m))
+            K *= norm / np.max(np.sum(np.abs(K), axis=0))
+            for h in (np.linspace(0.05, 0.3, 7), np.array([1.0, -0.2, 2.5, 0.0])):
+                np.testing.assert_array_equal(rc._taylor_expm(K, h), _taylor_one_by_one(K, h))
+
+
 def test_expm_of_zero_is_identity():
     for m in (1, 2, 6):
         E = rc._taylor_expm(np.zeros((m, m)), [1.0, 0.0])
@@ -802,6 +848,18 @@ def test_jacobi_flow_step_cap(monkeypatch):
     bl = rc.build_blocks(rc.RiccatiParams(1e9, 1.0, 1))
     with pytest.raises(DomainError):
         rc.jacobi_flow(bl.W, bl.R, [0.1, 1.0])
+
+
+def test_blocks_past_float64_range_are_a_domain_error():
+    # build_blocks leaves inf in R past |b| = 1.3e154; both flows that take
+    # such blocks refuse them with DomainError, and with no warning
+    p = rc.RiccatiParams(1e200, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            jacobi_determinants_from_params(1e200, 1.0, [0.5])
+        with pytest.raises(DomainError):
+            rc.integrate_inverse_riccati(p, rc.build_blocks(p), [0.0, 0.5])
 
 
 def test_jacobi_flow_shapes_and_validation():
@@ -880,6 +938,25 @@ def test_inverse_riccati_grid_validation():
         rc.integrate_inverse_riccati(
             p, rc.build_blocks(rc.RiccatiParams(0.0, 0.0, 2)), np.array([0.0, 0.5])
         )
+
+
+def test_riccati_branch_flags_what_matrix_rank_calls_singular():
+    # at t = 0 and at a conjugate point pi/|c| and 1e-15 of it away, A is
+    # singular or nearly so: the branch flags exactly the times where
+    # np.linalg.matrix_rank finds A rank deficient, NaN there and finite
+    # elsewhere
+    for n in (1, 2):
+        for b in (-0.3, -2.0):
+            for c in (2.0 * math.pi, -2.5 * math.pi, math.pi / 0.7):
+                bl = rc.build_blocks(rc.RiccatiParams(b, c, n))
+                ts = math.pi / abs(c)
+                grid = np.array([0.0, 0.2, ts * (1 - 1e-9), ts * (1 - 1e-15), ts,
+                                 ts * (1 + 1e-15), ts * (1 + 1e-12), 0.9])
+                F, ok = rc._riccati_branch(bl.W, bl.R, grid)
+                A, _ = rc.jacobi_flow(-bl.W, bl.R, grid)
+                np.testing.assert_array_equal(ok, np.linalg.matrix_rank(A) == 2 * n + 1)
+                assert not ok[0] and not ok[4]
+                assert np.isnan(F[~ok]).all() and np.isfinite(F[ok]).all()
 
 
 def test_full_matrix_mixed_block_vanishes():
