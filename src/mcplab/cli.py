@@ -24,7 +24,7 @@ differ and any of them may be a single number.
 Exit codes: 0 when every check passes (or there is no verdict), 1 when a
 verification fails, and 2 for usage errors (bad flags, values outside an
 operation's domain, malformed model files) and for output that cannot be
-written (an unwritable --output, a closed stdout).
+written (an unwritable --output, a closed stdout, an infinite JSON value).
 """
 
 from __future__ import annotations
@@ -144,9 +144,13 @@ def _tolerance(text: str) -> float:
 
 
 def _write_json(path, payload) -> None:
+    """Serialize first: a value JSON cannot hold leaves no file."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise McplabError(f"cannot write {path}: a report value lies past float64 range") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -297,7 +301,7 @@ def _cmd_mcp_scan(args):
 
 def _cmd_sharpness(args):
     _bind("sharpness_scan")
-    value = float(sharpness_scan(args.n, args.t, b_max=args.b_max))
+    value = sharpness_scan(args.t, b_max=args.b_max)
     payload = {"infimum_estimate": value, "exponent": 2 * args.n + 3}
     lines = [f"infimum of density/bound over (b, c): {value:.9f}"]
     return value >= 1.0 - args.tol, payload, lines, None
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default="0.05:0.95:50", help="value or lo:hi:count")
     p.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    p = add("sharpness", "infimum of density/bound at fixed t")
+    p = add("sharpness", "exact infimum of density/bound over (b, c), any n")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--b-max", type=float, default=1e4)
     p.add_argument("--tol", type=_tolerance, default=1e-9)

@@ -229,12 +229,23 @@ class Trajectory:
     vel: np.ndarray
 
     def conservation_drift(self) -> dict:
-        """Maximum drift of the two first integrals over the sample grid."""
-        speed = np.sqrt((self.vel * self.vel).sum(axis=1))
-        return {
-            "speed": float(abs(speed - speed[0]).max()),
-            "vertical": float(abs(self.vel[:, 0] - self.vel[0, 0]).max()),
-        }
+        """Maximum drift of the two first integrals over the sample grid;
+        where a squared speed overflows, the speeds come from velocities
+        scaled by a power of two, and their drift is scaled back."""
+        vel = self.vel
+        with np.errstate(over="ignore", invalid="ignore"):
+            speed = _speed_drift(vel)
+            if not math.isfinite(speed):
+                k = np.frexp(np.max(np.abs(vel)))[1]
+                speed = float(np.ldexp(_speed_drift(np.ldexp(vel, -k)), k))
+            return {"speed": speed, "vertical": float(np.abs(vel[:, 0] - vel[0, 0]).max())}
+
+
+def _speed_drift(vel) -> float:
+    """max |speed - speed[0]| over the rows of vel."""
+    speed = np.sqrt(np.add.reduce(vel * vel, axis=1))
+    speed -= speed[0]
+    return float(np.abs(speed, out=speed).max())
 
 
 def geodesic_flow(model: HeisenbergModel, start: GeodesicState, T: float) -> Trajectory:

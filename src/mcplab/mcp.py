@@ -19,6 +19,7 @@ inequality under test is
 
 with equality approached as b -> infinity, c -> 0 (the exponent is the
 vertical 5 plus 2n - 2 parallel directions, not the dimension 2n + 1).
+sharpness_scan gives the infimum of D(t) / (1-t)^(2n+3) in closed form.
 
 Three evaluations are provided.  The closed form gives the density and
 the grid scans.  The set-level ratio mu(Z_(1-t)) / mu(Z_1), for Z_s the
@@ -65,8 +66,6 @@ _MAX_SAMPLES = 2_000_000
 # million points, so 10^7 caps it near 150 MB, 80 times the largest grid
 # (50^3) that the tests and the benchmark use.
 _MAX_SCAN_POINTS = 10_000_000
-# sharpness_scan's log-spaced values of c in (0, pi).
-_C_POINTS = 200
 # Gauss-Legendre nodes per axis of quadrature_contraction.
 _QUAD_NODES = 64
 
@@ -129,16 +128,11 @@ def _density_ratio(b, c, n: int, t):
     return f1 * (s * f3) ** (2 * n - 2), ratio * f3 ** (2 * n - 2)
 
 
-def _ratio(b, c, n: int, t):
-    """D(t) / (1-t)^(2n+3) of _density_ratio, for the scans."""
-    return _density_ratio(b, c, n, t)[1]
-
-
 def _regime_t(params: RiccatiParams, t):
     """t as an array, after density's checks: t in [0, 1) (DomainError
     otherwise) and |c| < pi (OutOfRegimeError otherwise).  There sinc(c)
-    and sxc(c) are positive (sharpness_scan), so the normalization det A(1)
-    is positive for every finite b."""
+    and sxc(c) are positive (sharpness_scan's lemma), so the normalization
+    det A(1) is positive for every finite b."""
     t = _reals(t, "t")
     if not np.all((t >= 0.0) & (t < 1.0)):
         raise DomainError("t must lie in [0, 1)")
@@ -266,7 +260,7 @@ def mcp_scan(n: int, b_values, c_values, t_values, tol: float = 1e-9) -> ScanRep
     t = t_values[None, None, :]
 
     with np.errstate(all="ignore"):
-        ratio = _ratio(b, c, n, t)
+        ratio = _density_ratio(b, c, n, t)[1]
     if np.isnan(ratio).any():
         raise DomainError("density/bound ratio is NaN in float64 for these inputs")
 
@@ -294,30 +288,20 @@ def mcp_scan(n: int, b_values, c_values, t_values, tol: float = 1e-9) -> ScanRep
     )
 
 
-def sharpness_scan(n: int, t: float, b_max: float = 1e4) -> float:
-    """Infimum estimate of D(t) / (1-t)^(2n+3) over b in [0, b_max] and
-    c in (0, pi): the rows b = 0 and b = b_max of _ratio on _C_POINTS
-    log-spaced c.  With s = 1 - t, x = cs and beta = b^2, _ratio is
+def sharpness_scan(t: float, b_max: float = 1e4) -> float:
+    """Infimum of D(t) / (1-t)^(2n+3) over b in [0, b_max] and c in
+    (0, pi), the same for every n: its c -> 0 limit on the row b = b_max,
 
-        [s^3 sinc(x)^2 + beta s^5 sinc(x) sxc(x)]
-        / [s^5 (sinc(c)^2 + beta sinc(c) sxc(c))] * [sinc(x) / sinc(c)]^(2n-2).
+        1 + 3 t (2 - t) / ((1 - t)^2 (3 + b_max^2)),
 
-    The last factor is positive and free of b; the first is
-    linear-fractional in beta with a positive denominator (sinc and sxc
-    are positive on |c| < pi), so monotone in beta, and its minimum over
-    b lies at b = 0 or b = b_max.  On the b = 0 row the ratio is
-    [sinc(x) / sinc(c)]^(2n) / s^2 >= (1-t)^(-2), as sinc decreases on
-    [0, pi].  The minimum approaches 1 from above as b grows and c
-    shrinks, the empirical sharpness of the exponent 2n + 3.  A NaN ratio
-    raises DomainError; an infinite one (near c = pi for n >= 17) lies
-    above the infimum."""
-    n, t, b_max = _count(n, "n", 1), _real(t, "t", 0.0, 1.0), _real(b_max, "b_max", 0.0)
-    b = np.array([[0.0], [b_max]])
-    c = np.geomspace(1e-4, np.pi - 1e-9, _C_POINTS)[None, :]
-    with np.errstate(all="ignore"):
-        infimum = np.min(_ratio(b, c, n, t))
-    _require_finite(infimum, "density/bound ratio")
-    return float(infimum)
+    on Python floats; a b_max^2 past float64 range is inf and gives 1.0.
+    At n = 1 the ratio less its c = 0 value has the sign of a quadratic in
+    b^2 with coefficients >= 0 on |c| < pi, and at n >= 2 it gains the
+    factor (sinc(cs) / sinc(c))^(2n-2) >= 1; the infimum exceeds 1, so
+    D(t) >= (1-t)^(2n+3).  tests/test_sharpness_certificate.py proves it."""
+    t, b_max = _real(t, "t", 0.0, 1.0), _real(b_max, "b_max", 0.0)
+    s = 1.0 - t
+    return 1.0 + 3.0 * t * (2.0 - t) / (s * s * (3.0 + b_max * b_max))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import mcplab.cli as cli
 from mcplab.cli import build_parser, main
 from mcplab.frame_algebra import build_heisenberg_algebra, model_to_dict
-from mcplab.mcp import _ratio, mcp_scan
+from mcplab.mcp import _density_ratio, mcp_scan
 
 
 def test_curvature_model_group_passes(tmp_path, capsys):
@@ -230,13 +230,13 @@ def test_mcp_scan_usage_errors(capsys):
 ])
 def test_mcp_scan_takes_unequal_counts_and_single_values(b, c, t, tmp_path, capsys):
     # the CLI scans the axes it parsed, whatever their counts, and so
-    # does mcp_scan; both find _ratio's minimum over the same arrays
+    # does mcp_scan; both find the ratio's minimum over the same arrays
     out = tmp_path / "scan.json"
     assert main(["mcp-scan", "--b", b, "--c", c, "--t", t, "--output", str(out)]) == 0
     report = json.loads(out.read_text())["report"]
     axes = [cli._parse_range(v) for v in (b, c, t)]
-    ratio = _ratio(axes[0][:, None, None], axes[1][None, :, None], 1,
-                   axes[2][None, None, :])
+    ratio = _density_ratio(axes[0][:, None, None], axes[1][None, :, None], 1,
+                           axes[2][None, None, :])[1]
     i = np.unravel_index(np.argmin(ratio), ratio.shape)
     argmin = {k: float(a[j]) for k, a, j in zip("bct", axes, i)}
     shape = [len(a) for a in axes]
@@ -275,6 +275,29 @@ def test_sharpness_near_one(capsys):
     stdout = capsys.readouterr().out
     value = float(stdout.split(":")[1].split()[0])
     assert 1.0 - 1e-9 <= value <= 1.02
+    # the infimum is the same closed form at every n; only the exponent
+    # in the report follows --n
+    assert stdout == "infimum of density/bound over (b, c): 1.000000090\nPASS\n"
+    assert main(["sharpness", "--n", "20", "--t", "0.5"]) == 0
+    assert capsys.readouterr().out == stdout
+
+
+def test_report_value_past_float_range_is_usage_error(tmp_path, capsys):
+    # JSON has no Infinity: a report holding one is refused before its
+    # file is opened, with one error line and no file left behind
+    for argv in (
+        ["conjugate", "--b", "0", "--c", "1e308"],
+        ["mcp-scan", "--n", "20", "--b", "0", "--c", "3.14159265", "--t", "0.5"],
+    ):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["--output", str(out)])
+        _one_line_usage_error(rc, capsys)
+        assert not out.exists()
+        # without --output the same run prints its verdict
+        assert main(argv) in (0, 1)
+        assert capsys.readouterr().err == ""
 
 
 def test_contract_passes_and_reproduces(tmp_path, capsys):

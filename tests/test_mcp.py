@@ -16,7 +16,7 @@ from mcplab.mcp import (
     DensityProfile,
     VelocitySet,
     _block_ratios,
-    _ratio,
+    _density_ratio,
     contraction_bound,
     density,
     density_profile,
@@ -28,21 +28,35 @@ from mcplab.mcp import (
 from mcplab.riccati import RiccatiParams, _det_a
 
 
-def _mp_ratio(b, c, n, ts):
-    """D(t) / (1-t)^(2n+3), written out in 50-digit mpmath from
+def _mp_det_ratio(b, c, n, t):
+    """D(t) / (1-t)^(2n+3) at mpmath's working precision, written out from
     det A(s) = (s^3 sinc^2 + b^2 s^5 sinc sxc)(s sinc)^(2n-2) at x = cs."""
-    with mpmath.workdps(50):
-        def det_a(s):
-            x = mpmath.mpf(c) * s
-            sinc = mpmath.sin(x) / x
-            sxc = (mpmath.sin(x) - x * mpmath.cos(x)) / x**3
-            d1 = s**3 * sinc**2 + mpmath.mpf(b) ** 2 * s**5 * sinc * sxc
-            return d1 * (s * sinc) ** (2 * n - 2)
+    def det_a(s):
+        x = mpmath.mpf(c) * s
+        sinc = mpmath.sin(x) / x
+        sxc = (mpmath.sin(x) - x * mpmath.cos(x)) / x**3
+        d1 = s**3 * sinc**2 + mpmath.mpf(b) ** 2 * s**5 * sinc * sxc
+        return d1 * (s * sinc) ** (2 * n - 2)
 
-        return [
-            float(det_a(1 - mpmath.mpf(t)) / det_a(mpmath.mpf(1)) / (1 - mpmath.mpf(t)) ** (2 * n + 3))
-            for t in ts
-        ]
+    s = 1 - mpmath.mpf(t)
+    return det_a(s) / det_a(mpmath.mpf(1)) / s ** (2 * n + 3)
+
+
+def _mp_ratio(b, c, n, ts):
+    """_mp_det_ratio in 50-digit mpmath, as floats."""
+    with mpmath.workdps(50):
+        return [float(_mp_det_ratio(b, c, n, t)) for t in ts]
+
+
+# The c values of the scan that sharpness_scan ran before it took its
+# closed form, kept here as an independent oracle of that form.
+_SCAN_C = np.geomspace(1e-4, np.pi - 1e-9, 200)
+
+
+def _c_scan(n, t, b_max):
+    """The least ratio on the rows b = 0 and b = b_max at the c of _SCAN_C."""
+    with np.errstate(all="ignore"):
+        return float(np.min(_density_ratio(np.array([[0.0], [b_max]]), _SCAN_C, n, t)[1]))
 
 
 def test_density_euclidean_limit():
@@ -240,14 +254,16 @@ def test_per_block_ratio_matches_density_over_bound(b, c, t, n):
         normal = min(_det_a(b, c, n, 1.0), _det_a(b, c, n, 1.0 - t), (1.0 - t) ** (2 * n + 3))
     assume(normal > 1e-290)
     dens = density(RiccatiParams(b=b, c=c, n=n), t)
-    assert _ratio(b, c, n, t) == pytest.approx(dens / contraction_bound(n, t), rel=1e-12)
+    ratio = _density_ratio(b, c, n, t)[1]
+    assert ratio == pytest.approx(dens / contraction_bound(n, t), rel=1e-12)
 
 
 def test_per_block_ratio_against_mpmath_at_large_n():
     # where density and bound underflow, the ratio stays finite and exact
     for b, c, n in ((0.0, 1e-3, 20), (3.0, -2.5, 20), (1.0, 0.5, 200), (50.0, 1.0, 1000)):
         ts = [0.1, 0.5, 0.9, 0.99999999]
-        np.testing.assert_allclose(_ratio(b, c, n, np.array(ts)), _mp_ratio(b, c, n, ts), rtol=1e-12)
+        ratio = _density_ratio(b, c, n, np.array(ts))[1]
+        np.testing.assert_allclose(ratio, _mp_ratio(b, c, n, ts), rtol=1e-12)
 
 
 def test_density_where_det_a_underflows_against_mpmath():
@@ -288,30 +304,54 @@ def test_b_zero_slice_not_sharp():
 
 
 def test_sharpness_scan():
+    # the closed form lies below the scan it replaced, at every n, and the
+    # scan's minimum exceeds it by at most n c_min^2 relative, c_min = 1e-4
+    # its smallest c: the ratio at small c exceeds its c = 0 value by about
+    # c^2 (1 - s^2) (4/15 + (n - 1) / 3).  From n = 17 the scan's ratio
+    # overflows to inf near c = pi, above the infimum
     for t, cap in ((0.3, 1.02), (0.5, 1.02), (0.9, 1.05)):
-        inf_est = sharpness_scan(1, t)
+        inf_est = sharpness_scan(t)
         assert 1.0 - 1e-9 <= inf_est <= cap
-    # from n = 17 the ratio overflows to inf near c = pi, above the infimum
-    for n in (16, 17, 20):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert 1.0 - 1e-9 <= sharpness_scan(n, 0.5) <= 1.02
+        for n in (1, 2, 3, 16, 17, 20):
+            grid = _c_scan(n, t, 1e4)
+            assert inf_est <= grid + 2 * np.spacing(grid), (n, t)
+            assert grid - inf_est <= n * _SCAN_C[0] ** 2 * inf_est, (n, t)
     with pytest.raises(DomainError):
-        sharpness_scan(1, 1.0)
-    for n, b_max in ((0, 1e4), (-3, 1e4), (1, 0.0), (1, -5.0), (1, np.nan), (1, np.inf)):
+        sharpness_scan(1.0)
+    for t, b_max in ((0.0, 1e4), (-3.0, 1e4), (0.5, 0.0), (0.5, -5.0), (0.5, np.nan),
+                     (0.5, np.inf)):
         with pytest.raises(DomainError):
-            sharpness_scan(n, 0.5, b_max=b_max)
+            sharpness_scan(t, b_max=b_max)
 
 
 def test_sharpness_scan_below_b_max_of_a_hundredth():
     # the infimum over b in [0, 1e-3], not the ratio at b = 0.01 (3.9999000)
-    # above b_max
+    # above b_max; a 50 x 200 grid lies above it, by at most c_min^2
     b = np.linspace(0.0, 1e-3, 50)[:, None]
-    c = np.geomspace(1e-4, np.pi - 1e-9, 200)[None, :]
-    grid_min = float(np.min(_ratio(b, c, 1, 0.5)))
-    got = sharpness_scan(1, 0.5, b_max=1e-3)
-    assert got == pytest.approx(grid_min, rel=4e-16)
-    assert got == pytest.approx(3.999999010, abs=1e-9)
+    grid_min = float(np.min(_density_ratio(b, _SCAN_C, 1, 0.5)[1]))
+    got = sharpness_scan(0.5, b_max=1e-3)
+    assert got <= grid_min <= got * (1.0 + _SCAN_C[0] ** 2)
+    assert got == pytest.approx(3.999999000, abs=1e-9)
+
+
+def test_sharpness_formula_against_mpmath():
+    # sharpness_scan to 9 roundings of 2^-53 relative of its 40-digit
+    # value (8 in the quotient, which is at most the value, and 1 in the
+    # sum), which lies below the 40-digit ratio at every point of the scan
+    # it replaced, at each n, and within n c_min^2 relative of that scan's
+    # minimum
+    with mpmath.workdps(40):
+        for t in (0.001, 0.3, 0.5, 0.9, 0.999):
+            for b_max in (1e-3, 0.5, 1.0, 1e4):
+                tt, bb = mpmath.mpf(t), mpmath.mpf(b_max)
+                exact = 1 + 3 * tt * (2 - tt) / ((1 - tt) ** 2 * (3 + bb * bb))
+                got = sharpness_scan(t, b_max=b_max)
+                assert abs(got - exact) <= 9 * 2.0**-53 * exact, (t, b_max)
+                if t not in (0.3, 0.9) or b_max not in (1.0, 1e4):
+                    continue
+                for n in (1, 2, 3, 20):
+                    grid = min(_mp_det_ratio(b, c, n, t) for b in (0.0, b_max) for c in _SCAN_C)
+                    assert exact < grid <= exact * (1 + n * _SCAN_C[0] ** 2), (t, b_max, n)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -323,13 +363,31 @@ def test_sharpness_scan_below_b_max_of_a_hundredth():
     b_max=st.floats(0.0, 1e6),
 )
 def test_density_over_bound_is_least_at_an_end_of_the_b_range(n, t, c, b_frac, b_max):
-    # the beta reduction of sharpness_scan, checked on density and
-    # contraction_bound, which do not use it
+    # the monotonicity in beta that sharpness_scan's closed form rests
+    # on, checked on density and contraction_bound, which do not use it
     def ratio(b):
         return density(RiccatiParams(b=b, c=c, n=n), t) / contraction_bound(n, t)
 
     ends = min(ratio(0.0), ratio(b_max))
     assert ratio(b_frac * b_max) >= ends * (1.0 - 4 * np.finfo(float).eps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 20),
+    t=st.floats(0.0, 0.999, exclude_min=True),
+    c=st.one_of(st.floats(-np.pi + 1e-6, np.pi - 1e-6), st.floats(-1e-6, 1e-6)),
+    b=st.one_of(st.floats(-1e6, 1e6), st.floats(1e6, 1e300)),
+)
+def test_ratio_is_at_least_the_sharpness_infimum(n, t, c, b):
+    # the ratio at (b, c) is at least the closed-form infimum over
+    # [0, |b|] x (0, pi), less its rounding, 4 (2n+3) ulp; near equality,
+    # at small c and large b, 2e5 random draws fell at most 0.45 (2n+3)
+    # ulp below it
+    with np.errstate(all="ignore"):
+        ratio = _density_ratio(b, c, n, t)[1]
+    bound = sharpness_scan(t, b_max=max(abs(b), 5e-324))
+    assert ratio >= bound * (1.0 - 4 * (2 * n + 3) * np.finfo(float).eps)
 
 
 def test_out_of_float_range_raises_domain_error():
@@ -356,14 +414,14 @@ def test_ratios_past_b_squared_overflow():
     # from |b| = 2^512 b^2 overflows, and the block ratio used to be
     # inf / inf = NaN.  Rescaled, it is finite there and tends to its
     # b -> infinity limit, which |b| = 1e150 (b^2 = 1e300) already reaches
-    # within rounding; below 2^512 it is the unscaled quotient to the bit
+    # within rounding; below 2^512 it is the unscaled quotient to the bit.
+    # The closed form's b_max^2 is inf there, and its infimum exactly 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        limit = sharpness_scan(1, 0.5, b_max=1e150)
-        for b_max in (2.0**512, 1e160):
-            got = sharpness_scan(1, 0.5, b_max=b_max)
-            assert 1.0 - 1e-9 <= got <= limit + 2 * np.spacing(limit), b_max
-        assert sharpness_scan(1, 1e-300, b_max=1e300) == 1.0
+        for b_max in (1e150, 2.0**512, 1e160, 1e308):
+            assert sharpness_scan(0.5, b_max=b_max) == 1.0, b_max
+            assert 1.0 < _c_scan(1, 0.5, b_max) <= 1.0 + _SCAN_C[0] ** 2, b_max
+        assert sharpness_scan(1e-300, b_max=1e300) == 1.0
         t = np.linspace(0.0, 0.9, 5)
         ref = density_profile(RiccatiParams(b=1e150, c=1.0, n=2), t)
         for b in (2.0**512, 1e160, 1e308):

@@ -459,9 +459,8 @@ def _input_table():
         ("mcp_scan", "c values", "reals", axes["c"], lambda x: scan("c", x)),
         ("mcp_scan", "t values", "reals", axes["t"], lambda x: scan("t", x)),
         ("mcp_scan", "tol", "real", 0.5, lambda x: mcp.mcp_scan(1, *axes.values(), tol=x)),
-        ("sharpness_scan", "n", "count", 1, lambda x: mcp.sharpness_scan(x, 0.5)),
-        ("sharpness_scan", "t", "real", 0.5, lambda x: mcp.sharpness_scan(1, x)),
-        ("sharpness_scan", "b_max", "real", 2.0, lambda x: mcp.sharpness_scan(1, 0.5, b_max=x)),
+        ("sharpness_scan", "t", "real", 0.5, lambda x: mcp.sharpness_scan(x)),
+        ("sharpness_scan", "b_max", "real", 2.0, lambda x: mcp.sharpness_scan(0.5, b_max=x)),
         ("VelocitySet", "horizontal_radius", "real", 2.0, lambda x: mcp.VelocitySet(x, 1.0)),
         ("VelocitySet", "vertical_momentum", "real", 1.0, lambda x: mcp.VelocitySet(2.0, x)),
         ("monte_carlo_contraction", "x0", "reals", [0.0, 1.0, 0.5],
