@@ -43,9 +43,10 @@ from .errors import McplabError
 # module loads none of them: main checks the flags first, and each
 # subcommand then binds the names it calls (_bind), so --version, --help
 # and a usage error return without loading numpy, and each subcommand
-# loads only the modules it uses.  A name read from outside the module
-# (a caller that replaces it before main runs) is bound on first access
-# by __getattr__; a name already bound is never rebound.
+# loads only the modules it uses: conjugate and sharpness call names of
+# scalars alone, so they never load numpy.  A name read from outside the
+# module (a caller that replaces it before main runs) is bound on first
+# access by __getattr__; a name already bound is never rebound.
 _SOURCES = {
     "np": "numpy",
     **dict.fromkeys(
@@ -57,14 +58,11 @@ _SOURCES = {
     "HeisenbergModel": ".heisenberg",
     **dict.fromkeys(
         ("VelocitySet", "density_profile", "mcp_scan", "monte_carlo_contraction",
-         "quadrature_contraction", "sharpness_scan"),
+         "quadrature_contraction"),
         ".mcp",
     ),
-    **dict.fromkeys(
-        ("RiccatiParams", "build_blocks", "closed_forms", "conjugate_time",
-         "integrate_inverse_riccati"),
-        ".riccati",
-    ),
+    **dict.fromkeys(("build_blocks", "closed_forms", "integrate_inverse_riccati"), ".riccati"),
+    **dict.fromkeys(("RiccatiParams", "conjugate_time", "sharpness_scan"), ".scalars"),
 }
 
 

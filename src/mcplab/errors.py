@@ -3,12 +3,14 @@ them on numeric input.
 
 Every error raised on a documented failure path derives from McplabError so
 callers (and the CLI) can distinguish "the computation told us no" from a
-genuine bug.  The public functions and constructors of riccati, heisenberg,
-mcp and frame_algebra read their numbers through _real (one finite real
-number), _count (an integer-valued one) and _reals (an array of them): each
-raises DomainError, naming the input, for a bool, a string, None, a complex,
-a NaN or an infinity.  _require_finite refuses an output past float64 range.
-numpy loads on their first use, as the command line checks its flags first.
+genuine bug.  The public functions and constructors of scalars, riccati,
+heisenberg, mcp and frame_algebra read their numbers through _real (one
+finite real number), _count (an integer-valued one) and _reals (an array
+of them): each raises DomainError, naming the input, for a bool, a string,
+None, a complex, a NaN or an infinity.  _require_finite refuses an output
+past float64 range.  numpy loads on the first use of _reals or
+_require_finite, not of _real or _count, so the command line checks its
+flags, and scalars computes, without it.
 """
 
 import math

@@ -52,6 +52,7 @@ workload, which run all three on every geodesic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,17 +91,11 @@ class HeisenbergModel:
     def dim(self) -> int:
         return 2 * self.n + 1
 
-    # frame_algebra loads on first use: the Monte Carlo reads neither
-    @cached_property
-    def structure(self):
-        from .frame_algebra import build_heisenberg_algebra
-        return build_heisenberg_algebra(self.n, self.eps)
-
+    # frame_algebra loads on first use: the Monte Carlo does not read gamma
     @cached_property
     def gamma(self) -> np.ndarray:
-        from .frame_algebra import levi_civita
-        alg, _ = self.structure
-        return levi_civita(alg)
+        from .frame_algebra import build_heisenberg_algebra, levi_civita
+        return levi_civita(build_heisenberg_algebra(self.n, self.eps)[0])
 
 
 @dataclass(frozen=True)
@@ -230,12 +225,14 @@ class Trajectory:
 
     def conservation_drift(self) -> dict:
         """Maximum drift of the two first integrals over the sample grid;
-        where a squared speed overflows, the speeds come from velocities
-        scaled by a power of two, and their drift is scaled back."""
+        where a squared speed overflows, or the first one lies below the
+        normal range (its squares lose bits or underflow), the speeds come
+        from velocities scaled by a power of two, and their drift is
+        scaled back."""
         vel = self.vel
         with np.errstate(over="ignore", invalid="ignore"):
             speed = _speed_drift(vel)
-            if not math.isfinite(speed):
+            if not (math.isfinite(speed) and vel[0] @ vel[0] >= sys.float_info.min):
                 k = np.frexp(np.max(np.abs(vel)))[1]
                 speed = float(np.ldexp(_speed_drift(np.ldexp(vel, -k)), k))
             return {"speed": speed, "vertical": float(np.abs(vel[:, 0] - vel[0, 0]).max())}

@@ -19,7 +19,8 @@ inequality under test is
 
 with equality approached as b -> infinity, c -> 0 (the exponent is the
 vertical 5 plus 2n - 2 parallel directions, not the dimension 2n + 1).
-sharpness_scan gives the infimum of D(t) / (1-t)^(2n+3) in closed form.
+sharpness_scan gives the infimum of D(t) / (1-t)^(2n+3) in closed form;
+it lives in scalars, which loads no numpy, and is imported here.
 
 Three evaluations are provided.  The closed form gives the density and
 the grid scans.  The set-level ratio mu(Z_(1-t)) / mu(Z_1), for Z_s the
@@ -46,7 +47,8 @@ import numpy as np
 from .errors import (
     DomainError, OutOfRegimeError, VelocitySpecError, _count, _real, _reals, _require_finite,
 )
-from .riccati import RiccatiParams, _block_det, _det_a, _sinc_sxc
+from .riccati import _block_det, _det_a, _sinc_sxc
+from .scalars import RiccatiParams, sharpness_scan  # public here as well
 
 if TYPE_CHECKING:  # annotations only: the scans and profiles never load heisenberg
     from .heisenberg import HeisenbergModel
@@ -286,22 +288,6 @@ def mcp_scan(n: int, b_values, c_values, t_values, tol: float = 1e-9) -> ScanRep
         argmin=argmin,
         violations=violations,
     )
-
-
-def sharpness_scan(t: float, b_max: float = 1e4) -> float:
-    """Infimum of D(t) / (1-t)^(2n+3) over b in [0, b_max] and c in
-    (0, pi), the same for every n: its c -> 0 limit on the row b = b_max,
-
-        1 + 3 t (2 - t) / ((1 - t)^2 (3 + b_max^2)),
-
-    on Python floats; a b_max^2 past float64 range is inf and gives 1.0.
-    At n = 1 the ratio less its c = 0 value has the sign of a quadratic in
-    b^2 with coefficients >= 0 on |c| < pi, and at n >= 2 it gains the
-    factor (sinc(cs) / sinc(c))^(2n-2) >= 1; the infimum exceeds 1, so
-    D(t) >= (1-t)^(2n+3).  tests/test_sharpness_certificate.py proves it."""
-    t, b_max = _real(t, "t", 0.0, 1.0), _real(b_max, "b_max", 0.0)
-    s = 1.0 - t
-    return 1.0 + 3.0 * t * (2.0 - t) / (s * s * (3.0 + b_max * b_max))
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, _count, _real, _reals, _require_finite
+from .errors import DomainError, SingularityError, _real, _reals, _require_finite
+from .scalars import RiccatiParams, conjugate_time  # public here as well
 
 # Below this |x| the sxc kernel of _sinc_sxc, and the S kernel of
 # heisenberg._helix_kernels, switch to their Taylor series through x^14,
@@ -109,25 +110,6 @@ def _check_sin_regular(x):
     k = round(float(x) / math.pi)
     if k != 0 and abs(float(x) - k * math.pi) < 1e-12:
         raise SingularityError("sin(c*t)")
-
-
-@dataclass(frozen=True)
-class RiccatiParams:
-    """Scalar data of one geodesic direction.
-
-    b and c may carry either sign; every scalar output below is even under
-    b -> -b and c -> -c separately (the matrices themselves transform by a
-    diagonal sign conjugation, see build_blocks).
-    """
-
-    b: float
-    c: float
-    n: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", _real(self.b, "b"))
-        object.__setattr__(self, "c", _real(self.c, "c"))
-        object.__setattr__(self, "n", _count(self.n, "n", 1))
 
 
 @dataclass(frozen=True)
@@ -253,34 +235,6 @@ def det_distortion(params: RiccatiParams, t):
         out = _det_a(params.b, params.c, params.n, t)
     _require_finite(out, "det A")
     return out
-
-
-# ---------------------------------------------------------------------------
-# conjugate time
-# ---------------------------------------------------------------------------
-
-def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
-    """First zero of det A in (0, t_max], or None: pi/|c| when that is at
-    most t_max, and None at c = 0.
-
-    With x = ct, det A = det A1 * (t sinc x)^{2n-2} and
-
-        det A1 = t^5 sinc(x) h(t) / x^2,
-        h(t) = (b^2 + c^2) sin x - b^2 x cos x.
-
-    sinc x first vanishes at |x| = pi.  h vanishes only where
-    tan x = k x with k = b^2 / (b^2 + c^2) < 1 (cos x = 0 would force
-    sin x = 0 as well), and that has no root with 0 < x <= pi: on
-    (0, pi/2) tan x > x > kx, on (pi/2, pi) tan x < 0 <= kx, and at
-    x = pi tan x = 0 < kx unless b = 0, where h = c^2 sin x shares the
-    zero of sinc.  So the first zero of det A is t = pi/|c| for every b.
-    At c = 0, det A = t^{2n+1} (1 + b^2 t^2 / 3) has no positive zero.
-    """
-    t_max = _real(t_max, "t_max", 0.0)
-    if params.c == 0.0:
-        return None
-    t_star = math.pi / abs(params.c)
-    return t_star if t_star <= t_max else None
 
 
 # ---------------------------------------------------------------------------

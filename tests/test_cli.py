@@ -691,15 +691,16 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path):
             assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
-# The numerical modules each subcommand loads, and no others.
+# The modules each subcommand loads, and no others.  scalars loads no
+# numpy, so a subcommand that loads it alone runs without numpy.
 _SUBCOMMAND_MODULES = {
     "curvature": {"frame_algebra"},
-    "riccati": {"riccati"},
-    "conjugate": {"riccati"},
-    "mcp-scan": {"mcp", "riccati"},
-    "sharpness": {"mcp", "riccati"},
-    "density-profile": {"mcp", "riccati"},
-    "contract": {"mcp", "riccati", "heisenberg"},
+    "riccati": {"riccati", "scalars"},
+    "conjugate": {"scalars"},
+    "mcp-scan": {"mcp", "riccati", "scalars"},
+    "sharpness": {"scalars"},
+    "density-profile": {"mcp", "riccati", "scalars"},
+    "contract": {"mcp", "riccati", "scalars", "heisenberg"},
 }
 
 
@@ -707,8 +708,9 @@ _SUBCOMMAND_MODULES = {
 def test_subcommand_loads_only_its_modules(name):
     rc, _, loaded = _fresh_main(_PASSING[name])
     assert rc == 0
-    expected = {f"mcplab.{m}" for m in _SUBCOMMAND_MODULES[name]}
-    assert loaded == {"numpy", "mcplab.cli", "mcplab.errors"} | expected
+    modules = _SUBCOMMAND_MODULES[name]
+    expected = {"mcplab.cli", "mcplab.errors"} | {f"mcplab.{m}" for m in modules}
+    assert loaded == expected | ({"numpy"} if modules != {"scalars"} else set())
 
 
 # The traced-names contract of test_traced_names_are_called_through_cli in

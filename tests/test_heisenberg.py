@@ -127,10 +127,11 @@ def test_mixed_geodesic_conserves_speed_and_vertical():
 
 
 def test_conservation_drift_past_squared_overflow():
-    # entries from about 1.3e154 square past float64 range; the speeds are
-    # then taken from the velocities scaled by a power of two, so finite
-    # speeds give a finite drift with no warning.  Scaling the velocities
-    # by 2^k scales the drift by 2^k to the bit, overflow or not, and rows
+    # entries from about 1.3e154 square past float64 range, and entries
+    # below about 1.5e-154 below its normal range; the speeds are then
+    # taken from the velocities scaled by a power of two, so finite speeds
+    # give a finite drift with no warning.  Scaling the velocities by 2^k
+    # scales the drift by 2^k to the bit, overflow, underflow or not, and rows
     # whose speed alone leaves float64 range still drift by 0
     vel = np.array([[0.5, 3.0, 4.0], [0.5, 3.0, 4.0], [0.25, 3.0, 4.5], [0.5, 4.0, 3.0]])
     t, pos = np.linspace(0.0, 1.0, 4), np.zeros((4, 3))
@@ -138,7 +139,7 @@ def test_conservation_drift_past_squared_overflow():
     assert base == {"speed": np.sqrt(29.3125) - np.sqrt(25.25), "vertical": 0.25}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for k in (0, 500, 600, 1000):
+        for k in (-1000, -600, -500, 0, 500, 600, 1000):
             traj = Trajectory(t=t, pos=pos, vel=np.ldexp(vel, k))
             assert traj.conservation_drift() == {key: np.ldexp(v, k) for key, v in base.items()}
         traj = Trajectory(t=np.linspace(0.0, 1.0, 3), pos=np.zeros((3, 3)),

@@ -392,7 +392,7 @@ EXEMPT = {
     "levi_civita": "takes a FrameAlgebra, whose constructor reads its arrays",
     "model_to_dict": "writes a model that FrameAlgebra and ContactStructure have read",
 }
-_NUMERICAL_MODULES = ("riccati", "heisenberg", "mcp", "frame_algebra")
+_NUMERICAL_MODULES = ("scalars", "riccati", "heisenberg", "mcp", "frame_algebra")
 
 
 def _input_table():
@@ -543,7 +543,7 @@ def _fingerprint(value):
 
 def test_non_real_input_is_a_domain_error():
     # every numeric slot of every public function and constructor of the
-    # four numerical modules refuses what is no number of its kind with
+    # numerical modules refuses what is no number of its kind with
     # the documented class, naming the slot, with no warning; and every
     # spelling of a valid number gives the bits of the plain float or int
     with warnings.catch_warnings():
