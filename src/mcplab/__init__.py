@@ -5,8 +5,8 @@ Modules:
 
 - frame_algebra: frames, brackets, connections, curvature, identity checks
 - heisenberg:    the model group, geodesics, adapted frames, distortion
-- scalars:       geodesic parameters, conjugate time, sharpness infimum
-                 (Python floats; loads no numpy)
+- scalars:       geodesic parameters, conjugate time, sharpness infimum,
+                 density profile, their kernels (floats; loads no numpy)
 - riccati:       block matrices, Jacobi and Riccati flow, closed forms
 - mcp:           densities, contraction scans, Monte Carlo cross-checks
 - cli:           command-line front end

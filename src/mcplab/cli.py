@@ -43,10 +43,11 @@ from .errors import McplabError
 # module loads none of them: main checks the flags first, and each
 # subcommand then binds the names it calls (_bind), so --version, --help
 # and a usage error return without loading numpy, and each subcommand
-# loads only the modules it uses: conjugate and sharpness call names of
-# scalars alone, so they never load numpy.  A name read from outside the
-# module (a caller that replaces it before main runs) is bound on first
-# access by __getattr__; a name already bound is never rebound.
+# loads only the modules it uses: conjugate, sharpness and density-profile
+# call names of scalars alone, on _parse_range's floats, and never load
+# numpy.  A name read from outside the module (a caller that replaces it
+# before main runs) is bound on first access by __getattr__; a name
+# already bound is never rebound.
 _SOURCES = {
     "np": "numpy",
     **dict.fromkeys(
@@ -56,13 +57,11 @@ _SOURCES = {
         ".frame_algebra",
     ),
     "HeisenbergModel": ".heisenberg",
-    **dict.fromkeys(
-        ("VelocitySet", "density_profile", "mcp_scan", "monte_carlo_contraction",
-         "quadrature_contraction"),
-        ".mcp",
-    ),
+    **dict.fromkeys(("VelocitySet", "mcp_scan", "monte_carlo_contraction",
+                     "quadrature_contraction"), ".mcp"),
     **dict.fromkeys(("build_blocks", "closed_forms", "integrate_inverse_riccati"), ".riccati"),
-    **dict.fromkeys(("RiccatiParams", "conjugate_time", "sharpness_scan"), ".scalars"),
+    **dict.fromkeys(("RiccatiParams", "conjugate_time", "density_profile",
+                     "sharpness_scan"), ".scalars"),
 }
 
 
@@ -92,23 +91,23 @@ def _bind(*names) -> None:
             __getattr__(name)
 
 
-# The most points a lo:hi:count range may hold.  density-profile holds
-# about 160 bytes per point, so 10^6 points stay near 150 MB, like
-# mcp._MAX_SCAN_POINTS.
+# The most points a lo:hi:count range may hold.  density-profile's float
+# lists hold about 100 bytes per point (tracemalloc), so 10^6 points stay
+# near 100 MB, as mcp._MAX_SCAN_POINTS keeps a scan near 150 MB.
 _MAX_RANGE_COUNT = 1_000_000
 # The most count * (2n+1)^2 block entries of one riccati run, at about 64
 # bytes each: about 130 MB.
 _MAX_RICCATI_ENTRIES = 2_000_000
 
 
-def _parse_range(text: str):
-    """Parse 'lo:hi:count', with finite bounds and width, into a linspace,
-    or a single float into a one-point array.  Locale-independent."""
-    _bind("np")
+def _parse_range(text: str) -> list:
+    """Parse 'lo:hi:count', with finite bounds and width, into the count
+    floats of np.linspace(lo, hi, count), to the bit, or a single float
+    into a one-item list.  Locale-independent."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return np.array([float(parts[0])])
+            return [float(parts[0])]
         if len(parts) != 3:
             raise ValueError
         lo, hi = float(parts[0]), float(parts[1])
@@ -123,11 +122,20 @@ def _parse_range(text: str):
         raise argparse.ArgumentTypeError(
             f"range count must be at most {_MAX_RANGE_COUNT}, got {count}"
         )
-    if not math.isfinite(hi - lo):
+    delta = hi - lo
+    if not math.isfinite(delta):
         raise argparse.ArgumentTypeError(
             f"range bounds and their difference must be finite, got {text!r}"
         )
-    return np.linspace(lo, hi, count)
+    # np.linspace's arithmetic: i step + lo, or (i / (count - 1)) delta + lo
+    # where the step is 0 (a subnormal width), and hi written last
+    step = delta / (count - 1)
+    if step == 0.0:
+        points = [i / (count - 1) * delta + lo for i in range(count)]
+    else:
+        points = [i * step + lo for i in range(count)]
+    points[-1] = hi
+    return points
 
 
 def _tolerance(text: str) -> float:
@@ -231,7 +239,7 @@ def _cmd_riccati(args):
     _bind("np", "RiccatiParams", "build_blocks", "closed_forms",
           "integrate_inverse_riccati")
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
-    ts = _parse_range(args.t)
+    ts = np.asarray(_parse_range(args.t))
     if len(ts) * (2 * args.n + 1) ** 2 > _MAX_RICCATI_ENTRIES:
         raise McplabError(
             f"{len(ts)} points at n = {args.n} exceed {_MAX_RICCATI_ENTRIES} "
@@ -288,9 +296,9 @@ def _cmd_conjugate(args):
 
 
 def _cmd_mcp_scan(args):
-    _bind("mcp_scan")
-    report = mcp_scan(args.n, _parse_range(args.b), _parse_range(args.c),
-                      _parse_range(args.t), tol=args.tol)
+    _bind("np", "mcp_scan")
+    axes = (np.asarray(_parse_range(v)) for v in (args.b, args.c, args.t))
+    report = mcp_scan(args.n, *axes, tol=args.tol)
     am = report.argmin
     lines = [f"min ratio {report.min_ratio:.12f} at b={am[0]:g} c={am[1]:g} "
              f"t={am[2]:g}; violations: {len(report.violations)}"]
@@ -331,24 +339,16 @@ def _cmd_contract(args):
 
 
 def _cmd_density_profile(args):
-    _bind("np", "RiccatiParams", "density_profile")
+    _bind("RiccatiParams", "density_profile")
     params = RiccatiParams(b=args.b, c=args.c, n=args.n)
-    ts = _parse_range(args.t)
-    prof = density_profile(params, ts)
-    min_ratio = float(np.min(prof.ratio))
-    payload = {
-        "t": [float(v) for v in prof.t_grid],
-        "density": [float(v) for v in prof.density],
-        "bound": [float(v) for v in prof.bound],
-        "ratio": [float(v) for v in prof.ratio],
-        "min_ratio": min_ratio,
-    }
-    rows = ([args.b, args.c, *row]
-            for row in zip(prof.t_grid, prof.density, prof.bound, prof.ratio))
-    lines = [f"density over {len(ts)} point(s): min ratio to "
+    prof = density_profile(params, _parse_range(args.t))
+    min_ratio = min(prof.ratio)
+    columns = ("t", "density", "bound", "ratio")
+    payload = {**dict(zip(columns, prof)), "min_ratio": min_ratio}
+    rows = ([args.b, args.c, *row] for row in zip(*prof))
+    lines = [f"density over {len(prof.t_grid)} point(s): min ratio to "
              f"(1-t)^{2 * args.n + 3} = {min_ratio:.12f}"]
-    return (bool(np.all(prof.ratio >= 1.0 - args.tol)), payload, lines,
-            (["b", "c", "t", "density", "bound", "ratio"], rows))
+    return min_ratio >= 1.0 - args.tol, payload, lines, (["b", "c", *columns], rows)
 
 
 # The subcommands whose table is not None, the ones with a CSV form.

@@ -5,12 +5,12 @@ Every error raised on a documented failure path derives from McplabError so
 callers (and the CLI) can distinguish "the computation told us no" from a
 genuine bug.  The public functions and constructors of scalars, riccati,
 heisenberg, mcp and frame_algebra read their numbers through _real (one
-finite real number), _count (an integer-valued one) and _reals (an array
-of them): each raises DomainError, naming the input, for a bool, a string,
-None, a complex, a NaN or an infinity.  _require_finite refuses an output
-past float64 range.  numpy loads on the first use of _reals or
-_require_finite, not of _real or _count, so the command line checks its
-flags, and scalars computes, without it.
+finite real number), _count (an integer-valued one), _reals (an array of
+them) and _floats (a list): each raises DomainError, naming the input, for
+a bool, a string, None, a complex, a NaN or an infinity.  _require_finite
+refuses an output past float64 range.  numpy loads on the first use of
+_reals or _require_finite alone, so the command line checks its flags,
+and scalars computes, without it.
 """
 
 import math
@@ -135,6 +135,16 @@ def _reals(value, what):
     if a is None or np.count_nonzero(np.isfinite(a)) != a.size:
         raise DomainError(f"{what} must be finite real numbers")
     return a
+
+
+def _floats(value, what):
+    """value as a list of floats, without numpy: one number, or a list, tuple
+    or 1-d array of them, each taken by _float; DomainError naming what otherwise."""
+    items = value.tolist() if getattr(value, "ndim", None) == 1 else value
+    out = list(map(_float, items)) if isinstance(items, (list, tuple)) else [_float(value)]
+    if None in out:
+        raise DomainError(f"{what} must be finite real numbers")
+    return out
 
 
 def _require_finite(values, what: str) -> None:

@@ -59,14 +59,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateDirectionError, DomainError, _count, _real, _reals
-from .riccati import (
-    _SERIES_CUT,
-    _XMS_SERIES,
-    RiccatiParams,
-    _series,
-    build_blocks,
-    jacobi_flow,
-)
+from .riccati import build_blocks, jacobi_flow
+from .scalars import _SERIES_CUT, _XMS_SERIES, RiccatiParams, _series
 
 # Horizontal speeds below this fraction of the total speed count as
 # vertical: the adapted frame needs a direction for v1.
@@ -117,12 +111,28 @@ class GeodesicState:
 
     @property
     def speed(self) -> float:
-        return math.sqrt(self.vel @ self.vel)
+        return _norm(self.vel)
 
     @property
     def horizontal_speed(self) -> float:
-        h = self.vel[1:]
-        return math.sqrt(h @ h)
+        return _norm(self.vel[1:])
+
+
+def _rescale(v):
+    """(v 2^-k, k), k the binary exponent of max |v|: exact, and squares stay in range."""
+    k = int(np.frexp(np.max(np.abs(v)))[1])
+    return np.ldexp(v, -k), k
+
+
+def _norm(v) -> float:
+    """sqrt(v @ v); where v @ v overflows (|v| from about 1.3e154), the root
+    of _rescale(v)'s, scaled back, which is inf only past float64 range."""
+    with np.errstate(over="ignore"):
+        square = v @ v
+        if math.isfinite(square):
+            return math.sqrt(square)
+        w, k = _rescale(v)
+        return float(np.ldexp(math.sqrt(w @ w), k))
 
 
 def _helix(eps, pos, vel, ts):
@@ -141,8 +151,15 @@ def _helix(eps, pos, vel, ts):
     y = np.empty((2, 2 * n + 1, len(ts)))
     p = p0[:, None] + w0[:, None] * E
     y[0, :n], y[0, n : 2 * n] = p.real, p.imag
-    # omega t^3 S(omega t) as t^2 x S(x): no t^3 to overflow
-    lift = np.imag(np.vdot(p0, w0) * E) + np.vdot(w0, w0).real * ts * ts * x * S
+    # omega t^3 S(omega t) as t^2 x S(x): no t^3 to overflow; where |w_0|^2
+    # does, from _rescale(w_0) and scaled back, so that it stays 0 at x = 0
+    w2 = np.vdot(w0, w0).real
+    if math.isfinite(w2):
+        area = w2 * ts * ts * x * S
+    else:
+        u, k = _rescale(vel[1:])
+        area = np.ldexp((u @ u) * ts * ts * x * S, 2 * k)
+    lift = np.imag(np.vdot(p0, w0) * E) + area
     y[0, 2 * n] = pos[2 * n] + vel[0] * ts / eps + 0.5 * lift
     # u_0 stays constant and w turns at the rate omega
     w = w0[:, None] * np.exp(1j * x)
@@ -233,8 +250,8 @@ class Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             speed = _speed_drift(vel)
             if not (math.isfinite(speed) and vel[0] @ vel[0] >= sys.float_info.min):
-                k = np.frexp(np.max(np.abs(vel)))[1]
-                speed = float(np.ldexp(_speed_drift(np.ldexp(vel, -k)), k))
+                scaled, k = _rescale(vel)
+                speed = float(np.ldexp(_speed_drift(scaled), k))
             return {"speed": speed, "vertical": float(np.abs(vel[:, 0] - vel[0, 0]).max())}
 
 
@@ -276,12 +293,10 @@ def adapted_params(model: HeisenbergModel, state: GeodesicState) -> RiccatiParam
 
     Raises DegenerateDirectionError for (numerically) vertical velocities,
     where the adapted frame has no v1, and DomainError for a velocity
-    whose squared speed leaves float64 range."""
+    whose speed leaves float64 range."""
     if len(state.pos) != model.dim:
         raise DomainError("state dimension does not match the model")
-    # |u|^2 leaves float64 range for some finite u: refused, with no warning
-    with np.errstate(over="ignore"):
-        h, speed = state.horizontal_speed, state.speed
+    h, speed = state.horizontal_speed, state.speed
     if not math.isfinite(speed):
         raise DomainError("the speed |u| of the state leaves float64 range")
     if h <= _DEGENERATE_FRACTION * max(speed, 1.0):
@@ -330,8 +345,10 @@ def adapted_frame(model: HeisenbergModel, traj: Trajectory) -> AdaptedFrame:
     # I - v v^H / (1 + |q_1|), v = q + (q_1/|q_1|) e_1 (q + e_1 at q_1 = 0),
     # which maps q to a multiple of e_1
     w0 = start.vel[1 : 1 + n] + 1j * start.vel[1 + n :]
-    # |w_0| as np.linalg.norm takes it
-    q = w0 / math.sqrt(w0.real @ w0.real + w0.imag @ w0.imag)
+    # |w_0| as np.linalg.norm takes it, or horizontal_speed past 1.3e154
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(w0.real @ w0.real + w0.imag @ w0.imag)
+    q = w0 / (norm if math.isfinite(norm) else start.horizontal_speed)
     a = abs(q[0])
     v = q.copy()
     v[0] += q[0] / a if a else 1.0

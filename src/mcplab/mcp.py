@@ -19,8 +19,8 @@ inequality under test is
 
 with equality approached as b -> infinity, c -> 0 (the exponent is the
 vertical 5 plus 2n - 2 parallel directions, not the dimension 2n + 1).
-sharpness_scan gives the infimum of D(t) / (1-t)^(2n+3) in closed form;
-it lives in scalars, which loads no numpy, and is imported here.
+sharpness_scan (the infimum of D(t) / (1-t)^(2n+3)), density_profile and
+their kernels live in scalars, which loads no numpy, and are imported here.
 
 Three evaluations are provided.  The closed form gives the density and
 the grid scans.  The set-level ratio mu(Z_(1-t)) / mu(Z_1), for Z_s the
@@ -44,11 +44,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    DomainError, OutOfRegimeError, VelocitySpecError, _count, _real, _reals, _require_finite,
-)
-from .riccati import _block_det, _det_a, _sinc_sxc
-from .scalars import RiccatiParams, sharpness_scan  # public here as well
+from .errors import DomainError, VelocitySpecError, _count, _real, _reals, _require_finite
+from .riccati import _det_a
+from .scalars import _check_regime, _density_ratio, _scale_b
+from .scalars import DensityProfile, RiccatiParams, density_profile, sharpness_scan  # re-exported
 
 if TYPE_CHECKING:  # annotations only: the scans and profiles never load heisenberg
     from .heisenberg import HeisenbergModel
@@ -83,76 +82,15 @@ def _gauss_legendre():
     return rule
 
 
-def _scale_b(b, big):
-    """(b 2^-k, 2^-2k) for _block_det: k = 0 where big^2 is finite, else
-    big's binary exponent, so that the scaled b^2 stays in float64 range.
-    big is b itself for a k per entry, or max |b| for one k over an
-    array."""
-    k = np.where(np.isfinite(big * big), 0, np.frexp(big)[1])
-    return np.ldexp(b, -k), np.ldexp(1.0, -2 * k)
-
-
-def _block_ratios(b, c, s):
-    """The two per-block factors of det A(s) / det A(1) for broadcastable
-    (b, c, s) arrays: d1(s) / d1(1), with d1 the 3x3 block's determinant,
-    and sinc(cs) / sinc(c), so that
-
-        det A(s) / det A(1) = [d1(s) / d1(1)] [s sinc(cs) / sinc(c)]^(2n-2).
-
-    Neither factor holds a power of s above the fifth or a power of
-    sinc(c) above the second, so neither underflows as n grows, where
-    det A(s) and det A(1) both do.  Where b^2 leaves float64 range (|b|
-    from 2^512, about 1.3e154), b is scaled by 2^-k and the b-free term
-    by 2^-2k (_scale_b): both d1 are then scaled by 2^-2k, which cancels
-    in their ratio; elsewhere k = 0 and nothing changes.  The kernels at
-    cs and at c are each taken once."""
-    b, free = _scale_b(b, b)
-    sinc_s, sxc_s = _sinc_sxc(c * s)
-    sinc_1, sxc_1 = _sinc_sxc(c)
-    d1_s = _block_det(b, s, sinc_s, sxc_s, free)
-    return d1_s / _block_det(b, 1.0, sinc_1, sxc_1, free), sinc_s / sinc_1
-
-
-def _density_ratio(b, c, n: int, t):
-    """D(t) and D(t) / (1-t)^(2n+3) for broadcastable (b, c, t) arrays,
-    per block: with s = 1 - t,
-
-        D(t) = [d1(s) / d1(1)] [s sinc(cs) / sinc(c)]^(2n-2),
-        D(t) / s^(2n+3) = [d1(s) / d1(1) / s^5] [sinc(cs) / sinc(c)]^(2n-2).
-
-    Nothing underflows as n grows, where det A and (1-t)^(2n+3) do.  At
-    n = 1 the ratio rounds exactly as D(t) / contraction_bound(t)."""
-    s = 1.0 - t
-    f1, f3 = _block_ratios(b, c, s)
-    ratio = f1 / s**5
-    if n == 1:
-        return f1, ratio
-    return f1 * (s * f3) ** (2 * n - 2), ratio * f3 ** (2 * n - 2)
-
-
-def _regime_t(params: RiccatiParams, t):
-    """t as an array, after density's checks: t in [0, 1) (DomainError
-    otherwise) and |c| < pi (OutOfRegimeError otherwise).  There sinc(c)
-    and sxc(c) are positive (sharpness_scan's lemma), so the normalization
-    det A(1) is positive for every finite b."""
-    t = _reals(t, "t")
-    if not np.all((t >= 0.0) & (t < 1.0)):
-        raise DomainError("t must lie in [0, 1)")
-    if abs(params.c) >= np.pi:
-        raise OutOfRegimeError(
-            f"density requires |c| < pi, got c = {params.c!r}"
-        )
-    return t
-
-
 def density(params: RiccatiParams, t):
     """Contraction density D(t) = det A(1 - t) / det A(1) in closed form,
     per block (_density_ratio).
 
-    Accepts scalar or array t in [0, 1); requires |c| < pi (_regime_t).
-    Scalars so large that D leaves float64 range raise DomainError.
-    D(0) = 1 exactly."""
-    t = _regime_t(params, t)
+    Accepts scalar or array t in [0, 1); requires |c| < pi
+    (scalars._check_regime).  Scalars so large that D leaves float64 range
+    raise DomainError.  D(0) = 1 exactly."""
+    t = _reals(t, "t")
+    _check_regime(params, np.all((t >= 0.0) & (t < 1.0)))
     with np.errstate(all="ignore"):
         out = _density_ratio(params.b, params.c, params.n, t)[0]
     _require_finite(out, "density")
@@ -162,29 +100,6 @@ def density(params: RiccatiParams, t):
 def contraction_bound(n: int, t):
     """The MCP comparison profile (1 - t)^(2n+3)."""
     return (1.0 - _reals(t, "t")) ** (2 * _count(n, "n", 1) + 3)
-
-
-@dataclass
-class DensityProfile:
-    """Density, bound and their ratio on a t grid for one (b, c, n)."""
-
-    t_grid: np.ndarray
-    density: np.ndarray
-    bound: np.ndarray
-    ratio: np.ndarray
-
-
-def density_profile(params: RiccatiParams, t_grid) -> DensityProfile:
-    """Evaluate density, bound, ratio over a t grid in [0, 1), with
-    density's checks; density and ratio come from one _density_ratio
-    call, and a ratio that is not finite raises DomainError."""
-    t_grid = np.atleast_1d(_regime_t(params, t_grid))
-    with np.errstate(all="ignore"):
-        dens, ratio = _density_ratio(params.b, params.c, params.n, t_grid)
-        bound = contraction_bound(params.n, t_grid)
-    _require_finite(dens, "density")
-    _require_finite(ratio, "density/bound ratio")
-    return DensityProfile(t_grid=t_grid, density=dens, bound=bound, ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

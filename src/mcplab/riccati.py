@@ -35,9 +35,10 @@ Closed forms for F(1 - t) are expressed through the scaled cotangent
 which is analytic at x = 0, as det A's kernels sinc(x) = sin x / x and
 sxc(x) = (sin x - x cos x) / x**3 are, so small |c| needs no case split.
 _sinc_sxc takes both from one sine-cosine pair of x (_helix_kernels of
-heisenberg the helix's from one pair of x / 2).  The kernel helpers accept
-arrays and broadcast; _sinc_sxc also has a path for one Python float,
-which closed_forms takes, and which rounds as the array path does.
+heisenberg the helix's from one pair of x / 2).  It and _block_det live
+in scalars, which loads no numpy; both broadcast, and _sinc_sxc also has a
+path for one Python float, which closed_forms takes and which rounds as
+the array path does.
 """
 
 from __future__ import annotations
@@ -48,62 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError, _real, _reals, _require_finite
+from .scalars import _block_det, _sinc_sxc
 from .scalars import RiccatiParams, conjugate_time  # public here as well
-
-# Below this |x| the sxc kernel of _sinc_sxc, and the S kernel of
-# heisenberg._helix_kernels, switch to their Taylor series through x^14,
-# whose truncation error at the cut is below 1e-16 relative.  The direct
-# expressions lose about 1e-16 / x^2 relative to cancellation, so both
-# sides stay under 1e-14 against 40-digit mpmath (7e-15 at worst on
-# (0, 3.1], 5.6e-15 for S just above the cut; a cut of 0.05 left 2e-13
-# just above it).
-_SERIES_CUT = 0.3
-# Taylor coefficients in x^2, highest power first (Horner order).
-_SXC_SERIES = (-1 / 22230464256000, 1 / 93405312000, -1 / 518918400,
-               1 / 3991680, -1 / 45360, 1 / 840, -1 / 30, 1 / 3)
-_XMS_SERIES = (-1 / 355687428096000, 1 / 1307674368000, -1 / 6227020800,
-               1 / 39916800, -1 / 362880, 1 / 5040, -1 / 120, 1 / 6)
-
-
-def _series(coeffs, x):
-    """The Taylor series in x^2 at x, for |x| <= _SERIES_CUT, by Horner's
-    rule as np.polyval runs it, less its first step 0 * z + c_0 = c_0."""
-    z = x * x
-    y = coeffs[0]
-    for c in coeffs[1:]:
-        y = y * z + c
-    return y
-
-
-def _sinc_sxc(x):
-    """(sinc x, sxc x) from one sine-cosine pair, 1 and 1/3 at x = 0; sxc
-    takes _SXC_SERIES where |x| <= _SERIES_CUT.
-
-    A Python float (type float exactly: np.float64 subclasses it) takes
-    math.sin, math.cos and Python branches, and gives two floats; it must
-    be finite, as math.sin raises at inf.  Any other x goes to numpy and
-    gives arrays, 0-d for a scalar: the direct sxc everywhere, with the
-    series evaluated on the elements inside the cut alone and written over
-    it there (not at all when none is).  Both paths run the same
-    expressions, and math.sin/cos round as np.sin/cos, so they agree to
-    the bit.  np.sinc(x / pi) was 3.5e-12 off 40-digit mpmath on
-    (2 pi, 40] (2.1e-16 here)."""
-    if type(x) is float:
-        sn, cs = math.sin(x), math.cos(x)
-        sinc = sn / x if x else 1.0
-        if abs(x) <= _SERIES_CUT:
-            return sinc, _series(_SXC_SERIES, x)
-        return sinc, (sn - x * cs) / (x * x * x)
-    x = np.asarray(x, dtype=float)
-    sn, cs = np.sin(x), np.cos(x)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sinc = np.where(x == 0.0, 1.0, sn / x)
-        sxc = np.asarray((sn - x * cs) / (x * x * x))
-    near = abs(x) <= _SERIES_CUT
-    if near.any():
-        sxc[near] = _series(_SXC_SERIES, x[near])
-    return sinc, sxc
-
 
 def _check_sin_regular(x):
     """Raise if x = c t is (numerically) a nonzero multiple of pi."""
@@ -210,12 +157,6 @@ def closed_forms(params: RiccatiParams, t: float):
 # ---------------------------------------------------------------------------
 # determinant factors of the distortion matrix
 # ---------------------------------------------------------------------------
-
-def _block_det(b, s, sinc, sxc, free=1.0):
-    """det A(s)'s 3x3 factor s^3 sinc(x)^2 + b^2 s^5 sinc(x) sxc(x) from the kernels
-    of x = cs, its b-free term times free (2^-2k where b^2 overflows and b is scaled by 2^-k)."""
-    return free * s**3 * sinc * sinc + b * b * s**5 * sinc * sxc
-
 
 def _det_a(b, c, n: int, s, free=1.0):
     """Closed-form det A(s) for broadcastable (b, c, s) arrays: the 3x3

@@ -1,36 +1,55 @@
-"""The scalar answers, on Python floats: the data (b, c, n) of one geodesic
-direction, its first conjugate time, and the sharpness infimum of the
-contraction inequality.  This module imports the standard library and
-errors' scalar readers alone and never loads numpy, so the conjugate and
-sharpness subcommands run without it; riccati and mcp import these names
-from here.
+"""The scalar layer, on Python floats: the data (b, c, n) of one geodesic
+direction, its first conjugate time, the sharpness infimum and the density
+profile of the contraction inequality, with the closed-form kernels they
+use.  It imports the standard library and errors alone, so the conjugate,
+sharpness and density-profile subcommands never load numpy.  The kernels
+also take arrays, importing numpy in their array branches only (as
+errors._reals does); riccati, mcp and heisenberg import them from here.
+A float ** is the C library's pow and an array ** numpy's (a SIMD pow
+where the CPU has one), so density_profile and mcp.density may round a
+power an ulp apart; they agree within 4 ulp in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import _count, _real
+from .errors import DomainError, OutOfRegimeError, _count, _floats, _real
+
+# Below this |x| the sxc kernel of _sinc_sxc, and the S kernel of
+# heisenberg._helix_kernels, switch to their Taylor series through x^14,
+# whose truncation error at the cut is below 1e-16 relative.  The direct
+# expressions lose about 1e-16 / x^2 relative to cancellation, so both
+# sides stay under 1e-14 against 40-digit mpmath (7e-15 at worst on
+# (0, 3.1], 5.6e-15 for S just above the cut; a cut of 0.05 left 2e-13
+# just above it).
+_SERIES_CUT = 0.3
+# Taylor coefficients in x^2, highest power first (Horner order).
+_SXC_SERIES = (-1 / 22230464256000, 1 / 93405312000, -1 / 518918400,
+               1 / 3991680, -1 / 45360, 1 / 840, -1 / 30, 1 / 3)
+_XMS_SERIES = (-1 / 355687428096000, 1 / 1307674368000, -1 / 6227020800,
+               1 / 39916800, -1 / 362880, 1 / 5040, -1 / 120, 1 / 6)
 
 
-@dataclass(frozen=True)
-class RiccatiParams:
-    """Scalar data of one geodesic direction.
+class RiccatiParams(namedtuple("RiccatiParams", "b c n")):
+    """Scalar data of one geodesic direction, read by _real and _count.
 
     b and c may carry either sign; every scalar output is even under
     b -> -b and c -> -c separately (the matrices themselves transform by a
     diagonal sign conjugation, see riccati.build_blocks).
     """
 
-    b: float
-    c: float
-    n: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", _real(self.b, "b"))
-        object.__setattr__(self, "c", _real(self.c, "c"))
-        object.__setattr__(self, "n", _count(self.n, "n", 1))
+    def __new__(cls, b, c, n=1):
+        return super().__new__(cls, _real(b, "b"), _real(c, "c"), _count(n, "n", 1))
+
+
+class DensityProfile(namedtuple("DensityProfile", "t_grid density bound ratio")):
+    """Density, bound and their ratio on a t grid for one (b, c, n): float lists."""
+
+    __slots__ = ()
 
 
 def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
@@ -71,3 +90,140 @@ def sharpness_scan(t: float, b_max: float = 1e4) -> float:
     t, b_max = _real(t, "t", 0.0, 1.0), _real(b_max, "b_max", 0.0)
     s = 1.0 - t
     return 1.0 + 3.0 * t * (2.0 - t) / (s * s * (3.0 + b_max * b_max))
+
+
+# ---------------------------------------------------------------------------
+# closed-form kernels, on Python floats or numpy arrays
+# ---------------------------------------------------------------------------
+
+def _series(coeffs, x):
+    """The Taylor series in x^2 at x, for |x| <= _SERIES_CUT, by Horner's
+    rule as np.polyval runs it, less its first step 0 * z + c_0 = c_0."""
+    z = x * x
+    y = coeffs[0]
+    for c in coeffs[1:]:
+        y = y * z + c
+    return y
+
+
+def _sinc_sxc(x):
+    """(sinc x, sxc x) from one sine-cosine pair, 1 and 1/3 at x = 0; sxc
+    takes _SXC_SERIES where |x| <= _SERIES_CUT.
+
+    A Python float (type float exactly: np.float64 subclasses it) takes
+    math.sin, math.cos and Python branches, and gives two floats; it must
+    be finite, as math.sin raises at inf.  Any other x goes to numpy and
+    gives arrays, 0-d for a scalar: the direct sxc everywhere, with the
+    series evaluated on the elements inside the cut alone and written over
+    it there (not at all when none is).  Both paths run the same
+    expressions, and math.sin/cos round as np.sin/cos, so they agree to
+    the bit.  np.sinc(x / pi) was 3.5e-12 off 40-digit mpmath on
+    (2 pi, 40] (2.1e-16 here)."""
+    if type(x) is float:
+        sn, cs = math.sin(x), math.cos(x)
+        sinc = sn / x if x else 1.0
+        if abs(x) <= _SERIES_CUT:
+            return sinc, _series(_SXC_SERIES, x)
+        return sinc, (sn - x * cs) / (x * x * x)
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    sn, cs = np.sin(x), np.cos(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sinc = np.where(x == 0.0, 1.0, sn / x)
+        sxc = np.asarray((sn - x * cs) / (x * x * x))
+    near = abs(x) <= _SERIES_CUT
+    if near.any():
+        sxc[near] = _series(_SXC_SERIES, x[near])
+    return sinc, sxc
+
+
+def _block_det(b, s, sinc, sxc, free=1.0):
+    """det A(s)'s 3x3 factor s^3 sinc(x)^2 + b^2 s^5 sinc(x) sxc(x) from the kernels
+    of x = cs, its b-free term times free (2^-2k where b^2 overflows and b is scaled by 2^-k)."""
+    return free * s**3 * sinc * sinc + b * b * s**5 * sinc * sxc
+
+
+def _scale_b(b, big):
+    """(b 2^-k, 2^-2k) for _block_det: k = 0 where big^2 is finite, else
+    big's binary exponent, so that the scaled b^2 stays in float64 range.
+    big is b itself for a k per entry, or max |b| for one k over an
+    array; a Python float big takes math.frexp/ldexp, with numpy's bits."""
+    if type(big) is float:
+        k = 0 if math.isfinite(big * big) else math.frexp(big)[1]
+        return math.ldexp(b, -k), math.ldexp(1.0, -2 * k)
+    import numpy as np
+
+    k = np.where(np.isfinite(big * big), 0, np.frexp(big)[1])
+    return np.ldexp(b, -k), np.ldexp(1.0, -2 * k)
+
+
+def _block_ratios(b, c, s):
+    """The two per-block factors of det A(s) / det A(1) for broadcastable
+    (b, c, s): d1(s) / d1(1), with d1 the 3x3 block's determinant, and
+    sinc(cs) / sinc(c), so that
+
+        det A(s) / det A(1) = [d1(s) / d1(1)] [s sinc(cs) / sinc(c)]^(2n-2).
+
+    Neither factor holds a power of s above the fifth or a power of
+    sinc(c) above the second, so neither underflows as n grows, where
+    det A(s) and det A(1) both do.  Where b^2 leaves float64 range (|b|
+    from 2^512, about 1.3e154), b is scaled by 2^-k and the b-free term
+    by 2^-2k (_scale_b): both d1 are then scaled by 2^-2k, which cancels
+    in their ratio; elsewhere k = 0 and nothing changes.  The kernels at
+    cs and at c are each taken once."""
+    b, free = _scale_b(b, b)
+    sinc_s, sxc_s = _sinc_sxc(c * s)
+    sinc_1, sxc_1 = _sinc_sxc(c)
+    d1_s = _block_det(b, s, sinc_s, sxc_s, free)
+    return d1_s / _block_det(b, 1.0, sinc_1, sxc_1, free), sinc_s / sinc_1
+
+
+def _density_ratio(b, c, n: int, t):
+    """D(t) and D(t) / (1-t)^(2n+3) for broadcastable (b, c, t), per
+    block: with s = 1 - t,
+
+        D(t) = [d1(s) / d1(1)] [s sinc(cs) / sinc(c)]^(2n-2),
+        D(t) / s^(2n+3) = [d1(s) / d1(1) / s^5] [sinc(cs) / sinc(c)]^(2n-2).
+
+    Nothing underflows as n grows, where det A and (1-t)^(2n+3) do.  At
+    n = 1 the ratio rounds exactly as D(t) / mcp.contraction_bound(t) on
+    arrays; on floats a power past float64 range raises OverflowError."""
+    s = 1.0 - t
+    f1, f3 = _block_ratios(b, c, s)
+    ratio = f1 / s**5
+    if n == 1:
+        return f1, ratio
+    return f1 * (s * f3) ** (2 * n - 2), ratio * f3 ** (2 * n - 2)
+
+
+def _check_regime(params: RiccatiParams, t_in_range: bool) -> None:
+    """DomainError unless t_in_range (t in [0, 1)), OutOfRegimeError unless |c| < pi:
+    there sinc(c), sxc(c) and so det A(1) are positive for every b (sharpness_scan's lemma)."""
+    if not t_in_range:
+        raise DomainError("t must lie in [0, 1)")
+    if abs(params.c) >= math.pi:
+        raise OutOfRegimeError(f"density requires |c| < pi, got c = {params.c!r}")
+
+
+def density_profile(params: RiccatiParams, t_grid) -> DensityProfile:
+    """Density, bound (1-t)^(2n+3) and ratio at each t of t_grid (one number
+    or a flat sequence, errors._floats), with mcp.density's checks, from one
+    _density_ratio call per t on Python floats.  A density or ratio that is
+    not finite raises DomainError, as does a power that overflows (the
+    ratio, at least the density, is then past float64 range)."""
+    ts = _floats(t_grid, "t")
+    _check_regime(params, all(0.0 <= t < 1.0 for t in ts))
+    dens, ratio = [], []
+    try:
+        for t in ts:
+            d, r = _density_ratio(*params, t)
+            dens.append(d)
+            ratio.append(r)
+    except OverflowError:  # a float ** past float64 range: so is the ratio
+        ratio.append(math.inf)
+    for values, what in ((dens, "density"), (ratio, "density/bound ratio")):
+        if not all(map(math.isfinite, values)):
+            raise DomainError(f"{what} is not finite in float64 for these inputs")
+    bound = [(1.0 - t) ** (2 * params.n + 3) for t in ts]
+    return DensityProfile(t_grid=ts, density=dens, bound=bound, ratio=ratio)

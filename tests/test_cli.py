@@ -227,6 +227,7 @@ def test_mcp_scan_usage_errors(capsys):
 @pytest.mark.parametrize("b, c, t", [
     ("0:10:20", "-3:3:30", "0.5"),
     ("2.5", "-3:3:7", "0.05:0.95:4"),
+    ("-7.5:-7.5:3", "-2.9:-0.1:2", "0:5e-324:3"),
 ])
 def test_mcp_scan_takes_unequal_counts_and_single_values(b, c, t, tmp_path, capsys):
     # the CLI scans the axes it parsed, whatever their counts, and so
@@ -234,7 +235,9 @@ def test_mcp_scan_takes_unequal_counts_and_single_values(b, c, t, tmp_path, caps
     out = tmp_path / "scan.json"
     assert main(["mcp-scan", "--b", b, "--c", c, "--t", t, "--output", str(out)]) == 0
     report = json.loads(out.read_text())["report"]
-    axes = [cli._parse_range(v) for v in (b, c, t)]
+    axes = [np.array(cli._parse_range(v)) for v in (b, c, t)]
+    for text, axis in zip((b, c, t), axes):
+        assert axis.tolist() == _linspace(text)
     ratio = _density_ratio(axes[0][:, None, None], axes[1][None, :, None], 1,
                            axes[2][None, None, :])[1]
     i = np.unravel_index(np.argmin(ratio), ratio.shape)
@@ -246,6 +249,27 @@ def test_mcp_scan_takes_unequal_counts_and_single_values(b, c, t, tmp_path, caps
         assert got["min_ratio"] == float(ratio[i])
         assert got["argmin"] == argmin
         assert got["ok"] is True
+
+
+def _linspace(text):
+    """The points of a range flag as np.linspace gives them."""
+    parts = text.split(":")
+    if len(parts) == 1:
+        return [float(text)]
+    return np.linspace(float(parts[0]), float(parts[1]), int(parts[2])).tolist()
+
+
+@pytest.mark.parametrize("text", [
+    "0:1:2", "0.05:0.95:50", "-3:3:50", "3:-3:7", "-1e-300:-2e-300:4", "0.1:0.9:9",
+    "2.5:2.5:5", "-0.0:-0.0:3", "0:5e-324:3", "5e-324:0:4", "-5e-324:5e-324:6",
+    "1e307:-1e307:3", "0:0.9:1000000", "0.3:0.7:999983", "7",
+])
+def test_parse_range_gives_the_bits_of_linspace(text):
+    # the points are computed on Python floats, numpy's arithmetic step
+    # for step: a width whose step rounds to 0 takes its other branch
+    got = cli._parse_range(text)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(_linspace(text)).tobytes()
 
 
 def test_non_finite_ranges_are_one_line_usage_errors(capsys):
@@ -643,12 +667,13 @@ def test_no_mcplab_path_loads_scipy():
 
 
 # Run main(argv) in a fresh interpreter and print its exit code and the
-# numpy and mcplab modules it loaded, as the last line of stdout.
+# numpy, inspect and mcplab modules it loaded, as the last line of stdout.
+# inspect takes about 5 ms to import; dataclasses and numpy load it.
 _LOADED = """
 import json, sys
 from mcplab.cli import main
 code = main(sys.argv[1:])
-loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("mcplab."))
+loaded = sorted(m for m in sys.modules if m in ("numpy", "inspect") or m.startswith("mcplab."))
 print(json.dumps([code, loaded]))
 """
 
@@ -691,15 +716,16 @@ def test_version_help_and_usage_errors_load_no_numpy(tmp_path):
             assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
-# The modules each subcommand loads, and no others.  scalars loads no
-# numpy, so a subcommand that loads it alone runs without numpy.
+# The modules each subcommand loads, and no others.  scalars loads
+# neither numpy nor inspect, so a subcommand that loads it alone runs
+# without both.
 _SUBCOMMAND_MODULES = {
     "curvature": {"frame_algebra"},
     "riccati": {"riccati", "scalars"},
     "conjugate": {"scalars"},
     "mcp-scan": {"mcp", "riccati", "scalars"},
     "sharpness": {"scalars"},
-    "density-profile": {"mcp", "riccati", "scalars"},
+    "density-profile": {"scalars"},
     "contract": {"mcp", "riccati", "scalars", "heisenberg"},
 }
 
@@ -710,7 +736,7 @@ def test_subcommand_loads_only_its_modules(name):
     assert rc == 0
     modules = _SUBCOMMAND_MODULES[name]
     expected = {"mcplab.cli", "mcplab.errors"} | {f"mcplab.{m}" for m in modules}
-    assert loaded == expected | ({"numpy"} if modules != {"scalars"} else set())
+    assert loaded == expected | ({"numpy", "inspect"} if modules != {"scalars"} else set())
 
 
 # The traced-names contract of test_traced_names_are_called_through_cli in

@@ -38,7 +38,6 @@ from mcplab.frame_algebra import (
     levi_civita,
 )
 from mcplab.riccati import (
-    _SERIES_CUT,
     RiccatiParams,
     _det_a,
     build_blocks,
@@ -47,6 +46,7 @@ from mcplab.riccati import (
     det_distortion,
     jacobi_flow,
 )
+from mcplab.scalars import _SERIES_CUT
 
 
 def _origin_state(model, vel):
@@ -113,6 +113,11 @@ def test_horizontal_geodesic_is_straight_line():
     traj = geodesic_flow(m, _origin_state(m, [0.0, 1.0, 0.0]), T=2.0)
     assert np.allclose(traj.pos[-1], [2.0, 0.0, 0.0], atol=1e-10)
     assert np.allclose(traj.vel[-1], [0.0, 1.0, 0.0], atol=1e-10)
+    # |w_0|^2 past float64 range, |w_0| inside it: still the line t w_0
+    # with z = 0, to the bit (|w_0|^2 x S(x) is taken rescaled at x = 0)
+    traj = geodesic_flow(m, _origin_state(m, [0.0, 1e200, 1e200]), T=2.0)
+    assert np.array_equal(traj.pos, traj.t[:, None] * [1e200, 1e200, 0.0])
+    assert np.array_equal(traj.vel, np.tile([0.0, 1e200, 1e200], (len(traj.t), 1)))
 
 
 def test_mixed_geodesic_conserves_speed_and_vertical():
@@ -257,6 +262,14 @@ def test_adapted_params_examples():
     assert p.c == 1.0 and p.b == -1.0
     with pytest.raises(DegenerateDirectionError):
         adapted_params(m, _origin_state(m, [1.0, 0.0, 0.0]))
+    # a speed whose square overflows (from 1.3e154) is that of the velocity
+    # scaled by 2^-k, scaled back to the bit; one past float64 range is refused
+    for vel in ([0.0, 1e200, 1e200], [3e160, -1e200, 2e199], [-1e300, 0.0, 2e299]):
+        k = int(np.frexp(np.max(np.abs(vel)))[1])
+        p, ref = (adapted_params(m, _origin_state(m, np.ldexp(vel, j))) for j in (0, -k))
+        assert (p.b, p.c) == (np.ldexp(ref.b, k), np.ldexp(ref.c, k))
+    with pytest.raises(DomainError, match="leaves float64 range"):
+        adapted_params(m, _origin_state(m, [0.0, 1.7e308, 1.7e308]))
 
 
 def _frame_bound(af):
@@ -311,8 +324,10 @@ def test_adapted_frame_fails_on_a_wrong_trajectory():
 
 def test_adapted_frame_past_float64_range_warns_nothing():
     # a finite trajectory whose drift leaves float64 range has a NaN
-    # residual, and a start whose squared speed does is refused with
-    # DomainError (it is no vertical velocity), neither with a warning
+    # residual; a start whose squared speed does has the frame of the
+    # velocities scaled by 2^-k, to the bit, and a start whose speed does
+    # is refused with DomainError (it is no vertical velocity), none of
+    # them with a warning
     t, pos = np.linspace(0.0, 1.0, 5), np.zeros((5, 3))
     vel = np.tile([0.0, 1.0, 1.0], (5, 1))
     vel[1:] = 1e300
@@ -320,9 +335,16 @@ def test_adapted_frame_past_float64_range_warns_nothing():
         warnings.simplefilter("error")
         af = adapted_frame(HeisenbergModel(1, 1e50), Trajectory(t=t, pos=pos, vel=vel))
         assert np.isnan(af.max_residual)
-        fast = Trajectory(t=t, pos=pos, vel=np.tile([0.0, 1e200, 1e200], (5, 1)))
+        m = HeisenbergModel(1, 1.0)
+        for vel in ([0.0, 1e200, 1e200], [0.0, 1e200, -3e199]):
+            k = int(np.frexp(1e200)[1])
+            fast = adapted_frame(m, Trajectory(t=t, pos=pos, vel=np.tile(vel, (5, 1))))
+            slow = Trajectory(t=t, pos=pos, vel=np.tile(np.ldexp(vel, -k), (5, 1)))
+            assert fast.frames.tobytes() == adapted_frame(m, slow).frames.tobytes()
+            assert fast.max_residual <= _frame_bound(fast)
+        huge = Trajectory(t=t, pos=pos, vel=np.tile([0.0, 1.7e308, 1.7e308], (5, 1)))
         with pytest.raises(DomainError) as err:
-            adapted_frame(HeisenbergModel(1, 1.0), fast)
+            adapted_frame(m, huge)
         assert type(err.value) is DomainError
 
 

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcplab import riccati as rc
+from mcplab import scalars as sc
 from mcplab.errors import (
     DomainError, McplabError, ModelValidationError, SingularityError, VelocitySpecError,
 )
@@ -74,7 +75,7 @@ def test_build_blocks_sign_conjugation():
 
 def _k2hat(x):
     """k2hat(x) = (x cot x - 1) / x^2 as the closed forms compose it."""
-    sinc, sxc = rc._sinc_sxc(x)
+    sinc, sxc = sc._sinc_sxc(x)
     return -sxc / sinc
 
 
@@ -89,7 +90,7 @@ def _kernel_points():
     return np.concatenate([
         np.geomspace(1e-8, 3.1, 300),
         np.linspace(0.04, 0.08, 41),
-        np.linspace(rc._SERIES_CUT - 0.02, rc._SERIES_CUT + 0.02, 81),
+        np.linspace(sc._SERIES_CUT - 0.02, sc._SERIES_CUT + 0.02, 81),
     ])
 
 
@@ -128,10 +129,10 @@ def test_sinc_sxc_against_mpmath():
     near = _kernel_points()
     worst_sinc, worst_sxc = 0.0, 0.0
     with mpmath.workdps(40):
-        for x, got in zip(xs, rc._sinc_sxc(xs)[0]):
+        for x, got in zip(xs, sc._sinc_sxc(xs)[0]):
             m = mpmath.mpf(float(x))
             worst_sinc = max(worst_sinc, float(abs(got / (mpmath.sin(m) / m) - 1)))
-        for x, got in zip(near, rc._sinc_sxc(near)[1]):
+        for x, got in zip(near, sc._sinc_sxc(near)[1]):
             m = mpmath.mpf(float(x))
             ref = (mpmath.sin(m) - m * mpmath.cos(m)) / m**3
             worst_sxc = max(worst_sxc, float(abs(got / ref - 1)))
@@ -139,9 +140,9 @@ def test_sinc_sxc_against_mpmath():
     # both are even, and exact at 0 (the float path against the array
     # path: test_sinc_sxc_float_path_matches_the_array_path)
     for k in (0, 1):
-        np.testing.assert_array_equal(rc._sinc_sxc(-xs)[k], rc._sinc_sxc(xs)[k])
-        np.testing.assert_array_equal(rc._sinc_sxc(-near)[k], rc._sinc_sxc(near)[k])
-    assert tuple(map(float, rc._sinc_sxc(0.0))) == (1.0, 1.0 / 3.0)
+        np.testing.assert_array_equal(sc._sinc_sxc(-xs)[k], sc._sinc_sxc(xs)[k])
+        np.testing.assert_array_equal(sc._sinc_sxc(-near)[k], sc._sinc_sxc(near)[k])
+    assert tuple(map(float, sc._sinc_sxc(0.0))) == (1.0, 1.0 / 3.0)
 
 
 def _bits(value) -> bytes:
@@ -149,7 +150,7 @@ def _bits(value) -> bytes:
 
 
 _CUT_NEIGHBOURS = (
-    math.nextafter(rc._SERIES_CUT, 0.0), rc._SERIES_CUT, math.nextafter(rc._SERIES_CUT, 1.0)
+    math.nextafter(sc._SERIES_CUT, 0.0), sc._SERIES_CUT, math.nextafter(sc._SERIES_CUT, 1.0)
 )
 
 
@@ -169,20 +170,20 @@ def test_sinc_sxc_float_path_matches_the_array_path(x, sign):
     # series over the elements inside the cut.  All three give the same
     # bits, and the numpy path stays quiet where x^3 overflows
     x = sign * x
-    pair = rc._sinc_sxc(x)
+    pair = sc._sinc_sxc(x)
     # a one-element array, and x, x/2, -x/4, which lie wholly inside the
     # cut when x does
     arrays = (np.array([x, 1.0]), np.array([x]), x * np.array([1.0, 0.5, -0.25]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = [rc._sinc_sxc(xs) for xs in arrays]
-        scalar = rc._sinc_sxc(np.float64(x))
+        stacked = [sc._sinc_sxc(xs) for xs in arrays]
+        scalar = sc._sinc_sxc(np.float64(x))
     for k in (0, 1):
         assert type(pair[k]) is float
         assert isinstance(scalar[k], np.ndarray) and scalar[k].ndim == 0
         assert _bits(pair[k]) == _bits(scalar[k])
         for xs, got in zip(arrays, stacked):
-            assert [_bits(v) for v in got[k]] == [_bits(rc._sinc_sxc(v)[k]) for v in xs.tolist()]
+            assert [_bits(v) for v in got[k]] == [_bits(sc._sinc_sxc(v)[k]) for v in xs.tolist()]
 
 
 def _xms(x):
@@ -194,7 +195,7 @@ def test_xms_against_mpmath():
     # S(x) = (x - sin x) / x^3 on both sides of the series cut, and far out
     xs = np.concatenate([
         np.geomspace(1e-8, 50.0, 300),
-        np.linspace(rc._SERIES_CUT - 0.02, rc._SERIES_CUT + 0.02, 81),
+        np.linspace(sc._SERIES_CUT - 0.02, sc._SERIES_CUT + 0.02, 81),
     ])
     worst = 0.0
     with mpmath.workdps(40):
@@ -210,7 +211,7 @@ def test_series_is_polyval_to_the_bit():
     # Horner's rule in np.polyval's operations on the arguments the
     # kernels take it at, |x| <= the cut: a dense grid over the cut, its
     # ends and 0, and tiny arguments, scalar and stacked
-    cut = rc._SERIES_CUT
+    cut = sc._SERIES_CUT
     xs = np.concatenate([
         np.linspace(-cut, cut, 20001),
         [0.0, -0.0, cut, -cut, np.nextafter(cut, 0.0)],
@@ -218,11 +219,11 @@ def test_series_is_polyval_to_the_bit():
         np.geomspace(1e-300, cut, 601),
     ])
     stacked = np.stack((xs, xs[::-1]))
-    for coeffs in (rc._SXC_SERIES, rc._XMS_SERIES):
+    for coeffs in (sc._SXC_SERIES, sc._XMS_SERIES):
         expected = np.polyval(coeffs, stacked * stacked)
-        assert rc._series(coeffs, stacked).tobytes() == expected.tobytes()
+        assert sc._series(coeffs, stacked).tobytes() == expected.tobytes()
         for x in xs[::97]:
-            got = np.float64(rc._series(coeffs, np.float64(x)))
+            got = np.float64(sc._series(coeffs, np.float64(x)))
             assert got.tobytes() == np.polyval(coeffs, x * x).tobytes()
 
 
@@ -234,8 +235,8 @@ def test_kernels_are_quiet_at_huge_arguments():
         warnings.simplefilter("error")
         det = rc.det_distortion(rc.RiccatiParams(-1.0, 1e30, 1), [0.5])
         values = [f(s * xs) for f in (_k2hat, _xms) for s in (1, -1)]
-        values += [k for s in (1, -1) for k in rc._sinc_sxc(s * xs)]
-        values += [k for s in (1, -1) for k in rc._sinc_sxc(s * xs[2])]
+        values += [k for s in (1, -1) for k in sc._sinc_sxc(s * xs)]
+        values += [k for s in (1, -1) for k in sc._sinc_sxc(s * xs[2])]
     assert np.all(np.isfinite(det)) and all(np.all(np.isfinite(v)) for v in values)
 
 
