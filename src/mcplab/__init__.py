@@ -6,9 +6,10 @@ Modules:
 - frame_algebra: frames, brackets, connections, curvature, identity checks
 - heisenberg:    the model group, geodesics, adapted frames, distortion
 - scalars:       geodesic parameters, conjugate time, sharpness infimum,
-                 density profile, their kernels (floats; loads no numpy)
+                 density profile, grid scan, their kernels (floats; loads
+                 no numpy)
 - riccati:       block matrices, Jacobi and Riccati flow, closed forms
-- mcp:           densities, contraction scans, Monte Carlo cross-checks
+- mcp:           densities on arrays, Monte Carlo and quadrature cross-checks
 - cli:           command-line front end
 """
 

@@ -43,11 +43,11 @@ from .errors import McplabError
 # module loads none of them: main checks the flags first, and each
 # subcommand then binds the names it calls (_bind), so --version, --help
 # and a usage error return without loading numpy, and each subcommand
-# loads only the modules it uses: conjugate, sharpness and density-profile
-# call names of scalars alone, on _parse_range's floats, and never load
-# numpy.  A name read from outside the module (a caller that replaces it
-# before main runs) is bound on first access by __getattr__; a name
-# already bound is never rebound.
+# loads only the modules it uses: conjugate, sharpness, density-profile
+# and mcp-scan call names of scalars alone, on _parse_range's floats, and
+# never load numpy.  A name read from outside the module (a caller that
+# replaces it before main runs) is bound on first access by __getattr__;
+# a name already bound is never rebound.
 _SOURCES = {
     "np": "numpy",
     **dict.fromkeys(
@@ -57,10 +57,10 @@ _SOURCES = {
         ".frame_algebra",
     ),
     "HeisenbergModel": ".heisenberg",
-    **dict.fromkeys(("VelocitySet", "mcp_scan", "monte_carlo_contraction",
-                     "quadrature_contraction"), ".mcp"),
+    **dict.fromkeys(("VelocitySet", "monte_carlo_contraction", "quadrature_contraction"),
+                    ".mcp"),
     **dict.fromkeys(("build_blocks", "closed_forms", "integrate_inverse_riccati"), ".riccati"),
-    **dict.fromkeys(("RiccatiParams", "conjugate_time", "density_profile",
+    **dict.fromkeys(("RiccatiParams", "conjugate_time", "density_profile", "mcp_scan",
                      "sharpness_scan"), ".scalars"),
 }
 
@@ -93,7 +93,9 @@ def _bind(*names) -> None:
 
 # The most points a lo:hi:count range may hold.  density-profile's float
 # lists hold about 100 bytes per point (tracemalloc), so 10^6 points stay
-# near 100 MB, as mcp._MAX_SCAN_POINTS keeps a scan near 150 MB.
+# near 100 MB.  mcp-scan holds no grid (scalars._MAX_SCAN_POINTS bounds
+# its time, not its memory): beyond the parsed ranges, a point of its b
+# axis costs it about 73 bytes and one of its c or t axis 16.
 _MAX_RANGE_COUNT = 1_000_000
 # The most count * (2n+1)^2 block entries of one riccati run, at about 64
 # bytes each: about 130 MB.
@@ -296,9 +298,8 @@ def _cmd_conjugate(args):
 
 
 def _cmd_mcp_scan(args):
-    _bind("np", "mcp_scan")
-    axes = (np.asarray(_parse_range(v)) for v in (args.b, args.c, args.t))
-    report = mcp_scan(args.n, *axes, tol=args.tol)
+    _bind("mcp_scan")
+    report = mcp_scan(args.n, *map(_parse_range, (args.b, args.c, args.t)), tol=args.tol)
     am = report.argmin
     lines = [f"min ratio {report.min_ratio:.12f} at b={am[0]:g} c={am[1]:g} "
              f"t={am[2]:g}; violations: {len(report.violations)}"]

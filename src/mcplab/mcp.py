@@ -19,11 +19,12 @@ inequality under test is
 
 with equality approached as b -> infinity, c -> 0 (the exponent is the
 vertical 5 plus 2n - 2 parallel directions, not the dimension 2n + 1).
-sharpness_scan (the infimum of D(t) / (1-t)^(2n+3)), density_profile and
-their kernels live in scalars, which loads no numpy, and are imported here.
+sharpness_scan (the infimum of D(t) / (1-t)^(2n+3)), density_profile,
+mcp_scan (the grid scan, with its ScanReport) and their kernels live in
+scalars, which loads no numpy, and are imported here.
 
-Three evaluations are provided.  The closed form gives the density and
-the grid scans.  The set-level ratio mu(Z_(1-t)) / mu(Z_1), for Z_s the
+Three evaluations are provided.  The closed form gives the density,
+the profile and the grid scan.  The set-level ratio mu(Z_(1-t)) / mu(Z_1), for Z_s the
 image of a velocity set under the time-s exponential map (Juillet 2009;
 Rifford 2013), comes from two routes.  monte_carlo_contraction samples
 the set and weights each velocity by the Jacobian of the closed-form
@@ -47,9 +48,10 @@ import numpy as np
 from .errors import DomainError, VelocitySpecError, _count, _real, _reals, _require_finite
 from .riccati import _det_a
 from .scalars import _check_regime, _density_ratio, _scale_b
-from .scalars import DensityProfile, RiccatiParams, density_profile, sharpness_scan  # re-exported
+from .scalars import (  # re-exported
+    DensityProfile, RiccatiParams, ScanReport, density_profile, mcp_scan, sharpness_scan)
 
-if TYPE_CHECKING:  # annotations only: the scans and profiles never load heisenberg
+if TYPE_CHECKING:  # annotations only: importing mcp loads no heisenberg
     from .heisenberg import HeisenbergModel
 
 _MAX_REJECT_FRACTION = 0.01
@@ -63,10 +65,6 @@ _DET_CHUNK = 4096
 # n = 1, 2 and 20), so 2e6 caps it near 115 MB, 20 times the CLI's
 # default of 1e5.
 _MAX_SAMPLES = 2_000_000
-# The most (b, c, t) points mcp_scan evaluates.  It holds about 15 MB per
-# million points, so 10^7 caps it near 150 MB, 80 times the largest grid
-# (50^3) that the tests and the benchmark use.
-_MAX_SCAN_POINTS = 10_000_000
 # Gauss-Legendre nodes per axis of quadrature_contraction.
 _QUAD_NODES = 64
 
@@ -100,109 +98,6 @@ def density(params: RiccatiParams, t):
 def contraction_bound(n: int, t):
     """The MCP comparison profile (1 - t)^(2n+3)."""
     return (1.0 - _reals(t, "t")) ** (2 * _count(n, "n", 1) + 3)
-
-
-# ---------------------------------------------------------------------------
-# grid scans
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ScanReport:
-    """Minimum of density/bound over a (b, c, t) grid."""
-
-    n: int
-    tol: float
-    b_values: np.ndarray
-    c_values: np.ndarray
-    t_values: np.ndarray
-    min_ratio: float
-    argmin: tuple
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tol": self.tol,
-            "b_range": [float(self.b_values.min()), float(self.b_values.max())],
-            "c_range": [float(self.c_values.min()), float(self.c_values.max())],
-            "t_range": [float(self.t_values.min()), float(self.t_values.max())],
-            "grid_shape": [
-                len(self.b_values),
-                len(self.c_values),
-                len(self.t_values),
-            ],
-            "exponent": 2 * self.n + 3,
-            "min_ratio": self.min_ratio,
-            "argmin": {
-                "b": self.argmin[0],
-                "c": self.argmin[1],
-                "t": self.argmin[2],
-            },
-            "violations": list(self.violations),
-            "ok": self.ok,
-        }
-
-
-def mcp_scan(n: int, b_values, c_values, t_values, tol: float = 1e-9) -> ScanReport:
-    """Evaluate ratio = D(t) / (1-t)^(2n+3) on the full grid of three 1-d
-    axes, as given: their lengths may differ, and one point is an axis.
-
-    Each axis must be non-empty, finite and non-decreasing, every c
-    strictly inside (-pi, pi), every t inside [0, 1), and the grid within
-    _MAX_SCAN_POINTS points; DomainError otherwise.  Violations, ratios
-    below 1 - tol, are collected with their grid coordinates; the
-    expected outcome is an empty list.  A NaN ratio (the density out of
-    float64 range) raises DomainError; an infinite one lies above 1."""
-    n, tol = _count(n, "n", 1), _real(tol, "tol")
-    axes = [_reals(v, f"{x} values") for x, v in zip("bct", (b_values, c_values, t_values))]
-    if any(a.ndim != 1 or a.size == 0 for a in axes):
-        raise DomainError("b, c and t values must be non-empty 1-d arrays")
-    nb, nc, nt = (a.size for a in axes)
-    if nb * nc * nt > _MAX_SCAN_POINTS:
-        raise DomainError(f"a {nb}x{nc}x{nt} grid has more than {_MAX_SCAN_POINTS} points")
-    if any((np.diff(a) < 0.0).any() for a in axes):
-        raise DomainError("b, c and t values must be non-decreasing")
-    b_values, c_values, t_values = axes
-    if max(-c_values[0], c_values[-1]) >= np.pi:
-        raise DomainError("c values must lie strictly inside (-pi, pi)")
-    if t_values[0] < 0.0 or t_values[-1] >= 1.0:
-        raise DomainError("t values must lie inside [0, 1)")
-
-    b = b_values[:, None, None]
-    c = c_values[None, :, None]
-    t = t_values[None, None, :]
-
-    with np.errstate(all="ignore"):
-        ratio = _density_ratio(b, c, n, t)[1]
-    if np.isnan(ratio).any():
-        raise DomainError("density/bound ratio is NaN in float64 for these inputs")
-
-    i = np.unravel_index(int(np.argmin(ratio)), ratio.shape)
-    min_ratio = float(ratio[i])
-    argmin = (float(b_values[i[0]]), float(c_values[i[1]]), float(t_values[i[2]]))
-    violations = [
-        {
-            "b": float(b_values[j[0]]),
-            "c": float(c_values[j[1]]),
-            "t": float(t_values[j[2]]),
-            "ratio": float(ratio[tuple(j)]),
-        }
-        for j in np.argwhere(~(ratio >= 1.0 - tol))
-    ]
-    return ScanReport(
-        n=n,
-        tol=tol,
-        b_values=b_values,
-        c_values=c_values,
-        t_values=t_values,
-        min_ratio=min_ratio,
-        argmin=argmin,
-        violations=violations,
-    )
 
 
 # ---------------------------------------------------------------------------

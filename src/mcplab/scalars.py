@@ -1,13 +1,17 @@
 """The scalar layer, on Python floats: the data (b, c, n) of one geodesic
-direction, its first conjugate time, the sharpness infimum and the density
-profile of the contraction inequality, with the closed-form kernels they
-use.  It imports the standard library and errors alone, so the conjugate,
-sharpness and density-profile subcommands never load numpy.  The kernels
-also take arrays, importing numpy in their array branches only (as
-errors._reals does); riccati, mcp and heisenberg import them from here.
-A float ** is the C library's pow and an array ** numpy's (a SIMD pow
-where the CPU has one), so density_profile and mcp.density may round a
-power an ulp apart; they agree within 4 ulp in the tests.
+direction, its first conjugate time, the sharpness infimum, the density
+profile and the grid scan of the contraction inequality, with the
+closed-form kernels they use.  It imports the standard library and
+errors alone, so the conjugate, sharpness, density-profile and mcp-scan
+subcommands never load numpy.  The kernels also take arrays, importing
+numpy in their array branches only (as errors._reals does); riccati, mcp
+and heisenberg import them from here.  A float ** is the C library's pow
+and an array ** numpy's (a SIMD pow where the CPU has one), which may
+round a power an ulp apart, so the powers of s in det A's 3x3 block and
+in the ratio's s^5 are products on both: at n = 1 mcp_scan's ratios are
+_density_ratio's on arrays to the bit.  The parallel factor's power
+(n >= 2) stays a pow, and density_profile agrees with mcp.density within
+4 ulp in the tests.
 """
 
 from __future__ import annotations
@@ -30,6 +34,15 @@ _SXC_SERIES = (-1 / 22230464256000, 1 / 93405312000, -1 / 518918400,
                1 / 3991680, -1 / 45360, 1 / 840, -1 / 30, 1 / 3)
 _XMS_SERIES = (-1 / 355687428096000, 1 / 1307674368000, -1 / 6227020800,
                1 / 39916800, -1 / 362880, 1 / 5040, -1 / 120, 1 / 6)
+# The most (b, c, t) points mcp_scan evaluates.  The scan holds its axes,
+# one scaling per b, the kernels of _SCAN_CHUNK t and the violations,
+# never the grid, so the cap bounds its time: about 0.2 s per million points on one core, so 10^7
+# caps it near 2 s, 80 times the largest grid (50^3) that the tests and
+# the benchmark use.
+_MAX_SCAN_POINTS = 10_000_000
+# The t values whose kernels mcp_scan holds at once, so that a long t
+# axis costs no more memory than its list.
+_SCAN_CHUNK = 4096
 
 
 class RiccatiParams(namedtuple("RiccatiParams", "b c n")):
@@ -50,6 +63,32 @@ class DensityProfile(namedtuple("DensityProfile", "t_grid density bound ratio"))
     """Density, bound and their ratio on a t grid for one (b, c, n): float lists."""
 
     __slots__ = ()
+
+
+class ScanReport(namedtuple("ScanReport",
+                            "n tol b_values c_values t_values min_ratio argmin violations")):
+    """Minimum of density/bound over a (b, c, t) grid, whose axes are float
+    lists, with its (b, c, t) and the violations (dicts in C order)."""
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def to_dict(self) -> dict:
+        axes = self.b_values, self.c_values, self.t_values
+        return {
+            "n": self.n,
+            "tol": self.tol,
+            **{f"{x}_range": [a[0], a[-1]] for x, a in zip("bct", axes)},
+            "grid_shape": [len(a) for a in axes],
+            "exponent": 2 * self.n + 3,
+            "min_ratio": self.min_ratio,
+            "argmin": dict(zip("bct", self.argmin)),
+            "violations": list(self.violations),
+            "ok": self.ok,
+        }
 
 
 def conjugate_time(params: RiccatiParams, t_max: float = 1.0):
@@ -140,8 +179,10 @@ def _sinc_sxc(x):
 
 def _block_det(b, s, sinc, sxc, free=1.0):
     """det A(s)'s 3x3 factor s^3 sinc(x)^2 + b^2 s^5 sinc(x) sxc(x) from the kernels
-    of x = cs, its b-free term times free (2^-2k where b^2 overflows and b is scaled by 2^-k)."""
-    return free * s**3 * sinc * sinc + b * b * s**5 * sinc * sxc
+    of x = cs, its b-free term times free (2^-2k where b^2 overflows and b is scaled by 2^-k).
+    The powers of s are products, which round alike on floats and arrays."""
+    s3 = s * s * s
+    return free * s3 * sinc * sinc + b * b * (s3 * s * s) * sinc * sxc
 
 
 def _scale_b(b, big):
@@ -150,7 +191,9 @@ def _scale_b(b, big):
     big is b itself for a k per entry, or max |b| for one k over an
     array; a Python float big takes math.frexp/ldexp, with numpy's bits."""
     if type(big) is float:
-        k = 0 if math.isfinite(big * big) else math.frexp(big)[1]
+        if math.isfinite(big * big):  # k = 0: b itself, so that mcp_scan's list adds no float
+            return b, 1.0
+        k = math.frexp(big)[1]
         return math.ldexp(b, -k), math.ldexp(1.0, -2 * k)
     import numpy as np
 
@@ -186,12 +229,12 @@ def _density_ratio(b, c, n: int, t):
         D(t) = [d1(s) / d1(1)] [s sinc(cs) / sinc(c)]^(2n-2),
         D(t) / s^(2n+3) = [d1(s) / d1(1) / s^5] [sinc(cs) / sinc(c)]^(2n-2).
 
-    Nothing underflows as n grows, where det A and (1-t)^(2n+3) do.  At
-    n = 1 the ratio rounds exactly as D(t) / mcp.contraction_bound(t) on
-    arrays; on floats a power past float64 range raises OverflowError."""
+    Nothing underflows as n grows, where det A and (1-t)^(2n+3) do.  s^5
+    is the product _block_det takes; on floats a power past float64 range
+    raises OverflowError (_power reads it as inf)."""
     s = 1.0 - t
     f1, f3 = _block_ratios(b, c, s)
-    ratio = f1 / s**5
+    ratio = f1 / (s * s * s * s * s)
     if n == 1:
         return f1, ratio
     return f1 * (s * f3) ** (2 * n - 2), ratio * f3 ** (2 * n - 2)
@@ -206,24 +249,127 @@ def _check_regime(params: RiccatiParams, t_in_range: bool) -> None:
         raise OutOfRegimeError(f"density requires |c| < pi, got c = {params.c!r}")
 
 
+def _power(x, e):
+    """x ** e on floats, inf where it overflows, as numpy's ** gives it."""
+    try:
+        return x ** e
+    except OverflowError:
+        return math.inf
+
+
+def _rows(c, one, n: int, ts):
+    """The factors of _density_ratio at one c that hold no b, one row per
+    t of ts, lazily: with s = 1 - t and (sinc c, sxc c) = one,
+    (s^3, s^5, sinc(cs), sxc(cs), f3^(2n-2)), f3 = sinc(cs) / sinc(c), on
+    floats (the parallel factor is 1.0 at n = 1, inf where ** overflows)."""
+    for t in ts:
+        s = 1.0 - t
+        sinc, sxc = _sinc_sxc(c * s)
+        s3 = s * s * s
+        yield s3, s3 * s * s, sinc, sxc, _power(sinc / one[0], 2 * n - 2)
+
+
+def _ratios(b, free, one, rows):
+    """D(t) / (1-t)^(2n+3) along rows (_rows) at one b, scaled by
+    _scale_b to (b, free): _density_ratio's expressions in its order, with
+    d1(1) taken once and _block_det's d1(s) written out."""
+    d1_1 = _block_det(b, 1.0, *one, free)
+    bb = b * b
+    return [(free * s3 * sinc * sinc + bb * s5 * sinc * sxc) / d1_1 / s5 * par
+            for s3, s5, sinc, sxc, par in rows]
+
+
 def density_profile(params: RiccatiParams, t_grid) -> DensityProfile:
     """Density, bound (1-t)^(2n+3) and ratio at each t of t_grid (one number
-    or a flat sequence, errors._floats), with mcp.density's checks, from one
-    _density_ratio call per t on Python floats.  A density or ratio that is
-    not finite raises DomainError, as does a power that overflows (the
-    ratio, at least the density, is then past float64 range)."""
+    or a flat sequence, errors._floats), with mcp.density's checks: the
+    one-(b, c) case of mcp_scan's loop on Python floats, its rows (_rows)
+    taken one t at a time, with each density f1 (s f3)^(2n-2) as
+    _density_ratio forms it.  A ratio or density that is not finite
+    raises DomainError, as does a power that overflows (the ratio, at
+    least the density, is then past float64 range)."""
     ts = _floats(t_grid, "t")
     _check_regime(params, all(0.0 <= t < 1.0 for t in ts))
+    b, c, n = params
+    b, free = _scale_b(b, b)
+    one = _sinc_sxc(c)
+    d1_1 = _block_det(b, 1.0, *one, free)
     dens, ratio = [], []
-    try:
-        for t in ts:
-            d, r = _density_ratio(*params, t)
-            dens.append(d)
-            ratio.append(r)
-    except OverflowError:  # a float ** past float64 range: so is the ratio
-        ratio.append(math.inf)
-    for values, what in ((dens, "density"), (ratio, "density/bound ratio")):
+    for t, (_, s5, sinc, sxc, par) in zip(ts, _rows(c, one, n, ts)):
+        s = 1.0 - t
+        f1 = _block_det(b, s, sinc, sxc, free) / d1_1
+        dens.append(f1 * _power(s * (sinc / one[0]), 2 * n - 2))
+        ratio.append(f1 / s5 * par)
+    for values, what in ((ratio, "density/bound ratio"), (dens, "density")):
         if not all(map(math.isfinite, values)):
             raise DomainError(f"{what} is not finite in float64 for these inputs")
-    bound = [(1.0 - t) ** (2 * params.n + 3) for t in ts]
+    bound = [(1.0 - t) ** (2 * n + 3) for t in ts]
     return DensityProfile(t_grid=ts, density=dens, bound=bound, ratio=ratio)
+
+
+def _axis(value, what):
+    """value as a list of floats (errors._floats) if it is a list, tuple or
+    1-d array, else None: an array of more dimensions is None before its
+    values are read, a number after."""
+    if getattr(value, "ndim", 1) > 1:
+        return None
+    xs = _floats(value, what)
+    return xs if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1 else None
+
+
+def mcp_scan(n: int, b_values, c_values, t_values, tol: float = 1e-9) -> ScanReport:
+    """Evaluate ratio = D(t) / (1-t)^(2n+3) on the full grid of three 1-d
+    axes (lists, tuples or 1-d arrays, errors._floats), as given: their
+    lengths may differ, and one point is an axis.
+
+    Each axis must be non-empty, finite and non-decreasing, every c
+    strictly inside (-pi, pi), every t inside [0, 1), and the grid within
+    _MAX_SCAN_POINTS points; DomainError otherwise.  Violations, ratios
+    below 1 - tol, are collected with their grid coordinates; the
+    expected outcome is an empty list.  A NaN ratio (the density out of
+    float64 range) raises DomainError; an infinite one lies above 1.
+
+    One loop on Python floats that holds no grid: per b its scaling
+    (_scale_b), once; per c the rows of up to _SCAN_CHUNK t (_rows), then
+    per b one list of ratios over them (_ratios).  At n = 1 each ratio is
+    _density_ratio's on broadcast arrays to the bit.  The argmin is the
+    first minimum in (b, c, t) C order and the violations come in that
+    order, as np.argmin and np.argwhere give them."""
+    n, tol = _count(n, "n", 1), _real(tol, "tol")
+    axes = [_axis(v, f"{x} values") for x, v in zip("bct", (b_values, c_values, t_values))]
+    if not all(axes):
+        raise DomainError("b, c and t values must be non-empty 1-d arrays")
+    nb, nc, nt = map(len, axes)
+    if nb * nc * nt > _MAX_SCAN_POINTS:
+        raise DomainError(f"a {nb}x{nc}x{nt} grid has more than {_MAX_SCAN_POINTS} points")
+    if any(y < x for a in axes for x, y in zip(a, a[1:])):
+        raise DomainError("b, c and t values must be non-decreasing")
+    b_values, c_values, t_values = axes
+    if max(-c_values[0], c_values[-1]) >= math.pi:
+        raise DomainError("c values must lie strictly inside (-pi, pi)")
+    if t_values[0] < 0.0 or t_values[-1] >= 1.0:
+        raise DomainError("t values must lie inside [0, 1)")
+
+    scaled = [_scale_b(b, b) for b in b_values]
+    floor = 1.0 - tol
+    low = (math.inf, nb, 0, 0)  # (ratio, i, j, k), the first minimum in C order
+    found = []  # (i, j, k, ratio) of each violation
+    for j, c in enumerate(c_values):
+        one = _sinc_sxc(c)
+        for k0 in range(0, nt, _SCAN_CHUNK):
+            rows = list(_rows(c, one, n, t_values[k0:k0 + _SCAN_CHUNK]))
+            for i, (b, free) in enumerate(scaled):
+                ratios = _ratios(b, free, one, rows)
+                total = sum(ratios)
+                if total != total:
+                    raise DomainError("density/bound ratio is NaN in float64 for these inputs")
+                r = min(ratios)
+                if r <= low[0]:
+                    low = min(low, (r, i, j, k0 + ratios.index(r)))
+                if r < floor:
+                    found += [(i, j, k0 + k, x) for k, x in enumerate(ratios) if x < floor]
+    found.sort()  # into C order: no two share (i, j, k)
+    min_ratio, i, j, k = low
+    return ScanReport(n=n, tol=tol, b_values=b_values, c_values=c_values, t_values=t_values,
+                      min_ratio=min_ratio, argmin=(b_values[i], c_values[j], t_values[k]),
+                      violations=[{"b": b_values[i], "c": c_values[j], "t": t_values[k],
+                                   "ratio": x} for i, j, k, x in found])

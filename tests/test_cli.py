@@ -723,7 +723,7 @@ _SUBCOMMAND_MODULES = {
     "curvature": {"frame_algebra"},
     "riccati": {"riccati", "scalars"},
     "conjugate": {"scalars"},
-    "mcp-scan": {"mcp", "riccati", "scalars"},
+    "mcp-scan": {"scalars"},
     "sharpness": {"scalars"},
     "density-profile": {"scalars"},
     "contract": {"mcp", "riccati", "scalars", "heisenberg"},

@@ -224,6 +224,11 @@ def test_mcp_scan_validation():
         mcp_scan(1, b, c, [])
     with pytest.raises(DomainError, match="non-empty"):
         mcp_scan(1, b, c, t[None, :])
+    # the axes are lists of floats (errors._floats): an empty tuple or
+    # array, a number and a 0-d array are no axes either
+    for axis in ((), np.array([]), 0.5, np.float64(0.5), np.array(0.5)):
+        with pytest.raises(DomainError, match="non-empty 1-d"):
+            mcp_scan(1, b, c, axis)
     with pytest.raises(DomainError, match="non-decreasing"):
         mcp_scan(1, b, c, np.linspace(0.9, 0.1, 50))
 
@@ -251,6 +256,47 @@ def test_mcp_scan_reports_violations():
             b = np.linspace(*b_range, 3)
         with pytest.raises(DomainError, match="must be finite"):
             mcp_scan(1, b, c, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def test_mcp_scan_is_the_array_ratio_on_the_full_grid(n):
+    # the float scan against _density_ratio on broadcast arrays: the same
+    # argmin and the violations in np.argwhere's order.  At n = 1 every
+    # ratio agrees to the bit (the powers of s are products on both
+    # paths); the parallel factor's float ** is the C library's pow and
+    # numpy's array ** may round it an ulp apart
+    grids = [
+        _scan_axes(9),
+        (np.linspace(0.0, 10.0, 4), np.linspace(-3.1, 3.1, 6), np.linspace(0.0, 0.999, 8)),
+        # b past 2^512, where b and the b-free term are rescaled
+        (np.linspace(0.0, 1e160, 5), np.linspace(-1.0, 1.0, 5), np.linspace(0.1, 0.9, 5)),
+        # single points, and equal values whose first minimum wins
+        (np.array([2.5]), np.linspace(-3.0, 3.0, 7), np.array([0.5])),
+        (np.zeros(3), np.array([-1.0, -1.0, 1.0]), np.array([0.3, 0.3])),
+    ]
+    for b, c, t in grids:
+        with np.errstate(over="ignore"):  # b^2 past 2^1024, as mcp.density runs it
+            ratio = _density_ratio(b[:, None, None], c[None, :, None], n, t[None, None, :])[1]
+        i = np.unravel_index(np.argmin(ratio), ratio.shape)
+        where = np.argwhere(~(ratio >= 2.0))
+        scan = mcp_scan(n, b, c, t, tol=-1.0)
+        assert scan.argmin == (b[i[0]], c[i[1]], t[i[2]])
+        assert [(v["b"], v["c"], v["t"]) for v in scan.violations] == [
+            (b[j], c[k], t[m]) for j, k, m in where]
+        got = np.array([scan.min_ratio] + [v["ratio"] for v in scan.violations])
+        want = np.concatenate(([ratio[i]], ratio[tuple(where.T)]))
+        if n == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_array_max_ulp(got, want, maxulp=4)
+        assert scan.b_values == b.tolist() and scan.to_dict()["grid_shape"] == list(ratio.shape)
+    if n == 20:
+        # near c = pi the parallel factor's power overflows: the float **
+        # raises OverflowError, read as inf, which the array ** gives
+        scan = mcp_scan(n, [0.0], [3.14159265], [0.5])
+        with np.errstate(over="ignore"):
+            assert scan.min_ratio == np.inf == _density_ratio(0.0, np.array(3.14159265), n, 0.5)[1]
+        assert scan.ok and scan.argmin == (0.0, 3.14159265, 0.5)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
